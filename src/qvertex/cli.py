@@ -199,6 +199,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     if args.command == "hl":
+        if args.nvars is not None and args.nvars < 1:
+            print("error: need nvars >= 1", file=sys.stderr)
+            return 2
         return run_hl(args.partitions, cfg, nvars=args.nvars,
                       basis=args.basis)
     return run_verify(args.selection, cfg)

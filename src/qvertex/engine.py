@@ -23,14 +23,16 @@ classical symmetric-function oracle, never assumed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
-from .errors import NotClosedForm, UnsupportedCharge
+from .errors import UnsupportedCharge
 from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
-                      RegionOrder, VARS, VAR_INDEX, Window, bounds_add,
-                      bounds_hull, lform, mul_raw)
+                      RegionOrder, VARS, VAR_INDEX, Window, _fold,
+                      bounds_add, bounds_hull, lform)
 from .rationals import Rat
 from .scalars import TScalar, tp
 from .symfunc import Partition, SymFuncP
@@ -77,16 +79,6 @@ def eplus_coeff(a: int, k: int, degree_cap: int, t_order: int) -> SymFuncP:
     return lst[k]
 
 
-def eplus_apply(a: int, var: str, f: SymFuncP, hi: int) -> dict:
-    """{power: coefficient} of E+_a(var) f through var^hi."""
-    out = {}
-    for k in range(0, hi + 1):
-        c = eplus_coeff(a, k, f.degree_cap, f.t_order) * f
-        if not c.is_zero():
-            out[k] = c
-    return out
-
-
 def eminus_states(a: int, f: SymFuncP) -> list:
     """[g_0, g_1, ...] with E-_a(var) f = sum_w g_w var^{-w}.
 
@@ -108,18 +100,23 @@ def eminus_states(a: int, f: SymFuncP) -> list:
     return gs
 
 
-def heis_mode(power: int, f: SymFuncP, a: int = 1) -> SymFuncP:
-    """[var^power] E+_a(var) E-_a(var) f, the pure-Heisenberg field mode."""
-    gs = eminus_states(a, f)
-    out = SymFuncP.zero(f.degree_cap, f.t_order)
+def _mode(a: int, power: int, gs: list) -> SymFuncP:
+    """[var^power] E+_a(var) sum_w g_w var^{-w}, for gs from eminus_states."""
+    cap, T = gs[0].degree_cap, gs[0].t_order
+    out = SymFuncP.zero(cap, T)
     for w, gw in enumerate(gs):
         k = power + w
         if k < 0 or gw.is_zero():
             continue
-        c = eplus_coeff(a, k, f.degree_cap, f.t_order) * gw
+        c = eplus_coeff(a, k, cap, T) * gw
         if not c.is_zero():
             out = out + c
     return out
+
+
+def heis_mode(power: int, f: SymFuncP, a: int = 1) -> SymFuncP:
+    """[var^power] E+_a(var) E-_a(var) f, the pure-Heisenberg field mode."""
+    return _mode(a, power, eminus_states(a, f))
 
 
 def jing_Q(lam: Partition, t_order: int) -> SymFuncP:
@@ -172,14 +169,7 @@ def y_apply(a: int, var: str, v: FockVector, var_range) -> LaurentChunk:
         slos.append(shift - (len(gs) - 1))
         shis.append(shift + cap)
         for p in range(lo, hi + 1):
-            state = SymFuncP.zero(cap, T)
-            for w, gw in enumerate(gs):
-                k = p - shift + w
-                if k < 0 or gw.is_zero():
-                    continue
-                c = eplus_coeff(a, k, cap, T) * gw
-                if not c.is_zero():
-                    state = state + c
+            state = _mode(a, p - shift, gs)
             if state.is_zero():
                 continue
             key = Monomial.var(var, p)
@@ -288,76 +278,31 @@ def _eplus_multi_chunk(a: int, svars: tuple, his: dict, degree_cap: int,
                        t_order: int) -> LaurentChunk:
     """E+_a at a sum of variables, complete on the box prod_v [0, his[v]].
 
-    Coefficients are homogeneous: p-weight equals the total monomial
-    degree, so exponents beyond degree_cap vanish in the quotient and the
-    true support is [0, degree_cap] per variable.
+    With m_v the multiplicity of v in svars, E+_a(sum_v m_v z_v) has
+    coefficient multinomial(K; k) prod_v m_v^{k_v} eplus_coeff(a, K) at
+    prod_v z_v^{k_v}, K = sum_v k_v.  That coefficient has p-weight K, so
+    it vanishes in the quotient for K > degree_cap and the true support is
+    [0, degree_cap] per variable.
     """
     vset = sorted(set(svars), key=VAR_INDEX.get)
-    mult = {v: svars.count(v) for v in vset}
-    ncap = min(degree_cap, sum(his[v] for v in vset))
-    one = SymFuncP.one(degree_cap, t_order)
-    terms = {Monomial(): one}
-    if a and ncap > 0:
-        # A = a sum_n (1-t^n)/n p_n (sum_v mult_v z_v)^n, multinomially
-        A: dict = {}
-        for n in range(1, ncap + 1):
-            pn = SymFuncP.p(n, degree_cap, t_order) * \
-                _creation_coeff(a, n, t_order)
-            for comp, coeff in _compositions(n, vset, his):
-                c = pn.scale(coeff * Rat(1, n))
-                for v in vset:
-                    if mult[v] > 1 and comp.get(v):
-                        c = c.scale(Rat(mult[v]) ** comp[v])
-                m = Monomial.of(**comp)
-                A[m] = A[m] + c if m in A else c
-        term = dict(terms)
-        for k in range(1, ncap + 1):
-            nxt: dict = {}
-            for m1, c1 in term.items():
-                for m2, c2 in A.items():
-                    m = m1 * m2
-                    if m.total_degree > ncap or \
-                            any(m[VAR_INDEX[v]] > his[v] for v in vset):
-                        continue
-                    c = c1 * c2
-                    if c.is_zero():
-                        continue
-                    nxt[m] = nxt[m] + c if m in nxt else c
-            if not nxt:
-                break
-            term = {m: c.scale(Rat(1, k)) for m, c in nxt.items()}
-            for m, c in term.items():
-                terms[m] = terms[m] + c if m in terms else c
+    mult = [svars.count(v) for v in vset]
+    cs = [eplus_coeff(a, k, degree_cap, t_order)
+          for k in range(min(degree_cap, sum(his[v] for v in vset)) + 1)]
+    terms = {}
+    for ks in itertools.product(*(range(his[v] + 1) for v in vset)):
+        K = sum(ks)
+        if K >= len(cs) or cs[K].is_zero():
+            continue
+        n = factorial(K)
+        for k, m in zip(ks, mult):
+            n = n * m ** k // factorial(k)
+        terms[Monomial.of(**dict(zip(vset, ks)))] = \
+            cs[K] if n == 1 else cs[K].scale(n)
     window = Window(tuple((0, his.get(VARS[i], 0)) for i in range(NVARS)))
     support = tuple((0, degree_cap) if VARS[i] in vset else (0, 0)
                     for i in range(NVARS))
     return LaurentChunk(terms, window, SymFuncP.zero(degree_cap, t_order),
                         support)
-
-
-def _compositions(n: int, vset, his):
-    """(exponent dict, multinomial coefficient) pairs for (sum vset)^n."""
-    def rec(i, rem, comp, coeff, falling):
-        if i == len(vset) - 1:
-            if rem <= his[vset[i]]:
-                c = coeff
-                # multinomial(n; comp) accumulated as product of binomials
-                yield dict(comp, **{vset[i]: rem}), c
-            return
-        v = vset[i]
-        for k in range(0, min(rem, his[v]) + 1):
-            yield from rec(i + 1, rem - k, dict(comp, **{v: k}),
-                           coeff * _binom(falling, k), falling - k)
-
-    yield from rec(0, n, {}, Rat(1), n)
-
-
-def _binom(n: int, k: int) -> Rat:
-    num, den = 1, 1
-    for i in range(k):
-        num *= n - i
-        den *= i + 1
-    return Rat(num, den)
 
 
 def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
@@ -399,22 +344,10 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
         chain.append(_eplus_multi_chunk(a, svars, his, degree_cap, t_order))
         boxes.append(tuple((0, his.get(VARS[i], 0)) for i in range(NVARS)))
 
-    acc = chain[0]
-    for k in range(1, len(chain)):
-        req = []
-        for i in range(NVARS):
-            lo, hi = window.bounds[i]
-            for j in range(k + 1, len(chain)):
-                lo -= boxes[j][i][1]
-                hi -= boxes[j][i][0]
-            blo = sum(boxes[j][i][0] for j in range(k + 1))
-            bhi = sum(boxes[j][i][1] for j in range(k + 1))
-            lo, hi = max(lo, blo), min(hi, bhi)
-            if lo > hi:
-                return LaurentChunk({}, window, zero,
-                                    _cf_support(pref, cf, degree_cap))
-            req.append((lo, hi))
-        acc = mul_raw(acc, chain[k], Window(tuple(req)))
+    support = _cf_support(pref, cf, degree_cap)
+    acc = _fold(chain, boxes, window)
+    if acc is None:
+        return LaurentChunk({}, window, zero, support)
 
     def lift(c):
         if isinstance(c, TScalar):
@@ -423,8 +356,7 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
 
     terms = {m: FockVector.pure(cf.charge, lift(c))
              for m, c in acc.terms.items() if window.contains(m)}
-    return LaurentChunk(terms, window, zero,
-                        _cf_support(pref, cf, degree_cap))
+    return LaurentChunk(terms, window, zero, support)
 
 
 def _cf_support(pref: LaurentChunk, cf: ClosedForm, degree_cap: int):
@@ -438,56 +370,11 @@ def _cf_support(pref: LaurentChunk, cf: ClosedForm, degree_cap: int):
 
 
 # ---------------------------------------------------------------------------
-# series wrappers and S maps
+# braiding and translation scalars
 
 
-@dataclass(frozen=True)
-class VertexSeries:
-    """A region-expanded vertex-operator series with its provenance."""
-
-    chunk: LaurentChunk
-    region: RegionOrder
-    provenance: str
-    form: ClosedForm | None = None
-
-
-def x2_closed(a: int, b: int, reg: RegionOrder, window: Window,
-              degree_cap: int, t_order: int) -> VertexSeries:
-    form = x2_closed_form(a, b)
-    return VertexSeries(evaluate(form, reg, window, degree_cap, t_order),
-                        reg, "closed-form", form)
-
-
-def x3_closed(reg: RegionOrder, window: Window, degree_cap: int,
-              t_order: int, charges=(1, 1, 1)) -> VertexSeries:
-    form = x3_closed_form(*charges)
-    return VertexSeries(evaluate(form, reg, window, degree_cap, t_order),
-                        reg, "closed-form", form)
-
-
-def shift_substitute(vs: VertexSeries, mapping: dict, reg: RegionOrder,
-                     window: Window) -> VertexSeries:
-    """Substitute variables by sums of variables in a closed form and
-    re-expand; truncated chunks without a closed form are rejected."""
-    if vs.form is None or vs.provenance not in ("closed-form",
-                                                "substitution"):
-        raise NotClosedForm(
-            f"cannot substitute into provenance {vs.provenance!r}")
-    zero = vs.chunk.zero
-    form = vs.form.substitute(mapping)
-    chunk = evaluate(form, reg, window, zero.degree_cap, zero.t_order)
-    return VertexSeries(chunk, reg, "substitution", form)
-
-
-@dataclass(frozen=True)
-class SMapValue:
-    """Scalar multiple of an unchanged lattice tensor e^a (x) e^b."""
-
-    scalar: FactorProduct
-    tensor: tuple
-
-
-def s_tau(a: int, b: int, var1: str = "z1", var2: str = "z2") -> SMapValue:
+def s_tau(a: int, b: int, var1: str = "z1",
+          var2: str = "z2") -> FactorProduct:
     """Braiding scalar (-(1 - t var2/var1)/(1 - t var1/var2))^{ab}."""
     _check_charge(a)
     _check_charge(b)
@@ -496,11 +383,11 @@ def s_tau(a: int, b: int, var1: str = "z1", var2: str = "z2") -> SMapValue:
         monomial=Monomial.of(**{var1: -1, var2: 1}),
         factors=((lform((1, var1), (-1, var2, 1)), 1),
                  (lform((1, var2), (-1, var1, 1)), -1)))
-    return SMapValue(base.pow(a * b), (a, b))
+    return base.pow(a * b)
 
 
 def s_gamma(a: int, b: int, var1: str = "z1", var2="z2",
-            gamma: str = "g") -> SMapValue:
+            gamma: str = "g") -> FactorProduct:
     """Translation scalar ((1-t var2/var1)/(1-t (var2+g)/(var1+g)))^{ab}.
 
     var2=None is the second variable evaluated at zero, as in the
@@ -519,4 +406,4 @@ def s_gamma(a: int, b: int, var1: str = "z1", var2="z2",
                      (lform((1, var1), (1, gamma)), 1),
                      (lform((1, var1), (-1, var2, 1),
                             (1, gamma), (-1, gamma, 1)), -1)))
-    return SMapValue(base.pow(a * b), (a, b))
+    return base.pow(a * b)

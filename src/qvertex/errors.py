@@ -44,7 +44,3 @@ class TooFewVariables(QVertexError):
 
 class UnsupportedCharge(QVertexError):
     """Lattice charge outside the supported range 0..3."""
-
-
-class NotClosedForm(QVertexError):
-    """Substitution requested on a series with no closed form attached."""

@@ -22,7 +22,7 @@ from .errors import TruncationMismatch, UnsupportedCharge
 from .laurent import LaurentChunk, Monomial, VAR_INDEX, Window
 from .rationals import Rat
 from .scalars import TScalar, tp, ts_invert
-from .symfunc import Partition, SymFuncP
+from .symfunc import SymFuncP
 
 MAX_CHARGE = 3
 
@@ -80,10 +80,6 @@ class FockVector:
     def is_zero(self) -> bool:
         return not self.components
 
-    def max_pweight(self) -> int:
-        return max((f.max_weight() for f in self.components.values()),
-                   default=0)
-
     def t_truncate(self, t_order: int) -> "FockVector":
         return FockVector({m: f.t_truncate(t_order)
                            for m, f in self.components.items()},
@@ -140,10 +136,6 @@ class FockVector:
         return FockVector({m: f * c if isinstance(c, TScalar)
                            else f.scale(c)
                            for m, f in self.components.items()},
-                          self.degree_cap, self.t_order)
-
-    def map_components(self, fn) -> "FockVector":
-        return FockVector({m: fn(f) for m, f in self.components.items()},
                           self.degree_cap, self.t_order)
 
     def __eq__(self, other):

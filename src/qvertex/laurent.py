@@ -95,11 +95,6 @@ def iv_add(a, b):
     return (lo, hi)
 
 
-def iv_neg(a):
-    return (None if a[1] is None else -a[1],
-            None if a[0] is None else -a[0])
-
-
 def iv_intersect(a, b):
     """Intersection, or None when empty."""
     if a[0] is None:
@@ -123,10 +118,6 @@ def iv_hull(a, b):
     lo = None if a[0] is None or b[0] is None else min(a[0], b[0])
     hi = None if a[1] is None or b[1] is None else max(a[1], b[1])
     return (lo, hi)
-
-
-def iv_contains(a, x: int) -> bool:
-    return (a[0] is None or x >= a[0]) and (a[1] is None or x <= a[1])
 
 
 def iv_finite(a) -> bool:
@@ -197,12 +188,6 @@ class Window:
     def shift(self, m) -> "Window":
         return Window(tuple((lo + e, hi + e)
                             for (lo, hi), e in zip(self.bounds, m)))
-
-    def size(self) -> int:
-        n = 1
-        for lo, hi in self.bounds:
-            n *= hi - lo + 1
-        return n
 
     def __str__(self):
         parts = [f"{v}:[{lo},{hi}]" for v, (lo, hi) in zip(VARS, self.bounds)
@@ -311,23 +296,11 @@ class LaurentChunk:
                             self.window.shift(m), self.zero,
                             bounds_add(self.support, bounds_point(m)))
 
-    def restrict(self, window: Window) -> "LaurentChunk":
-        if self.window.intersect(window) != window:
-            raise OutsideWindow(
-                f"restriction window {window} exceeds {self.window}")
-        terms = {m: c for m, c in self.terms.items() if window.contains(m)}
-        return LaurentChunk(terms, window, self.zero, self.support)
-
     def __str__(self):
         if not self.terms:
             return f"0 on {self.window}"
         bits = [f"({c}) {m}" for m, c in sorted(self.terms.items())]
         return " + ".join(bits)
-
-
-def coefficient(chunk: LaurentChunk, m: Monomial):
-    """Coefficient at a monomial; OutsideWindow when it is not stored."""
-    return chunk.get(m)
 
 
 def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
@@ -360,6 +333,31 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
     if support is None:
         support = bounds_add(a.support, b.support)
     return LaurentChunk(terms, window, a.zero * b.zero, support)
+
+
+def _fold(chunks, boxes, target: Window):
+    """chunks[0] * chunks[1] * ... on the target window, or None when the
+    product vanishes there.
+
+    boxes[j] holds every exponent of chunks[j] that can land in the target.
+    Each prefix product is kept on its own box minus what the remaining
+    factors can still add, which is exact on the target; an empty prefix
+    window means no split reaches it.
+    """
+    acc = chunks[0]
+    for k in range(1, len(chunks)):
+        req = []
+        for v, (lo, hi) in enumerate(target.bounds):
+            for box in boxes[k + 1:]:
+                lo -= box[v][1]
+                hi -= box[v][0]
+            lo = max(lo, sum(box[v][0] for box in boxes[:k + 1]))
+            hi = min(hi, sum(box[v][1] for box in boxes[:k + 1]))
+            if lo > hi:
+                return None
+            req.append((lo, hi))
+        acc = mul_raw(acc, chunks[k], Window(tuple(req)))
+    return acc
 
 
 def _deficits(w, s):
@@ -580,10 +578,6 @@ class FactorProduct:
         return " * ".join(bits)
 
 
-def fp_monomial(coeff, m: Monomial) -> FactorProduct:
-    return FactorProduct.of(coeff=coeff, monomial=m)
-
-
 # ---------------------------------------------------------------------------
 # expansion
 
@@ -798,49 +792,28 @@ def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
     if pref_scalar.is_zero():
         return LaurentChunk({}, window, zero)
 
+    full_support = bounds_point(m_pref)
+    for info in infos:
+        full_support = bounds_add(full_support, info.support)
     if not infos:
         terms = ({m_pref: pref_scalar} if window.contains(m_pref) else {})
-        return LaurentChunk(terms, window, zero, bounds_point(m_pref))
+        return LaurentChunk(terms, window, zero, full_support)
 
     boxes = _fixpoint_boxes(infos, m_pref, window)
     if boxes is None:
-        full_support = bounds_point(m_pref)
-        for info in infos:
-            full_support = bounds_add(full_support, info.support)
         return LaurentChunk({}, window, zero, full_support)
     for info, box in zip(infos, boxes):
         info.box = box
         if info.exp < 0:
             info.tighten_jmax()
-
-    chunks = [info.chunk(t_order) for info in infos]
-    # fold with prefix windows sufficient for the final target
-    acc = chunks[0]
-    for k in range(1, len(chunks)):
-        req = []
-        for v in range(NVARS):
-            lo = window.bounds[v][0] - m_pref[v]
-            hi = window.bounds[v][1] - m_pref[v]
-            for j in range(k + 1, len(chunks)):
-                lo -= boxes[j][v][1]
-                hi -= boxes[j][v][0]
-            blo = sum(boxes[j][v][0] for j in range(k + 1))
-            bhi = sum(boxes[j][v][1] for j in range(k + 1))
-            lo, hi = max(lo, blo), min(hi, bhi)
-            if lo > hi:
-                full_support = bounds_point(m_pref)
-                for info in infos:
-                    full_support = bounds_add(full_support, info.support)
-                return LaurentChunk({}, window, zero, full_support)
-            req.append((lo, hi))
-        acc = mul_raw(acc, chunks[k], Window(tuple(req)))
+    acc = _fold([info.chunk(t_order) for info in infos], boxes,
+                window.shift(m_pref ** -1))
+    if acc is None:
+        return LaurentChunk({}, window, zero, full_support)
 
     acc = acc.shift(m_pref)
     if not pref_scalar == TScalar.one(t_order):
         acc = acc.scale(pref_scalar)
-    full_support = bounds_point(m_pref)
-    for info in infos:
-        full_support = bounds_add(full_support, info.support)
     terms = {m: c for m, c in acc.terms.items() if window.contains(m)}
     return LaurentChunk(terms, window, zero, full_support)
 
@@ -903,9 +876,3 @@ def _fixpoint_boxes(infos, m_pref, window, max_rounds=64):
                 raise WindowUnderflow(
                     f"cannot bound factor {i} on {VARS[v]} for {window}")
     return [tuple(tuple(b) for b in box) for box in boxes]
-
-
-def expand(fp: FactorProduct, reg: RegionOrder, window: Window,
-           t_order: int) -> LaurentChunk:
-    """Region expansion of a factor product into a Laurent chunk."""
-    return _expand(fp, reg, window, t_order)

@@ -13,8 +13,3 @@ except ImportError:  # pragma: no cover
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
-
-
-def rat_str(c) -> str:
-    """Render a rational as "p" or "p/q"."""
-    return str(c)

@@ -17,7 +17,7 @@ Two representations are used throughout the package:
 from __future__ import annotations
 
 from .errors import TruncationMismatch, ZeroConstantTerm
-from .rationals import RAT_ONE, RAT_ZERO, Rat, rat_str
+from .rationals import RAT_ONE, RAT_ZERO, Rat
 
 # ---------------------------------------------------------------------------
 # exact t-polynomials
@@ -48,10 +48,6 @@ def tp_add(a: tuple, b: tuple) -> tuple:
     return tp_trim(tuple(out))
 
 
-def tp_neg(a: tuple) -> tuple:
-    return tuple(-c for c in a)
-
-
 def tp_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return TP_ZERO
@@ -61,13 +57,6 @@ def tp_mul(a: tuple, b: tuple) -> tuple:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return tp_trim(tuple(out))
-
-
-def tp_scale(a: tuple, c) -> tuple:
-    c = Rat(c)
-    if not c:
-        return TP_ZERO
-    return tuple(x * c for x in a)
 
 
 def tp_pow(a: tuple, n: int) -> tuple:
@@ -84,11 +73,6 @@ def tp_shift(a: tuple, k: int) -> tuple:
     if not a:
         return TP_ZERO
     return (RAT_ZERO,) * k + tuple(a)
-
-
-def tp_deg(a: tuple) -> int:
-    """Degree, with deg 0 = -1 convention avoided: zero poly gives -1."""
-    return len(a) - 1
 
 
 def tp_eval(a: tuple, x) -> "Rat":
@@ -129,7 +113,7 @@ def tp_str(a: tuple) -> str:
         if not c:
             continue
         if k == 0:
-            parts.append(rat_str(c))
+            parts.append(str(c))
         else:
             tk = "t" if k == 1 else f"t^{k}"
             if c == 1:
@@ -137,7 +121,7 @@ def tp_str(a: tuple) -> str:
             elif c == -1:
                 parts.append(f"-{tk}")
             else:
-                parts.append(f"{rat_str(c)}*{tk}")
+                parts.append(f"{c!s}*{tk}")
     out = parts[0]
     for s in parts[1:]:
         out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"

@@ -29,8 +29,7 @@ from functools import lru_cache
 from .errors import (DegreeCapExceeded, TooFewVariables, TruncationMismatch)
 from .rationals import RAT_ONE, RAT_ZERO, Rat
 from .scalars import (TP_ONE, TScalar, tp_add, tp_bracket_factorial,
-                      tp_divexact, tp_eval, tp_mul, tp_phi, tp_scale, tp_str,
-                      tp_trim)
+                      tp_divexact, tp_eval, tp_mul, tp_phi, tp_str, tp_trim)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -308,13 +307,6 @@ class XPoly:
         for e, c in other.terms.items():
             terms[e] = tp_add(terms[e], c) if e in terms else c
         return XPoly(self.nvars, terms)
-
-    def neg(self) -> "XPoly":
-        return XPoly(self.nvars,
-                     {e: tuple(-x for x in c) for e, c in self.terms.items()})
-
-    def sub(self, other: "XPoly") -> "XPoly":
-        return self.add(other.neg())
 
     def mul(self, other: "XPoly") -> "XPoly":
         terms: dict = {}

@@ -89,7 +89,7 @@ def test_ac05_translation_covariance():
     assert r.passed and r.first_mismatch is None
     assert r.elapsed < 120
     # the scalar itself is the ratio of shifted prefactors
-    lhs = s_gamma(1, 1).scalar.mul(r_factor("z1", "z2"))
+    lhs = s_gamma(1, 1).mul(r_factor("z1", "z2"))
     rhs = r_factor("z1", "z2").substitute(
         {"z1": ("z1", "g"), "z2": ("z2", "g")})
     win = Window.of(z1=(-6, 6), z2=(-6, 6), g=(0, 6))
@@ -175,8 +175,8 @@ def test_ac09_infrastructure_properties():
     for m, v in shallow.terms.items():
         assert deep.get(m).t_truncate(2) == v
     swin = Window.of(z1=(-8, 8), z2=(-8, 8))
-    sc_deep = s_tau(1, 1, "z2", "z1").scalar.expand(REG12, swin, 4)
-    sc_shallow = s_tau(1, 1, "z2", "z1").scalar.expand(REG12, swin, 2)
+    sc_deep = s_tau(1, 1, "z2", "z1").expand(REG12, swin, 4)
+    sc_shallow = s_tau(1, 1, "z2", "z1").expand(REG12, swin, 2)
     for m, c in sc_deep.terms.items():
         assert c.truncate(2) == sc_shallow.get(m)
     r2 = check_braided_commutativity(1, 1, t_order=2, window=6, degree_cap=8)

@@ -62,6 +62,16 @@ def test_hl_rejects_malformed_partition(capsys):
         assert err != ""
 
 
+def test_hl_rejects_nonpositive_nvars(capsys):
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "hl", "1,1", "--basis", "m",
+                             "--nvars", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_hl_rejects_large_weight(capsys):
     code, _, err = run(capsys, "hl", "5,5")
     assert code == 2

@@ -1,0 +1,51 @@
+"""Dead-code guard: every public module-level function and class of the
+package is used somewhere besides its own definition, and the package's
+``__all__`` resolves."""
+
+import ast
+import re
+from pathlib import Path
+
+import qvertex
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qvertex"
+
+
+def _corpus():
+    """Text of every file that may reference a public name."""
+    files = [ROOT / "README.md"]
+    for sub in ("src", "tests", "qvbench"):
+        files += sorted((ROOT / sub).rglob("*.py"))
+        files += sorted((ROOT / sub).rglob("*.md"))
+    return {f: f.read_text().splitlines() for f in files if f.is_file()}
+
+
+def _public_definitions():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    not node.name.startswith("_"):
+                yield path, node
+
+
+def test_public_names_are_referenced():
+    corpus = _corpus()
+    unused = []
+    for path, node in _public_definitions():
+        word = re.compile(rf"\b{re.escape(node.name)}\b")
+        own = range(node.lineno - 1, node.end_lineno)
+        for f, lines in corpus.items():
+            if any(word.search(line) for i, line in enumerate(lines)
+                   if f != path or i not in own):
+                break
+        else:
+            unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, f"public names with no reference: {unused}"
+
+
+def test_all_resolves():
+    assert qvertex.__all__
+    for name in qvertex.__all__:
+        assert getattr(qvertex, name) is not None, name

@@ -3,12 +3,11 @@ forms, braiding/translation scalars, and their cross-validations."""
 
 import pytest
 
-from qvertex.engine import (ClosedForm, SMapValue, VertexSeries, eminus_states,
-                            eplus_coeff, evaluate, heis_mode, jing_Q, r_factor,
-                            s_gamma, s_tau, shift_substitute, x2_closed,
-                            x2_closed_form, x3_closed, x3_closed_form,
-                            x120_closed_form, y_apply, y_product)
-from qvertex.errors import NotClosedForm, UnsupportedCharge
+from qvertex.engine import (ClosedForm, eminus_states, eplus_coeff, evaluate,
+                            heis_mode, jing_Q, r_factor, s_gamma, s_tau,
+                            x2_closed_form, x3_closed_form, x120_closed_form,
+                            y_apply, y_product)
+from qvertex.errors import UnsupportedCharge
 from qvertex.fock import FockVector, apply_D, exp_D
 from qvertex.laurent import (FactorProduct, Monomial, Window, lform, region)
 from qvertex.rationals import Rat
@@ -53,6 +52,35 @@ def test_eplus_charge_zero_is_identity():
     assert eplus_coeff(0, 0, CAP, T) == SymFuncP.one(CAP, T)
     for k in range(1, 4):
         assert eplus_coeff(0, k, CAP, T).is_zero()
+
+
+def _eplus_slot(a, svars, window, cap, t_order):
+    """E+_a(sum of svars) e^a, expanded through the region evaluator."""
+    form = ClosedForm(FactorProduct.one(), ((a, svars),), a)
+    return evaluate(form, REG, window, cap, t_order)
+
+
+def test_eplus_two_variables_by_hand():
+    # E+_1(z1 + z2) at t = 0, cap 2: the x^2 coefficient (p_1^2 + p_2)/2
+    # spreads as z1^2 + 2 z1 z2 + z2^2
+    ch = _eplus_slot(1, ("z1", "z2"), Window.of(z1=(0, 2), z2=(0, 2)), 2, 0)
+    p11_p2 = sym({(1, 1): (1,), (2,): (1,)}, cap=2, t_order=0)
+    assert ch.get(Monomial(z1=1, z2=1)) == FockVector.pure(1, p11_p2)
+    half = FockVector.pure(1, p11_p2.scale(Rat(1, 2)))
+    assert ch.get(Monomial(z1=2)) == half
+    assert ch.get(Monomial(z2=2)) == half
+    assert ch.get(Monomial(z1=2, z2=1)).is_zero()
+
+
+def test_eplus_repeated_variable():
+    # E+_a(z1 + z1) = E+_a(2 z1): coefficient 2^k c_k at z1^k
+    cap, t_order = 5, 3
+    for a in (1, 2):
+        ch = _eplus_slot(a, ("z1", "z1"), Window.of(z1=(0, cap + 2)), cap,
+                         t_order)
+        for k in range(cap + 3):
+            expect = eplus_coeff(a, k, cap, t_order).scale(Rat(2) ** k)
+            assert ch.get(Monomial(z1=k)) == FockVector.pure(a, expect)
 
 
 def test_eminus_on_vacuum():
@@ -153,56 +181,59 @@ def test_y_charge_overflow():
 
 
 def test_x2_vacuum_slot_matches_translation():
-    vs = x2_closed(1, 0, REG, Window.of(z1=(0, 6)), CAP, T)
+    vs = evaluate(x2_closed_form(1, 0), REG, Window.of(z1=(0, 6)), CAP, T)
     ed = exp_D(FockVector.exponential(1, CAP, T), "z1", 6)
     for k in range(7):
         m = Monomial.var("z1", k)
-        assert vs.chunk.get(m) == ed.get(m)
-    assert vs.chunk.get(Monomial()) == FockVector.exponential(1, CAP, T)
+        assert vs.get(m) == ed.get(m)
+    assert vs.get(Monomial()) == FockVector.exponential(1, CAP, T)
 
 
 def test_x2_other_vacuum_slot():
-    vs = x2_closed(0, 1, REG, Window.of(z1=(-2, 2), z2=(0, 4)), CAP, T)
-    assert vs.chunk.get(Monomial()) == FockVector.exponential(1, CAP, T)
-    assert all(m.exp("z1") == 0 for m in vs.chunk.terms)
+    vs = evaluate(x2_closed_form(0, 1), REG,
+                  Window.of(z1=(-2, 2), z2=(0, 4)), CAP, T)
+    assert vs.get(Monomial()) == FockVector.exponential(1, CAP, T)
+    assert all(m.exp("z1") == 0 for m in vs.terms)
     ed = exp_D(FockVector.exponential(1, CAP, T), "z2", 4)
     for k in range(5):
         m = Monomial.var("z2", k)
-        assert vs.chunk.get(m) == ed.get(m)
+        assert vs.get(m) == ed.get(m)
 
 
 def test_x2_classical_leading_term():
-    vs = x2_closed(1, 1, REG, Window.of(z1=(-3, 3), z2=(-3, 3)), CAP, 0)
-    assert vs.chunk.get(Monomial(z1=1)) == FockVector.exponential(2, CAP, 0)
+    vs = evaluate(x2_closed_form(1, 1), REG,
+                  Window.of(z1=(-3, 3), z2=(-3, 3)), CAP, 0)
+    assert vs.get(Monomial(z1=1)) == FockVector.exponential(2, CAP, 0)
 
 
 def test_x2_matches_operator_product():
     W = 4
     win = Window.of(z1=(-W, W), z2=(-W, W))
-    vs = x2_closed(1, 1, REG, win, CAP, 3)
+    vs = evaluate(x2_closed_form(1, 1), REG, win, CAP, 3)
     vac = FockVector.vacuum(CAP, 3)
     op = y_product(((1, "z1"), (1, "z2")), vac,
                    {"z1": (-W, W), "z2": (-W, W)})
-    for m in set(vs.chunk.terms) | set(op.terms):
-        assert vs.chunk.get(m) == op.get(m)
+    for m in set(vs.terms) | set(op.terms):
+        assert vs.get(m) == op.get(m)
     assert len(op.terms) > 20
 
 
 def test_x2_charge_additivity():
-    vs = x2_closed(1, 1, REG, Window.of(z1=(-3, 3), z2=(-3, 3)), CAP, T)
-    for st in vs.chunk.terms.values():
+    vs = evaluate(x2_closed_form(1, 1), REG,
+                  Window.of(z1=(-3, 3), z2=(-3, 3)), CAP, T)
+    for st in vs.terms.values():
         assert st.charges() == [2]
 
 
 def test_x3_matches_triple_operator_product():
     W, t_order = 3, 2
     win = Window.of(z1=(-W, W), z2=(-W, W), z3=(-W, W))
-    vs = x3_closed(REG3, win, 9, t_order)
+    vs = evaluate(x3_closed_form(), REG3, win, 9, t_order)
     vac = FockVector.vacuum(9, t_order)
     rng = {v: (-W, W) for v in ("z1", "z2", "z3")}
     op = y_product(((1, "z1"), (1, "z2"), (1, "z3")), vac, rng)
-    for m in set(vs.chunk.terms) | set(op.terms):
-        assert vs.chunk.get(m) == op.get(m)
+    for m in set(vs.terms) | set(op.terms):
+        assert vs.get(m) == op.get(m)
     assert len(op.terms) > 50
 
 
@@ -221,7 +252,7 @@ def test_x3_classical_prefactor_is_vandermonde():
 def test_x3_charge_zero_slot_degenerates_to_x2():
     win = Window.of(z1=(-4, 4), z2=(-4, 4))
     ch3 = evaluate(x3_closed_form(1, 1, 0), REG3, win, CAP, T)
-    ch2 = x2_closed(1, 1, REG, win, CAP, T).chunk
+    ch2 = evaluate(x2_closed_form(1, 1), REG, win, CAP, T)
     assert ch3.terms.keys() == ch2.terms.keys()
     for m, st in ch2.terms.items():
         assert ch3.get(m).component(2) == st.component(2)
@@ -242,15 +273,15 @@ def test_region_coherence_of_x2():
     # the only inverted prefactor form is t-adically dominated, so the two
     # variable orders expand to the same chunk
     win = Window.of(z1=(-5, 5), z2=(-5, 5))
-    c12 = x2_closed(1, 1, region("z1", "z2", "g"), win, CAP, T).chunk
-    c21 = x2_closed(1, 1, region("z2", "z1", "g"), win, CAP, T).chunk
+    c12 = evaluate(x2_closed_form(1, 1), region("z1", "z2", "g"), win, CAP, T)
+    c21 = evaluate(x2_closed_form(1, 1), region("z2", "z1", "g"), win, CAP, T)
     assert c12.terms == c21.terms
 
 
 def test_monotone_stabilization_in_t_and_cap():
     win = Window.of(z1=(-3, 3), z2=(-3, 3))
-    hi = x2_closed(1, 1, REG, win, 8, 4).chunk
-    lo = x2_closed(1, 1, REG, win, 6, 2).chunk
+    hi = evaluate(x2_closed_form(1, 1), REG, win, 8, 4)
+    lo = evaluate(x2_closed_form(1, 1), REG, win, 6, 2)
     keys = set(m for m, st in lo.terms.items()) | \
         set(m for m, st in hi.terms.items())
     for m in keys:
@@ -275,7 +306,7 @@ def test_charge_bounds_on_closed_forms():
 
 
 def test_s_tau_first_order():
-    ch = s_tau(1, 1).scalar.expand(
+    ch = s_tau(1, 1).expand(
         REG, Window.of(z1=(-3, 3), z2=(-3, 3)), 1)
     want = {Monomial(): (-1, 0), Monomial(z1=1, z2=-1): (0, -1),
             Monomial(z1=-1, z2=1): (0, 1)}
@@ -284,19 +315,19 @@ def test_s_tau_first_order():
 
 
 def test_s_tau_classical_sign():
-    ch = s_tau(1, 1).scalar.expand(
+    ch = s_tau(1, 1).expand(
         REG, Window.of(z1=(-3, 3), z2=(-3, 3)), 0)
     assert len(ch.terms) == 1
     assert ch.get(Monomial()).coeffs == (Rat(-1),)
 
 
 def test_s_tau_charge_zero():
-    assert s_tau(1, 0).scalar == FactorProduct.one()
-    assert s_tau(0, 3).scalar == FactorProduct.one()
+    assert s_tau(1, 0) == FactorProduct.one()
+    assert s_tau(0, 3) == FactorProduct.one()
 
 
 def test_s_tau_unitarity():
-    prod = s_tau(1, 1, "z1", "z2").scalar.mul(s_tau(1, 1, "z2", "z1").scalar)
+    prod = s_tau(1, 1, "z1", "z2").mul(s_tau(1, 1, "z2", "z1"))
     ch = prod.expand(REG, Window.of(z1=(-4, 4), z2=(-4, 4)), 4)
     assert list(ch.terms) == [Monomial()]
     assert ch.get(Monomial()) == TScalar.one(4)
@@ -304,7 +335,7 @@ def test_s_tau_unitarity():
 
 def test_s_tau_is_ratio_of_prefactors():
     # r(z1,z2) = S_tau(swapped roles) * r(z2,z1)
-    lhs = s_tau(1, 1, "z2", "z1").scalar.mul(r_factor("z2", "z1"))
+    lhs = s_tau(1, 1, "z2", "z1").mul(r_factor("z2", "z1"))
     win = Window.of(z1=(-5, 5), z2=(-5, 5))
     assert lhs.expand(REG, win, 4).terms == \
         r_factor("z1", "z2").expand(REG, win, 4).terms
@@ -312,10 +343,10 @@ def test_s_tau_is_ratio_of_prefactors():
 
 def test_s_gamma_identity_slices():
     sg = s_gamma(1, 1)
-    ch0 = sg.scalar.expand(REG, Window.of(z1=(-4, 4), z2=(-4, 4)), 3)
+    ch0 = sg.expand(REG, Window.of(z1=(-4, 4), z2=(-4, 4)), 3)
     assert list(ch0.terms) == [Monomial()]
     assert ch0.get(Monomial()) == TScalar.one(3)
-    cht = sg.scalar.expand(
+    cht = sg.expand(
         REG, Window.of(z1=(-4, 4), z2=(-4, 4), g=(0, 3)), 0)
     assert list(cht.terms) == [Monomial()]
 
@@ -323,7 +354,7 @@ def test_s_gamma_identity_slices():
 def test_s_gamma_first_order():
     # g^1 t^1 slice is t g (1/z1 - z2/z1^2), fixed by the multiply-back
     # oracle below
-    ch = s_gamma(1, 1).scalar.expand(
+    ch = s_gamma(1, 1).expand(
         REG, Window.of(z1=(-4, 4), z2=(-4, 4), g=(0, 1)), 1)
     assert ch.get(Monomial(z1=-1, g=1)).coeffs == (Rat(0), Rat(1))
     assert ch.get(Monomial(z1=-2, z2=1, g=1)).coeffs == (Rat(0), Rat(-1))
@@ -336,14 +367,14 @@ def test_s_gamma_multiply_back():
         (lform((1, "z1"), (1, "g")), -1),
         (lform((1, "z1"), (-1, "z2", 1), (1, "g"), (-1, "g", 1)), 1)))
     win = Window.of(z1=(-5, 5), z2=(-5, 5), g=(0, 3))
-    got = sg.scalar.mul(den).expand(REG, win, 3)
+    got = sg.mul(den).expand(REG, win, 3)
     target = FactorProduct.of(monomial=Monomial.var("z1", -1), factors=(
         (lform((1, "z1"), (-1, "z2", 1)), 1),))
     assert got.terms == target.expand(REG, win, 3).terms
 
 
 def test_s_gamma_is_ratio_of_shifted_prefactors():
-    lhs = s_gamma(1, 1).scalar.mul(r_factor("z1", "z2"))
+    lhs = s_gamma(1, 1).mul(r_factor("z1", "z2"))
     rhs = r_factor("z1", "z2").substitute(
         {"z1": ("z1", "g"), "z2": ("z2", "g")})
     win = Window.of(z1=(-6, 6), z2=(-6, 6), g=(0, 6))
@@ -353,13 +384,13 @@ def test_s_gamma_is_ratio_of_shifted_prefactors():
 def test_s_gamma_second_variable_at_zero():
     sg = s_gamma(1, 1, "z3", None, "z2")
     reg = region("z2", "z3", "g")
-    ch = sg.scalar.expand(reg, Window.of(z2=(-4, 4), z3=(-4, 4)), 2)
+    ch = sg.expand(reg, Window.of(z2=(-4, 4), z3=(-4, 4)), 2)
     # multiply back against 1 - t z2/(z3+z2)
     den = FactorProduct.of(factors=(
         (lform((1, "z3"), (1, "z2")), -1),
         (lform((1, "z3"), (1, "z2"), (-1, "z2", 1)), 1)))
     win = Window.of(z2=(-4, 4), z3=(-4, 4))
-    got = sg.scalar.mul(den).expand(reg, win, 2)
+    got = sg.mul(den).expand(reg, win, 2)
     assert list(got.terms) == [Monomial()]
     assert got.get(Monomial()) == TScalar.one(2)
     assert ch.get(Monomial()).coeffs[0] == Rat(1)
@@ -370,21 +401,11 @@ def test_s_gamma_second_variable_at_zero():
 
 
 def test_shift_substitute_translation():
-    vs = x2_closed(1, 0, REG, Window.of(z1=(0, 4)), CAP, T)
-    sub = shift_substitute(vs, {"z1": ("z1", "g")}, REG,
-                           Window.of(z1=(0, 4), g=(0, 3)))
+    form = x2_closed_form(1, 0).substitute({"z1": ("z1", "g")})
+    sub = evaluate(form, REG, Window.of(z1=(0, 4), g=(0, 3)), CAP, T)
     ea = FockVector.exponential(1, CAP, T)
-    assert sub.chunk.get(Monomial(g=1)) == apply_D(ea)
-    assert sub.chunk.get(Monomial(z1=1, g=1)) == apply_D(apply_D(ea))
-    assert sub.provenance == "substitution"
-
-
-def test_shift_substitute_rejects_bare_series():
-    vac = FockVector.vacuum(CAP, T)
-    op = y_product(((1, "z1"),), vac, {"z1": (0, 3)})
-    vs = VertexSeries(op, REG, "operator-product")
-    with pytest.raises(NotClosedForm):
-        shift_substitute(vs, {"z1": ("z1", "g")}, REG, Window.of())
+    assert sub.get(Monomial(g=1)) == apply_D(ea)
+    assert sub.get(Monomial(z1=1, g=1)) == apply_D(apply_D(ea))
 
 
 def test_substituted_form_shape():

@@ -146,6 +146,61 @@ def test_mutated_translation_fails():
     assert not r.passed
 
 
+# Exact mutation reports, pinned byte for byte: together they exercise the
+# single-variable E+ slots, the (z2, z3) slot of the Jacobi translate and
+# the (z1, g) / (z2, g) slots of the translation check.
+GOLDEN_MUTATIONS = {
+    "s-tau-sign": (
+        lambda: check_braided_commutativity(1, 1, t_order=2, window=4,
+                                            degree_cap=8, mutate_sign=True),
+        {"check_id": "braided-commutativity",
+         "params": {"T": 2, "window": 4, "degree_cap": 8, "charges": [1, 1],
+                    "mutation": "s-tau-sign"},
+         "compared": 81, "passed": False,
+         "first_mismatch": {"monomial": "z1^-2 z2^3",
+                            "lhs": "[(-t^2)*1] * e^2a",
+                            "rhs": "[(t^2)*1] * e^2a"}}),
+    "jacobi-drop-s-gamma": (
+        lambda: check_braided_jacobi(t_order=2, window=3, degree_cap=8,
+                                     drop_s_gamma=True),
+        {"check_id": "jacobi",
+         "params": {"T": 2, "window": 3, "degree_cap": 8,
+                    "mutation": "jacobi-drop-s-gamma"},
+         "compared": 343, "passed": False,
+         "first_mismatch": {"monomial": "z1^-3 z2^2 z3^3",
+                            "lhs": "[(3 + t)*1] * e^3a",
+                            "rhs": "[(3)*1] * e^3a"}}),
+    "vacuum-d-charge": (
+        lambda: check_vacuum(t_order=3, window=6, degree_cap=8,
+                             d_charge_coeff=tp(1)),
+        {"check_id": "vacuum",
+         "params": {"T": 3, "window": 6, "degree_cap": 8,
+                    "charges": [[1, 0], [0, 1], [0, 0]],
+                    "mutation": "d-charge-coeff"},
+         "compared": 22, "passed": False,
+         "first_mismatch": {"monomial": "z1^1",
+                            "lhs": "[(1 - t)*p[1]] * e^1a",
+                            "rhs": "[(1)*p[1]] * e^1a"}}),
+    "translation-d-charge": (
+        lambda: check_translation_covariance(
+            1, 1, t_order=2, g_order=2, window=3, degree_cap=6,
+            d_charge_coeff=tp(1, -2)),
+        {"check_id": "translation",
+         "params": {"T": 2, "G": 2, "window": 3, "degree_cap": 6,
+                    "charges": [1, 1], "mutation": "d-charge-coeff"},
+         "compared": 147, "passed": False,
+         "first_mismatch": {"monomial": "z1^-2 z2^2 g^2",
+                            "lhs": "[(3*t - 11*t^2)*p[1]] * e^2a",
+                            "rhs": "[(3*t - 9*t^2)*p[1]] * e^2a"}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MUTATIONS))
+def test_mutation_report_golden(name):
+    run, expected = GOLDEN_MUTATIONS[name]
+    assert _strip(run()) == expected
+
+
 # ---------------------------------------------------------------------------
 # report contract
 
