@@ -194,9 +194,10 @@ def main(argv=None) -> int:
     cfg = RunConfig(t_order=args.t_order, gamma_order=args.gamma_order,
                     degree_cap=args.max_degree, window=args.window,
                     charges=tuple(args.charges), fmt=args.fmt)
-    if cfg.t_order < 0 or cfg.gamma_order < 0 or cfg.window < 1:
-        print("error: need t-order >= 0, gamma-order >= 0, window >= 1",
-              file=sys.stderr)
+    if (cfg.t_order < 0 or cfg.gamma_order < 0 or cfg.degree_cap < 0
+            or cfg.window < 1):
+        print("error: need t-order >= 0, gamma-order >= 0, "
+              "max-degree >= 0, window >= 1", file=sys.stderr)
         return 2
     if args.command == "hl":
         if args.nvars is not None and args.nvars < 1:

@@ -1,15 +1,12 @@
-"""Exact rational number backend.
+"""Exact rational number type.
 
-gmpy2's mpq is noticeably faster on the large exact convolutions in the
-engine; fractions.Fraction is a drop-in fallback when gmpy2 is absent.
-Both types normalize, hash and compare identically for our purposes and
-str() renders "p/q" either way.
+``Rat`` is ``fractions.Fraction``.  The hot t-series arithmetic in
+``scalars.TScalar`` runs on Python ints over a common denominator, so the
+remaining rational work (exact t-polynomials, the Hall-Littlewood oracle,
+closed-form expansion) stays on the standard library.
 """
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)

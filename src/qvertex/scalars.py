@@ -2,11 +2,12 @@
 
 Two representations are used throughout the package:
 
-* ``TScalar`` -- a t-adic series truncated at a fixed order T, stored as a
-  tuple of T+1 exact rationals.  All ring operations are performed in the
-  quotient Q[t]/(t^{T+1}): degrees above T are discarded, so results are
-  always exact as elements of the quotient.  Mixing two truncation orders
-  is a configuration bug and raises TruncationMismatch.
+* ``TScalar`` -- a t-adic series truncated at a fixed order T, stored as
+  T+1 integer numerators over one common denominator.  All ring operations
+  are performed in the quotient Q[t]/(t^{T+1}): degrees above T are
+  discarded, so results are always exact as elements of the quotient.
+  Mixing two truncation orders is a configuration bug and raises
+  TruncationMismatch.
 
 * ``TPoly`` -- an exact polynomial in t with no truncation, stored as a
   plain tuple of rationals with trailing zeros trimmed.  Closed-form data
@@ -15,6 +16,10 @@ Two representations are used throughout the package:
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, floordiv, mul, sub
 
 from .errors import TruncationMismatch, ZeroConstantTerm
 from .rationals import RAT_ONE, RAT_ZERO, Rat
@@ -149,26 +154,36 @@ def tp_bracket_factorial(m: int) -> tuple:
 
 
 class TScalar:
-    """Element of Q[t]/(t^{T+1}); coeffs has fixed length T+1."""
+    """Element of Q[t]/(t^{T+1}), stored as T+1 integer numerators over one
+    common denominator (the layout of FLINT's fmpq_poly).
 
-    __slots__ = ("coeffs",)
+    The form is canonical: den > 0 and gcd(den, *num) == 1, so equal series
+    have equal (num, den) and zero is (0, ..., 0) over 1.  ``coeffs``
+    rebuilds the tuple of T+1 exact rationals.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: tuple):
-        self.coeffs = coeffs
+        den = lcm(*(c.denominator for c in coeffs))
+        self.num = tuple(c.numerator * (den // c.denominator)
+                         for c in coeffs)
+        self.den = den
 
     # -- constructors
 
     @classmethod
     def zero(cls, t_order: int) -> "TScalar":
-        return cls((RAT_ZERO,) * (t_order + 1))
+        return _ts((0,) * (t_order + 1), 1)
 
     @classmethod
     def one(cls, t_order: int) -> "TScalar":
-        return cls((RAT_ONE,) + (RAT_ZERO,) * t_order)
+        return _ts((1,) + (0,) * t_order, 1)
 
     @classmethod
     def from_rat(cls, c, t_order: int) -> "TScalar":
-        return cls((Rat(c),) + (RAT_ZERO,) * t_order)
+        c = Rat(c)
+        return _ts((c.numerator,) + (0,) * t_order, c.denominator)
 
     @classmethod
     def from_tpoly(cls, p: tuple, t_order: int) -> "TScalar":
@@ -178,101 +193,96 @@ class TScalar:
 
     @classmethod
     def t_power(cls, k: int, t_order: int) -> "TScalar":
-        c = [RAT_ZERO] * (t_order + 1)
+        c = [0] * (t_order + 1)
         if 0 <= k <= t_order:
-            c[k] = RAT_ONE
-        return cls(tuple(c))
+            c[k] = 1
+        return _ts(tuple(c), 1)
 
     # -- structure
 
     @property
+    def coeffs(self) -> tuple:
+        den = self.den
+        return tuple(Rat(x, den) for x in self.num)
+
+    @property
     def t_order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def constant_term(self):
-        return self.coeffs[0]
+        return Rat(self.num[0], self.den)
 
     def truncate(self, t_order: int) -> "TScalar":
         """Prefix at a lower order; raising the order is not recoverable."""
         if t_order > self.t_order:
             raise TruncationMismatch(
                 f"cannot extend truncation {self.t_order} to {t_order}")
-        return TScalar(self.coeffs[: t_order + 1])
+        return _reduced(self.num[: t_order + 1], self.den)
 
     def eval_at(self, x) -> "Rat":
         """Evaluate at a rational; exact only if the underlying series is a
         polynomial of degree <= T."""
         x = Rat(x)
         acc = RAT_ZERO
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     # -- arithmetic
 
     def _check(self, other: "TScalar"):
-        if len(self.coeffs) != len(other.coeffs):
+        if len(self.num) != len(other.num):
             raise TruncationMismatch(
                 f"t-orders differ: {self.t_order} vs {other.t_order}")
 
     def __add__(self, other):
-        other = _coerce(other, len(self.coeffs))
+        other = _coerce(other, len(self.num))
         if other is None:
             return NotImplemented
         self._check(other)
-        return TScalar(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other, len(self.coeffs))
+        other = _coerce(other, len(self.num))
         if other is None:
             return NotImplemented
         self._check(other)
-        return TScalar(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, sub)
 
     def __rsub__(self, other):
-        other = _coerce(other, len(self.coeffs))
+        other = _coerce(other, len(self.num))
         if other is None:
             return NotImplemented
         return other - self
 
     def __neg__(self):
-        return TScalar(tuple(-a for a in self.coeffs))
+        return _ts(tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, TScalar):
             self._check(other)
-            n = len(self.coeffs)
-            a, b = self.coeffs, other.coeffs
-            out = [RAT_ZERO] * n
-            for i, ca in enumerate(a):
-                if ca:
-                    for j in range(n - i):
-                        cb = b[j]
-                        if cb:
-                            out[i + j] += ca * cb
-            return TScalar(tuple(out))
+            return _reduced(_convolve(self.num, other.num),
+                            self.den * other.den)
         if isinstance(other, (int, Rat)):
-            c = Rat(other)
-            return TScalar(tuple(a * c for a in self.coeffs))
+            return _scaled(self, other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "TScalar":
-        c = Rat(c)
-        return TScalar(tuple(a * c for a in self.coeffs))
+        return _scaled(self, c if isinstance(c, (int, Rat)) else Rat(c))
 
     def __eq__(self, other):
-        other = _coerce(other, len(self.coeffs))
+        other = _coerce(other, len(self.num))
         if other is None:
             return NotImplemented
         self._check(other)
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -285,11 +295,61 @@ class TScalar:
         return tp_str(tp_trim(self.coeffs))
 
 
+def _ts(num: tuple, den: int) -> TScalar:
+    """A TScalar from parts already in canonical form."""
+    s = object.__new__(TScalar)
+    s.num = num
+    s.den = den
+    return s
+
+
+def _reduced(num: tuple, den: int) -> TScalar:
+    """A TScalar from num/den with den > 0, brought to canonical form."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(map(floordiv, num, repeat(g)))
+            den //= g
+    return _ts(num, den)
+
+
+def _combine(a: TScalar, b: TScalar, op) -> TScalar:
+    """a op b for op in (add, sub), over the lcm of the denominators."""
+    da, db = a.den, b.den
+    if da == db:
+        return _reduced(tuple(map(op, a.num, b.num)), da)
+    g = gcd(da, db)
+    fa, fb = db // g, da // g
+    an = a.num if fa == 1 else map(mul, a.num, repeat(fa))
+    bn = b.num if fb == 1 else map(mul, b.num, repeat(fb))
+    return _reduced(tuple(map(op, an, bn)), da * fa)
+
+
+def _scaled(s: TScalar, c) -> TScalar:
+    """s times an int or Rat."""
+    p = c.numerator
+    num = s.num if p == 1 else tuple(map(mul, s.num, repeat(p)))
+    return _reduced(num, s.den * c.denominator)
+
+
+def _convolve(a: tuple, b: tuple) -> tuple:
+    """Product of two length-n integer tuples, truncated to length n."""
+    n = len(a)
+    out = [0] * n
+    for i, ca in enumerate(a):
+        if ca:
+            for j in range(n - i):
+                cb = b[j]
+                if cb:
+                    out[i + j] += ca * cb
+    return tuple(out)
+
+
 def _coerce(x, n: int):
     if isinstance(x, TScalar):
         return x
     if isinstance(x, (int, Rat)):
-        return TScalar((Rat(x),) + (RAT_ZERO,) * (n - 1))
+        return _ts((x.numerator,) + (0,) * (n - 1), x.denominator)
     return None
 
 

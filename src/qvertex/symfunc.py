@@ -209,13 +209,16 @@ class SymFuncP:
         if isinstance(other, SymFuncP):
             self._check(other)
             cap = self.degree_cap
+            rows = [(mu, mu.weight, d) for mu, d in other.terms.items()]
             terms: dict = {}
             for lam, c in self.terms.items():
-                wl = lam.weight
-                for mu, d in other.terms.items():
-                    if wl + mu.weight > cap:
+                room = cap - lam.weight
+                for mu, wm, d in rows:
+                    if wm > room:
                         continue
-                    nu = Partition(sorted(lam + mu, reverse=True))
+                    # a merge of two partitions is one; no revalidation
+                    nu = tuple.__new__(Partition,
+                                       sorted(lam + mu, reverse=True))
                     cd = c * d
                     terms[nu] = terms[nu] + cd if nu in terms else cd
             return SymFuncP(terms, cap, self.t_order)

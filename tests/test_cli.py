@@ -128,10 +128,13 @@ def test_verify_deterministic_apart_from_elapsed(capsys):
 def test_rejects_negative_orders(capsys):
     for argv in (("verify", "vacuum", "--t-order", "-1"),
                  ("verify", "vacuum", "--gamma-order", "-2"),
-                 ("verify", "vacuum", "--window", "0")):
-        code, _, err = run(capsys, *argv)
+                 ("verify", "vacuum", "--window", "0"),
+                 ("verify", "classical", "--max-degree", "-1"),
+                 ("hl", "1", "--max-degree", "-1")):
+        code, out, err = run(capsys, *argv)
         assert code == 2
-        assert err != ""
+        assert out == ""
+        assert err.startswith("error: need t-order >= 0")
 
 
 def test_usage_errors_exit_two(capsys):

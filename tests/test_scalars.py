@@ -1,12 +1,18 @@
+import math
+import os
 import random
 
 import pytest
 
+from qvertex.engine import evaluate, x2_closed_form
 from qvertex.errors import TruncationMismatch, ZeroConstantTerm
+from qvertex.laurent import Window, region
 from qvertex.rationals import Rat
 from qvertex.scalars import (TScalar, tp, tp_add, tp_bracket_factorial,
                              tp_divexact, tp_eval, tp_mul, tp_phi, tp_pow,
-                             tp_str, ts_invert)
+                             tp_str, tp_trim, ts_invert)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def ts(*coeffs):
@@ -103,3 +109,124 @@ def test_phi_and_bracket_factorial():
 def test_str_rendering():
     assert tp_str(tp(1, -1)) == "1 - t"
     assert str(TScalar.from_tpoly(tp(0, 0, Rat(3, 2)), 4)) == "3/2*t^2"
+
+
+# ---------------------------------------------------------------------------
+# differential test: TScalar against tuples of exact rationals
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    n = len(a)
+    out = [Rat(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def ref_invert(a):
+    n = len(a)
+    b = [Rat(0)] * n
+    b[0] = 1 / a[0]
+    for k in range(1, n):
+        b[k] = -sum(a[i] * b[k - i] for i in range(1, k + 1)) / a[0]
+    return tuple(b)
+
+
+def random_series(rng, n):
+    """Mixed denominators, a share of zero coefficients and of series that
+    are polynomials of low degree or zero."""
+    dens = (1, 1, 2, 3, 4, 6, 7, 9, 12, 25, 2 ** 40)
+    shape = rng.random()
+    if shape < 0.05:
+        return (Rat(0),) * n
+    deg = n if shape < 0.6 else rng.randrange(1, n + 1)
+    out = []
+    for k in range(n):
+        if k >= deg or rng.random() < 0.3:
+            out.append(Rat(0))
+        else:
+            out.append(Rat(rng.randrange(-30, 31), rng.choice(dens)))
+    return tuple(out)
+
+
+def assert_matches(s, ref):
+    """s is canonical and equals the rational tuple ref."""
+    assert len(s.num) == len(ref)
+    assert s.den > 0
+    assert math.gcd(s.den, *s.num) == 1
+    assert all(isinstance(x, int) for x in s.num)
+    assert s.coeffs == ref
+    assert all(type(c) is Rat for c in s.coeffs)
+    assert s == TScalar(ref)
+    assert str(s) == tp_str(tp_trim(ref))
+
+
+@pytest.mark.parametrize("T", [0, 1, 8, 24])
+def test_tscalar_matches_rational_reference(T):
+    rng = random.Random(1000 + T)
+    n = T + 1
+    for _ in range(150):
+        a, b = random_series(rng, n), random_series(rng, n)
+        sa, sb = TScalar(a), TScalar(b)
+        assert_matches(sa, a)
+        assert_matches(sa + sb, ref_add(a, b))
+        assert_matches(sa - sb, ref_sub(a, b))
+        assert_matches(sa - sa, (Rat(0),) * n)
+        assert_matches(-sa, tuple(-x for x in a))
+        assert_matches(sa * sb, ref_mul(a, b))
+        k = rng.randrange(-6, 7)
+        q = Rat(rng.randrange(-9, 10), rng.randrange(1, 13))
+        assert_matches(sa.scale(k), tuple(x * k for x in a))
+        assert_matches(sa.scale(q), tuple(x * q for x in a))
+        assert_matches(k * sa, tuple(x * k for x in a))
+        assert_matches(sa * q, tuple(x * q for x in a))
+        assert_matches(sa + q, (a[0] + q,) + a[1:])
+        assert_matches(q - sa, (q - a[0],) + tuple(-x for x in a[1:]))
+        cut = rng.randrange(0, n)
+        assert_matches(sa.truncate(cut), a[: cut + 1])
+        assert (sa == sb) == (a == b)
+        assert sa == TScalar(a) and not sa != TScalar(a)
+        assert sa.is_zero() == (not any(a))
+        assert sa.constant_term() == a[0]
+        assert sa.eval_at(Rat(1, 3)) == tp_eval(a, Rat(1, 3))
+        if a[0]:
+            assert_matches(ts_invert(sa), ref_invert(a))
+
+
+def test_tscalar_constructors_are_canonical():
+    for T in (0, 3):
+        for s, ref in ((TScalar.zero(T), (0,) + (0,) * T),
+                       (TScalar.one(T), (1,) + (0,) * T),
+                       (TScalar.from_rat(Rat(-4, 6), T),
+                        (Rat(-2, 3),) + (0,) * T),
+                       (TScalar.from_tpoly(tp(Rat(1, 2), 0, 3, 5, 7), T),
+                        (Rat(1, 2), 0, 3, 5, 7)[: T + 1]
+                        + (0,) * max(0, T - 4)),
+                       (TScalar.t_power(T, T), (0,) * T + (1,))):
+            assert_matches(s, tuple(Rat(c) for c in ref))
+
+
+def test_evaluate_t24_golden():
+    # str() of every coefficient of X(2 x 1) at T=24, cap 8, |e| <= 5,
+    # recorded with the tuple-of-rationals TScalar
+    with open(os.path.join(DATA, "evaluate_x2_charges21_t24.txt")) as fh:
+        expect = fh.read().splitlines()
+    ch = evaluate(x2_closed_form(2, 1), region("z1", "z2", "g"),
+                  Window.of(z1=(-5, 5), z2=(-5, 5)), 8, 24)
+    got = []
+    for m in sorted(ch.terms):
+        v = ch.terms[m]
+        for q in sorted(v.components):
+            f = v.components[q]
+            for lam in sorted(f.terms):
+                got.append(f"{tuple(m)} {q} {list(lam)}: {f.terms[lam]}")
+    assert got == expect
