@@ -11,8 +11,9 @@ Two representations are used throughout the package:
 
 * ``TPoly`` -- an exact polynomial in t with no truncation, stored as a
   plain tuple of rationals with trailing zeros trimmed.  Closed-form data
-  (factor prefactors, oracle output) is kept in this form so the same
-  object can be re-truncated at any order.
+  (factor prefactors) is kept in this form so the same object can be
+  re-truncated at any order.  The Hall-Littlewood oracle in ``symfunc``
+  works on integer t-polynomials instead.
 """
 
 from __future__ import annotations

@@ -8,15 +8,18 @@ computations happen in the quotient by the span of high-weight terms and
 two expressions are only ever compared inside the same quotient.
 
 ``XPoly`` is an exact polynomial in finitely many variables x_1..x_n with
-exact t-polynomial coefficients.  The Hall-Littlewood oracle lives here:
-P_lambda is computed from the classical symmetrization formula
+exact t-polynomial coefficients, stored like ``TScalar`` as integer
+t-polynomials over one common denominator.  The Hall-Littlewood oracle
+lives here and runs entirely in Z[t]: P_lambda is computed from the
+classical symmetrization formula
 
     P_lambda = (1/v_lambda(t)) sum_{w in S_n} w( x^lambda prod_{i<j}
                (x_i - t x_j)/(x_i - x_j) )
 
 by antisymmetrizing x^lambda prod_{i<j}(x_i - t x_j) term by term,
 recombining the resulting alternants through the classical branching rule
-for Schur polynomials, and dividing exactly by v_lambda.  Q_lambda is
+for Schur polynomials, and dividing exactly by the monic v_lambda(t), so
+the quotient stays in Z[t] and a nonzero remainder raises.  Q_lambda is
 b_lambda P_lambda.  Everything here is independent of the vertex-operator
 engine so it can serve as its oracle.
 """
@@ -25,11 +28,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, mul
 
 from .errors import (DegreeCapExceeded, TooFewVariables, TruncationMismatch)
-from .rationals import RAT_ONE, RAT_ZERO, Rat
-from .scalars import (TP_ONE, TScalar, tp_add, tp_bracket_factorial,
-                      tp_divexact, tp_eval, tp_mul, tp_phi, tp_str, tp_trim)
+from .rationals import Rat
+from .scalars import TScalar, tp_add, tp_eval, tp_str, tp_trim
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -281,91 +285,165 @@ class SymFuncP:
 
 # ---------------------------------------------------------------------------
 # exact x-realizations
+#
+# A Z[t] polynomial is a tuple of ints, lowest degree first, with trailing
+# zeros trimmed; () is zero.
 
 
 class XPoly:
-    """Polynomial in x_1..x_nvars with exact t-polynomial coefficients."""
+    """Polynomial in x_1..x_nvars with exact t-polynomial coefficients,
+    stored as Z[t] numerators over one common denominator (the layout of
+    TScalar).
 
-    __slots__ = ("terms", "nvars")
+    The form is canonical: every numerator in ``num`` is a nonzero Z[t]
+    polynomial, den > 0 and gcd(den, every numerator entry) == 1, so equal
+    polynomials have equal (num, den).  ``terms`` rebuilds the exact
+    rational t-polynomials for readers.
+    """
+
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms=None):
+        """From {exponents: tuple of rationals, lowest degree first}."""
+        rats = {tuple(e): tuple(map(Rat, c))
+                for e, c in (terms or {}).items()}
+        den = lcm(*(x.denominator for c in rats.values() for x in c))
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                c = tp_trim(tuple(c))
-                if c:
-                    clean[tuple(exps)] = c
-        self.terms = clean
+        self.num, self.den = _canonical(
+            {e: tuple(x.numerator * (den // x.denominator) for x in c)
+             for e, c in rats.items()}, den)
 
-    @classmethod
-    def monomial(cls, nvars, exps, coeff=TP_ONE) -> "XPoly":
-        return cls(nvars, {tuple(exps): coeff})
+    @property
+    def terms(self) -> dict:
+        den = self.den
+        return {e: tuple(Rat(x, den) for x in c)
+                for e, c in self.num.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "XPoly") -> "XPoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = tp_add(terms[e], c) if e in terms else c
-        return XPoly(self.nvars, terms)
-
-    def mul(self, other: "XPoly") -> "XPoly":
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = tp_mul(c1, c2)
-                terms[e] = tp_add(terms[e], c) if e in terms else c
-        return XPoly(self.nvars, terms)
-
-    def scale_tp(self, c: tuple) -> "XPoly":
-        return XPoly(self.nvars,
-                     {e: tp_mul(x, c) for e, x in self.terms.items()})
-
-    def div_tp(self, c: tuple) -> "XPoly":
-        return XPoly(self.nvars,
-                     {e: tp_divexact(x, c) for e, x in self.terms.items()})
+        return not self.num
 
     def truncate_t(self, t_order: int) -> "XPoly":
-        return XPoly(self.nvars,
-                     {e: c[: t_order + 1] for e, c in self.terms.items()})
+        return _xpoly(self.nvars,
+                      {e: c[: t_order + 1] for e, c in self.num.items()},
+                      self.den)
 
     def eval_t(self, t_value) -> dict:
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             v = tp_eval(c, t_value)
             if v:
-                out[e] = v
+                out[e] = v / self.den
         return out
 
     def __eq__(self, other):
         return (isinstance(other, XPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
     def __ne__(self, other):
         return not self.__eq__(other)
 
     def __str__(self):
+        den = self.den
         bits = []
-        for e in sorted(self.terms, reverse=True):
+        for e in sorted(self.num, reverse=True):
+            c = self.num[e]
+            if den != 1:
+                c = tuple(Rat(x, den) for x in c)
             mono = " ".join(f"x{i+1}^{d}" for i, d in enumerate(e) if d)
-            bits.append(f"({tp_str(self.terms[e])})*{mono or '1'}")
+            bits.append(f"({tp_str(c)})*{mono or '1'}")
         return " + ".join(bits) if bits else "0"
 
     __repr__ = __str__
+
+
+def _canonical(num: dict, den: int):
+    """(num, den) for integer t-polynomials num over den > 0: numerators
+    trimmed, zeros dropped, the common factor with den divided out."""
+    clean = {}
+    g = den
+    for e, c in num.items():
+        c = tp_trim(tuple(c))
+        if c:
+            clean[e] = c
+            if g != 1:
+                g = gcd(g, *c)
+    if g != 1:
+        clean = {e: tuple(x // g for x in c) for e, c in clean.items()}
+        den //= g
+    return clean, den
+
+
+def _xpoly(nvars: int, num: dict, den: int) -> XPoly:
+    """An XPoly from integer t-polynomials over den > 0."""
+    p = object.__new__(XPoly)
+    p.nvars = nvars
+    p.num, p.den = _canonical(num, den)
+    return p
+
+
+def _accumulate(acc: dict, e: tuple, c: tuple, k: int):
+    """acc[e] += k * c for a list row acc[e] as long as c."""
+    row = acc.get(e)
+    scaled = c if k == 1 else map(mul, c, itertools.repeat(k))
+    acc[e] = list(scaled) if row is None else list(map(add, row, scaled))
+
+
+def _zt_mul(a: tuple, b: tuple) -> tuple:
+    """Product in Z[t]."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)
+
+
+def _zt_divexact(num, den: tuple) -> tuple:
+    """Exact quotient in Z[t] by a monic divisor; raises ValueError if the
+    divisor is not monic or the remainder is nonzero."""
+    den = tp_trim(tuple(den))
+    if not den or den[-1] != 1:
+        raise ValueError(f"divisor {den} is not monic")
+    rem = list(num)
+    d = len(den) - 1
+    q = [0] * max(0, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            q[i - d] = c
+            for j, cd in enumerate(den):
+                rem[i - d + j] -= c * cd
+    if any(rem):
+        raise ValueError("inexact division in Z[t]")
+    return tp_trim(tuple(q))
 
 
 def xpoly_monomial_coeffs(p: XPoly) -> dict:
     """Monomial-basis coefficients of a symmetric XPoly, keyed by partition
     (read off the dominant representative of each orbit)."""
     out = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.num.items():
         s = tuple(sorted(exps, reverse=True))
         if s == exps:
-            out[Partition(tuple(x for x in s if x))] = c
+            out[Partition(tuple(x for x in s if x))] = tuple(
+                Rat(x, p.den) for x in c)
     return out
+
+
+@lru_cache(maxsize=1024)
+def _p_realization(lam: tuple, nvars: int) -> tuple:
+    """p_lambda(x_1..x_nvars) as ((exponents, positive int), ...)."""
+    if not lam:
+        return (((0,) * nvars, 1),)
+    k = lam[-1]
+    out: dict = {}
+    for e, c in _p_realization(lam[:-1], nvars):
+        for i in range(nvars):
+            f = e[:i] + (e[i] + k,) + e[i + 1:]
+            out[f] = out.get(f, 0) + c
+    return tuple(out.items())
 
 
 def p_to_x(f: SymFuncP, nvars: int) -> XPoly:
@@ -373,19 +451,14 @@ def p_to_x(f: SymFuncP, nvars: int) -> XPoly:
     read as exact polynomials in t (the truncation must dominate them)."""
     if nvars < 1:
         raise TooFewVariables("need at least one variable")
-    out = XPoly(nvars)
-    cache: dict = {}
+    den = lcm(*(c.den for c in f.terms.values()))
+    acc: dict = {}
     for lam, c in f.terms.items():
-        if lam not in cache:
-            acc = XPoly.monomial(nvars, (0,) * nvars)
-            for part in lam:
-                pk = XPoly(nvars, {tuple(part if j == i else 0
-                                         for j in range(nvars)): TP_ONE
-                                   for i in range(nvars)})
-                acc = acc.mul(pk)
-            cache[lam] = acc
-        out = out.add(cache[lam].scale_tp(tp_trim(c.coeffs)))
-    return out
+        s = den // c.den
+        cn = c.num if s == 1 else tuple(x * s for x in c.num)
+        for e, k in _p_realization(tuple(lam), nvars):
+            _accumulate(acc, e, cn, k)
+    return _xpoly(nvars, acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +477,23 @@ def _perm_sign_sorted(exps):
     return tuple(sorted(exps, reverse=True)), (1 if inv % 2 == 0 else -1)
 
 
-def antisymmetrize(p: XPoly) -> dict:
-    """Alternant coefficients of sum_w sign(w) w(p).
+def antisymmetrize(terms) -> dict:
+    """Alternant coefficients of sum_w sign(w) w(p), for p given as
+    (exponents, Z[t] polynomial) pairs.
 
-    Returns {strict decreasing exps: TPoly}; each input term with distinct
-    exponents contributes sign(sorting permutation) times its coefficient
-    to its orbit representative.  Reconstructing the full antisymmetric
-    polynomial would attach the alternant a_mu to each key.
+    Returns {strict decreasing exps: Z[t] polynomial}; each input term with
+    distinct exponents contributes sign(sorting permutation) times its
+    coefficient to its orbit representative.  Reconstructing the full
+    antisymmetric polynomial would attach the alternant a_mu to each key.
     """
     out: dict = {}
-    for exps, c in p.terms.items():
+    for exps, c in terms:
         key, sign = _perm_sign_sorted(exps)
         if key is None:
             continue
-        cc = c if sign == 1 else tuple(-x for x in c)
-        out[key] = tp_add(out[key], cc) if key in out else tp_trim(cc)
+        if sign < 0:
+            c = tuple(-x for x in c)
+        out[key] = tp_add(out[key], c) if key in out else c
     return {k: v for k, v in out.items() if v}
 
 
@@ -446,13 +521,13 @@ def _schur_terms(nu: tuple, n: int):
 
 def schur_x(nu, n: int) -> XPoly:
     """Schur polynomial via the branching rule (engine-independent)."""
-    nu = tuple(nu)
-    return XPoly(n, {e: (Rat(c),) for e, c in _schur_terms(nu, n).items()})
+    return _xpoly(n, {e: (c,) for e, c in _schur_terms(tuple(nu), n).items()},
+                  1)
 
 
 def xp_div_linear(p: XPoly, i: int, j: int) -> XPoly:
     """Exact division by (x_i - x_j), 0-based i < j, lex leading term x_i."""
-    rem = dict(p.terms)
+    rem = dict(p.num)
     quot: dict = {}
     while rem:
         e = max(rem)
@@ -468,7 +543,7 @@ def xp_div_linear(p: XPoly, i: int, j: int) -> XPoly:
             rem[e2] = c2
         elif e2 in rem:
             del rem[e2]
-    return XPoly(p.nvars, quot)
+    return _xpoly(p.nvars, quot, p.den)
 
 
 def schur_bialternant(lam, n: int) -> XPoly:
@@ -489,9 +564,9 @@ def schur_bialternant(lam, n: int) -> XPoly:
         inv = sum(1 for a in range(n) for b in range(a + 1, n)
                   if perm[a] > perm[b])
         exps = tuple(staircase[perm[k]] for k in range(n))
-        c = (RAT_ONE,) if inv % 2 == 0 else (Rat(-1),)
+        c = (1,) if inv % 2 == 0 else (-1,)
         terms[exps] = tp_add(terms[exps], c) if exps in terms else c
-    num = XPoly(n, terms)
+    num = _xpoly(n, terms, 1)
     for i in range(n):
         for j in range(i + 1, n):
             num = xp_div_linear(num, i, j)
@@ -499,38 +574,45 @@ def schur_bialternant(lam, n: int) -> XPoly:
 
 
 # ---------------------------------------------------------------------------
-# Hall-Littlewood oracle
+# Hall-Littlewood oracle, in Z[t]
 
 
 def b_lambda(lam) -> tuple:
-    """b_lambda(t) = prod_{i>=1} phi_{m_i(lambda)}(t)."""
-    lam = Partition(lam)
-    out = TP_ONE
-    for m in lam.multiplicities().values():
-        out = tp_mul(out, tp_phi(m))
+    """b_lambda(t) = prod_{i>=1} phi_{m_i(lambda)}(t) in Z[t], where
+    phi_r(t) = prod_{j=1}^{r} (1 - t^j)."""
+    out = (1,)
+    for m in Partition(lam).multiplicities().values():
+        for j in range(1, m + 1):
+            out = _zt_mul(out, (1,) + (0,) * (j - 1) + (-1,))
     return out
 
 
 def v_lambda(lam, n: int) -> tuple:
-    """v_lambda(t) = prod_{i>=0} [m_i]_t! with m_0 = n - l(lambda)."""
+    """v_lambda(t) = prod_{i>=0} [m_i]_t! in Z[t], with m_0 = n - l(lambda)
+    and [m]_t! = prod_{j=1}^{m} (1 + t + ... + t^{j-1}); monic."""
     lam = Partition(lam)
-    out = tp_bracket_factorial(n - len(lam))
-    for m in lam.multiplicities().values():
-        out = tp_mul(out, tp_bracket_factorial(m))
+    out = (1,)
+    for m in (n - len(lam), *lam.multiplicities().values()):
+        for j in range(1, m + 1):
+            out = _zt_mul(out, (1,) * j)
     return out
 
 
 @lru_cache(maxsize=8)
-def _staircase_product(n: int) -> XPoly:
-    """prod_{i<j}(x_i - t x_j), shared between all lambda at fixed n."""
-    prod = XPoly.monomial(n, (0,) * n)
+def _staircase_product(n: int) -> tuple:
+    """prod_{i<j}(x_i - t x_j) as (exponents, Z[t] polynomial) pairs,
+    shared between all lambda at fixed n."""
+    terms = {(0,) * n: (1,)}
     for i in range(n):
         for j in range(i + 1, n):
-            ei = tuple(1 if k == i else 0 for k in range(n))
-            ej = tuple(1 if k == j else 0 for k in range(n))
-            form = XPoly(n, {ei: TP_ONE, ej: (RAT_ZERO, Rat(-1))})
-            prod = prod.mul(form)
-    return prod
+            out: dict = {}
+            for e, c in terms.items():
+                for f, fc in ((e[:i] + (e[i] + 1,) + e[i + 1:], c),
+                              (e[:j] + (e[j] + 1,) + e[j + 1:],
+                               (0,) + tuple(-x for x in c))):
+                    out[f] = tp_add(out[f], fc) if f in out else fc
+            terms = {e: c for e, c in out.items() if c}
+    return tuple(terms.items())
 
 
 def hl_p_oracle(lam, n: int) -> XPoly:
@@ -538,8 +620,8 @@ def hl_p_oracle(lam, n: int) -> XPoly:
 
     x^lambda prod_{i<j}(x_i - t x_j) is expanded, antisymmetrized term by
     term, the alternants are recombined into Schur polynomials through the
-    branching rule, and the result is divided exactly by v_lambda(t).
-    Exact in t, no truncation.
+    branching rule, and the result is divided exactly by the monic
+    v_lambda(t).  All in Z[t], exact in t, no truncation.
     """
     lam = Partition(lam)
     if n < len(lam):
@@ -547,20 +629,24 @@ def hl_p_oracle(lam, n: int) -> XPoly:
     if n > 7:
         raise ValueError("symmetrization oracle limited to n <= 7")
     base = tuple(lam[i] if i < len(lam) else 0 for i in range(n))
-    stair = _staircase_product(n)
-    prod = XPoly(n, {tuple(a + b for a, b in zip(e, base)): c
-                     for e, c in stair.terms.items()})
-    alts = antisymmetrize(prod)
+    alts = antisymmetrize((tuple(map(add, e, base)), c)
+                          for e, c in _staircase_product(n))
     delta = tuple(range(n - 1, -1, -1))
-    acc = XPoly(n)
+    width = max(map(len, alts.values()), default=0)
+    acc: dict = {}
     for mu, c in alts.items():
         nu = tuple(a - b for a, b in zip(mu, delta))
         if any(x < 0 for x in nu):
             raise AssertionError("alternant below staircase")
-        acc = acc.add(schur_x(tuple(x for x in nu if x), n).scale_tp(c))
-    return acc.div_tp(v_lambda(lam, n))
+        c = c + (0,) * (width - len(c))
+        for e, k in _schur_terms(tuple(x for x in nu if x), n).items():
+            _accumulate(acc, e, c, k)
+    v = v_lambda(lam, n)
+    return _xpoly(n, {e: _zt_divexact(row, v) for e, row in acc.items()}, 1)
 
 
 def hl_q_oracle(lam, n: int) -> XPoly:
     """Q_lambda = b_lambda(t) P_lambda, exact in t."""
-    return hl_p_oracle(lam, n).scale_tp(b_lambda(lam))
+    p = hl_p_oracle(lam, n)
+    b = b_lambda(lam)
+    return _xpoly(n, {e: _zt_mul(c, b) for e, c in p.num.items()}, p.den)

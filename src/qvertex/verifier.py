@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .engine import (evaluate, jing_Q, s_gamma, s_tau, x2_closed_form,
                      x120_closed_form, y_apply, y_product)
-from .errors import EmptyComparison, TruncationMismatch, WindowUnderflow
+from .errors import (DegreeCapUnderflow, EmptyComparison, TruncationMismatch,
+                     WindowUnderflow)
 from .fock import FockVector, apply_D, exp_D, exp_D_chunk
 from .laurent import (LaurentChunk, Monomial, NVARS, VAR_INDEX, Window,
                       binom_expansion_terms, laurent_mul, lform, region,
@@ -402,9 +403,18 @@ def check_braided_jacobi(t_order: int = 3, window: int = 5,
 def check_classical_limit(window: int = 5,
                           degree_cap: int = 8) -> CheckReport:
     """At t = 0: [D, Y(e^a, z)] = d/dz Y(e^a, z), anticommutativity of the
-    charge-1 operators, and Y(De^a, z)1 = d/dz Y(e^a, z)1."""
+    charge-1 operators, and Y(De^a, z)1 = d/dz Y(e^a, z)1.
+
+    Needs degree_cap >= max(2, window + 1): below that the weight quotient
+    is not sound for D and E-, which pull weight down from states the cap
+    has dropped, and the comparison would report a false mismatch.
+    """
     t0 = time.perf_counter()
     W, cap = window, degree_cap
+    if cap < max(2, W + 1):
+        raise DegreeCapUnderflow(
+            f"needs degree cap >= {max(2, W + 1)} "
+            f"(max(2, window + 1)) at window {W}, got {cap}")
     params = {"T": 0, "window": W, "degree_cap": cap}
     cmp_ = _Comparator()
     vac = FockVector.vacuum(cap, 0)

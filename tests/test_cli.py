@@ -1,10 +1,12 @@
 """Command-line surface: exact printed tables, verifier dispatch, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from qvertex.cli import main
+from qvertex.symfunc import partitions_up_to
 from qvertex.verifier import CHECK_IDS
 
 
@@ -53,6 +55,22 @@ def test_hl_text_format(capsys):
     assert code == 0
     assert out == ("Q_[2] = (1/2 - t + 1/2*t^2)*p[1,1]"
                    " + (1/2 - 1/2*t^2)*p[2]\n")
+
+
+WEIGHT6 = [",".join(map(str, lam)) for lam in partitions_up_to(6) if lam]
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("golden, flags", [
+    ("hl_weight6_p.jsonl", ()),
+    ("hl_weight6_m.jsonl", ("--basis", "m")),
+    ("hl_weight6_m_nvars7.txt", ("--basis", "m", "--nvars", "7",
+                                 "--format", "text")),
+])
+def test_hl_weight6_golden(capsys, golden, flags):
+    code, out, _ = run(capsys, "hl", *WEIGHT6, *flags)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
 
 
 def test_hl_rejects_malformed_partition(capsys):
@@ -135,6 +153,13 @@ def test_rejects_negative_orders(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: need t-order >= 0")
+
+
+def test_verify_classical_rejects_small_cap(capsys):
+    code, out, err = run(capsys, "verify", "classical", "--max-degree", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: classical: needs degree cap >= 6")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,14 +1,23 @@
+import hashlib
+import itertools
+import math
+import random
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from qvertex import symfunc
+from qvertex.engine import jing_Q
 from qvertex.errors import (DegreeCapExceeded, TooFewVariables,
                             TruncationMismatch)
 from qvertex.rationals import Rat
-from qvertex.scalars import TScalar, tp, tp_eval, tp_mul
-from qvertex.symfunc import (Partition, SymFuncP, XPoly, b_lambda,
-                             dominance_leq, hl_p_oracle, hl_q_oracle,
-                             p_to_x, partitions_of, partitions_up_to,
-                             schur_bialternant, schur_x, v_lambda,
-                             xpoly_monomial_coeffs)
+from qvertex.scalars import TScalar, tp, tp_eval, tp_mul, tp_trim
+from qvertex.symfunc import (Partition, SymFuncP, XPoly, _zt_divexact,
+                             b_lambda, dominance_leq, hl_p_oracle,
+                             hl_q_oracle, p_to_x, partitions_of,
+                             partitions_up_to, schur_bialternant, schur_x,
+                             v_lambda, xpoly_monomial_coeffs)
 
 
 def test_partition_basic():
@@ -171,3 +180,117 @@ def test_v_lambda():
     # v_(1)(t) with n=2: [1]! * [1]! = 1; v_() with n=2: [2]! = 1+t
     assert v_lambda(Partition((1,)), 2) == tp(1)
     assert v_lambda(Partition(), 2) == tp(1, 1)
+
+
+# ---------------------------------------------------------------------------
+# both sides of the Hall-Littlewood comparison, pinned
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_hl_oracle_sides_golden():
+    # one line per partition of weight <= 6: lambda, n, then the sha256 of
+    # str() of the engine side and of the oracle side at t-order 24
+    rows = (DATA / "hl_oracle_sha256.txt").read_text().splitlines()
+    assert len(rows) == 30
+    for row in rows:
+        text, n, lhs_sha, rhs_sha = row.split()
+        lam = Partition(() if text == "-" else map(int, text.split(",")))
+        n = int(n)
+        assert _sha(str(p_to_x(jing_Q(lam, 24), n))) == lhs_sha, lam
+        assert _sha(str(hl_q_oracle(lam, n).truncate_t(24))) == rhs_sha, lam
+
+
+# ---------------------------------------------------------------------------
+# p_to_x against a naive rational reference
+
+
+def _p_to_x_reference(f, nvars):
+    """Expand each p_lambda as a sum over all choices of one variable per
+    part, accumulating Fraction coefficient lists."""
+    out = {}
+    for lam, c in f.terms.items():
+        coeffs = c.coeffs
+        for choice in itertools.product(range(nvars), repeat=len(lam)):
+            e = [0] * nvars
+            for part, i in zip(lam, choice):
+                e[i] += part
+            row = out.setdefault(tuple(e), [Fraction(0)] * len(coeffs))
+            for k, x in enumerate(coeffs):
+                row[k] += x
+    trimmed = {e: tp_trim(tuple(row)) for e, row in out.items()}
+    return {e: row for e, row in trimmed.items() if row}
+
+
+def _random_symfunc(rng, cap, T):
+    terms = {}
+    for lam in partitions_up_to(cap):
+        if rng.random() < 0.5:
+            continue
+        coeffs = []
+        for _ in range(T + 1):
+            if rng.random() < 0.3:
+                coeffs.append(Fraction(0))
+            else:
+                coeffs.append(Fraction(rng.randint(-9, 9),
+                                       rng.choice((1, 2, 3, 4, 6, 7, 12))))
+        terms[lam] = TScalar(tuple(coeffs))
+    return SymFuncP(terms, cap, T)
+
+
+@pytest.mark.parametrize("T", [0, 1, 24])
+def test_p_to_x_matches_rational_reference(T):
+    rng = random.Random(4100 + T)
+    p1, p2 = SymFuncP.p(1, 5, T), SymFuncP.p(2, 5, T)
+    half = TScalar.from_rat(Rat(1, 2), T)
+    cases = [
+        # p_1^2 - p_2 vanishes in one variable and keeps only the mixed
+        # monomial 2 x_i x_j in more
+        (p1 * p1 - p2, 1), (p1 * p1 - p2, 3),
+        ((p1 * p1 - p2).scale(half), 2),
+        (SymFuncP.zero(5, T), 2),
+        (SymFuncP.one(5, T).scale(TScalar.t_power(T, T)), 4),
+    ]
+    for _ in range(12):
+        cases.append((_random_symfunc(rng, 5, T), rng.randint(1, 6)))
+    for f, n in cases:
+        got = p_to_x(f, n)
+        ref = _p_to_x_reference(f, n)
+        assert got.terms == ref
+        assert got == XPoly(n, ref)
+        assert str(got) == str(XPoly(n, ref))
+        # canonical: nonzero trimmed numerators over a reduced denominator
+        assert got.den > 0
+        assert all(c and c[-1] for c in got.num.values())
+        assert math.gcd(got.den, *(x for c in got.num.values()
+                                   for x in c)) == 1
+    assert p_to_x(p1 * p1 - p2, 1).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# exactness of the integer oracle
+
+
+def test_zt_divexact_is_exact_and_monic():
+    assert _zt_divexact((1, 0, -1), (1, 1)) == (1, -1)
+    assert _zt_divexact((), (1, 1)) == ()
+    with pytest.raises(ValueError, match="inexact"):
+        _zt_divexact((1, 0, 1), (1, 1))
+    with pytest.raises(ValueError, match="monic"):
+        _zt_divexact((2, 4), (1, 2))
+    with pytest.raises(ValueError, match="monic"):
+        _zt_divexact((1,), ())
+
+
+@pytest.mark.parametrize("v", [(1, 1, 1), (2,), (1, 2)])
+def test_hl_oracle_division_raises(monkeypatch, v):
+    # (1, 1, 1) divides none of the numerators of P_(2,1) in 3 variables;
+    # (2,) and (1, 2) are not monic
+    monkeypatch.setattr(symfunc, "v_lambda", lambda lam, n: v)
+    with pytest.raises(ValueError):
+        hl_p_oracle(Partition((2, 1)), 3)

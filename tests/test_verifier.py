@@ -3,8 +3,13 @@ and report deterministically."""
 
 import pytest
 
-from qvertex.errors import EmptyComparison, TruncationMismatch
-from qvertex.scalars import tp
+from qvertex import verifier
+from qvertex.engine import jing_Q
+from qvertex.errors import (DegreeCapUnderflow, EmptyComparison,
+                            TruncationMismatch)
+from qvertex.rationals import Rat
+from qvertex.scalars import TScalar, tp
+from qvertex.symfunc import Partition, SymFuncP
 from qvertex.verifier import (CHECK_IDS, CheckReport, _Comparator,
                               check_braided_commutativity,
                               check_braided_jacobi, check_classical_limit,
@@ -96,6 +101,20 @@ def test_classical_limit_passes():
     assert r.passed
 
 
+def test_classical_limit_cap_bound():
+    # passes exactly where degree_cap >= max(2, window + 1); below that the
+    # weight quotient is unsound for D and E-, so the check refuses to run
+    for W in range(7):
+        for cap in range(10):
+            if cap >= max(2, W + 1):
+                assert check_classical_limit(window=W,
+                                             degree_cap=cap).passed
+            else:
+                with pytest.raises(DegreeCapUnderflow,
+                                   match=f">= {max(2, W + 1)}"):
+                    check_classical_limit(window=W, degree_cap=cap)
+
+
 def test_hl_oracle_passes():
     r = check_hl_against_oracle(max_weight=4, t_order=24)
     assert r.passed
@@ -144,6 +163,30 @@ def test_mutated_translation_fails():
     r = check_translation_covariance(1, 1, t_order=2, g_order=2, window=3,
                                      degree_cap=8, d_charge_coeff=tp(1))
     assert not r.passed
+
+
+@pytest.mark.parametrize("lam, mu, k, den", [
+    ((2, 1), (3,), 24, 7),     # top t-order, rational bump
+    ((1, 1), (1, 1), 0, 1),
+    ((3,), (2, 1), 5, 1),      # same support and denominator
+])
+def test_hl_oracle_detects_perturbed_coefficient(monkeypatch, lam, mu, k,
+                                                 den):
+    def perturbed(partition, t_order):
+        f = jing_Q(partition, t_order)
+        if tuple(partition) != lam:
+            return f
+        bump = TScalar.t_power(k, t_order).scale(Rat(1, den))
+        terms = dict(f.terms)
+        terms[Partition(mu)] = f.coefficient(Partition(mu)) + bump
+        return SymFuncP(terms, f.degree_cap, f.t_order)
+
+    monkeypatch.setattr(verifier, "jing_Q", perturbed)
+    r = check_hl_against_oracle(max_weight=3, t_order=24)
+    assert not r.passed
+    label, lhs, rhs = r.first_mismatch
+    assert label == f"Q_{lam}"
+    assert lhs != rhs
 
 
 # Exact mutation reports, pinned byte for byte: together they exercise the
