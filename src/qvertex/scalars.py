@@ -10,10 +10,11 @@ Two representations are used throughout the package:
   TruncationMismatch.
 
 * ``TPoly`` -- an exact polynomial in t with no truncation, stored as a
-  plain tuple of rationals with trailing zeros trimmed.  Closed-form data
-  (factor prefactors) is kept in this form so the same object can be
-  re-truncated at any order.  The Hall-Littlewood oracle in ``symfunc``
-  works on integer t-polynomials instead.
+  plain tuple of coefficients with trailing zeros trimmed.  Closed-form
+  data (factor prefactors) is kept as rationals so the same object can be
+  re-truncated at any order.  The ``tp_*`` helpers keep ints as ints (a
+  division only when its divisor is monic), so the Hall-Littlewood oracle
+  in ``symfunc`` uses them on integer t-polynomials.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def tp_add(a: tuple, b: tuple) -> tuple:
 def tp_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return TP_ZERO
-    out = [RAT_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -74,13 +75,6 @@ def tp_pow(a: tuple, n: int) -> tuple:
     return out
 
 
-def tp_shift(a: tuple, k: int) -> tuple:
-    """Multiply by t^k (k >= 0)."""
-    if not a:
-        return TP_ZERO
-    return (RAT_ZERO,) * k + tuple(a)
-
-
 def tp_eval(a: tuple, x) -> "Rat":
     x = Rat(x)
     acc = RAT_ZERO
@@ -90,19 +84,20 @@ def tp_eval(a: tuple, x) -> "Rat":
 
 
 def tp_divexact(num: tuple, den: tuple) -> tuple:
-    """Exact division in Q[t]; raises if the remainder is nonzero."""
-    den = tp_trim(den)
+    """Exact division in Q[t]; raises if the remainder is nonzero.  A monic
+    divisor keeps integer coefficients integers."""
+    den = tp_trim(tuple(den))
     if not den:
         raise ZeroDivisionError("tp_divexact by zero")
     rem = list(num)
     d = len(den) - 1
     lead = den[d]
-    q = [RAT_ZERO] * max(0, len(rem) - d)
+    q = [0] * max(0, len(rem) - d)
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
         if not c:
             continue
-        f = c / lead
+        f = c if lead == 1 else Rat(c) / lead
         q[i - d] = f
         for j, cd in enumerate(den):
             rem[i - d + j] -= f * cd
@@ -135,18 +130,19 @@ def tp_str(a: tuple) -> str:
 
 
 def tp_phi(r: int) -> tuple:
-    """phi_r(t) = prod_{j=1}^{r} (1 - t^j)."""
-    out = TP_ONE
+    """phi_r(t) = prod_{j=1}^{r} (1 - t^j), with int coefficients."""
+    out = (1,)
     for j in range(1, r + 1):
-        out = tp_mul(out, tp_add(TP_ONE, tp_shift((Rat(-1),), j)))
+        out = tp_mul(out, (1,) + (0,) * (j - 1) + (-1,))
     return out
 
 
 def tp_bracket_factorial(m: int) -> tuple:
-    """[m]_t! = prod_{j=1}^{m} (1 + t + ... + t^{j-1})."""
-    out = TP_ONE
+    """[m]_t! = prod_{j=1}^{m} (1 + t + ... + t^{j-1}), with int
+    coefficients; monic."""
+    out = (1,)
     for j in range(1, m + 1):
-        out = tp_mul(out, (RAT_ONE,) * j)
+        out = tp_mul(out, (1,) * j)
     return out
 
 

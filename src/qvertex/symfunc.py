@@ -33,7 +33,8 @@ from operator import add, mul
 
 from .errors import (DegreeCapExceeded, TooFewVariables, TruncationMismatch)
 from .rationals import Rat
-from .scalars import TScalar, tp_add, tp_eval, tp_str, tp_trim
+from .scalars import (TScalar, tp_add, tp_bracket_factorial, tp_divexact,
+                      tp_eval, tp_mul, tp_phi, tp_str, tp_trim)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -388,38 +389,6 @@ def _accumulate(acc: dict, e: tuple, c: tuple, k: int):
     acc[e] = list(scaled) if row is None else list(map(add, row, scaled))
 
 
-def _zt_mul(a: tuple, b: tuple) -> tuple:
-    """Product in Z[t]."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _zt_divexact(num, den: tuple) -> tuple:
-    """Exact quotient in Z[t] by a monic divisor; raises ValueError if the
-    divisor is not monic or the remainder is nonzero."""
-    den = tp_trim(tuple(den))
-    if not den or den[-1] != 1:
-        raise ValueError(f"divisor {den} is not monic")
-    rem = list(num)
-    d = len(den) - 1
-    q = [0] * max(0, len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            q[i - d] = c
-            for j, cd in enumerate(den):
-                rem[i - d + j] -= c * cd
-    if any(rem):
-        raise ValueError("inexact division in Z[t]")
-    return tp_trim(tuple(q))
-
-
 def xpoly_monomial_coeffs(p: XPoly) -> dict:
     """Monomial-basis coefficients of a symmetric XPoly, keyed by partition
     (read off the dominant representative of each orbit)."""
@@ -578,23 +547,20 @@ def schur_bialternant(lam, n: int) -> XPoly:
 
 
 def b_lambda(lam) -> tuple:
-    """b_lambda(t) = prod_{i>=1} phi_{m_i(lambda)}(t) in Z[t], where
-    phi_r(t) = prod_{j=1}^{r} (1 - t^j)."""
+    """b_lambda(t) = prod_{i>=1} phi_{m_i(lambda)}(t) in Z[t]."""
     out = (1,)
     for m in Partition(lam).multiplicities().values():
-        for j in range(1, m + 1):
-            out = _zt_mul(out, (1,) + (0,) * (j - 1) + (-1,))
+        out = tp_mul(out, tp_phi(m))
     return out
 
 
 def v_lambda(lam, n: int) -> tuple:
-    """v_lambda(t) = prod_{i>=0} [m_i]_t! in Z[t], with m_0 = n - l(lambda)
-    and [m]_t! = prod_{j=1}^{m} (1 + t + ... + t^{j-1}); monic."""
+    """v_lambda(t) = prod_{i>=0} [m_i]_t! in Z[t], with m_0 = n - l(lambda);
+    monic."""
     lam = Partition(lam)
     out = (1,)
     for m in (n - len(lam), *lam.multiplicities().values()):
-        for j in range(1, m + 1):
-            out = _zt_mul(out, (1,) * j)
+        out = tp_mul(out, tp_bracket_factorial(m))
     return out
 
 
@@ -641,12 +607,14 @@ def hl_p_oracle(lam, n: int) -> XPoly:
         c = c + (0,) * (width - len(c))
         for e, k in _schur_terms(tuple(x for x in nu if x), n).items():
             _accumulate(acc, e, c, k)
-    v = v_lambda(lam, n)
-    return _xpoly(n, {e: _zt_divexact(row, v) for e, row in acc.items()}, 1)
+    v = tp_trim(tuple(v_lambda(lam, n)))
+    if not v or v[-1] != 1:
+        raise ValueError(f"v_lambda(t) = {v} is not monic")
+    return _xpoly(n, {e: tp_divexact(row, v) for e, row in acc.items()}, 1)
 
 
 def hl_q_oracle(lam, n: int) -> XPoly:
     """Q_lambda = b_lambda(t) P_lambda, exact in t."""
     p = hl_p_oracle(lam, n)
     b = b_lambda(lam)
-    return _xpoly(n, {e: _zt_mul(c, b) for e, c in p.num.items()}, p.den)
+    return _xpoly(n, {e: tp_mul(c, b) for e, c in p.num.items()}, p.den)

@@ -405,9 +405,12 @@ def check_classical_limit(window: int = 5,
     """At t = 0: [D, Y(e^a, z)] = d/dz Y(e^a, z), anticommutativity of the
     charge-1 operators, and Y(De^a, z)1 = d/dz Y(e^a, z)1.
 
-    Needs degree_cap >= max(2, window + 1): below that the weight quotient
-    is not sound for D and E-, which pull weight down from states the cap
-    has dropped, and the comparison would report a false mismatch.
+    Needs degree_cap >= max(2, window + 1) and raises DegreeCapUnderflow
+    below it.  The bound is measured, not proved: with the guard removed,
+    windows 0-12 at caps 0 to window + 3 passed exactly there and otherwise
+    gave a false mismatch (a DegreeCapExceeded error at cap 0).  The likely
+    cause is that the weight quotient is not sound for D and E-, which pull
+    weight down from states the cap has dropped.
     """
     t0 = time.perf_counter()
     W, cap = window, degree_cap

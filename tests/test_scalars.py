@@ -99,6 +99,19 @@ def test_tpoly_divexact():
         tp_divexact(tp(1, 1), tp(1, -1))
 
 
+def test_tpoly_keeps_integers():
+    # the Hall-Littlewood oracle relies on these staying in Z[t]
+    for p in (tp_mul((1, 0, -1), (2, 3)), tp_phi(3), tp_bracket_factorial(4),
+              tp_divexact((1, 0, -1), (1, 1)), tp_divexact((), (1, 1))):
+        assert all(type(c) is int for c in p)
+    assert tp_divexact((1, 0, -1), (1, 1)) == (1, -1)
+    assert tp_bracket_factorial(4)[-1] == 1
+    with pytest.raises(ValueError, match="inexact"):
+        tp_divexact((1, 0, 1), (1, 1))
+    with pytest.raises(ZeroDivisionError):
+        tp_divexact((1,), ())
+
+
 def test_phi_and_bracket_factorial():
     # phi_2 = (1-t)(1-t^2), [3]_t! = (1+t)(1+t+t^2)
     assert tp_phi(2) == tp(1, -1, -1, 1)

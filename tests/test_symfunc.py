@@ -13,8 +13,8 @@ from qvertex.errors import (DegreeCapExceeded, TooFewVariables,
                             TruncationMismatch)
 from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp, tp_eval, tp_mul, tp_trim
-from qvertex.symfunc import (Partition, SymFuncP, XPoly, _zt_divexact,
-                             b_lambda, dominance_leq, hl_p_oracle,
+from qvertex.symfunc import (Partition, SymFuncP, XPoly, b_lambda,
+                             dominance_leq, hl_p_oracle,
                              hl_q_oracle, p_to_x, partitions_of,
                              partitions_up_to, schur_bialternant, schur_x,
                              v_lambda, xpoly_monomial_coeffs)
@@ -274,17 +274,6 @@ def test_p_to_x_matches_rational_reference(T):
 
 # ---------------------------------------------------------------------------
 # exactness of the integer oracle
-
-
-def test_zt_divexact_is_exact_and_monic():
-    assert _zt_divexact((1, 0, -1), (1, 1)) == (1, -1)
-    assert _zt_divexact((), (1, 1)) == ()
-    with pytest.raises(ValueError, match="inexact"):
-        _zt_divexact((1, 0, 1), (1, 1))
-    with pytest.raises(ValueError, match="monic"):
-        _zt_divexact((2, 4), (1, 2))
-    with pytest.raises(ValueError, match="monic"):
-        _zt_divexact((1,), ())
 
 
 @pytest.mark.parametrize("v", [(1, 1, 1), (2,), (1, 2)])

@@ -102,10 +102,10 @@ def test_classical_limit_passes():
 
 
 def test_classical_limit_cap_bound():
-    # passes exactly where degree_cap >= max(2, window + 1); below that the
-    # weight quotient is unsound for D and E-, so the check refuses to run
-    for W in range(7):
-        for cap in range(10):
+    # passes exactly where degree_cap >= max(2, window + 1); below that it
+    # gave a false FAIL before the guard, so the check refuses to run
+    for W in range(9):
+        for cap in range(max(10, W + 4)):
             if cap >= max(2, W + 1):
                 assert check_classical_limit(window=W,
                                              degree_cap=cap).passed
