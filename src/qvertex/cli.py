@@ -100,7 +100,9 @@ def run_hl(lambdas, cfg: RunConfig, nvars=None, basis: str = "p") -> int:
                 print(f"Q_{list(lam)} =", str(f))
         else:
             n = nvars if nvars is not None else max(lam.weight, 1)
-            mono = xpoly_monomial_coeffs(p_to_x(f, n))
+            # a monomial of Q_lambda uses at most |lambda| variables
+            mono = xpoly_monomial_coeffs(
+                p_to_x(f, min(n, max(lam.weight, 1))))
             rows = [(list(mu), [str(c) for c in cs])
                     for mu, cs in sorted(mono.items(), reverse=True)]
             payload = {"lambda": list(lam), "basis": "m", "nvars": n,

@@ -199,30 +199,21 @@ def apply_D(v: FockVector, charge_coeff=None) -> FockVector:
 
 def exp_D(v: FockVector, var: str, order: int,
           charge_coeff=None) -> LaurentChunk:
-    """exp(var * D) v as a chunk with FockVector coefficients on [0, order].
-
-    The support in var is [0, infinity): coefficients beyond the window are
-    nonzero in general and simply not computed.
-    """
-    terms = {Monomial(): v}
-    w = v
-    fact = 1
-    for k in range(1, order + 1):
-        w = apply_D(w, charge_coeff)
-        fact *= k
-        terms[Monomial.var(var, k)] = w.scale(Rat(1, fact))
-    iv = VAR_INDEX[var]
-    window = Window(tuple((0, order) if i == iv else (0, 0)
-                          for i in range(4)))
-    support = tuple((0, None) if i == iv else (0, 0) for i in range(4))
-    return LaurentChunk(terms, window, FockVector.zero(v.degree_cap,
-                                                       v.t_order), support)
+    """exp(var * D) v as a chunk with FockVector coefficients on [0, order]."""
+    point = LaurentChunk({Monomial(): v}, Window.of(),
+                         FockVector.zero(v.degree_cap, v.t_order))
+    return exp_D_chunk(point, var, order, charge_coeff)
 
 
 def exp_D_chunk(chunk: LaurentChunk, var: str, order: int,
                 charge_coeff=None) -> LaurentChunk:
     """Apply exp(var * D) to a chunk of FockVector coefficients that may
-    already carry powers of var (with window starting at 0)."""
+    already carry powers of var (with window starting at 0).
+
+    D raises the weight by one and every stored weight lies in
+    [0, degree_cap], so D^k kills each coefficient once k > degree_cap:
+    the support in var ends degree_cap above the chunk's own.
+    """
     iv = VAR_INDEX[var]
     lo, hi = chunk.window.bounds[iv]
     if lo != 0 or hi > order:
@@ -243,6 +234,8 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int,
             terms[key] = terms[key] + piece if key in terms else piece
     window = Window(tuple((0, order) if i == iv else b
                           for i, b in enumerate(chunk.window.bounds)))
-    support = tuple((0, None) if i == iv else s
+    s_hi = chunk.support[iv][1]
+    reach = (0, None if s_hi is None else s_hi + chunk.zero.degree_cap)
+    support = tuple(reach if i == iv else s
                     for i, s in enumerate(chunk.support))
     return LaurentChunk(terms, window, chunk.zero, support)

@@ -4,21 +4,23 @@ Fixed variable tuple: z1, z2, z3 and the translation parameter g.  A
 ``LaurentChunk`` stores finitely many coefficients of a Laurent series
 inside an explicit per-variable exponent ``Window``, together with
 ``support`` metadata: per-variable intervals (None = unbounded) outside of
-which the full series is known to vanish.  Products check, per variable,
-that every support split landing in the requested window is covered by the
-stored windows; otherwise they raise WindowUnderflow instead of returning
-silently wrong boundary coefficients.
+which the full series is known to vanish.  ``laurent_mul`` multiplies on a
+requested window and raises WindowUnderflow when, in some variable, a
+support split landing in that window leaves a stored window, instead of
+returning silently wrong boundary coefficients.
 
 A ``FactorProduct`` is a symbolic product  c(t) * monomial * prod_i f_i^{e_i}
 with each f_i a linear form in z1, z2, z3, g with t-power coefficients.
-``expand`` converts it to a chunk in a given expansion region: negative
-powers are expanded geometrically against the region-dominant term of the
-t-degree-0 part, with t kept adically smaller than every z variable and g
-kept a nonnegative power series.  Exponent boxes for each factor are made
-finite by a fixpoint that combines the requested window, t/g truncation
-budgets and homogeneity of the linear forms; the per-factor boxes are then
-provably sufficient for the requested window, so the internal folding can
-multiply without the generic soundness guard.
+``expand`` converts it to a chunk in a given expansion region.  Each power
+f^e is expanded by one multinomial enumerator against the region-dominant
+term of lowest t-degree, with t kept adically smaller than every z variable
+and g kept a nonnegative power series: finite for e > 0, geometric for
+e < 0, where that term must have t-degree 0 and be free of g.  Exponent
+boxes for each factor are made finite by a fixpoint that combines the
+requested window, t/g truncation budgets and homogeneity of the linear
+forms; the per-factor boxes are then provably sufficient for the requested
+window, so the internal folding can multiply without the generic soundness
+guard.
 """
 
 from __future__ import annotations
@@ -156,16 +158,6 @@ class Window:
     @classmethod
     def of(cls, z1=(0, 0), z2=(0, 0), z3=(0, 0), g=(0, 0)) -> "Window":
         return cls((tuple(z1), tuple(z2), tuple(z3), tuple(g)))
-
-    @classmethod
-    def box(cls, radius: int, zvars=("z1", "z2"), g_hi=None) -> "Window":
-        """Symmetric box |e| <= radius on zvars; g in [0, g_hi] if given."""
-        b = [(0, 0)] * NVARS
-        for v in zvars:
-            b[VAR_INDEX[v]] = (-radius, radius)
-        if g_hi is not None:
-            b[G_INDEX] = (0, g_hi)
-        return cls(tuple(b))
 
     def range(self, var: str):
         return self.bounds[VAR_INDEX[var]]
@@ -370,63 +362,23 @@ def _deficits(w, s):
     return out
 
 
-def _sound_interval(probe, wa, sa, wb, sb):
-    """Largest sound subinterval of probe for the product, or None.
-
-    An output exponent is unsound when some split x + y with x, y in the
-    operand supports has a component outside the corresponding stored
-    window.  Interior holes collapse to the larger contiguous side.
-    """
-    unsound = []
-    for d in _deficits(wa, sa):
-        unsound.append(iv_add(d, sb))
-    for d in _deficits(wb, sb):
-        unsound.append(iv_add(d, sa))
-    lo, hi = probe
-    changed = True
-    while changed:
-        changed = False
-        for u in unsound:
-            cut = iv_intersect((lo, hi), u)
-            if cut is None:
-                continue
-            clo = lo if cut[0] is None else cut[0]
-            chi = hi if cut[1] is None else cut[1]
-            if clo <= lo:
-                lo = chi + 1
-            elif chi >= hi:
-                hi = clo - 1
-            elif (hi - chi) >= (clo - lo):
-                lo = chi + 1
-            else:
-                hi = clo - 1
-            changed = True
-            if lo > hi:
-                return None
-    return (lo, hi)
-
-
 def laurent_mul(a: LaurentChunk, b: LaurentChunk,
-                window: Window | None = None) -> LaurentChunk:
-    """Sound product of two chunks.
+                window: Window) -> LaurentChunk:
+    """Sound product of two chunks on the given window.
 
-    With an explicit window, every requested exponent must be provably
-    computable from the stored coefficients, else WindowUnderflow.  With
-    window=None the largest sound box is derived from windows and supports.
+    Raises WindowUnderflow when some requested exponent has a split x + y,
+    with x and y in the operand supports, that leaves a stored window.
     """
-    ranges = []
     for i in range(NVARS):
         wa, sa = a.window.bounds[i], a.support[i]
         wb, sb = b.window.bounds[i], b.support[i]
-        probe = window.bounds[i] if window is not None else iv_add(wa, wb)
-        rng = _sound_interval(probe, wa, sa, wb, sb)
-        if window is not None and rng != probe:
-            raise WindowUnderflow(
-                f"{VARS[i]}: requested {probe}, sound part {rng}")
-        if rng is None:
-            raise WindowUnderflow(f"{VARS[i]}: no sound output range")
-        ranges.append(rng)
-    return mul_raw(a, b, Window(tuple(ranges)))
+        unsound = ([iv_add(d, sb) for d in _deficits(wa, sa)]
+                   + [iv_add(d, sa) for d in _deficits(wb, sb)])
+        for u in unsound:
+            if iv_intersect(window.bounds[i], u) is not None:
+                raise WindowUnderflow(
+                    f"{VARS[i]}: requested {window.bounds[i]} needs {u}")
+    return mul_raw(a, b, window)
 
 
 def binom_expansion_terms(e: int, s, kmax: int):
@@ -583,8 +535,17 @@ class FactorProduct:
 
 
 class _FactorInfo:
-    __slots__ = ("form", "exp", "base_c", "base_m", "uterms", "homog",
-                 "support", "box")
+    """One factor form^e, expanded as base^e (1 + sum_i u_i)^e.
+
+    The base is the region-dominant term among the terms of lowest t-degree
+    and the u_i are the other terms divided by it.  For e > 0 the sum is
+    the finite multinomial expansion (picks beyond e carry a zero falling
+    factorial); for e < 0 it is the generalized one, which needs a
+    t-degree-0 base free of g.
+    """
+
+    __slots__ = ("form", "exp", "base_c", "base_m", "base_k", "uterms",
+                 "homog", "support", "box")
 
     def __init__(self, form, e, reg, t_order, g_cap):
         self.form = form
@@ -596,39 +557,35 @@ class _FactorInfo:
             if not reg.covers(live):
                 raise NonExpandableFactor(
                     f"variable outside region {reg}: {_form_str(form)}")
-        if e > 0:
-            self.base_c = None
-            self.base_m = None
-            self.uterms = None
-            self.support = self._poly_support(t_order)
-        else:
-            t0 = [(m, c) for m, k, c in form if k == 0]
-            if not t0:
-                raise NonExpandableFactor(
-                    f"no t-degree-0 term in ({_form_str(form)})^{e}")
-            m_d, c_d = max(t0, key=lambda mc: reg.key(mc[0]))
-            if m_d[G_INDEX]:
-                raise NonExpandableFactor(
-                    f"dominant term of ({_form_str(form)}) contains g")
-            self.base_c = c_d
-            self.base_m = m_d
-            uterms = []
-            for m, k, c in form:
-                if k == 0 and m == m_d:
-                    continue
-                ratio = tuple.__new__(Monomial,
-                                      (a - b for a, b in zip(m, m_d)))
-                jmaxs = []
-                if k > 0:
-                    jmaxs.append(t_order // k)
-                if ratio[G_INDEX] > 0:
-                    jmaxs.append(g_cap // ratio[G_INDEX])
-                jmax = min(jmaxs) if jmaxs else None
-                uterms.append([ratio, k, c / c_d, jmax])
-            self.uterms = uterms
-            self.support = self._neg_support()
+        kmin = min(k for _, k, _ in form)
+        if e < 0 and kmin:
+            raise NonExpandableFactor(
+                f"no t-degree-0 term in ({_form_str(form)})^{e}")
+        m_d, _, c_d = max((t for t in form if t[1] == kmin),
+                          key=lambda t: reg.key(t[0]))
+        if e < 0 and m_d[G_INDEX]:
+            raise NonExpandableFactor(
+                f"dominant term of ({_form_str(form)}) contains g")
+        self.base_c = c_d
+        self.base_m = m_d
+        self.base_k = e * kmin
+        uterms = []
+        for m, k, c in form:
+            if k == kmin and m == m_d:
+                continue
+            ratio = tuple.__new__(Monomial, (a - b for a, b in zip(m, m_d)))
+            jmaxs = [e] if e > 0 else []
+            if k > kmin:
+                jmaxs.append(t_order // (k - kmin))
+            if ratio[G_INDEX] > 0:
+                jmaxs.append(g_cap // ratio[G_INDEX])
+            jmax = min(jmaxs) if jmaxs else None
+            uterms.append([ratio, k - kmin, c / c_d, jmax])
+        self.uterms = uterms
+        self.support = (self._poly_support() if e > 0
+                        else self._neg_support())
 
-    def _poly_support(self, t_order):
+    def _poly_support(self):
         # each of the e copies picks one term, so per variable the exponent
         # is a sum of e picks from that variable's term exponents
         e = self.exp
@@ -691,10 +648,7 @@ class _FactorInfo:
         lo = tuple(b[0] for b in self.box)
         hi = tuple(b[1] for b in self.box)
         acc: dict = {}
-        if self.exp > 0:
-            self._poly_enum(acc, lo, hi, t_order)
-        else:
-            self._neg_enum(acc, lo, hi, t_order)
+        self._enum(acc, lo, hi, t_order)
         window = Window(tuple(self.box))
         n = t_order + 1
         terms = {m: TScalar(tuple(cs) + (RAT_ZERO,) * (n - len(cs)))
@@ -702,44 +656,12 @@ class _FactorInfo:
         return LaurentChunk(terms, window, TScalar.zero(t_order),
                             self.support)
 
-    def _poly_enum(self, acc, lo, hi, t_order):
-        form, e = self.form, self.exp
-        r = len(form)
-
-        def rec(idx, left, cur_m, cur_k, cur_c):
-            if cur_k > t_order:
-                return
-            if idx == r - 1:
-                j = left
-                m, k, c = form[idx]
-                kk = cur_k + j * k
-                if kk > t_order:
-                    return
-                me = tuple(a + j * b for a, b in zip(cur_m, m))
-                if any(x < l or x > h for x, l, h in zip(me, lo, hi)):
-                    return
-                cc = cur_c * c ** j / factorial(j)
-                mono = tuple.__new__(Monomial, me)
-                slot = acc.setdefault(mono, [RAT_ZERO] * (t_order + 1))
-                slot[kk] += cc * factorial(e)
-                return
-            m, k, c = form[idx]
-            for j in range(left + 1):
-                kk = cur_k + j * k
-                if kk > t_order:
-                    break
-                rec(idx + 1, left - j,
-                    tuple(a + j * b for a, b in zip(cur_m, m)),
-                    kk, cur_c * c ** j / factorial(j))
-
-        rec(0, e, (0, 0, 0, 0), 0, RAT_ONE)
-
-    def _neg_enum(self, acc, lo, hi, t_order):
+    def _enum(self, acc, lo, hi, t_order):
         e = self.exp
         uterms = self.uterms
         r = len(uterms)
         base_m = tuple(a * e for a in self.base_m)
-        base_c = RAT_ONE / (self.base_c ** (-e))
+        base_c = Rat(self.base_c) ** e
         # suffix reach per variable for pruning
         suffix = [[(0, 0)] * NVARS for _ in range(r + 1)]
         for i in range(r - 1, -1, -1):
@@ -765,14 +687,15 @@ class _FactorInfo:
             ratio, k, c, jmax = uterms[idx]
             cm, ck, cc = cur_m, cur_k, cur_c
             for j in range(jmax + 1):
-                if ck > t_order:
+                if ck > t_order or 0 < e < picks + j:
                     break
                 rec(idx + 1, cm, ck, cc, picks + j, denom * factorial(j))
                 cm = tuple(a + b for a, b in zip(cm, ratio))
                 ck += k
                 cc = cc * c
 
-        rec(0, base_m, 0, RAT_ONE, 0, 1)
+        if self.base_k <= t_order:
+            rec(0, base_m, self.base_k, RAT_ONE, 0, 1)
 
 
 def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
@@ -804,8 +727,7 @@ def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
         return LaurentChunk({}, window, zero, full_support)
     for info, box in zip(infos, boxes):
         info.box = box
-        if info.exp < 0:
-            info.tighten_jmax()
+        info.tighten_jmax()
     acc = _fold([info.chunk(t_order) for info in infos], boxes,
                 window.shift(m_pref ** -1))
     if acc is None:

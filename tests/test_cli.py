@@ -73,6 +73,19 @@ def test_hl_weight6_golden(capsys, golden, flags):
     assert out == (DATA / golden).read_text()
 
 
+def test_hl_monomial_nvars_beyond_weight(capsys):
+    # a monomial of Q_lambda has at most |lambda| parts, so more variables
+    # than that change only the reported nvars
+    lams = ("1,1,1,1,1,1,1,1", "3,2,1")
+    _, wide, _ = run(capsys, "hl", *lams, "--basis", "m", "--nvars", "20")
+    _, narrow, _ = run(capsys, "hl", *lams, "--basis", "m", "--nvars", "8")
+    wide, narrow = payloads(wide), payloads(narrow)
+    assert len(wide) == len(narrow) == 2
+    for w, n in zip(wide, narrow):
+        assert (w.pop("nvars"), n.pop("nvars")) == (20, 8)
+        assert w == n
+
+
 def test_hl_rejects_malformed_partition(capsys):
     for bad in ("2,x", "0", "1,,2"):
         code, _, err = run(capsys, "hl", bad)

@@ -1,6 +1,6 @@
-"""Dead-code guard: every public module-level function and class of the
-package is used somewhere besides its own definition, and the package's
-``__all__`` resolves."""
+"""Dead-code guard: every public module-level function and class and every
+public method of the package is used somewhere besides its own definition,
+and the package's ``__all__`` resolves."""
 
 import ast
 import re
@@ -30,11 +30,21 @@ def _public_definitions():
                 yield path, node
 
 
-def test_public_names_are_referenced():
+def _public_methods():
+    for path, cls in _public_definitions():
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and \
+                        not node.name.startswith("_"):
+                    yield path, node
+
+
+def _unreferenced(definitions, pattern):
+    """Definitions whose pattern matches no line outside their own body."""
     corpus = _corpus()
     unused = []
-    for path, node in _public_definitions():
-        word = re.compile(rf"\b{re.escape(node.name)}\b")
+    for path, node in definitions:
+        word = re.compile(pattern.format(re.escape(node.name)))
         own = range(node.lineno - 1, node.end_lineno)
         for f, lines in corpus.items():
             if any(word.search(line) for i, line in enumerate(lines)
@@ -42,7 +52,21 @@ def test_public_names_are_referenced():
                 break
         else:
             unused.append(f"{path.name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_public_names_are_referenced():
+    unused = _unreferenced(_public_definitions(), r"\b{}\b")
     assert not unused, f"public names with no reference: {unused}"
+
+
+def test_public_methods_are_referenced():
+    # a method counts as used when some line reads it as ``.name``; reads
+    # through ``self`` and attribute stores are left out, because a slot or
+    # field of the same name on another class produces those too
+    unused = _unreferenced(_public_methods(),
+                           r"(?<!self)\.{}\b(?!\s*=[^=])")
+    assert not unused, f"public methods with no .name reference: {unused}"
 
 
 def test_all_resolves():

@@ -114,10 +114,32 @@ def test_exp_D_on_exponential():
 
 
 def test_exp_D_chunk_matches_exp_D():
+    # both equal sum_k D^k v g^k / k!, built here from apply_D
     v = FockVector.pure(1, sym({(1,): (1,), (): (0, 2)}))
+    expect = {}
+    w = v
+    for k in range(4):
+        if k:
+            w = apply_D(w).scale(Rat(1, k))
+        expect[Monomial.var("g", k)] = w
     trivial = LaurentChunk({Monomial(): v}, Window.of(),
                            FockVector.zero(CAP, T))
-    assert exp_D_chunk(trivial, "g", 3).terms == exp_D(v, "g", 3).terms
+    assert exp_D_chunk(trivial, "g", 3).terms == expect
+    assert exp_D(v, "g", 3).terms == expect
+
+
+def test_exp_D_support_ends_at_cap():
+    # D raises the weight by one, so D^(CAP+1) kills every stored state
+    v = FockVector.exponential(1, CAP, T)
+    w = v
+    for _ in range(CAP):
+        w = apply_D(w)
+    assert not w.is_zero()
+    assert apply_D(w).is_zero()
+    assert exp_D(v, "g", 3).support[3] == (0, CAP)
+    shifted = LaurentChunk({Monomial.var("g", 1): v}, Window.of(g=(0, 1)),
+                           FockVector.zero(CAP, T))
+    assert exp_D_chunk(shifted, "g", 2).support[3] == (0, CAP + 1)
 
 
 def test_exp_D_chunk_shifts_existing_powers():

@@ -6,7 +6,7 @@ from qvertex.errors import (NonExpandableFactor, OutsideWindow,
                             WindowUnderflow)
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
                              binom_expansion_terms, laurent_mul, lform,
-                             region)
+                             mul_raw, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp
 
@@ -261,3 +261,161 @@ def test_substitute_monomial_to_sum():
     assert ch.get(Monomial(z1=-1)) == TScalar.one(0)
     assert ch.get(Monomial(z1=-2, g=1)) == TScalar.from_rat(-1, 0)
     assert ch.get(Monomial(z1=-3, g=2)) == TScalar.one(0)
+
+
+def test_expand_positive_power_without_t0_term():
+    # (t z1 - t z2)^2 = t^2 z1^2 - 2 t^2 z1 z2 + t^2 z2^2: every term of the
+    # form carries t, so the expansion starts at t^2
+    form = lform((1, "z1", 1), (-1, "z2", 1))
+    w = Window.of(z1=(-1, 3), z2=(-1, 3))
+    t2 = TScalar.t_power(2, 3)
+    for reg in (Z12, Z21):
+        ch = fp_power(form, 2).expand(reg, w, 3)
+        assert ch.terms == {Monomial(z1=2): t2,
+                            Monomial(z1=1, z2=1): t2.scale(-2),
+                            Monomial(z2=2): t2}
+        assert ch.support == ((0, 2), (0, 2), (0, 0), (0, 0))
+    assert fp_power(form, 2).expand(Z12, w, 1).is_zero()
+
+
+def test_expand_positive_power_with_g_lowest():
+    # (g + t z1)^2 = g^2 + 2 t z1 g + t^2 z1^2; g is the only t-degree-0
+    # term, which a negative power rejects
+    form = lform((1, "g"), (1, "z1", 1))
+    reg = region("z1", "g")
+    w = Window.of(z1=(0, 2), g=(0, 2))
+    ch = fp_power(form, 2).expand(reg, w, 2)
+    assert ch.terms == {Monomial(g=2): TScalar.one(2),
+                        Monomial(z1=1, g=1): TScalar.t_power(1, 2).scale(2),
+                        Monomial(z1=2): TScalar.t_power(2, 2)}
+    low = fp_power(form, 2).expand(reg, w, 1)
+    assert low.terms == {Monomial(g=2): TScalar.one(1),
+                         Monomial(z1=1, g=1): TScalar.t_power(1, 1).scale(2)}
+    with pytest.raises(NonExpandableFactor):
+        fp_power(form, -1).expand(reg, w, 2)
+
+
+def test_positive_power_is_repeated_product():
+    rng = random.Random(23)
+    pool = [FORM_Z1_MINUS_Z2, FORM_Z1_MINUS_TZ2,
+            lform((1, "z1", 1), (-1, "z2", 1)),
+            lform((1, "g"), (1, "z1", 1)),
+            lform((2, "z2", 1), (1, "g"), (-1, "z3", 2)),
+            lform((1, "z3"), (3, "g", 1))]
+    reg = region("z1", "z2", "z3", "g")
+    w = Window(((-1, 4), (-1, 4), (-1, 3), (0, 3)))
+    unit = Window(((-1, 1), (-1, 1), (-1, 1), (0, 1)))
+    for _ in range(30):
+        form = rng.choice(pool)
+        e = rng.randrange(1, 5)
+        T = rng.randrange(0, 4)
+        one = fp_power(form, 1).expand(reg, unit, T)
+        acc = one
+        for _ in range(e - 1):
+            acc = mul_raw(acc, one, Window(tuple(
+                (lo + ulo, hi + uhi) for (lo, hi), (ulo, uhi)
+                in zip(acc.window.bounds, unit.bounds))))
+        expect = {m: c for m, c in acc.terms.items() if w.contains(m)}
+        assert fp_power(form, e).expand(reg, w, T).terms == expect
+
+
+def _truncated(chunk, rng):
+    """The chunk, or half of the time the chunk stored on a random
+    sub-window of its own window, keeping the full support."""
+    if rng.random() < 0.5:
+        return chunk
+    sub = []
+    for lo, hi in chunk.window.bounds:
+        lo2 = lo + rng.randrange(0, 2)
+        hi2 = hi - rng.randrange(0, 2)
+        sub.append((lo2, hi2) if lo2 <= hi2 else (lo, hi))
+    sub = Window(tuple(sub))
+    return LaurentChunk({m: c for m, c in chunk.terms.items()
+                         if sub.contains(m)}, sub, chunk.zero, chunk.support)
+
+
+def _random_finite_chunk(rng, t_order):
+    box = tuple((0, 0) if v == 2 else (lo, lo + rng.randrange(0, 4))
+                for v, lo in enumerate(rng.randrange(-3, 3)
+                                       for _ in range(4)))
+    terms = {}
+    for _ in range(rng.randrange(1, 7)):
+        m = Monomial(*(rng.randint(lo, hi) for lo, hi in box))
+        terms[m] = TScalar(tuple(Rat(rng.randrange(-3, 4))
+                                 for _ in range(t_order + 1)))
+    return LaurentChunk(terms, Window(box), TScalar.zero(t_order))
+
+
+def test_laurent_mul_is_exact_or_raises():
+    # the guard either raises or returns exactly what the untruncated
+    # chunks give; the raise/return split is pinned so the guard can be
+    # neither weakened nor tightened unnoticed
+    rng = random.Random(97)
+    raised = returned = 0
+    for _ in range(400):
+        fa = _random_finite_chunk(rng, 1)
+        fb = _random_finite_chunk(rng, 1)
+        a, b = _truncated(fa, rng), _truncated(fb, rng)
+        req = []
+        for (alo, _), (blo, _) in zip(a.window.bounds, b.window.bounds):
+            lo = alo + blo + rng.randrange(-2, 3)
+            req.append((lo, lo + rng.randrange(0, 5)))
+        req = Window(tuple(req))
+        try:
+            prod = laurent_mul(a, b, req)
+        except WindowUnderflow:
+            raised += 1
+            continue
+        returned += 1
+        assert prod.window == req
+        assert prod.terms == mul_raw(fa, fb, req).terms
+    assert (returned, raised) == (209, 191)
+
+
+def _random_mixed_fp(rng):
+    pool = [FORM_Z1_MINUS_Z2, FORM_Z1_MINUS_TZ2,
+            lform((1, "z2"), (-1, "z3", 1)),
+            lform((1, "z1"), (1, "g")),
+            lform((1, "z2"), (-1, "g", 1), (2, "z3")),
+            lform((1, "z1", 1), (-1, "z3", 1)),
+            lform((1, "g"), (1, "z2", 1))]
+    factors = []
+    for _ in range(rng.randrange(1, 4)):
+        form = rng.choice(pool)
+        e = rng.choice((-2, -1, 1, 2))
+        if e < 0 and not any(k == 0 and m.exp("g") == 0 for m, k, _ in form):
+            e = -e
+        factors.append((form, e))
+    mono = Monomial(z1=rng.randrange(-1, 2), z2=rng.randrange(-1, 2),
+                    z3=rng.randrange(0, 2))
+    return FactorProduct.of(coeff=tp(rng.choice([1, -1, 2]), 1),
+                            monomial=mono, factors=factors)
+
+
+def test_expand_monotone_in_t_order_and_window():
+    # the expansion at (T, W) is the expansion at (T + k, W + k) truncated
+    # to t^T and restricted to W
+    rng = random.Random(515)
+    reg = region("z1", "z2", "z3", "g")
+    checked = 0
+    for _ in range(150):
+        fp = _random_mixed_fp(rng)
+        T, k = rng.randrange(0, 4), rng.randrange(1, 3)
+        lows = [rng.randrange(-4, 1) for _ in range(3)]
+        small = Window(tuple((lo, lo + rng.randrange(0, 5)) for lo in lows)
+                       + ((0, rng.randrange(0, 3)),))
+        big = Window(tuple((lo - k, hi + k) for lo, hi in small.bounds[:3])
+                     + ((0, small.bounds[3][1] + k),))
+        try:
+            lo_ch = fp.expand(reg, small, T)
+        except WindowUnderflow:
+            continue
+        hi_ch = fp.expand(reg, big, T + k)
+        expect = {}
+        for m, c in hi_ch.terms.items():
+            c = c.truncate(T)
+            if small.contains(m) and not c.is_zero():
+                expect[m] = c
+        assert lo_ch.terms == expect
+        checked += 1
+    assert checked >= 100
