@@ -20,6 +20,10 @@ from .verifier import CHECK_IDS, run_check
 
 HL_MIN_T_ORDER = 24
 HL_MAX_WEIGHT = 8
+# checks that take no --charges: their charges are part of the identity,
+# or (hl-oracle) they have none
+IGNORES_CHARGES = frozenset(("classical", "expansion", "hl-oracle",
+                             "jacobi", "vacuum"))
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,10 @@ def run_verify(selection, cfg: RunConfig) -> int:
             return 2
     if "hl-oracle" in ids and cfg.t_order < HL_MIN_T_ORDER:
         print(f"notice: hl-oracle runs at t-order {HL_MIN_T_ORDER}",
+              file=sys.stderr)
+    ignoring = sorted(ids & IGNORES_CHARGES)
+    if ignoring and cfg.charges != RunConfig.charges:
+        print(f"notice: --charges does not apply to {', '.join(ignoring)}",
               file=sys.stderr)
     reports = []
     for cid in sorted(ids):

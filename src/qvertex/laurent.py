@@ -26,6 +26,7 @@ guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .errors import (NonExpandableFactor, OutsideWindow, WindowUnderflow)
@@ -381,21 +382,25 @@ def laurent_mul(a: LaurentChunk, b: LaurentChunk,
     return mul_raw(a, b, window)
 
 
-def binom_expansion_terms(e: int, s, kmax: int):
+@lru_cache(maxsize=None, typed=True)
+def binom_expansion_terms(e: int, s, kmax: int) -> tuple:
     """Coefficients of (x + s*y)^e with x dominant.
 
-    Yields (k, C(e, k) * s^k) for x^{e-k} y^k, k = 0..kmax; e may be
-    negative (generalized binomial coefficients).
+    Returns ((k, C(e, k) * s^k), ...) for x^{e-k} y^k, k = 0..kmax; e may be
+    negative (generalized binomial coefficients).  C(e, k) is an integer,
+    so each step c*(e-k)//(k+1) divides exactly and an int s gives int
+    values.  Rows are cached per (e, s, kmax), an int and a Rat s apart.
     """
     if e >= 0:
         kmax = min(kmax, e)
-    s = Rat(s)
-    c = RAT_ONE
-    sk = RAT_ONE
+    out = []
+    c = 1
+    sk = s ** 0
     for k in range(kmax + 1):
-        yield k, c * sk
-        c = c * Rat(e - k, k + 1)
+        out.append((k, c * sk))
+        c = c * (e - k) // (k + 1)
         sk = sk * s
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

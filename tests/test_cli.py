@@ -183,3 +183,32 @@ def test_usage_errors_exit_two(capsys):
         main(["verify", "vacuum", "--charges", "x"])
     assert e.value.code == 2
     capsys.readouterr()
+
+
+def test_verify_notices_ignored_charges(capsys):
+    def verify(*argv):
+        code, out, err = run(capsys, "verify", *argv, "--t-order", "1",
+                             "--max-degree", "6", "--window", "2")
+        rows = payloads(out)
+        for r in rows:
+            del r["elapsed"]
+        return code, rows, err
+
+    code, plain, err = verify("vacuum", "braided-commutativity")
+    assert code == 0 and "notice" not in err
+    code, rows, err = verify("vacuum", "braided-commutativity",
+                             "--charges", "1,2")
+    assert code == 0
+    assert err == "notice: --charges does not apply to vacuum\n"
+    # the charge-free check is unchanged; the other one took the charges
+    assert rows[1] == plain[1]
+    assert rows[0]["params"]["charges"] == [1, 2]
+    _, _, err = verify("braided-commutativity", "--charges", "1,2")
+    assert "notice" not in err
+    _, _, err = verify("classical", "expansion", "jacobi", "vacuum",
+                       "--charges", "2,1")
+    assert err == ("notice: --charges does not apply to classical, "
+                   "expansion, jacobi, vacuum\n")
+    _, _, err = verify("hl-oracle", "--charges", "2,1")
+    assert err.splitlines()[-1] == ("notice: --charges does not apply to "
+                                    "hl-oracle")

@@ -233,6 +233,21 @@ def test_binom_expansion_terms():
     gen = dict(binom_expansion_terms(-2, 1, 3))
     # (x+y)^{-2} = x^{-2}(1 - 2y/x + 3y^2/x^2 - ...)
     assert gen == {0: Rat(1), 1: Rat(-2), 2: Rat(3), 3: Rat(-4)}
+    # an int s gives ints equal to e(e-1)...(e-k+1)/k! * s^k, for negative
+    # e too; a Rat s gives Rats of the same values
+    for e in range(-9, 7):
+        for s in (1, -1, 2, -3):
+            row = binom_expansion_terms(e, s, 11)
+            assert [k for k, _ in row] == list(range(min(11, e) + 1
+                                                     if e >= 0 else 12))
+            ref = Rat(1)
+            for k, c in row:
+                assert type(c) is int
+                assert c == ref * s ** k
+                ref = ref * Rat(e - k, k + 1)
+            assert binom_expansion_terms(e, Rat(s), 11) == row
+            assert all(type(c) is Rat
+                       for _, c in binom_expansion_terms(e, Rat(s), 11))
 
 
 def test_substitute_shift():

@@ -1,15 +1,23 @@
 """Identity checks: pass at modest orders, fail under shipped mutations,
 and report deterministically."""
 
+import json
+import random
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from qvertex import verifier
 from qvertex.engine import jing_Q
 from qvertex.errors import (DegreeCapUnderflow, EmptyComparison,
-                            TruncationMismatch)
+                            TruncationMismatch, WindowUnderflow)
+from qvertex.fock import FockVector
+from qvertex.laurent import LaurentChunk, Monomial, Window
 from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp
-from qvertex.symfunc import Partition, SymFuncP
+from qvertex.symfunc import Partition, SymFuncP, partitions_up_to
 from qvertex.verifier import (CHECK_IDS, CheckReport, _Comparator,
                               check_braided_commutativity,
                               check_braided_jacobi, check_classical_limit,
@@ -17,6 +25,9 @@ from qvertex.verifier import (CHECK_IDS, CheckReport, _Comparator,
                               check_hl_against_oracle,
                               check_translation_covariance, check_vacuum,
                               run_check)
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _strip(report):
@@ -295,3 +306,150 @@ def test_monotone_window_restriction():
     for T, W in [(0, 2), (1, 2), (2, 2), (2, 3)]:
         assert check_braided_jacobi(t_order=T, window=W,
                                     degree_cap=8).passed
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi delta-convolution on integer rows
+
+
+JACOBI_GOLDEN = (DATA / "jacobi_reports.jsonl").read_text().splitlines()
+
+
+def _golden_id(line):
+    p = json.loads(line)["params"]
+    return (f"T{p['T']}-W{p['window']}-cap{p['degree_cap']}"
+            + ("-drop-s-gamma" if "mutation" in p else ""))
+
+
+@pytest.mark.parametrize("line", JACOBI_GOLDEN, ids=_golden_id)
+def test_jacobi_reports_golden(line):
+    p = json.loads(line)["params"]
+    r = check_braided_jacobi(t_order=p["T"], window=p["window"],
+                             degree_cap=p["degree_cap"],
+                             drop_s_gamma="mutation" in p)
+    assert json.dumps(_strip(r)) == line
+
+
+def _fraction_binom(e, s, kmax):
+    """(k, C(e, k) s^k) for k = 0..kmax, from Fraction steps."""
+    out, c = [], Fraction(1)
+    for k in range(kmax + 1):
+        if e >= 0 and k > e:
+            break
+        out.append((k, c * Fraction(s) ** k))
+        c *= Fraction(e - k, k + 1)
+    return out
+
+
+def _probe(chunk, m):
+    if chunk.window.contains(m):
+        return chunk.get(m)
+    if any(m[i] < lo or m[i] > hi for i, (lo, hi) in enumerate(chunk.support)):
+        return chunk.zero
+    raise WindowUnderflow(str(m))
+
+
+def _reference_sides(xp1, xp2, xp3, W):
+    """The delta-convolutions summed with FockVector + and scale."""
+    f1, f2, f3 = xp2.support[0][0], xp1.support[1][0], xp3.support[2][0]
+    for e1, e2, e3 in product(range(-W, W + 1), repeat=3):
+        lhs = rhs = xp1.zero
+        for k, c in _fraction_binom(-e3 - 1, -1, e2 - f2):
+            v = _probe(xp1, Monomial(z1=e1 + e3 + 1 + k, z2=e2 - k))
+            lhs = lhs + v.scale(c)
+        sgn = 1 if e3 % 2 else -1
+        for k, c in _fraction_binom(-e3 - 1, -1, e1 - f1):
+            v = _probe(xp2, Monomial(z1=e1 - k, z2=e2 + e3 + 1 + k))
+            lhs = lhs - v.scale(sgn * c)
+        for k, c in _fraction_binom(-e1 - 1, 1, e3 - f3):
+            v = _probe(xp3, Monomial(z2=e1 + e2 + 1 + k, z3=e3 - k))
+            rhs = rhs + v.scale(c)
+        yield Monomial(e1, e2, e3), lhs, rhs
+
+
+def _random_chunk(rng, window, cap, T, dens):
+    """Random FockVector coefficients on about half the window, with
+    numerators in [-4, 4] over denominators drawn from dens."""
+    parts = list(partitions_up_to(cap))
+    terms = {}
+    for m in verifier._box(window):
+        if rng.random() < 0.5:
+            comps = {}
+            for q in rng.sample(range(4), rng.randint(1, 2)):
+                comps[q] = SymFuncP(
+                    {lam: TScalar(tuple(Rat(rng.randint(-4, 4),
+                                            rng.choice(dens))
+                                        for _ in range(T + 1)))
+                     for lam in rng.sample(parts, rng.randint(1, 3))},
+                    cap, T)
+            terms[m] = FockVector(comps, cap, T)
+    return LaurentChunk(terms, window, FockVector.zero(cap, T))
+
+
+def _convolution_matches_reference(rng, W, T, cap, dens1, dens2, dens3):
+    lo = [rng.randint(-1, 1) for _ in range(3)]
+    xp1 = _random_chunk(rng, Window.of(z1=(-T - 1, 3 * W),
+                                       z2=(lo[0], W)), cap, T, dens1)
+    xp2 = _random_chunk(rng, Window.of(z1=(lo[1] - T, W),
+                                       z2=(0, 3 * W + T)), cap, T, dens2)
+    xp3 = _random_chunk(rng, Window.of(z2=(-2 * W, 3 * W),
+                                       z3=(lo[2], W)), cap, T, dens3)
+    x1, x2 = verifier._int_rows(xp1, xp2)
+    x3, = verifier._int_rows(xp3)
+    got = verifier._jacobi_sides(x1, x2, x3, W, xp1.zero)
+    live = 0
+    for (m, lhs, rhs), (rm, rlhs, rrhs) in zip(
+            got, _reference_sides(xp1, xp2, xp3, W), strict=True):
+        assert m == rm
+        assert lhs == rlhs, (m, "lhs")
+        assert rhs == rrhs, (m, "rhs")
+        live += not lhs.is_zero()
+        live += not rhs.is_zero()
+    assert live > (2 * W + 1) ** 3 // 2
+    return x1.den, x3.den
+
+
+@pytest.mark.parametrize("W, T, cap", [(2, 0, 4), (2, 3, 7), (3, 1, 5),
+                                       (3, 2, 6), (4, 0, 6), (4, 3, 5)])
+def test_jacobi_convolution_matches_fraction_reference(W, T, cap):
+    rng = random.Random(100 * W + 10 * T + cap)
+    _convolution_matches_reference(rng, W, T, cap, (1, 2), (1, 2), (1, 2))
+
+
+def test_jacobi_convolution_with_distinct_denominators():
+    rng = random.Random(7)
+    den12, den3 = _convolution_matches_reference(rng, 2, 2, 5, (3, 9),
+                                                 (4,), (5, 10))
+    assert (den12, den3) == (36, 10)
+
+
+def test_jacobi_probe_raises_inside_support():
+    # a chunk stored on z1 <= 2 whose support reaches z1 = 5: a probe at
+    # z1 = 3..5 is unknown, not zero
+    cap, T = 4, 1
+    zero = FockVector.zero(cap, T)
+    v = FockVector.exponential(1, cap, T)
+    support = ((0, 5), (0, 2), (0, 0), (0, 0))
+    full = LaurentChunk(
+        {Monomial(a, b): v for a in range(6) for b in range(3)},
+        Window.of(z1=(0, 5), z2=(0, 2)), zero)
+    cut_window = Window.of(z1=(0, 2), z2=(0, 2))
+    cut = LaurentChunk(
+        {m: c for m, c in full.terms.items() if cut_window.contains(m)},
+        cut_window, zero, support)
+    other = LaurentChunk({Monomial(0, 0): v}, Window.of(), zero)
+
+    rows, = verifier._int_rows(cut)
+    assert rows.probe((1, 1, 0, 0)) != ()
+    assert rows.probe((1, 3, 0, 0)) == ()
+    assert rows.probe((6, 1, 0, 0)) == ()
+    for a in (3, 4, 5):
+        with pytest.raises(WindowUnderflow):
+            rows.probe((a, 1, 0, 0))
+
+    x3, = verifier._int_rows(other)
+    x1, x2 = verifier._int_rows(full, other)
+    assert len(list(verifier._jacobi_sides(x1, x2, x3, 1, zero))) == 27
+    x1, x2 = verifier._int_rows(cut, other)
+    with pytest.raises(WindowUnderflow):
+        list(verifier._jacobi_sides(x1, x2, x3, 1, zero))
