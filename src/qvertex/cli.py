@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .engine import jing_Q
 from .errors import QVertexError
+from .rationals import Rat
 from .symfunc import Partition, p_to_x, xpoly_monomial_coeffs
 from .verifier import CHECK_IDS, run_check
 
@@ -57,13 +58,6 @@ def _charges(text: str):
     return (a, b)
 
 
-def _coeff_strings(ts) -> list:
-    coeffs = list(ts.coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return [str(c) for c in coeffs]
-
-
 def _hl_required_t_order(lams, requested: int) -> int:
     # degree of any p-basis coefficient of Q_lambda is at most
     # n(lambda) + |lambda|
@@ -93,8 +87,9 @@ def run_hl(lambdas, cfg: RunConfig, nvars=None, basis: str = "p") -> int:
     for lam in lams:
         f = jing_Q(lam, T)
         if basis == "p":
-            rows = [(list(mu), _coeff_strings(c))
-                    for mu, c in sorted(f.terms.items())]
+            # rows are trimmed Z[t] numerators over f.den
+            rows = [(list(mu), [str(Rat(x, f.den)) for x in row])
+                    for mu, row in sorted(f.num.items())]
             payload = {"lambda": list(lam), "basis": "p", "t_order": T,
                        "terms": [{"mu": mu, "coeff": cs}
                                  for mu, cs in rows]}
@@ -187,20 +182,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in (hl, vf):
         p.add_argument("--t-order", type=int, default=RunConfig.t_order)
-        p.add_argument("--gamma-order", type=int,
-                       default=RunConfig.gamma_order)
-        p.add_argument("--max-degree", type=int,
-                       default=RunConfig.degree_cap)
-        p.add_argument("--window", type=int, default=RunConfig.window)
-        p.add_argument("--charges", type=_charges,
-                       default=RunConfig.charges)
         p.add_argument("--format", choices=("json", "text"),
                        default=RunConfig.fmt, dest="fmt")
+    vf.add_argument("--gamma-order", type=int, default=RunConfig.gamma_order)
+    vf.add_argument("--max-degree", type=int, default=RunConfig.degree_cap)
+    vf.add_argument("--window", type=int, default=RunConfig.window)
+    vf.add_argument("--charges", type=_charges, default=RunConfig.charges)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "hl":
+        if args.t_order < 0 or (args.nvars is not None and args.nvars < 1):
+            print("error: need t-order >= 0, nvars >= 1", file=sys.stderr)
+            return 2
+        return run_hl(args.partitions,
+                      RunConfig(t_order=args.t_order, fmt=args.fmt),
+                      nvars=args.nvars, basis=args.basis)
     cfg = RunConfig(t_order=args.t_order, gamma_order=args.gamma_order,
                     degree_cap=args.max_degree, window=args.window,
                     charges=tuple(args.charges), fmt=args.fmt)
@@ -209,12 +208,6 @@ def main(argv=None) -> int:
         print("error: need t-order >= 0, gamma-order >= 0, "
               "max-degree >= 0, window >= 1", file=sys.stderr)
         return 2
-    if args.command == "hl":
-        if args.nvars is not None and args.nvars < 1:
-            print("error: need nvars >= 1", file=sys.stderr)
-            return 2
-        return run_hl(args.partitions, cfg, nvars=args.nvars,
-                      basis=args.basis)
     return run_verify(args.selection, cfg)
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 from .errors import TruncationMismatch, UnsupportedCharge
 from .laurent import LaurentChunk, Monomial, VAR_INDEX, Window
 from .rationals import Rat
-from .scalars import TScalar, tp, ts_invert
+from .scalars import TScalar, add_rows, tp, tp_mullow
 from .symfunc import SymFuncP
 
 MAX_CHARGE = 3
@@ -90,12 +90,9 @@ class FockVector:
 
         Only meaningful for degree_cap <= self.degree_cap; a vector computed
         at a larger cap projects onto the exact image at the smaller one."""
-        return FockVector(
-            {m: SymFuncP({lam: c for lam, c in f.terms.items()
-                          if lam.weight <= degree_cap},
-                         degree_cap, f.t_order)
-             for m, f in self.components.items()},
-            degree_cap, self.t_order)
+        return FockVector({m: f.weight_truncate(degree_cap)
+                           for m, f in self.components.items()},
+                          degree_cap, self.t_order)
 
     def __add__(self, other):
         if not isinstance(other, FockVector):
@@ -130,12 +127,8 @@ class FockVector:
     __rmul__ = __mul__
 
     def scale(self, c) -> "FockVector":
-        if isinstance(c, SymFuncP):
-            return FockVector({m: f * c for m, f in self.components.items()},
-                              self.degree_cap, self.t_order)
-        return FockVector({m: f * c if isinstance(c, TScalar)
-                           else f.scale(c)
-                           for m, f in self.components.items()},
+        """Times a SymFuncP, a TScalar, an int or a rational."""
+        return FockVector({m: f * c for m, f in self.components.items()},
                           self.degree_cap, self.t_order)
 
     def __eq__(self, other):
@@ -143,10 +136,6 @@ class FockVector:
             return NotImplemented
         self._check(other)
         return self.components == other.components
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __str__(self):
         if not self.components:
@@ -162,11 +151,10 @@ class FockVector:
 
 
 @lru_cache(maxsize=None)
-def _d_pn_coeff(n: int, t_order: int) -> TScalar:
-    """n (1-t^{n+1})/(1-t^n), expanded t-adically."""
-    num = TScalar.from_tpoly(tp(*([1] + [0] * n + [-1])), t_order)
-    den = TScalar.from_tpoly(tp(*([1] + [0] * (n - 1) + [-1])), t_order)
-    return (num * ts_invert(den)).scale(n)
+def _d_pn_row(n: int, t_order: int) -> tuple:
+    """n (1-t^{n+1})/(1-t^n) through t^T, in Z[t]."""
+    geometric = tuple(0 if k % n else n for k in range(t_order + 1))
+    return tp_mullow((1,) + (0,) * n + (-1,), geometric, t_order + 1)
 
 
 def apply_D(v: FockVector, charge_coeff=None) -> FockVector:
@@ -181,16 +169,15 @@ def apply_D(v: FockVector, charge_coeff=None) -> FockVector:
     ccoeff = TScalar.from_tpoly(charge_coeff, T)
     out = FockVector.zero(cap, T)
     for m, f in v.components.items():
-        terms: dict = {}
-        for lam, c in f.terms.items():
+        acc: dict = {}
+        for lam, row in f.num.items():
             if lam.weight + 1 > cap:
                 continue
             for part in set(lam):
-                mu = lam.replace_part(part, part + 1)
-                cc = c * _d_pn_coeff(part, T) * lam.mult(part)
-                terms[mu] = terms[mu] + cc if mu in terms else cc
-        heis = SymFuncP(terms, cap, T)
-        piece = heis
+                add_rows(acc, ((lam.replace_part(part, part + 1),
+                                tp_mullow(row, _d_pn_row(part, T), T + 1)),),
+                         lam.mult(part))
+        piece = SymFuncP.from_rows(acc, f.den, cap, T)
         if m:
             piece = piece + f.mul_p(1) * ccoeff.scale(m)
         out = out + FockVector.pure(m, piece)

@@ -31,7 +31,7 @@ from math import factorial
 
 from .errors import (NonExpandableFactor, OutsideWindow, WindowUnderflow)
 from .rationals import RAT_ONE, RAT_ZERO, Rat
-from .scalars import TP_ONE, TScalar, tp_trim
+from .scalars import TP_ONE, TScalar, tp_mul, tp_pow, tp_str, tp_trim
 
 VARS = ("z1", "z2", "z3", "g")
 NVARS = 4
@@ -457,12 +457,10 @@ class FactorProduct:
         for form, e in self.factors + other.factors:
             merged[form] = merged.get(form, 0) + e
         fs = tuple(sorted((f, e) for f, e in merged.items() if e))
-        from .scalars import tp_mul
         return FactorProduct(tp_mul(self.coeff, other.coeff),
                              self.monomial * other.monomial, fs)
 
     def pow(self, n: int) -> "FactorProduct":
-        from .scalars import tp_pow
         if n == 0:
             return FactorProduct.one()
         if n > 0:
@@ -526,7 +524,6 @@ class FactorProduct:
         return _expand(self, reg, window, t_order)
 
     def __str__(self):
-        from .scalars import tp_str
         bits = [f"({tp_str(self.coeff)})"]
         if self.monomial != MONO_ONE:
             bits.append(str(self.monomial))

@@ -15,6 +15,12 @@ Two representations are used throughout the package:
   re-truncated at any order.  The ``tp_*`` helpers keep ints as ints (a
   division only when its divisor is monic), so the Hall-Littlewood oracle
   in ``symfunc`` uses them on integer t-polynomials.
+
+Many-term coefficients (``SymFuncP``, ``XPoly`` and the Jacobi rows of the
+verifier) share one layout: a dict of integer rows -- Z[t] numerators,
+lowest degree first -- over one common denominator.  ``canonical_rows``
+brings such a dict to canonical form and ``add_rows`` accumulates into it
+in place; ``TScalar`` is the one-row case with its own fixed-length form.
 """
 
 from __future__ import annotations
@@ -73,6 +79,18 @@ def tp_pow(a: tuple, n: int) -> tuple:
     for _ in range(n):
         out = tp_mul(out, a)
     return out
+
+
+def tp_mullow(a: tuple, b: tuple, n: int) -> tuple:
+    """a * b truncated to its first n coefficients, untrimmed."""
+    out = [0] * min(n, len(a) + len(b) - 1)
+    m = len(out)
+    for i, ca in enumerate(a[:m]):
+        if ca:
+            for j, cb in enumerate(b[:m - i], i):
+                if cb:
+                    out[j] += ca * cb
+    return tuple(out)
 
 
 def tp_eval(a: tuple, x) -> "Rat":
@@ -189,6 +207,11 @@ class TScalar:
         return cls(q + (RAT_ZERO,) * (n - len(q)))
 
     @classmethod
+    def from_row(cls, row: tuple, den: int, t_order: int) -> "TScalar":
+        """row / den, for an integer row of at most T+1 numerators."""
+        return _reduced(tuple(row) + (0,) * (t_order + 1 - len(row)), den)
+
+    @classmethod
     def t_power(cls, k: int, t_order: int) -> "TScalar":
         c = [0] * (t_order + 1)
         if 0 <= k <= t_order:
@@ -218,15 +241,6 @@ class TScalar:
             raise TruncationMismatch(
                 f"cannot extend truncation {self.t_order} to {t_order}")
         return _reduced(self.num[: t_order + 1], self.den)
-
-    def eval_at(self, x) -> "Rat":
-        """Evaluate at a rational; exact only if the underlying series is a
-        polynomial of degree <= T."""
-        x = Rat(x)
-        acc = RAT_ZERO
-        for c in reversed(self.num):
-            acc = acc * x + c
-        return acc / self.den
 
     # -- arithmetic
 
@@ -263,7 +277,7 @@ class TScalar:
     def __mul__(self, other):
         if isinstance(other, TScalar):
             self._check(other)
-            return _reduced(_convolve(self.num, other.num),
+            return _reduced(tp_mullow(self.num, other.num, len(self.num)),
                             self.den * other.den)
         if isinstance(other, (int, Rat)):
             return _scaled(self, other)
@@ -280,10 +294,6 @@ class TScalar:
             return NotImplemented
         self._check(other)
         return self.num == other.num and self.den == other.den
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __repr__(self):
         return f"TScalar({tp_str(tp_trim(self.coeffs))}; T={self.t_order})"
@@ -329,19 +339,6 @@ def _scaled(s: TScalar, c) -> TScalar:
     return _reduced(num, s.den * c.denominator)
 
 
-def _convolve(a: tuple, b: tuple) -> tuple:
-    """Product of two length-n integer tuples, truncated to length n."""
-    n = len(a)
-    out = [0] * n
-    for i, ca in enumerate(a):
-        if ca:
-            for j in range(n - i):
-                cb = b[j]
-                if cb:
-                    out[i + j] += ca * cb
-    return tuple(out)
-
-
 def _coerce(x, n: int):
     if isinstance(x, TScalar):
         return x
@@ -369,3 +366,43 @@ def ts_invert(s: TScalar) -> TScalar:
                 acc += a[i] * b[k - i]
         b[k] = -acc / a[0]
     return TScalar(tuple(b))
+
+
+# ---------------------------------------------------------------------------
+# integer rows over one common denominator
+
+
+def canonical_rows(num: dict, den: int):
+    """(num, den) in canonical form, for integer rows num over den > 0:
+    every row a trimmed nonzero tuple, and no common factor of den and all
+    numerators, so equal values have equal (num, den)."""
+    clean = {}
+    g = den
+    for key, row in num.items():
+        row = tp_trim(tuple(row))
+        if row:
+            clean[key] = row
+            if g != 1:
+                g = gcd(g, *row)
+    if g != 1:
+        clean = {key: tuple(x // g for x in row)
+                 for key, row in clean.items()}
+        den //= g
+    return clean, den
+
+
+def add_rows(acc: dict, rows, k: int = 1):
+    """acc[key] += k * row for each (key, row) in rows, in place.
+
+    acc holds lists; a missing key starts at zero and a row longer than
+    its list extends it, so rows of any lengths add up.
+    """
+    for key, row in rows:
+        a = acc.get(key)
+        if a is None:
+            acc[key] = list(row) if k == 1 else [k * x for x in row]
+            continue
+        if len(a) < len(row):
+            a.extend([0] * (len(row) - len(a)))
+        for i, x in enumerate(row):
+            a[i] += k * x

@@ -8,10 +8,13 @@ computations happen in the quotient by the span of high-weight terms and
 two expressions are only ever compared inside the same quotient.
 
 ``XPoly`` is an exact polynomial in finitely many variables x_1..x_n with
-exact t-polynomial coefficients, stored like ``TScalar`` as integer
-t-polynomials over one common denominator.  The Hall-Littlewood oracle
-lives here and runs entirely in Z[t]: P_lambda is computed from the
-classical symmetrization formula
+exact t-polynomial coefficients.  Both store Z[t] numerator rows over one
+common denominator, canonicalized and accumulated by the row helpers of
+``scalars``, and both do their arithmetic on the rows; ``TScalar``
+coefficients and rationals are built only on read.
+
+The Hall-Littlewood oracle runs entirely in Z[t]: P_lambda is computed
+from the classical symmetrization formula
 
     P_lambda = (1/v_lambda(t)) sum_{w in S_n} w( x^lambda prod_{i<j}
                (x_i - t x_j)/(x_i - x_j) )
@@ -28,13 +31,14 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd, lcm
-from operator import add, mul
+from math import lcm
+from operator import add
 
 from .errors import (DegreeCapExceeded, TooFewVariables, TruncationMismatch)
 from .rationals import Rat
-from .scalars import (TScalar, tp_add, tp_bracket_factorial, tp_divexact,
-                      tp_eval, tp_mul, tp_phi, tp_str, tp_trim)
+from .scalars import (TScalar, add_rows, canonical_rows, tp_add,
+                      tp_bracket_factorial, tp_divexact, tp_eval, tp_mul,
+                      tp_mullow, tp_phi, tp_str, tp_trim)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -121,16 +125,50 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
 
 # ---------------------------------------------------------------------------
 # power-sum representation
+#
+# A Z[t] polynomial is a tuple of ints, lowest degree first, with trailing
+# zeros trimmed; () is zero.
 
 
-class SymFuncP:
-    """Linear combination of p_lambda with TScalar coefficients, in the
-    quotient by terms of p-weight above degree_cap."""
+class _Rows:
+    """Z[t] rows ``num`` over one denominator ``den``, in the canonical form
+    of ``scalars.canonical_rows``: no zero rows and no factor common to den
+    and every numerator, so equal values have equal (num, den).  The
+    layout of FLINT's fmpq_mpoly, shared by SymFuncP and XPoly."""
 
-    __slots__ = ("terms", "degree_cap", "t_order")
+    __slots__ = ("num", "den")
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def eval_t(self, t_value) -> dict:
+        """Every coefficient at a rational t; for a SymFuncP exact only
+        when the true coefficients have degree <= t_order."""
+        out = {}
+        for key, row in self.num.items():
+            v = tp_eval(row, t_value)
+            if v:
+                out[key] = v / self.den
+        return out
+
+    def _row_str(self, key) -> str:
+        return tp_str(tuple(Rat(x, self.den) for x in self.num[key]))
+
+
+class SymFuncP(_Rows):
+    """Linear combination of p_lambda with coefficients in Q[t]/(t^{T+1}),
+    in the quotient by terms of p-weight above degree_cap.
+
+    ``num`` maps each partition to a row of at most T+1 numerators over
+    ``den``.  The arithmetic runs on the rows and canonicalizes once per
+    result; ``coefficient`` and ``terms`` build TScalars on read.
+    """
+
+    __slots__ = ("degree_cap", "t_order")
 
     def __init__(self, terms: dict, degree_cap: int, t_order: int):
-        clean = {}
+        """From {Partition: TScalar}, each at t_order and of weight at most
+        degree_cap."""
         for lam, c in terms.items():
             if lam.weight > degree_cap:
                 raise DegreeCapExceeded(
@@ -138,13 +176,27 @@ class SymFuncP:
             if c.t_order != t_order:
                 raise TruncationMismatch(
                     f"coefficient t-order {c.t_order} != {t_order}")
-            if not c.is_zero():
-                clean[lam] = c
-        self.terms = clean
+        den = lcm(*(c.den for c in terms.values()))
+        self.num, self.den = canonical_rows(
+            {lam: c.num if c.den == den else
+             tuple(x * (den // c.den) for x in c.num)
+             for lam, c in terms.items()}, den)
         self.degree_cap = degree_cap
         self.t_order = t_order
 
     # -- constructors
+
+    @classmethod
+    def from_rows(cls, num: dict, den: int, degree_cap: int,
+                  t_order: int) -> "SymFuncP":
+        """From integer rows {Partition: Z[t] row} over den > 0; the caller
+        keeps every row within T+1 numerators and every weight within the
+        cap."""
+        f = object.__new__(cls)
+        f.num, f.den = canonical_rows(num, den)
+        f.degree_cap = degree_cap
+        f.t_order = t_order
+        return f
 
     @classmethod
     def zero(cls, degree_cap: int, t_order: int) -> "SymFuncP":
@@ -159,6 +211,9 @@ class SymFuncP:
         return cls({Partition((n,)): TScalar.one(t_order)},
                    degree_cap, t_order)
 
+    def _rows(self, num: dict, den: int) -> "SymFuncP":
+        return SymFuncP.from_rows(num, den, self.degree_cap, self.t_order)
+
     # -- structure
 
     def _check(self, other: "SymFuncP"):
@@ -168,65 +223,72 @@ class SymFuncP:
                 f"cap/t-order mismatch: ({self.degree_cap},{self.t_order})"
                 f" vs ({other.degree_cap},{other.t_order})")
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> dict:
+        den, T = self.den, self.t_order
+        return {lam: TScalar.from_row(row, den, T)
+                for lam, row in self.num.items()}
 
     def max_weight(self) -> int:
-        return max((lam.weight for lam in self.terms), default=0)
+        return max((lam.weight for lam in self.num), default=0)
 
     def coefficient(self, lam: Partition) -> TScalar:
-        return self.terms.get(lam, TScalar.zero(self.t_order))
+        return TScalar.from_row(self.num.get(lam, ()), self.den,
+                                self.t_order)
 
     def t_truncate(self, t_order: int) -> "SymFuncP":
-        return SymFuncP({lam: c.truncate(t_order)
-                         for lam, c in self.terms.items()},
-                        self.degree_cap, t_order)
+        """Prefix at a lower t-order; raising the order is not
+        recoverable."""
+        if t_order > self.t_order:
+            raise TruncationMismatch(
+                f"cannot extend truncation {self.t_order} to {t_order}")
+        return SymFuncP.from_rows(
+            {lam: row[: t_order + 1] for lam, row in self.num.items()},
+            self.den, self.degree_cap, t_order)
 
-    def coeffs_at(self, t_value) -> dict:
-        """Evaluate every coefficient at a rational t; exact only when the
-        true coefficients have degree <= t_order."""
-        out = {}
-        for lam, c in self.terms.items():
-            v = c.eval_at(t_value)
-            if v:
-                out[lam] = v
-        return out
+    def weight_truncate(self, degree_cap: int) -> "SymFuncP":
+        """Drop the partitions above a lower cap."""
+        return SymFuncP.from_rows(
+            {lam: row for lam, row in self.num.items()
+             if lam.weight <= degree_cap},
+            self.den, degree_cap, self.t_order)
 
     # -- ring operations
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if not isinstance(other, SymFuncP):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            terms[lam] = terms[lam] + c if lam in terms else c
-        return SymFuncP(terms, self.degree_cap, self.t_order)
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        acc: dict = {}
+        add_rows(acc, self.num.items(), den // da)
+        add_rows(acc, other.num.items(), sign * (den // db))
+        return self._rows(acc, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return SymFuncP({lam: -c for lam, c in self.terms.items()},
-                        self.degree_cap, self.t_order)
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, SymFuncP):
             self._check(other)
-            cap = self.degree_cap
-            rows = [(mu, mu.weight, d) for mu, d in other.terms.items()]
-            terms: dict = {}
-            for lam, c in self.terms.items():
+            cap, n = self.degree_cap, self.t_order + 1
+            rows = [(mu, mu.weight, d) for mu, d in other.num.items()]
+            acc: dict = {}
+            for lam, c in self.num.items():
                 room = cap - lam.weight
-                for mu, wm, d in rows:
-                    if wm > room:
-                        continue
-                    # a merge of two partitions is one; no revalidation
-                    nu = tuple.__new__(Partition,
-                                       sorted(lam + mu, reverse=True))
-                    cd = c * d
-                    terms[nu] = terms[nu] + cd if nu in terms else cd
-            return SymFuncP(terms, cap, self.t_order)
+                # a merge of two partitions is one; no revalidation
+                add_rows(acc, ((tuple.__new__(Partition,
+                                              sorted(lam + mu, reverse=True)),
+                                tp_mullow(c, d, n))
+                               for mu, wm, d in rows if wm <= room))
+            return self._rows(acc, self.den * other.den)
         if isinstance(other, (TScalar, int, Rat)):
             return self.scale(other)
         return NotImplemented
@@ -234,51 +296,51 @@ class SymFuncP:
     __rmul__ = __mul__
 
     def scale(self, c) -> "SymFuncP":
+        """Times a TScalar at the same t-order, an int or a rational."""
         if isinstance(c, TScalar):
             if c.t_order != self.t_order:
                 raise TruncationMismatch("scalar t-order mismatch")
-            return SymFuncP({lam: c * x for lam, x in self.terms.items()},
-                            self.degree_cap, self.t_order)
-        return SymFuncP({lam: x.scale(c) for lam, x in self.terms.items()},
-                        self.degree_cap, self.t_order)
+            n = self.t_order + 1
+            return self._rows({lam: tp_mullow(row, c.num, n)
+                               for lam, row in self.num.items()},
+                              self.den * c.den)
+        if not isinstance(c, (int, Rat)):
+            c = Rat(c)
+        k = c.numerator
+        return self._rows({lam: row if k == 1 else tuple(k * x for x in row)
+                           for lam, row in self.num.items()},
+                          self.den * c.denominator)
 
     def mul_p(self, n: int) -> "SymFuncP":
         """Multiply by p_n; overweight results vanish in the quotient."""
-        terms = {}
-        for lam, c in self.terms.items():
-            if lam.weight + n <= self.degree_cap:
-                terms[lam.add_part(n)] = c
-        return SymFuncP(terms, self.degree_cap, self.t_order)
+        room = self.degree_cap - n
+        return self._rows({lam.add_part(n): row
+                           for lam, row in self.num.items()
+                           if lam.weight <= room}, self.den)
 
     def dp(self, n: int) -> "SymFuncP":
         """Formal derivative with respect to p_n."""
-        terms: dict = {}
-        for lam, c in self.terms.items():
+        # lam -> lam minus one part n is one-to-one, so nothing adds up
+        num = {}
+        for lam, row in self.num.items():
             m = lam.mult(n)
             if m:
-                mu = lam.remove_part(n)
-                cc = c.scale(m)
-                terms[mu] = terms[mu] + cc if mu in terms else cc
-        return SymFuncP(terms, self.degree_cap, self.t_order)
+                num[lam.remove_part(n)] = tuple(m * x for x in row)
+        return self._rows(num, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, SymFuncP):
             return NotImplemented
         self._check(other)
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
+        return self.num == other.num and self.den == other.den
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
-        for lam in sorted(self.terms):
-            c = self.terms[lam]
+        for lam in sorted(self.num):
             name = "p" + str(lam) if lam else "1"
-            bits.append(f"({c})*{name}")
+            bits.append(f"({self._row_str(lam)})*{name}")
         return " + ".join(bits)
 
     __repr__ = __str__
@@ -286,23 +348,15 @@ class SymFuncP:
 
 # ---------------------------------------------------------------------------
 # exact x-realizations
-#
-# A Z[t] polynomial is a tuple of ints, lowest degree first, with trailing
-# zeros trimmed; () is zero.
 
 
-class XPoly:
-    """Polynomial in x_1..x_nvars with exact t-polynomial coefficients,
-    stored as Z[t] numerators over one common denominator (the layout of
-    TScalar).
-
-    The form is canonical: every numerator in ``num`` is a nonzero Z[t]
-    polynomial, den > 0 and gcd(den, every numerator entry) == 1, so equal
-    polynomials have equal (num, den).  ``terms`` rebuilds the exact
-    rational t-polynomials for readers.
+class XPoly(_Rows):
+    """Polynomial in x_1..x_nvars with exact t-polynomial coefficients:
+    ``num`` maps each exponent tuple to a Z[t] row over ``den``.  ``terms``
+    rebuilds the exact rational t-polynomials for readers.
     """
 
-    __slots__ = ("nvars", "num", "den")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms=None):
         """From {exponents: tuple of rationals, lowest degree first}."""
@@ -310,7 +364,7 @@ class XPoly:
                 for e, c in (terms or {}).items()}
         den = lcm(*(x.denominator for c in rats.values() for x in c))
         self.nvars = nvars
-        self.num, self.den = _canonical(
+        self.num, self.den = canonical_rows(
             {e: tuple(x.numerator * (den // x.denominator) for x in c)
              for e, c in rats.items()}, den)
 
@@ -320,73 +374,31 @@ class XPoly:
         return {e: tuple(Rat(x, den) for x in c)
                 for e, c in self.num.items()}
 
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def truncate_t(self, t_order: int) -> "XPoly":
+    def t_truncate(self, t_order: int) -> "XPoly":
         return _xpoly(self.nvars,
                       {e: c[: t_order + 1] for e, c in self.num.items()},
                       self.den)
-
-    def eval_t(self, t_value) -> dict:
-        out = {}
-        for e, c in self.num.items():
-            v = tp_eval(c, t_value)
-            if v:
-                out[e] = v / self.den
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, XPoly) and self.nvars == other.nvars
                 and self.den == other.den and self.num == other.num)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __str__(self):
-        den = self.den
         bits = []
         for e in sorted(self.num, reverse=True):
-            c = self.num[e]
-            if den != 1:
-                c = tuple(Rat(x, den) for x in c)
             mono = " ".join(f"x{i+1}^{d}" for i, d in enumerate(e) if d)
-            bits.append(f"({tp_str(c)})*{mono or '1'}")
+            bits.append(f"({self._row_str(e)})*{mono or '1'}")
         return " + ".join(bits) if bits else "0"
 
     __repr__ = __str__
-
-
-def _canonical(num: dict, den: int):
-    """(num, den) for integer t-polynomials num over den > 0: numerators
-    trimmed, zeros dropped, the common factor with den divided out."""
-    clean = {}
-    g = den
-    for e, c in num.items():
-        c = tp_trim(tuple(c))
-        if c:
-            clean[e] = c
-            if g != 1:
-                g = gcd(g, *c)
-    if g != 1:
-        clean = {e: tuple(x // g for x in c) for e, c in clean.items()}
-        den //= g
-    return clean, den
 
 
 def _xpoly(nvars: int, num: dict, den: int) -> XPoly:
     """An XPoly from integer t-polynomials over den > 0."""
     p = object.__new__(XPoly)
     p.nvars = nvars
-    p.num, p.den = _canonical(num, den)
+    p.num, p.den = canonical_rows(num, den)
     return p
-
-
-def _accumulate(acc: dict, e: tuple, c: tuple, k: int):
-    """acc[e] += k * c for a list row acc[e] as long as c."""
-    row = acc.get(e)
-    scaled = c if k == 1 else map(mul, c, itertools.repeat(k))
-    acc[e] = list(scaled) if row is None else list(map(add, row, scaled))
 
 
 def xpoly_monomial_coeffs(p: XPoly) -> dict:
@@ -420,14 +432,11 @@ def p_to_x(f: SymFuncP, nvars: int) -> XPoly:
     read as exact polynomials in t (the truncation must dominate them)."""
     if nvars < 1:
         raise TooFewVariables("need at least one variable")
-    den = lcm(*(c.den for c in f.terms.values()))
     acc: dict = {}
-    for lam, c in f.terms.items():
-        s = den // c.den
-        cn = c.num if s == 1 else tuple(x * s for x in c.num)
+    for lam, row in f.num.items():
         for e, k in _p_realization(tuple(lam), nvars):
-            _accumulate(acc, e, cn, k)
-    return _xpoly(nvars, acc, den)
+            add_rows(acc, ((e, row),), k)
+    return _xpoly(nvars, acc, f.den)
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +467,9 @@ def antisymmetrize(terms) -> dict:
     out: dict = {}
     for exps, c in terms:
         key, sign = _perm_sign_sorted(exps)
-        if key is None:
-            continue
-        if sign < 0:
-            c = tuple(-x for x in c)
-        out[key] = tp_add(out[key], c) if key in out else c
-    return {k: v for k, v in out.items() if v}
+        if key is not None:
+            add_rows(out, ((key, c),), sign)
+    return canonical_rows(out, 1)[0]
 
 
 @lru_cache(maxsize=None)
@@ -533,8 +539,7 @@ def schur_bialternant(lam, n: int) -> XPoly:
         inv = sum(1 for a in range(n) for b in range(a + 1, n)
                   if perm[a] > perm[b])
         exps = tuple(staircase[perm[k]] for k in range(n))
-        c = (1,) if inv % 2 == 0 else (-1,)
-        terms[exps] = tp_add(terms[exps], c) if exps in terms else c
+        add_rows(terms, ((exps, (1,)),), -1 if inv % 2 else 1)
     num = _xpoly(n, terms, 1)
     for i in range(n):
         for j in range(i + 1, n):
@@ -573,11 +578,10 @@ def _staircase_product(n: int) -> tuple:
         for j in range(i + 1, n):
             out: dict = {}
             for e, c in terms.items():
-                for f, fc in ((e[:i] + (e[i] + 1,) + e[i + 1:], c),
-                              (e[:j] + (e[j] + 1,) + e[j + 1:],
-                               (0,) + tuple(-x for x in c))):
-                    out[f] = tp_add(out[f], fc) if f in out else fc
-            terms = {e: c for e, c in out.items() if c}
+                add_rows(out, ((e[:i] + (e[i] + 1,) + e[i + 1:], c),))
+                add_rows(out, ((e[:j] + (e[j] + 1,) + e[j + 1:],
+                                (0,) + c),), -1)
+            terms = canonical_rows(out, 1)[0]
     return tuple(terms.items())
 
 
@@ -598,15 +602,13 @@ def hl_p_oracle(lam, n: int) -> XPoly:
     alts = antisymmetrize((tuple(map(add, e, base)), c)
                           for e, c in _staircase_product(n))
     delta = tuple(range(n - 1, -1, -1))
-    width = max(map(len, alts.values()), default=0)
     acc: dict = {}
     for mu, c in alts.items():
         nu = tuple(a - b for a, b in zip(mu, delta))
         if any(x < 0 for x in nu):
             raise AssertionError("alternant below staircase")
-        c = c + (0,) * (width - len(c))
         for e, k in _schur_terms(tuple(x for x in nu if x), n).items():
-            _accumulate(acc, e, c, k)
+            add_rows(acc, ((e, c),), k)
     v = tp_trim(tuple(v_lambda(lam, n)))
     if not v or v[-1] != 1:
         raise ValueError(f"v_lambda(t) = {v} is not monic")

@@ -67,7 +67,7 @@ def test_ac03_t_one_vanishing():
             continue
         # degree of any coefficient is under n(lam)+|lam| <= 21 < 24, so the
         # truncated polynomials are the true ones and t=1 is an exact slice
-        assert jing_Q(lam, 24).coeffs_at(Rat(1)) == {}
+        assert jing_Q(lam, 24).eval_t(Rat(1)) == {}
         count += 1
     assert count == 29
     return f"Q_lambda vanishes at t=1 for all {count} nonempty partitions"

@@ -161,7 +161,7 @@ def test_rejects_negative_orders(capsys):
                  ("verify", "vacuum", "--gamma-order", "-2"),
                  ("verify", "vacuum", "--window", "0"),
                  ("verify", "classical", "--max-degree", "-1"),
-                 ("hl", "1", "--max-degree", "-1")):
+                 ("hl", "1", "--t-order", "-1")):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -181,6 +181,10 @@ def test_usage_errors_exit_two(capsys):
     assert e.value.code == 2
     with pytest.raises(SystemExit) as e:
         main(["verify", "vacuum", "--charges", "x"])
+    assert e.value.code == 2
+    # hl takes no verify-only flags
+    with pytest.raises(SystemExit) as e:
+        main(["hl", "1", "--max-degree", "3"])
     assert e.value.code == 2
     capsys.readouterr()
 

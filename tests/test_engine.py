@@ -45,7 +45,7 @@ def test_eplus_first_coefficients():
 def test_eplus_coefficients_are_one_row_Q():
     for k in range(1, 7):
         ck = eplus_coeff(1, k, 8, 8)
-        assert p_to_x(ck, k) == hl_q_oracle(Partition((k,)), k).truncate_t(8)
+        assert p_to_x(ck, k) == hl_q_oracle(Partition((k,)), k).t_truncate(8)
 
 
 def test_eplus_charge_zero_is_identity():
@@ -118,13 +118,13 @@ def test_jing_Q_matches_oracle():
         lam = Partition(lam)
         n = lam.weight
         assert p_to_x(jing_Q(lam, 10), n) == \
-            hl_q_oracle(lam, n).truncate_t(10)
+            hl_q_oracle(lam, n).t_truncate(10)
 
 
 def test_jing_Q_vanishes_at_t_one():
     for lam in [(1,), (2,), (1, 1), (2, 1)]:
         f = jing_Q(Partition(lam), 8)
-        assert f.coeffs_at(1) == {}
+        assert f.eval_t(1) == {}
 
 
 def test_heis_mode_is_homogeneous():
@@ -145,7 +145,7 @@ def test_y_vacuum_coefficients_are_one_row_Q():
         f = ch.get(Monomial.var("z1", k)).component(1)
         n = max(k, 1)
         lam = Partition((k,) if k else ())
-        assert p_to_x(f, n) == hl_q_oracle(lam, n).truncate_t(6)
+        assert p_to_x(f, n) == hl_q_oracle(lam, n).t_truncate(6)
 
 
 def test_y_charge_zero_is_identity():

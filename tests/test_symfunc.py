@@ -9,6 +9,7 @@ import pytest
 
 from qvertex import symfunc
 from qvertex.engine import jing_Q
+from qvertex.fock import FockVector
 from qvertex.errors import (DegreeCapExceeded, TooFewVariables,
                             TruncationMismatch)
 from qvertex.rationals import Rat
@@ -203,7 +204,7 @@ def test_hl_oracle_sides_golden():
         lam = Partition(() if text == "-" else map(int, text.split(",")))
         n = int(n)
         assert _sha(str(p_to_x(jing_Q(lam, 24), n))) == lhs_sha, lam
-        assert _sha(str(hl_q_oracle(lam, n).truncate_t(24))) == rhs_sha, lam
+        assert _sha(str(hl_q_oracle(lam, n).t_truncate(24))) == rhs_sha, lam
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +284,136 @@ def test_hl_oracle_division_raises(monkeypatch, v):
     monkeypatch.setattr(symfunc, "v_lambda", lambda lam, n: v)
     with pytest.raises(ValueError):
         hl_p_oracle(Partition((2, 1)), 3)
+
+
+# ---------------------------------------------------------------------------
+# SymFuncP on integer rows against a {partition: TScalar} reference
+
+
+def _ref_clean(terms):
+    return {lam: c for lam, c in terms.items() if not c.is_zero()}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for lam, c in b.items():
+        c = c if sign == 1 else -c
+        out[lam] = out[lam] + c if lam in out else c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b, cap):
+    out = {}
+    for lam, c in a.items():
+        for mu, d in b.items():
+            if lam.weight + mu.weight <= cap:
+                nu = Partition(sorted(lam + mu, reverse=True))
+                out[nu] = out[nu] + c * d if nu in out else c * d
+    return _ref_clean(out)
+
+
+def _ref_dp(a, n):
+    out = {}
+    for lam, c in a.items():
+        m = lam.mult(n)
+        if m:
+            mu = lam.remove_part(n)
+            out[mu] = out[mu] + c.scale(m) if mu in out else c.scale(m)
+    return _ref_clean(out)
+
+
+def _ref_str(terms):
+    if not terms:
+        return "0"
+    return " + ".join(f"({terms[lam]})*{'p' + str(lam) if lam else '1'}"
+                      for lam in sorted(terms))
+
+
+def _random_series(rng, T, dens):
+    """A TScalar of random degree <= T, so rows differ in length."""
+    deg = rng.randrange(T + 1)
+    coeffs = [Fraction(0) if rng.random() < 0.3 else
+              Fraction(rng.randint(-9, 9), rng.choice(dens))
+              for _ in range(deg + 1)]
+    return TScalar(tuple(coeffs) + (Fraction(0),) * (T - deg))
+
+
+def _random_terms(rng, cap, T, dens):
+    return {lam: _random_series(rng, T, dens)
+            for lam in partitions_up_to(cap) if rng.random() < 0.5}
+
+
+def _assert_matches(f, ref, cap, T):
+    """f is canonical, at (cap, T), and equals the reference ref."""
+    assert (f.degree_cap, f.t_order) == (cap, T)
+    assert f.den > 0
+    for row in f.num.values():
+        assert type(row) is tuple and 0 < len(row) <= T + 1 and row[-1]
+        assert all(type(x) is int for x in row)
+    assert math.gcd(f.den, *(x for row in f.num.values() for x in row)) == 1
+    assert f.terms == ref
+    assert f == SymFuncP(ref, cap, T)
+    assert str(f) == _ref_str(ref)
+    for lam in partitions_up_to(cap):
+        assert f.coefficient(lam) == ref.get(lam, TScalar.zero(T))
+
+
+@pytest.mark.parametrize("T", [0, 1, 8, 24])
+def test_symfunc_matches_tscalar_reference(T):
+    rng = random.Random(5200 + T)
+    cap = 5
+
+    def check(f, ref):
+        _assert_matches(f, ref, cap, T)
+
+    # (1/2) p_1 + (1/3 + t^T/4) p_2 plus -(1/3 + t^T/4) p_2 cancels to one
+    # row over 2, and 1 + t^T added into 1 needs the longer row
+    p1, p2 = Partition((1,)), Partition((2,))
+    tail = TScalar.t_power(T, T)
+    x = {p1: TScalar.from_rat(Rat(1, 2), T),
+         p2: TScalar.from_rat(Rat(1, 3), T) + tail.scale(Rat(1, 4))}
+    f = SymFuncP(x, cap, T)
+    half = f + SymFuncP({p2: -x[p2]}, cap, T)
+    check(half, {p1: x[p1]})
+    assert half.den == 2
+    check(f - f, {})
+    one = SymFuncP.p(1, cap, T)
+    check(one + SymFuncP({p1: TScalar.one(T) + tail}, cap, T),
+          {p1: TScalar.one(T) * 2 + tail})
+
+    # a, b and s draw denominators from different sets, so sums and
+    # products bring them over a common one
+    for _ in range(6):
+        a = _random_terms(rng, cap, T, (1, 2, 4, 6))
+        b = _random_terms(rng, cap, T, (1, 3, 5, 9))
+        fa, fb = SymFuncP(a, cap, T), SymFuncP(b, cap, T)
+        a, b = _ref_clean(a), _ref_clean(b)
+        check(fa, a)
+        check(fa + fb, _ref_add(a, b))
+        check(fa - fb, _ref_add(a, b, -1))
+        check(-fa, {lam: -c for lam, c in a.items()})
+        check(fa * fb, _ref_mul(a, b, cap))
+        k = rng.choice((-6, -1, 0, 2, 5))
+        q = Rat(rng.randint(-9, 9), rng.randint(1, 12))
+        s = _random_series(rng, T, (1, 7, 14))
+        check(fa.scale(k), _ref_clean({lam: c.scale(k)
+                                       for lam, c in a.items()}))
+        check(fa.scale(q), _ref_clean({lam: c.scale(q)
+                                       for lam, c in a.items()}))
+        check(fa.scale(s), _ref_clean({lam: c * s for lam, c in a.items()}))
+        for n in range(1, cap + 2):
+            check(fa.mul_p(n), {lam.add_part(n): c for lam, c in a.items()
+                                if lam.weight + n <= cap})
+            check(fa.dp(n), _ref_dp(a, n))
+        cut = rng.randrange(T + 1)
+        _assert_matches(fa.t_truncate(cut),
+                        _ref_clean({lam: c.truncate(cut)
+                                    for lam, c in a.items()}), cap, cut)
+        low = rng.randrange(cap + 1)
+        w = FockVector({0: fa, 2: fb}, cap, T).weight_truncate(low)
+        for charge, ref in ((0, a), (2, b)):
+            _assert_matches(w.component(charge),
+                            {lam: c for lam, c in ref.items()
+                             if lam.weight <= low}, low, T)
+        assert (fa == fb) == (a == b)
+        assert fa == SymFuncP(a, cap, T) and not fa != SymFuncP(a, cap, T)

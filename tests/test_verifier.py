@@ -330,6 +330,32 @@ def test_jacobi_reports_golden(line):
     assert json.dumps(_strip(r)) == line
 
 
+# ---------------------------------------------------------------------------
+# the two-point checks at charges other than (1, 1)
+
+
+CHARGED_GOLDEN = (DATA / "charged_reports.jsonl").read_text().splitlines()
+
+
+def _charged_id(line):
+    d = json.loads(line)
+    p = d["params"]
+    a, b = p["charges"]
+    return (f"{d['check_id']}-{a}{b}-T{p['T']}-W{p['window']}"
+            f"-cap{p['degree_cap']}")
+
+
+@pytest.mark.parametrize("line", CHARGED_GOLDEN, ids=_charged_id)
+def test_charged_reports_golden(line):
+    # the first four lines are run_check at the CLI defaults
+    d = json.loads(line)
+    p = d["params"]
+    r = run_check(d["check_id"], t_order=p["T"], g_order=p.get("G", 3),
+                  degree_cap=p["degree_cap"], window=p["window"],
+                  charges=tuple(p["charges"]))
+    assert json.dumps(_strip(r)) == line
+
+
 def _fraction_binom(e, s, kmax):
     """(k, C(e, k) s^k) for k = 0..kmax, from Fraction steps."""
     out, c = [], Fraction(1)
