@@ -44,8 +44,6 @@ def _parse_partition(text: str):
         if not tok.isdigit() or int(tok) == 0:
             return None
         parts.append(int(tok))
-    if not parts:
-        return None
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
@@ -86,17 +84,11 @@ def run_hl(lambdas, cfg: RunConfig, nvars=None, basis: str = "p") -> int:
               "exact polynomials", file=sys.stderr)
     for lam in lams:
         f = jing_Q(lam, T)
+        payload = {"lambda": list(lam), "basis": basis}
         if basis == "p":
             # rows are trimmed Z[t] numerators over f.den
             rows = [(list(mu), [str(Rat(x, f.den)) for x in row])
                     for mu, row in sorted(f.num.items())]
-            payload = {"lambda": list(lam), "basis": "p", "t_order": T,
-                       "terms": [{"mu": mu, "coeff": cs}
-                                 for mu, cs in rows]}
-            if cfg.fmt == "json":
-                print(json.dumps(payload))
-            else:
-                print(f"Q_{list(lam)} =", str(f))
         else:
             n = nvars if nvars is not None else max(lam.weight, 1)
             # a monomial of Q_lambda uses at most |lambda| variables
@@ -104,16 +96,17 @@ def run_hl(lambdas, cfg: RunConfig, nvars=None, basis: str = "p") -> int:
                 p_to_x(f, min(n, max(lam.weight, 1))))
             rows = [(list(mu), [str(c) for c in cs])
                     for mu, cs in sorted(mono.items(), reverse=True)]
-            payload = {"lambda": list(lam), "basis": "m", "nvars": n,
-                       "t_order": T,
-                       "terms": [{"mu": mu, "coeff": cs}
-                                 for mu, cs in rows]}
-            if cfg.fmt == "json":
-                print(json.dumps(payload))
-            else:
-                print(f"Q_{list(lam)} in {n} variables:")
-                for mu, cs in rows:
-                    print(f"  m_{mu}: [{', '.join(cs)}]")
+            payload["nvars"] = n
+        payload["t_order"] = T
+        payload["terms"] = [{"mu": mu, "coeff": cs} for mu, cs in rows]
+        if cfg.fmt == "json":
+            print(json.dumps(payload))
+        elif basis == "p":
+            print(f"Q_{list(lam)} =", str(f))
+        else:
+            print(f"Q_{list(lam)} in {n} variables:")
+            for mu, cs in rows:
+                print(f"  m_{mu}: [{', '.join(cs)}]")
     return 0
 
 

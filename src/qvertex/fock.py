@@ -17,11 +17,12 @@ demonstrate that the covariance checks catch it.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 from .errors import TruncationMismatch, UnsupportedCharge
 from .laurent import LaurentChunk, Monomial, VAR_INDEX, Window
 from .rationals import Rat
-from .scalars import TScalar, add_rows, tp, tp_mullow
+from .scalars import TScalar, add_row, tp, tp_mullow
 from .symfunc import SymFuncP
 
 MAX_CHARGE = 3
@@ -174,9 +175,9 @@ def apply_D(v: FockVector, charge_coeff=None) -> FockVector:
             if lam.weight + 1 > cap:
                 continue
             for part in set(lam):
-                add_rows(acc, ((lam.replace_part(part, part + 1),
-                                tp_mullow(row, _d_pn_row(part, T), T + 1)),),
-                         lam.mult(part))
+                add_row(acc, lam.replace_part(part, part + 1),
+                        tp_mullow(row, _d_pn_row(part, T), T + 1),
+                        lam.mult(part))
         piece = SymFuncP.from_rows(acc, f.den, cap, T)
         if m:
             piece = piece + f.mul_p(1) * ccoeff.scale(m)
@@ -206,9 +207,6 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int,
     if lo != 0 or hi > order:
         raise TruncationMismatch(
             f"chunk window {chunk.window} incompatible with order {order}")
-    facts = [1]
-    for k in range(1, order + 1):
-        facts.append(facts[-1] * k)
     terms: dict = {}
     for m, w in chunk.terms.items():
         base = m[iv]
@@ -216,7 +214,7 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int,
         for k in range(0, order - base + 1):
             if k:
                 cur = apply_D(cur, charge_coeff)
-            piece = cur.scale(Rat(1, facts[k])) if k else cur
+            piece = cur.scale(Rat(1, factorial(k))) if k else cur
             key = m * Monomial.var(var, k)
             terms[key] = terms[key] + piece if key in terms else piece
     window = Window(tuple((0, order) if i == iv else b

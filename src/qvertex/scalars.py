@@ -19,7 +19,7 @@ Two representations are used throughout the package:
 Many-term coefficients (``SymFuncP``, ``XPoly`` and the Jacobi rows of the
 verifier) share one layout: a dict of integer rows -- Z[t] numerators,
 lowest degree first -- over one common denominator.  ``canonical_rows``
-brings such a dict to canonical form and ``add_rows`` accumulates into it
+brings such a dict to canonical form and ``add_row`` adds one row into it
 in place; ``TScalar`` is the one-row case with its own fixed-length form.
 """
 
@@ -64,12 +64,7 @@ def tp_add(a: tuple, b: tuple) -> tuple:
 def tp_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return TP_ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tp_trim(tuple(out))
+    return tp_trim(tp_mullow(a, b, len(a) + len(b)))
 
 
 def tp_pow(a: tuple, n: int) -> tuple:
@@ -391,18 +386,17 @@ def canonical_rows(num: dict, den: int):
     return clean, den
 
 
-def add_rows(acc: dict, rows, k: int = 1):
-    """acc[key] += k * row for each (key, row) in rows, in place.
+def add_row(acc: dict, key, row, k: int = 1):
+    """acc[key] += k * row, in place.
 
     acc holds lists; a missing key starts at zero and a row longer than
     its list extends it, so rows of any lengths add up.
     """
-    for key, row in rows:
-        a = acc.get(key)
-        if a is None:
-            acc[key] = list(row) if k == 1 else [k * x for x in row]
-            continue
-        if len(a) < len(row):
-            a.extend([0] * (len(row) - len(a)))
-        for i, x in enumerate(row):
-            a[i] += k * x
+    a = acc.get(key)
+    if a is None:
+        acc[key] = list(row) if k == 1 else [k * x for x in row]
+        return
+    if len(a) < len(row):
+        a.extend([0] * (len(row) - len(a)))
+    for i, x in enumerate(row):
+        a[i] += k * x

@@ -30,13 +30,14 @@ engine so it can serve as its oracle.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from functools import lru_cache
 from math import lcm
 from operator import add
 
 from .errors import (DegreeCapExceeded, TooFewVariables, TruncationMismatch)
 from .rationals import Rat
-from .scalars import (TScalar, add_rows, canonical_rows, tp_add,
+from .scalars import (TScalar, add_row, canonical_rows, tp_add,
                       tp_bracket_factorial, tp_divexact, tp_eval, tp_mul,
                       tp_mullow, tp_phi, tp_str, tp_trim)
 
@@ -151,8 +152,34 @@ class _Rows:
                 out[key] = v / self.den
         return out
 
-    def _row_str(self, key) -> str:
-        return tp_str(tuple(Rat(x, self.den) for x in self.num[key]))
+    def __str__(self):
+        bits = []
+        for key, name in self._names():
+            row = tuple(Rat(x, self.den) for x in self.num[key])
+            bits.append(f"({tp_str(row)})*{name}")
+        return " + ".join(bits) if bits else "0"
+
+    __repr__ = __str__
+
+
+class _Terms(Mapping):
+    """Read-only {Partition: TScalar} view of a SymFuncP: a TScalar is
+    built when its item is read, so len() and iteration build none."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f: "SymFuncP"):
+        self._f = f
+
+    def __getitem__(self, lam) -> TScalar:
+        f = self._f
+        return TScalar.from_row(f.num[lam], f.den, f.t_order)
+
+    def __iter__(self):
+        return iter(self._f.num)
+
+    def __len__(self) -> int:
+        return len(self._f.num)
 
 
 class SymFuncP(_Rows):
@@ -178,8 +205,7 @@ class SymFuncP(_Rows):
                     f"coefficient t-order {c.t_order} != {t_order}")
         den = lcm(*(c.den for c in terms.values()))
         self.num, self.den = canonical_rows(
-            {lam: c.num if c.den == den else
-             tuple(x * (den // c.den) for x in c.num)
+            {lam: tuple(x * (den // c.den) for x in c.num)
              for lam, c in terms.items()}, den)
         self.degree_cap = degree_cap
         self.t_order = t_order
@@ -224,10 +250,8 @@ class SymFuncP(_Rows):
                 f" vs ({other.degree_cap},{other.t_order})")
 
     @property
-    def terms(self) -> dict:
-        den, T = self.den, self.t_order
-        return {lam: TScalar.from_row(row, den, T)
-                for lam, row in self.num.items()}
+    def terms(self) -> "_Terms":
+        return _Terms(self)
 
     def max_weight(self) -> int:
         return max((lam.weight for lam in self.num), default=0)
@@ -259,11 +283,12 @@ class SymFuncP(_Rows):
         if not isinstance(other, SymFuncP):
             return NotImplemented
         self._check(other)
-        da, db = self.den, other.den
-        den = lcm(da, db)
+        den = lcm(self.den, other.den)
         acc: dict = {}
-        add_rows(acc, self.num.items(), den // da)
-        add_rows(acc, other.num.items(), sign * (den // db))
+        for f, k in ((self, den // self.den),
+                     (other, sign * den // other.den)):
+            for lam, row in f.num.items():
+                add_row(acc, lam, row, k)
         return self._rows(acc, den)
 
     def __add__(self, other):
@@ -283,11 +308,12 @@ class SymFuncP(_Rows):
             acc: dict = {}
             for lam, c in self.num.items():
                 room = cap - lam.weight
-                # a merge of two partitions is one; no revalidation
-                add_rows(acc, ((tuple.__new__(Partition,
-                                              sorted(lam + mu, reverse=True)),
-                                tp_mullow(c, d, n))
-                               for mu, wm, d in rows if wm <= room))
+                for mu, wm, d in rows:
+                    if wm <= room:
+                        # a merge of two partitions is one; no revalidation
+                        nu = tuple.__new__(Partition,
+                                           sorted(lam + mu, reverse=True))
+                        add_row(acc, nu, tp_mullow(c, d, n))
             return self._rows(acc, self.den * other.den)
         if isinstance(other, (TScalar, int, Rat)):
             return self.scale(other)
@@ -334,16 +360,9 @@ class SymFuncP(_Rows):
         self._check(other)
         return self.num == other.num and self.den == other.den
 
-    def __str__(self):
-        if not self.num:
-            return "0"
-        bits = []
+    def _names(self):
         for lam in sorted(self.num):
-            name = "p" + str(lam) if lam else "1"
-            bits.append(f"({self._row_str(lam)})*{name}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+            yield lam, "p" + str(lam) if lam else "1"
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +402,10 @@ class XPoly(_Rows):
         return (isinstance(other, XPoly) and self.nvars == other.nvars
                 and self.den == other.den and self.num == other.num)
 
-    def __str__(self):
-        bits = []
+    def _names(self):
         for e in sorted(self.num, reverse=True):
             mono = " ".join(f"x{i+1}^{d}" for i, d in enumerate(e) if d)
-            bits.append(f"({self._row_str(e)})*{mono or '1'}")
-        return " + ".join(bits) if bits else "0"
-
-    __repr__ = __str__
+            yield e, mono or "1"
 
 
 def _xpoly(nvars: int, num: dict, den: int) -> XPoly:
@@ -435,7 +450,7 @@ def p_to_x(f: SymFuncP, nvars: int) -> XPoly:
     acc: dict = {}
     for lam, row in f.num.items():
         for e, k in _p_realization(tuple(lam), nvars):
-            add_rows(acc, ((e, row),), k)
+            add_row(acc, e, row, k)
     return _xpoly(nvars, acc, f.den)
 
 
@@ -468,7 +483,7 @@ def antisymmetrize(terms) -> dict:
     for exps, c in terms:
         key, sign = _perm_sign_sorted(exps)
         if key is not None:
-            add_rows(out, ((key, c),), sign)
+            add_row(out, key, c, sign)
     return canonical_rows(out, 1)[0]
 
 
@@ -539,7 +554,7 @@ def schur_bialternant(lam, n: int) -> XPoly:
         inv = sum(1 for a in range(n) for b in range(a + 1, n)
                   if perm[a] > perm[b])
         exps = tuple(staircase[perm[k]] for k in range(n))
-        add_rows(terms, ((exps, (1,)),), -1 if inv % 2 else 1)
+        add_row(terms, exps, (1,), -1 if inv % 2 else 1)
     num = _xpoly(n, terms, 1)
     for i in range(n):
         for j in range(i + 1, n):
@@ -578,9 +593,8 @@ def _staircase_product(n: int) -> tuple:
         for j in range(i + 1, n):
             out: dict = {}
             for e, c in terms.items():
-                add_rows(out, ((e[:i] + (e[i] + 1,) + e[i + 1:], c),))
-                add_rows(out, ((e[:j] + (e[j] + 1,) + e[j + 1:],
-                                (0,) + c),), -1)
+                add_row(out, e[:i] + (e[i] + 1,) + e[i + 1:], c)
+                add_row(out, e[:j] + (e[j] + 1,) + e[j + 1:], (0,) + c, -1)
             terms = canonical_rows(out, 1)[0]
     return tuple(terms.items())
 
@@ -608,7 +622,7 @@ def hl_p_oracle(lam, n: int) -> XPoly:
         if any(x < 0 for x in nu):
             raise AssertionError("alternant below staircase")
         for e, k in _schur_terms(tuple(x for x in nu if x), n).items():
-            add_rows(acc, ((e, c),), k)
+            add_row(acc, e, c, k)
     v = tp_trim(tuple(v_lambda(lam, n)))
     if not v or v[-1] != 1:
         raise ValueError(f"v_lambda(t) = {v} is not monic")

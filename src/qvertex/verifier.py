@@ -27,7 +27,7 @@ from .laurent import (LaurentChunk, Monomial, VAR_INDEX, Window,
                       binom_expansion_terms, laurent_mul, lform, region,
                       FactorProduct)
 from .rationals import Rat
-from .scalars import add_rows
+from .scalars import add_row
 from .symfunc import SymFuncP, hl_q_oracle, p_to_x, partitions_up_to
 
 REG12 = region("z1", "z2", "g")
@@ -164,24 +164,17 @@ def check_vacuum(t_order: int = 3, window: int = 6, degree_cap: int = 8,
     ed1 = exp_D(ea, "z1", W, d_charge_coeff)
     ed2 = exp_D(ea, "z2", W, d_charge_coeff)
 
-    left = evaluate(x2_closed_form(1, 0), REG12, Window.of(z1=(0, W)), cap, T)
-    for k in range(W + 1):
-        m = Monomial.var("z1", k)
-        cmp_.take(m, left.get(m), ed1.get(m))
-
-    right = evaluate(x2_closed_form(0, 1), REG12, Window.of(z2=(0, W)), cap,
-                     T)
-    for k in range(W + 1):
-        m = Monomial.var("z2", k)
-        cmp_.take(m, right.get(m), ed2.get(m))
+    line1, line2 = Window.of(z1=(0, W)), Window.of(z2=(0, W))
+    left = evaluate(x2_closed_form(1, 0), REG12, line1, cap, T)
+    cmp_.chunks(left, ed1, line1)
+    right = evaluate(x2_closed_form(0, 1), REG12, line2, cap, T)
+    cmp_.chunks(right, ed2, line2)
 
     both = evaluate(x2_closed_form(0, 0), REG12, Window.of(), cap, T)
     cmp_.take("1", both.get(Monomial()), FockVector.vacuum(cap, T))
 
     yv = y_apply(1, "z1", FockVector.vacuum(cap, T), (0, W))
-    for k in range(W + 1):
-        m = Monomial.var("z1", k)
-        cmp_.take(m, yv.get(m), ed1.get(m))
+    cmp_.chunks(yv, ed1, line1)
 
     return cmp_.report("vacuum", params, t0)
 
@@ -401,14 +394,16 @@ def _jacobi_sides(x1: _IntRows, x2: _IntRows, x3: _IntRows, W: int,
                 lhs: dict = {}
                 row = row12[e3]
                 for k, c in row[:max(0, e2 - f2 + 1)]:
-                    add_rows(lhs, probe1((e1 + e3 + 1 + k, e2 - k, 0, 0)), c)
+                    for key, r in probe1((e1 + e3 + 1 + k, e2 - k, 0, 0)):
+                        add_row(lhs, key, r, c)
                 sgn = -1 if e3 & 1 else 1
                 for k, c in row[:max(0, e1 - f1 + 1)]:
-                    add_rows(lhs, probe2((e1 - k, e2 + e3 + 1 + k, 0, 0)),
-                             sgn * c)
+                    for key, r in probe2((e1 - k, e2 + e3 + 1 + k, 0, 0)):
+                        add_row(lhs, key, r, sgn * c)
                 rhs: dict = {}
                 for k, c in row3[:max(0, e3 - f3 + 1)]:
-                    add_rows(rhs, probe3((0, e1 + e2 + 1 + k, e3 - k, 0)), c)
+                    for key, r in probe3((0, e1 + e2 + 1 + k, e3 - k, 0)):
+                        add_row(rhs, key, r, c)
                 yield (Monomial(e1, e2, e3), _fock(lhs, x1.den, zero),
                        _fock(rhs, x3.den, zero))
 

@@ -352,6 +352,8 @@ def _assert_matches(f, ref, cap, T):
         assert all(type(x) is int for x in row)
     assert math.gcd(f.den, *(x for row in f.num.values() for x in row)) == 1
     assert f.terms == ref
+    vals = {lam: tp_eval(c.coeffs, Rat(1, 3)) for lam, c in ref.items()}
+    assert f.eval_t(Rat(1, 3)) == {lam: v for lam, v in vals.items() if v}
     assert f == SymFuncP(ref, cap, T)
     assert str(f) == _ref_str(ref)
     for lam in partitions_up_to(cap):
