@@ -128,7 +128,12 @@ class FockVector:
     __rmul__ = __mul__
 
     def scale(self, c) -> "FockVector":
-        """Times a SymFuncP, a TScalar, an int or a rational."""
+        """Times a SymFuncP, a TScalar, an int or a rational; a SymFuncP or
+        TScalar at another configuration raises, the zero vector included."""
+        if isinstance(c, SymFuncP):
+            self._check(c)
+        elif isinstance(c, TScalar) and c.t_order != self.t_order:
+            raise TruncationMismatch("scalar t-order mismatch")
         return FockVector({m: f * c for m, f in self.components.items()},
                           self.degree_cap, self.t_order)
 
@@ -137,6 +142,21 @@ class FockVector:
             return NotImplemented
         self._check(other)
         return self.components == other.components
+
+    # -- rows keyed by charge and partition, for the Laurent product and
+    # the Jacobi convolution
+
+    def charge_rows(self) -> tuple:
+        """((charge, num, den), ...): one block per component."""
+        return tuple((q, f.num, f.den) for q, f in self.components.items())
+
+    def from_charge_rows(self, num: dict, den: int) -> "FockVector":
+        """The vector with component q equal to num[q] / den, at this cap
+        and t-order; a charge above MAX_CHARGE raises, even one whose rows
+        are all zero."""
+        cap, T = self.degree_cap, self.t_order
+        return FockVector({q: SymFuncP.from_rows(rows, den, cap, T)
+                           for q, rows in num.items()}, cap, T)
 
     def __str__(self):
         if not self.components:

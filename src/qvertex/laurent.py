@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import (NonExpandableFactor, OutsideWindow, WindowUnderflow)
 from .rationals import RAT_ONE, RAT_ZERO, Rat
 from .scalars import TP_ONE, TScalar, tp_mul, tp_pow, tp_str, tp_trim
+from .symfunc import Partition
 
 VARS = ("z1", "z2", "z3", "g")
 NVARS = 4
@@ -302,12 +303,41 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
 
     Only for callers that have proved separately that every support split
     landing in the window is covered by the operand windows.
+
+    One fused kernel on integer rows serves every pair of coefficient
+    kinds.  Each coefficient is read once as Z[t] rows keyed by charge and
+    partition, a block per charge over its own denominator
+    (``charge_rows``), and the in-window term pairs are bucketed by output
+    monomial.  Each output is then accumulated over D = lcm(d1*d2) of its
+    own block pairs: charges add, partitions merge (a merge above the
+    degree cap is dropped before any arithmetic) and each product row is
+    multiplied, truncated at T+1, straight into a list of T+1 ints.  The
+    output is canonicalized once and rebuilt (``from_charge_rows``) before
+    the next one starts.  The kind and configuration of the product come
+    from the product of the operand zeros, which raises
+    TruncationMismatch on a t-order or cap mismatch.
     """
-    bw = window.bounds
-    (l0, h0), (l1, h1), (l2, h2), (l3, h3) = bw
-    terms: dict = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    zero = a.zero * b.zero
+    n, cap = zero.t_order + 1, zero.degree_cap
+    # the partitions of each operand as small ints, in each block a tuple
+    # parallel to its rows
+    parts = ({}, {})
+    reads = []
+    for ch, ids in zip((a, b), parts):
+        reads.append({m: tuple((q, tuple([ids.setdefault(lam, len(ids))
+                                          for lam in num]), num, d)
+                               for q, num, d in c.charge_rows())
+                      for m, c in ch.terms.items()})
+    lams1, lams2 = list(parts[0]), list(parts[1])
+    w1, w2 = [sum(lam) for lam in lams1], [sum(mu) for mu in lams2]
+    # merged[i1][i2]: the int of the merged partition, -1 above the cap
+    merged = [None] * len(lams1)
+    nus: dict = {}
+    nu_list = []
+    (l0, h0), (l1, h1), (l2, h2), (l3, h3) = window.bounds
+    buckets: dict = {}
+    for m1, c1 in reads[0].items():
+        for m2, c2 in reads[1].items():
             e0 = m1[0] + m2[0]
             if e0 < l0 or e0 > h0:
                 continue
@@ -321,11 +351,56 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
             if e3 < l3 or e3 > h3:
                 continue
             m = tuple.__new__(Monomial, (e0, e1, e2, e3))
-            p = c1 * c2
-            terms[m] = terms[m] + p if m in terms else p
+            pairs = buckets.get(m)
+            if pairs is None:
+                buckets[m] = [(c1, c2)]
+            else:
+                pairs.append((c1, c2))
+    terms = {}
+    for m, pairs in buckets.items():
+        den = lcm(*(d1 * d2 for c1, c2 in pairs
+                    for _, _, _, d1 in c1 for _, _, _, d2 in c2))
+        acc: dict = {}
+        for c1, c2 in pairs:
+            for q1, ids1, num1, d1 in c1:
+                for q2, ids2, num2, d2 in c2:
+                    k = den // (d1 * d2)
+                    out = acc.get(q1 + q2)
+                    if out is None:
+                        out = acc[q1 + q2] = {}
+                    for i1, x1 in zip(ids1, num1.values()):
+                        row = merged[i1]
+                        if row is None:
+                            row = merged[i1] = [None] * len(lams2)
+                        for i2, x2 in zip(ids2, num2.values()):
+                            o = row[i2]
+                            if o is None:
+                                o = -1
+                                if w1[i1] + w2[i2] <= cap:
+                                    nu = Partition.merge(lams1[i1], lams2[i2])
+                                    o = nus.get(nu)
+                                    if o is None:
+                                        o = nus[nu] = len(nu_list)
+                                        nu_list.append(nu)
+                                row[i2] = o
+                            if o < 0:
+                                continue
+                            s = out.get(o)
+                            if s is None:
+                                s = out[o] = [0] * n
+                            for i, x in enumerate(x1):
+                                if x:
+                                    x *= k
+                                    for j, y in enumerate(x2[:n - i], i):
+                                        s[j] += x * y
+        c = zero.from_charge_rows(
+            {q: {nu_list[o]: s for o, s in out.items()}
+             for q, out in acc.items()}, den)
+        if not c.is_zero():
+            terms[m] = c
     if support is None:
         support = bounds_add(a.support, b.support)
-    return LaurentChunk(terms, window, a.zero * b.zero, support)
+    return LaurentChunk(terms, window, zero, support)
 
 
 def _fold(chunks, boxes, target: Window):

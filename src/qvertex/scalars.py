@@ -16,11 +16,19 @@ Two representations are used throughout the package:
   division only when its divisor is monic), so the Hall-Littlewood oracle
   in ``symfunc`` uses them on integer t-polynomials.
 
-Many-term coefficients (``SymFuncP``, ``XPoly`` and the Jacobi rows of the
-verifier) share one layout: a dict of integer rows -- Z[t] numerators,
-lowest degree first -- over one common denominator.  ``canonical_rows``
-brings such a dict to canonical form and ``add_row`` adds one row into it
-in place; ``TScalar`` is the one-row case with its own fixed-length form.
+Many-term coefficients (``SymFuncP``, ``XPoly``, the Jacobi rows of the
+verifier and the accumulators of the Laurent product ``laurent.mul_raw``)
+share one layout: a dict of integer rows -- Z[t] numerators, lowest degree
+first -- over one common denominator.  ``canonical_rows`` brings such a
+dict to canonical form and ``add_row`` adds one row into it in place;
+``TScalar`` is the one-row case with its own fixed-length form.
+
+The coefficients of a Laurent chunk (``TScalar``, ``SymFuncP`` and
+``FockVector``) read out as integer rows keyed by charge and partition,
+one block per charge over its own denominator (``charge_rows``), and
+rebuild from {charge: {partition: row}} over one denominator
+(``from_charge_rows``).  A ``TScalar`` is the one row at charge 0 and the
+empty partition, the weight-0 coefficient (``degree_cap`` 0).
 """
 
 from __future__ import annotations
@@ -173,6 +181,7 @@ class TScalar:
     """
 
     __slots__ = ("num", "den")
+    degree_cap = 0   # one row, at the empty partition
 
     def __init__(self, coeffs: tuple):
         den = lcm(*(c.denominator for c in coeffs))
@@ -236,6 +245,17 @@ class TScalar:
             raise TruncationMismatch(
                 f"cannot extend truncation {self.t_order} to {t_order}")
         return _reduced(self.num[: t_order + 1], self.den)
+
+    # -- rows keyed by charge and partition, for the Laurent product
+
+    def charge_rows(self) -> tuple:
+        """((0, {(): trimmed numerators}, den),)."""
+        return ((0, {(): tp_trim(self.num)}, self.den),)
+
+    def from_charge_rows(self, num: dict, den: int) -> "TScalar":
+        """num[0][()] / den at this t-order."""
+        return TScalar.from_row(num.get(0, {}).get((), ()), den,
+                                self.t_order)
 
     # -- arithmetic
 

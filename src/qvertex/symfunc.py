@@ -90,6 +90,17 @@ class Partition(tuple):
         parts.remove(k)
         return Partition(parts)
 
+    @staticmethod
+    def merge(lam: tuple, mu: tuple) -> "Partition":
+        """The Partition with the parts of both; a merge of two partitions
+        is one, so it is not revalidated.  Either side may be the plain ()
+        of a TScalar's row (``TScalar.charge_rows``)."""
+        if not mu and type(lam) is Partition:
+            return lam
+        if not lam and type(mu) is Partition:
+            return mu
+        return tuple.__new__(Partition, sorted(lam + mu, reverse=True))
+
     def __str__(self):
         return "[" + ",".join(str(x) for x in self) + "]"
 
@@ -288,7 +299,11 @@ class SymFuncP(_Rows):
         for f, k in ((self, den // self.den),
                      (other, sign * den // other.den)):
             for lam, row in f.num.items():
-                add_row(acc, lam, row, k)
+                if k != 1:
+                    row = tuple(k * x for x in row)
+                a = acc.get(lam)
+                # a partition of one operand only keeps its row tuple
+                acc[lam] = row if a is None else tp_add(a, row)
         return self._rows(acc, den)
 
     def __add__(self, other):
@@ -310,10 +325,8 @@ class SymFuncP(_Rows):
                 room = cap - lam.weight
                 for mu, wm, d in rows:
                     if wm <= room:
-                        # a merge of two partitions is one; no revalidation
-                        nu = tuple.__new__(Partition,
-                                           sorted(lam + mu, reverse=True))
-                        add_row(acc, nu, tp_mullow(c, d, n))
+                        add_row(acc, Partition.merge(lam, mu),
+                                tp_mullow(c, d, n))
             return self._rows(acc, self.den * other.den)
         if isinstance(other, (TScalar, int, Rat)):
             return self.scale(other)
@@ -336,6 +349,16 @@ class SymFuncP(_Rows):
         return self._rows({lam: row if k == 1 else tuple(k * x for x in row)
                            for lam, row in self.num.items()},
                           self.den * c.denominator)
+
+    # -- rows keyed by charge and partition, for the Laurent product
+
+    def charge_rows(self) -> tuple:
+        """((0, num, den),): one block, at charge 0."""
+        return ((0, self.num, self.den),)
+
+    def from_charge_rows(self, num: dict, den: int) -> "SymFuncP":
+        """num[0] / den at this cap and t-order."""
+        return self._rows(num.get(0, {}), den)
 
     def mul_p(self, n: int) -> "SymFuncP":
         """Multiply by p_n; overweight results vanish in the quotient."""

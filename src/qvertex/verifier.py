@@ -310,8 +310,8 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
 
 class _IntRows:
     """A chunk of FockVector coefficients as integer rows over one common
-    denominator ``den``: ``rows[m]`` is a tuple of ((charge, partition),
-    numerators), and the coefficient is numerators / den.
+    denominator ``den``: ``rows[m]`` is a tuple of (charge, {partition:
+    numerators}) blocks, and the coefficient is numerators / den.
 
     ``probe`` reads a row under the soundness rule of the chunk: outside
     the stored window it returns the empty row only where the support
@@ -321,18 +321,13 @@ class _IntRows:
     __slots__ = ("rows", "den", "window", "support")
 
     def __init__(self, chunk: LaurentChunk, den: int):
-        rows = {}
-        keys: dict = {}
-        for m, v in chunk.terms.items():
-            row = []
-            for q, f in v.components.items():
-                s = den // f.den
-                for lam, num in f.num.items():
-                    key = keys.setdefault((q, lam), (q, lam))
-                    row.append((key, num if s == 1 else
-                                tuple(x * s for x in num)))
-            rows[m] = tuple(row)
-        self.rows = rows
+        """The chunk's ``charge_rows``, brought over den."""
+        self.rows = {m: tuple((q, num if s == 1 else
+                               {lam: tuple(x * s for x in row)
+                                for lam, row in num.items()})
+                              for q, num, d in v.charge_rows()
+                              for s in (den // d,))
+                     for m, v in chunk.terms.items()}
         self.den = den
         self.window = chunk.window
         self.support = chunk.support
@@ -352,20 +347,19 @@ class _IntRows:
 
 def _int_rows(*chunks) -> list:
     """The chunks as _IntRows over the lcm of all their denominators."""
-    den = lcm(*(f.den for ch in chunks for v in ch.terms.values()
-                for f in v.components.values()))
+    den = lcm(*(d for ch in chunks for v in ch.terms.values()
+                for _, _, d in v.charge_rows()))
     return [_IntRows(ch, den) for ch in chunks]
 
 
-def _fock(acc: dict, den: int, zero: FockVector) -> FockVector:
-    """The FockVector with coefficients acc / den, keyed by (charge,
-    partition)."""
-    comps: dict = {}
-    for (q, lam), num in acc.items():
-        comps.setdefault(q, {})[lam] = num
-    cap, T = zero.degree_cap, zero.t_order
-    return FockVector({q: SymFuncP.from_rows(num, den, cap, T)
-                       for q, num in comps.items()}, cap, T)
+def _add_blocks(acc: dict, blocks, k: int):
+    """acc[q][partition] += k * row for every row of the probed blocks."""
+    for q, num in blocks:
+        a = acc.get(q)
+        if a is None:
+            a = acc[q] = {}
+        for lam, row in num.items():
+            add_row(a, lam, row, k)
 
 
 def _jacobi_sides(x1: _IntRows, x2: _IntRows, x3: _IntRows, W: int,
@@ -394,18 +388,19 @@ def _jacobi_sides(x1: _IntRows, x2: _IntRows, x3: _IntRows, W: int,
                 lhs: dict = {}
                 row = row12[e3]
                 for k, c in row[:max(0, e2 - f2 + 1)]:
-                    for key, r in probe1((e1 + e3 + 1 + k, e2 - k, 0, 0)):
-                        add_row(lhs, key, r, c)
+                    _add_blocks(lhs, probe1((e1 + e3 + 1 + k, e2 - k, 0, 0)),
+                                c)
                 sgn = -1 if e3 & 1 else 1
                 for k, c in row[:max(0, e1 - f1 + 1)]:
-                    for key, r in probe2((e1 - k, e2 + e3 + 1 + k, 0, 0)):
-                        add_row(lhs, key, r, sgn * c)
+                    _add_blocks(lhs, probe2((e1 - k, e2 + e3 + 1 + k, 0, 0)),
+                                sgn * c)
                 rhs: dict = {}
                 for k, c in row3[:max(0, e3 - f3 + 1)]:
-                    for key, r in probe3((0, e1 + e2 + 1 + k, e3 - k, 0)):
-                        add_row(rhs, key, r, c)
-                yield (Monomial(e1, e2, e3), _fock(lhs, x1.den, zero),
-                       _fock(rhs, x3.den, zero))
+                    _add_blocks(rhs, probe3((0, e1 + e2 + 1 + k, e3 - k, 0)),
+                                c)
+                yield (Monomial(e1, e2, e3),
+                       zero.from_charge_rows(lhs, x1.den),
+                       zero.from_charge_rows(rhs, x3.den))
 
 
 def check_braided_jacobi(t_order: int = 3, window: int = 5,

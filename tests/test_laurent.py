@@ -3,12 +3,15 @@ import random
 import pytest
 
 from qvertex.errors import (NonExpandableFactor, OutsideWindow,
+                            TruncationMismatch, UnsupportedCharge,
                             WindowUnderflow)
+from qvertex.fock import FockVector
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
                              binom_expansion_terms, laurent_mul, lform,
                              mul_raw, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp
+from qvertex.symfunc import SymFuncP, partitions_up_to
 
 Z12 = region("z1", "z2")
 Z21 = region("z2", "z1")
@@ -434,3 +437,139 @@ def test_expand_monotone_in_t_order_and_window():
         assert lo_ch.terms == expect
         checked += 1
     assert checked >= 100
+
+
+# ---------------------------------------------------------------------------
+# the fused integer-row product against the per-pair product
+
+
+KINDS = ("TScalar", "SymFuncP", "FockVector")
+
+
+def _random_row(rng, T):
+    # sparse at T=24, so the test stays quick
+    row = [0] * (T + 1)
+    for i in rng.sample(range(T + 1), min(T + 1, 4)):
+        row[i] = rng.randrange(-5, 6)
+    return row
+
+
+def _random_sym(rng, cap, T):
+    lams = list(partitions_up_to(cap))
+    return SymFuncP.from_rows(
+        {lam: _random_row(rng, T) for lam in rng.sample(lams, 3)},
+        rng.choice((1, 2, 3, 4, 6, 9)), cap, T)
+
+
+def _random_coeff(rng, kind, cap, T, charges):
+    if kind == "TScalar":
+        return TScalar.from_row(_random_row(rng, T),
+                                rng.choice((1, 2, 3, 4, 6, 9)), T)
+    if kind == "SymFuncP":
+        return _random_sym(rng, cap, T)
+    return FockVector({q: _random_sym(rng, cap, T)
+                       for q in rng.sample(charges, 2)}, cap, T)
+
+
+ZEROS = {"TScalar": lambda cap, T: TScalar.zero(T),
+         "SymFuncP": SymFuncP.zero, "FockVector": FockVector.zero}
+
+
+def _max_weight(c):
+    return max(sum(lam) for _, num, _ in c.charge_rows() for lam in num)
+
+
+def _random_operand(rng, kind, cap, T, charges, sign):
+    # random terms at g^0, plus a pair at g^3 whose product with the other
+    # operand's pair cancels at z1 g^6: c z1^0 + c z1 against d z1 - d z1^0
+    terms = {}
+    for _ in range(rng.randrange(2, 6)):
+        m = Monomial(rng.randrange(-2, 3), rng.randrange(-2, 3))
+        terms[m] = _random_coeff(rng, kind, cap, T, charges)
+    c = _random_coeff(rng, kind, cap, T, charges)
+    if sign > 0:
+        terms[Monomial(g=3)] = terms[Monomial(z1=1, g=3)] = c
+    else:
+        terms[Monomial(z1=1, g=3)] = c
+        terms[Monomial(g=3)] = -c
+    window = Window(((-2, 3), (-2, 2), (0, 0), (0, 3)))
+    return LaurentChunk(terms, window, ZEROS[kind](cap, T))
+
+
+def _per_pair_product(a, b, window):
+    """The product as sum of c1 * c2 in the coefficient classes' own
+    arithmetic, one term pair at a time."""
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = m1 * m2
+            if window.contains(m):
+                p = c1 * c2
+                terms[m] = terms[m] + p if m in terms else p
+    return terms
+
+
+def _config(c):
+    return type(c), c.t_order, c.degree_cap
+
+
+@pytest.mark.parametrize("T", [0, 1, 8, 24])
+def test_mul_raw_matches_per_pair_product(T):
+    rng = random.Random(800 + T)
+    cap = 4
+    window = Window(((-3, 5), (-4, 3), (0, 0), (0, 6)))
+    cancelled = dropped = 0
+    for k1 in KINDS:
+        for k2 in KINDS:
+            for _ in range(3):
+                # charges 0..2 on one side and 0..1 on the other stay
+                # within MAX_CHARGE = 3
+                a = _random_operand(rng, k1, cap, T, [0, 1, 2], 1)
+                b = _random_operand(rng, k2, cap, T, [0, 1], -1)
+                ref = _per_pair_product(a, b, window)
+                prod = mul_raw(a, b, window)
+                assert prod.terms == {m: c for m, c in ref.items()
+                                      if not c.is_zero()}
+                for m, c in ref.items():
+                    assert _config(prod.get(m)) == _config(c)
+                assert _config(prod.zero) == _config(a.zero * b.zero)
+                if T:
+                    assert all(len(c.num) == T + 1 for c in
+                               prod.terms.values() if type(c) is TScalar)
+                cancelled += sum(c.is_zero() for c in ref.values())
+                dropped += any(_max_weight(c1) + _max_weight(c2) > cap
+                               for m1, c1 in a.terms.items()
+                               for m2, c2 in b.terms.items()
+                               if window.contains(m1 * m2))
+    assert cancelled >= 27 and dropped >= 12
+
+
+def test_mul_raw_rejects_mismatched_configurations():
+    rng = random.Random(31)
+    for k1 in KINDS:
+        for k2 in KINDS:
+            a = _random_operand(rng, k1, 4, 2, [0, 1], 1)
+            b = _random_operand(rng, k2, 4, 3, [0, 1], 1)
+            with pytest.raises(TruncationMismatch):
+                mul_raw(a, b, a.window)
+            if "TScalar" not in (k1, k2):
+                c = _random_operand(rng, k2, 5, 2, [0, 1], 1)
+                with pytest.raises(TruncationMismatch):
+                    mul_raw(a, c, a.window)
+
+
+def test_mul_raw_charge_above_max_raises():
+    one = SymFuncP.one(4, 1)
+    a = LaurentChunk({Monomial(): FockVector.pure(2, one)}, Window.of(),
+                     FockVector.zero(4, 1))
+    b = LaurentChunk({Monomial(): FockVector.pure(1, one)}, Window.of(),
+                     FockVector.zero(4, 1))
+    assert mul_raw(a, b, Window.of()).get(Monomial()) == \
+        FockVector.pure(3, one)
+    with pytest.raises(UnsupportedCharge):
+        mul_raw(a, a, Window.of())
+    # also when every merge of the pair is above the cap: p_4 p_4 at cap 4
+    h = LaurentChunk({Monomial(): FockVector.pure(2, SymFuncP.p(4, 4, 1))},
+                     Window.of(), FockVector.zero(4, 1))
+    with pytest.raises(UnsupportedCharge):
+        mul_raw(h, h, Window.of())

@@ -356,6 +356,26 @@ def test_charged_reports_golden(line):
     assert json.dumps(_strip(r)) == line
 
 
+# ---------------------------------------------------------------------------
+# the sign-mutation witnesses on the deep-t path
+
+
+DEEP_T_GOLDEN = (DATA / "deep_t_mutation_reports.jsonl").read_text() \
+    .splitlines()
+
+
+@pytest.mark.parametrize("line", DEEP_T_GOLDEN, ids=_charged_id)
+def test_deep_t_mutation_reports_golden(line):
+    # a failing report prints exact T=24 coefficients, where a passing one
+    # pins only the count
+    p = json.loads(line)["params"]
+    r = check_braided_commutativity(*p["charges"], t_order=p["T"],
+                                    window=p["window"],
+                                    degree_cap=p["degree_cap"],
+                                    mutate_sign=True)
+    assert json.dumps(_strip(r)) == line
+
+
 def _fraction_binom(e, s, kmax):
     """(k, C(e, k) s^k) for k = 0..kmax, from Fraction steps."""
     out, c = [], Fraction(1)
