@@ -156,14 +156,6 @@ def y_apply(a: int, var: str, v: FockVector, var_range) -> LaurentChunk:
     acc: dict = {}
     slos, shis = [], []
     for m, f in v.components.items():
-        if a == 0:
-            slos.append(0)
-            shis.append(0)
-            if lo <= 0 <= hi:
-                key = Monomial()
-                w = FockVector.pure(m, f)
-                acc[key] = acc[key] + w if key in acc else w
-            continue
         gs = eminus_states(a, f)
         shift = a * m
         slos.append(shift - (len(gs) - 1))
@@ -180,23 +172,48 @@ def y_apply(a: int, var: str, v: FockVector, var_range) -> LaurentChunk:
     return LaurentChunk(acc, window, zero, support)
 
 
-def y_product(ops, v: FockVector, ranges: dict) -> LaurentChunk:
-    """Y(a_1, var_1) ... Y(a_k, var_k) v, applied right to left.
+def working_caps(ops, ranges: dict, weights: dict, cap: int) -> list:
+    """The weight up to which y_product(ops, v, ranges) keeps each state
+    exact: entry 0 for v (weights maps its charges to their top weights),
+    entry i after the i-th operator applied.  The z^p mode of Y(e^{a alpha})
+    takes weight w at charge m to w + p - a m, so after operator i a state
+    reaches w + sum_{j<=i} (hi_j - a_j m_j), and only its weights up to
+    cap + sum_{j>i} (a_j m_j - lo_j) can still land at or below the cap."""
+    steps = list(reversed(list(ops)))
+    reach = need = [0] * (len(steps) + 1)
+    for m, w in weights.items():
+        los, his = [0], [0]  # prefix sums of lo_j - a_j m_j, hi_j - a_j m_j
+        for a, var in steps:
+            lo, hi = ranges[var]
+            los.append(los[-1] + lo - a * m)
+            his.append(his[-1] + hi - a * m)
+            m += a
+        reach = [max(r, w + h) for r, h in zip(reach, his)]
+        need = [max(n, cap + lo - los[-1]) for n, lo in zip(need, los)]
+    return list(map(min, reach, need))
 
-    ops is a sequence of (charge, var) with distinct vars; ranges maps each
-    var to its exponent window.
-    """
+
+def y_product(ops, v: FockVector, ranges: dict) -> LaurentChunk:
+    """Y(a_1, var_1) ... Y(a_k, var_k) v, applied right to left, for a v
+    with no term dropped at its cap; ops holds (charge, var) with distinct
+    vars, ranges each var's exponent window.  E- lowers the p-weight, so a
+    state cut at the cap would feed wrong terms back below it: each
+    operator runs at the larger working cap (``working_caps``) of its input
+    and output, and the result is projected to v's cap."""
     cap, T = v.degree_cap, v.t_order
     zero = FockVector.zero(cap, T)
+    caps = working_caps(ops, ranges, {m: f.max_weight() for m, f
+                                      in v.components.items()}, cap)
     terms = {Monomial(): v}
     bounds = [(0, 0)] * NVARS
     wbounds = [(0, 0)] * NVARS
-    for a, var in reversed(list(ops)):
+    for i, (a, var) in enumerate(reversed(list(ops))):
         iv = VAR_INDEX[var]
+        c = max(caps[i], caps[i + 1])
         new_terms: dict = {}
         sub_support = None
         for m, w in terms.items():
-            sub = y_apply(a, var, w, ranges[var])
+            sub = y_apply(a, var, w.weight_truncate(c), ranges[var])
             sub_support = sub.support if sub_support is None else \
                 bounds_hull(sub_support, sub.support)
             for sm, sv in sub.terms.items():
@@ -205,9 +222,11 @@ def y_product(ops, v: FockVector, ranges: dict) -> LaurentChunk:
                     else sv
         terms = new_terms
         if sub_support is not None:
-            bounds[iv] = sub_support[iv]
+            # y_apply's bound above is its charge shift plus the cap it ran at
+            bounds[iv] = (sub_support[iv][0], sub_support[iv][1] + cap - c)
         wbounds[iv] = tuple(ranges[var])
-    return LaurentChunk(terms, Window(tuple(wbounds)), zero, tuple(bounds))
+    return LaurentChunk({m: w.weight_truncate(cap) for m, w in terms.items()},
+                        Window(tuple(wbounds)), zero, tuple(bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ class DegreeCapExceeded(QVertexError):
     """A symmetric-function term above the configured degree cap."""
 
 
-class DegreeCapUnderflow(QVertexError):
-    """A degree cap too small for the weight quotient to be sound."""
-
-
 class TooFewVariables(QVertexError):
     """An x-realization with fewer variables than the partition length."""
 

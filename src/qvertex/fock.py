@@ -87,10 +87,11 @@ class FockVector:
                           self.degree_cap, t_order)
 
     def weight_truncate(self, degree_cap: int) -> "FockVector":
-        """Project onto the coarser quotient by dropping heavier partitions.
-
-        Only meaningful for degree_cap <= self.degree_cap; a vector computed
-        at a larger cap projects onto the exact image at the smaller one."""
+        """The vector at another cap.  Lowering it projects onto the exact
+        image; raising it relabels, exact only for a vector with no dropped
+        terms."""
+        if degree_cap == self.degree_cap:
+            return self
         return FockVector({m: f.weight_truncate(degree_cap)
                            for m, f in self.components.items()},
                           degree_cap, self.t_order)

@@ -280,10 +280,9 @@ class LaurentChunk:
         return LaurentChunk({m: c * x for m, x in self.terms.items()},
                             self.window, self.zero, self.support)
 
-    def map_coefficients(self, fn, zero=None) -> "LaurentChunk":
-        z = self.zero if zero is None else zero
+    def map_coefficients(self, fn) -> "LaurentChunk":
         return LaurentChunk({m: fn(c) for m, c in self.terms.items()},
-                            self.window, z, self.support)
+                            self.window, self.zero, self.support)
 
     def shift(self, m: Monomial) -> "LaurentChunk":
         return LaurentChunk({mm * m: c for mm, c in self.terms.items()},

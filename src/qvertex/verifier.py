@@ -20,8 +20,7 @@ from math import lcm
 
 from .engine import (evaluate, jing_Q, s_gamma, s_tau, x2_closed_form,
                      x120_closed_form, y_apply, y_product)
-from .errors import (DegreeCapUnderflow, EmptyComparison, TruncationMismatch,
-                     WindowUnderflow)
+from .errors import EmptyComparison, TruncationMismatch, WindowUnderflow
 from .fock import FockVector, apply_D, exp_D, exp_D_chunk
 from .laurent import (LaurentChunk, Monomial, VAR_INDEX, Window,
                       binom_expansion_terms, laurent_mul, lform, region,
@@ -276,19 +275,9 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
     sc = _scalar_chunk(s_tau(1, 1, "z2", "z1"), REG21, ("z1", "z2"),
                        (0, 0), T)
     wide = _widened(target, sc, ("z1", "z2"))
-    # the weight quotient is not stable under the annihilation half of the
-    # swapped product: a state just above the cap contracts back below it,
-    # and the scalar's negative powers carry that boundary into the window
-    # once T reaches cap - W.  Build the product past weight W + T, where
-    # the leakage costs more than t^T, then project back down.
-    cap2 = max(cap, W + T + 1)
-    op2 = y_product(((1, "z2"), (1, "z1")),
-                    FockVector.exponential(1, cap2, T),
+    op2 = y_product(((1, "z2"), (1, "z1")), ea,
                     {"z1": wide.range("z1"), "z2": wide.range("z2")})
     rhs2 = laurent_mul(sc, op2, target)
-    rhs2 = LaurentChunk({m: v.weight_truncate(cap)
-                         for m, v in rhs2.terms.items()},
-                        rhs2.window, xp2.zero, rhs2.support)
     cmp_.chunks(xp2, rhs2, target, tag="line2 ")
 
     target3 = Window.of(z2=(-W, W), z3=(0, W))
@@ -455,25 +444,20 @@ def check_classical_limit(window: int = 5,
     """At t = 0: [D, Y(e^a, z)] = d/dz Y(e^a, z), anticommutativity of the
     charge-1 operators, and Y(De^a, z)1 = d/dz Y(e^a, z)1.
 
-    Needs degree_cap >= max(2, window + 1) and raises DegreeCapUnderflow
-    below it.  The bound is measured, not proved: with the guard removed,
-    windows 0-12 at caps 0 to window + 3 passed exactly there and otherwise
-    gave a false mismatch (a DegreeCapExceeded error at cap 0).  The likely
-    cause is that the weight quotient is not sound for D and E-, which pull
-    weight down from states the cap has dropped.
+    The anticommutator runs through y_product, whose working caps keep its
+    states exact; the [D, Y] states are built where they and D of them hold
+    every term, and their comparisons are projected to degree_cap.
     """
     t0 = time.perf_counter()
     W, cap = window, degree_cap
-    if cap < max(2, W + 1):
-        raise DegreeCapUnderflow(
-            f"needs degree cap >= {max(2, W + 1)} "
-            f"(max(2, window + 1)) at window {W}, got {cap}")
     params = {"T": 0, "window": W, "degree_cap": cap}
     cmp_ = _Comparator()
     vac = FockVector.vacuum(cap, 0)
     ea = FockVector.exponential(1, cap, 0)
-    states = [("1", vac), ("e^a", ea),
-              ("p_1", FockVector.pure(0, SymFuncP.p(1, cap, 0)))]
+    top = max(cap, 2)  # D p_1 has weight 2
+    states = [("1", FockVector.vacuum(top, 0)),
+              ("e^a", FockVector.exponential(1, top, 0)),
+              ("p_1", FockVector.pure(0, SymFuncP.p(1, top, 0)))]
 
     for name, v in states:
         ych = y_apply(1, "z1", v, (-W - 1, W + 1))
@@ -487,7 +471,8 @@ def check_classical_limit(window: int = 5,
         dch = LaurentChunk(deriv, Window.of(z1=(-W - 2, W)), ych.zero)
         for k in range(-W - 1, W + 1):
             m = Monomial.var("z1", k)
-            cmp_.take(f"[D,Y]{name} {m}", comm.get(m), dch.get(m))
+            cmp_.take(f"[D,Y]{name} {m}", comm.get(m).weight_truncate(cap),
+                      dch.get(m).weight_truncate(cap))
 
     rng = {"z1": (-W - 1, W + 1), "z2": (-W - 1, W + 1)}
     A = y_product(((1, "z1"), (1, "z2")), vac, rng)

@@ -168,11 +168,13 @@ def test_rejects_negative_orders(capsys):
         assert err.startswith("error: need t-order >= 0")
 
 
-def test_verify_classical_rejects_small_cap(capsys):
+def test_verify_classical_passes_at_cap_zero(capsys):
     code, out, err = run(capsys, "verify", "classical", "--max-degree", "0")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: classical: needs degree cap >= 6")
+    assert code == 0
+    assert err == ""
+    [row] = payloads(out)
+    assert row["check_id"] == "classical" and row["passed"]
+    assert row["params"]["degree_cap"] == 0
 
 
 def test_usage_errors_exit_two(capsys):

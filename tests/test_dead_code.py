@@ -1,12 +1,14 @@
 """Dead-code guard: every public module-level function and class and every
 public method of the package is used somewhere besides its own definition,
-and the package's ``__all__`` resolves."""
+every exception class of the package is raised by it, and the package's
+``__all__`` resolves."""
 
 import ast
 import re
 from pathlib import Path
 
 import qvertex
+from qvertex import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qvertex"
@@ -67,6 +69,18 @@ def test_public_methods_are_referenced():
     unused = _unreferenced(_public_methods(),
                            r"(?<!self)\.{}\b(?!\s*=[^=])")
     assert not unused, f"public methods with no .name reference: {unused}"
+
+
+def test_every_exception_is_raised():
+    # an exception class the package never raises names an error that
+    # cannot happen
+    source = "\n".join(p.read_text() for p in sorted(SRC.glob("*.py")))
+    unraised = [name for name, cls in vars(errors).items()
+                if isinstance(cls, type)
+                and issubclass(cls, errors.QVertexError)
+                and cls is not errors.QVertexError
+                and not re.search(rf"raise {name}\b", source)]
+    assert not unraised, f"exception classes never raised: {unraised}"
 
 
 def test_all_resolves():

@@ -1,14 +1,16 @@
 """Vertex-operator engine: exponential halves, lattice operators, closed
 forms, braiding/translation scalars, and their cross-validations."""
 
+import random
+
 import pytest
 
 from qvertex.engine import (ClosedForm, eminus_states, eplus_coeff, evaluate,
                             heis_mode, jing_Q, r_factor, s_gamma, s_tau,
-                            x2_closed_form, x3_closed_form, x120_closed_form,
-                            y_apply, y_product)
+                            working_caps, x2_closed_form, x3_closed_form,
+                            x120_closed_form, y_apply, y_product)
 from qvertex.errors import UnsupportedCharge
-from qvertex.fock import FockVector, apply_D, exp_D
+from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
 from qvertex.laurent import (FactorProduct, Monomial, Window, lform, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp
@@ -292,6 +294,92 @@ def test_monotone_stabilization_in_t_and_cap():
             ca = a.component(2).coefficient(lam)
             cb = b.component(2).coefficient(lam)
             assert ca.coeffs == cb.truncate(2).coeffs
+
+
+# ---------------------------------------------------------------------------
+# the p-weight grading and the working caps of y_product
+
+
+def grade_offsets(chunk):
+    """{total exponent - partition weight} over every coefficient."""
+    return {sum(m) - lam.weight for m, v in chunk.terms.items()
+            for f in v.components.values() for lam in f.num}
+
+
+def test_p_weight_is_fixed_by_the_monomial():
+    # the z^p mode of Y(e^a) takes weight w at charge m to w + p - a m, D
+    # raises it by one and the prefactors are homogeneous, so every
+    # partition's weight is the monomial's total exponent minus a constant
+    # set by the charges
+    rng = random.Random(20261018)
+    for _ in range(8):
+        a = rng.randint(0, 2)
+        b = rng.randint(0, 3 - a)
+        c = rng.randint(0, 3 - a - b)
+        W, G, cap, t_order = (rng.randint(1, 3), rng.randint(1, 2),
+                              rng.randint(2, 6), rng.randint(0, 2))
+        win = Window.of(z1=(-W, W), z2=(-W, W))
+        x2 = evaluate(x2_closed_form(a, b), REG, win, cap, t_order)
+        assert grade_offsets(x2) == {a * b}
+        x120 = evaluate(x120_closed_form(a, b, c), REG, win, cap, t_order)
+        assert grade_offsets(x120) == {a * b + a * c + b * c}
+        shifted = x2_closed_form(a, b).substitute(
+            {"z1": ("z1", "g"), "z2": ("z2", "g")})
+        xg = evaluate(shifted, REG, Window.of(z1=(-W, W), z2=(-W, W),
+                                              g=(0, G)), cap, t_order)
+        assert grade_offsets(xg) == {a * b}
+        assert grade_offsets(exp_D_chunk(x2, "g", G)) == {a * b}
+        op = y_product(((a, "z1"), (b, "z2")),
+                       FockVector.exponential(c, cap, t_order),
+                       {"z1": (-W, W), "z2": (-W, W)})
+        assert grade_offsets(op) == {b * c + a * (b + c)}
+        assert grade_offsets(exp_D_chunk(op, "g", G)) \
+            == {b * c + a * (b + c)}
+
+
+def test_working_caps_follow_the_grading():
+    # Y(z1) Y(z2) at W = 5: on the vacuum over [-W-1, W+1], Y(z2) reaches
+    # weight W + 1 (the old classical bound max(2, W + 1)); on e^a over
+    # [-W, W] it reaches W - 1 (expansion line 1)
+    ops = ((1, "z1"), (1, "z2"))
+    assert working_caps(ops, {"z1": (-6, 6), "z2": (-6, 6)}, {0: 0},
+                        2) == [0, 6, 2]
+    assert working_caps(ops, {"z1": (-5, 5), "z2": (-5, 5)}, {1: 0},
+                        9) == [0, 4, 7]
+    # past the cap plus what the later operators can still remove, a state
+    # is not kept: here 2 + (1 - 0) after Y(z2)
+    assert working_caps(ops, {"z1": (0, 5), "z2": (0, 5)}, {0: 3},
+                        2) == [3, 3, 2]
+    assert working_caps(ops, {"z1": (4, 5), "z2": (0, 5)}, {0: 3},
+                        2) == [0, 0, 2]
+
+
+def test_y_product_cap_is_a_projection():
+    # at cap c, y_product equals the projection of its run at c + k: the
+    # working caps keep every state exact where it can still reach the cap
+    rng = random.Random(20261019)
+    for _ in range(12):
+        c, k, t_order, W = (rng.randint(1, 3), rng.randint(1, 3),
+                            rng.randint(0, 2), rng.randint(2, 4))
+        # charges up to 2 in all, so an input of charge 1 stays in range
+        ops = rng.choice((((1, "z1"), (1, "z2")), ((1, "z1"), (0, "z2")),
+                          ((0, "z1"), (1, "z2"), (1, "z3")),
+                          ((1, "z1"), (1, "z2"), (0, "z3"))))
+        # a short reach below 0 and a long one above it make the later
+        # operators' floors, not the earlier ones' reach, bind the caps
+        ranges = {v: (-rng.randint(0, 2), rng.randint(1, W))
+                  for _, v in ops}
+        q = rng.randint(0, 1)
+
+        def state(cap):
+            return FockVector.pure(q, SymFuncP.one(cap, t_order)
+                                   + SymFuncP.p(1, cap, t_order))
+
+        lo = y_product(ops, state(c), ranges)
+        hi = y_product(ops, state(c + k), ranges)
+        assert lo.window == hi.window
+        for m in set(lo.terms) | set(hi.terms):
+            assert lo.get(m) == hi.get(m).weight_truncate(c), (ops, m)
 
 
 def test_charge_bounds_on_closed_forms():

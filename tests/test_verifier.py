@@ -11,8 +11,8 @@ import pytest
 
 from qvertex import verifier
 from qvertex.engine import jing_Q
-from qvertex.errors import (DegreeCapUnderflow, EmptyComparison,
-                            TruncationMismatch, WindowUnderflow)
+from qvertex.errors import (EmptyComparison, TruncationMismatch,
+                            WindowUnderflow)
 from qvertex.fock import FockVector
 from qvertex.laurent import LaurentChunk, Monomial, Window
 from qvertex.rationals import Rat
@@ -96,6 +96,13 @@ def test_expansion_deep_t_order():
     assert r.passed
 
 
+@pytest.mark.parametrize("W,cap,T", [(6, 4, 2), (5, 3, 2), (4, 3, 2)])
+def test_expansion_passes_at_caps_below_the_window(W, cap, T):
+    # line 1 needs its intermediate state at weight W - 1, above the cap
+    r = run_check("expansion", t_order=T, window=W, degree_cap=cap)
+    assert r.passed, r.first_mismatch
+
+
 def test_jacobi_passes():
     r = check_braided_jacobi(t_order=2, window=3, degree_cap=8)
     assert r.passed
@@ -113,17 +120,12 @@ def test_classical_limit_passes():
 
 
 def test_classical_limit_cap_bound():
-    # passes exactly where degree_cap >= max(2, window + 1); below that it
-    # gave a false FAIL before the guard, so the check refuses to run
+    # y_product keeps its states exact at working caps and the check
+    # projects what it compares, so no cap is too small (below
+    # max(2, W + 1) the check used to give a false FAIL)
     for W in range(9):
         for cap in range(max(10, W + 4)):
-            if cap >= max(2, W + 1):
-                assert check_classical_limit(window=W,
-                                             degree_cap=cap).passed
-            else:
-                with pytest.raises(DegreeCapUnderflow,
-                                   match=f">= {max(2, W + 1)}"):
-                    check_classical_limit(window=W, degree_cap=cap)
+            assert check_classical_limit(window=W, degree_cap=cap).passed
 
 
 def test_hl_oracle_passes():
