@@ -32,7 +32,7 @@ from .errors import UnsupportedCharge
 from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
                       RegionOrder, VARS, VAR_INDEX, Window, _fold,
-                      bounds_add, bounds_hull, lform)
+                      bounds_add, iv_hull, lform)
 from .rationals import Rat
 from .scalars import TScalar, tp
 from .symfunc import Partition, SymFuncP
@@ -59,24 +59,22 @@ _EPLUS_CACHE: dict = {}
 def eplus_coeff(a: int, k: int, degree_cap: int, t_order: int) -> SymFuncP:
     """Coefficient of var^k in exp(a sum_n (1-t^n)/n p_n var^n).
 
-    Euler recurrence k c_k = sum_j a (1-t^j) p_j c_{k-j}; c_k is
-    homogeneous of weight k, so it vanishes in the quotient for k > cap.
+    Euler recurrence k c_k = sum_j a (1-t^j) p_j c_{k-j}.  c_k is
+    homogeneous of weight k, so it vanishes in the quotient for k > cap,
+    and one c_k, kept at cap k per (a, T), serves every cap from k up.
     """
-    key = (a, degree_cap, t_order)
-    lst = _EPLUS_CACHE.get(key)
-    if lst is None:
-        lst = [SymFuncP.one(degree_cap, t_order)]
-        _EPLUS_CACHE[key] = lst
+    if k > degree_cap:
+        return SymFuncP.zero(degree_cap, t_order)
+    lst = _EPLUS_CACHE.setdefault((a, t_order), [SymFuncP.one(0, t_order)])
     while len(lst) <= k:
         kk = len(lst)
-        acc = SymFuncP.zero(degree_cap, t_order)
+        acc = SymFuncP.zero(kk, t_order)
         if a:
             for j in range(1, kk + 1):
-                piece = lst[kk - j].mul_p(j)
-                if not piece.is_zero():
-                    acc = acc + piece * _creation_coeff(a, j, t_order)
+                piece = lst[kk - j].relabel(kk).mul_p(j)
+                acc = acc + piece * _creation_coeff(a, j, t_order)
         lst.append(acc.scale(Rat(1, kk)))
-    return lst[k]
+    return lst[k].relabel(degree_cap)
 
 
 def eminus_states(a: int, f: SymFuncP) -> list:
@@ -157,10 +155,13 @@ def y_apply(a: int, var: str, v: FockVector, var_range) -> LaurentChunk:
     slos, shis = [], []
     for m, f in v.components.items():
         gs = eminus_states(a, f)
-        shift = a * m
-        slos.append(shift - (len(gs) - 1))
+        shift, top = a * m, len(gs) - 1
+        slos.append(shift - top)
         shis.append(shift + cap)
-        for p in range(lo, hi + 1):
+        # the z^p mode takes weight w to w + p - shift, and E- lowers by at
+        # most top: it vanishes unless shift - top <= p <= shift + cap - wmin
+        wmin = min(lam.weight for lam in f.num)
+        for p in range(max(lo, shift - top), min(hi, shift + cap - wmin) + 1):
             state = _mode(a, p - shift, gs)
             if state.is_zero():
                 continue
@@ -193,40 +194,58 @@ def working_caps(ops, ranges: dict, weights: dict, cap: int) -> list:
     return list(map(min, reach, need))
 
 
+def _product_support(ops, v: FockVector) -> tuple:
+    """Per-variable bounds, None for unbounded, on the exponents of the full
+    series Y(a_1, var_1) ... Y(a_k, var_k) v, projected to v's cap.
+
+    The z^p mode of operator i takes weight w_{i-1} at charge m_i to
+    w_i = w_{i-1} + p - a_i m_i, so p = a_i m_i + w_i - w_{i-1}: w_0 is a
+    weight of v, w_k lies in [0, cap] and the weights in between in
+    [0, inf), whose sums telescope to the band of total degree.  Only the
+    first operator applied has a floor and only the last one a ceiling: a
+    later operator's E- lowers the weight without limit as its exponent
+    falls."""
+    cap = v.degree_cap
+    steps = list(reversed(list(ops)))
+    found: dict = {}
+    for m, f in v.components.items():
+        ws = ([(min(lam.weight for lam in f.num), f.max_weight())]
+              + [(0, None)] * (len(steps) - 1) + [(0, cap)])
+        for (a, var), (lo0, hi0), (lo1, hi1) in zip(steps, ws, ws[1:]):
+            iv = (None if hi0 is None else a * m + lo1 - hi0,
+                  None if hi1 is None else a * m + hi1 - lo0)
+            found[var] = iv_hull(found[var], iv) if var in found else iv
+            m += a
+    return tuple(found.get(var, (0, 0)) for var in VARS)
+
+
 def y_product(ops, v: FockVector, ranges: dict) -> LaurentChunk:
     """Y(a_1, var_1) ... Y(a_k, var_k) v, applied right to left, for a v
     with no term dropped at its cap; ops holds (charge, var) with distinct
     vars, ranges each var's exponent window.  E- lowers the p-weight, so a
     state cut at the cap would feed wrong terms back below it: each
     operator runs at the larger working cap (``working_caps``) of its input
-    and output, and the result is projected to v's cap."""
+    and output, and the result is projected to v's cap.  The support is
+    ``_product_support``."""
     cap, T = v.degree_cap, v.t_order
     zero = FockVector.zero(cap, T)
     caps = working_caps(ops, ranges, {m: f.max_weight() for m, f
                                       in v.components.items()}, cap)
     terms = {Monomial(): v}
-    bounds = [(0, 0)] * NVARS
     wbounds = [(0, 0)] * NVARS
     for i, (a, var) in enumerate(reversed(list(ops))):
-        iv = VAR_INDEX[var]
         c = max(caps[i], caps[i + 1])
         new_terms: dict = {}
-        sub_support = None
         for m, w in terms.items():
             sub = y_apply(a, var, w.weight_truncate(c), ranges[var])
-            sub_support = sub.support if sub_support is None else \
-                bounds_hull(sub_support, sub.support)
             for sm, sv in sub.terms.items():
                 key = m * sm
                 new_terms[key] = new_terms[key] + sv if key in new_terms \
                     else sv
         terms = new_terms
-        if sub_support is not None:
-            # y_apply's bound above is its charge shift plus the cap it ran at
-            bounds[iv] = (sub_support[iv][0], sub_support[iv][1] + cap - c)
-        wbounds[iv] = tuple(ranges[var])
+        wbounds[VAR_INDEX[var]] = tuple(ranges[var])
     return LaurentChunk({m: w.weight_truncate(cap) for m, w in terms.items()},
-                        Window(tuple(wbounds)), zero, tuple(bounds))
+                        Window(tuple(wbounds)), zero, _product_support(ops, v))
 
 
 # ---------------------------------------------------------------------------

@@ -281,8 +281,18 @@ class SymFuncP(_Rows):
             {lam: row[: t_order + 1] for lam, row in self.num.items()},
             self.den, self.degree_cap, t_order)
 
+    def relabel(self, degree_cap: int) -> "SymFuncP":
+        """The same canonical rows at another cap, which the caller keeps
+        at or above every weight."""
+        f = object.__new__(SymFuncP)
+        f.num, f.den = self.num, self.den
+        f.degree_cap, f.t_order = degree_cap, self.t_order
+        return f
+
     def weight_truncate(self, degree_cap: int) -> "SymFuncP":
-        """Drop the partitions above a lower cap."""
+        """Drop the partitions above a lower cap; relabel if none is."""
+        if self.max_weight() <= degree_cap:
+            return self.relabel(degree_cap)
         return SymFuncP.from_rows(
             {lam: row for lam, row in self.num.items()
              if lam.weight <= degree_cap},

@@ -1,6 +1,9 @@
 """Command-line surface: exact printed tables, verifier dispatch, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,3 +221,49 @@ def test_verify_notices_ignored_charges(capsys):
     _, _, err = verify("hl-oracle", "--charges", "2,1")
     assert err.splitlines()[-1] == ("notice: --charges does not apply to "
                                     "hl-oracle")
+
+
+def without_elapsed(out):
+    rows = payloads(out)
+    for r in rows:
+        del r["elapsed"]
+    return [json.dumps(r) for r in rows]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_all_matches_golden_pooled_or_not(capsys, monkeypatch, cpus):
+    # one CPU runs the checks in this process, two in a pool of forked
+    # workers; the reports come back in the same order either way
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 0
+    assert err == "notice: hl-oracle runs at t-order 24\n"
+    golden = (DATA / "verify_all_default.jsonl").read_text().splitlines()
+    assert without_elapsed(out) == golden
+    code, out, _ = run(capsys, "verify", "all", "--t-order", "1",
+                       "--window", "1", "--max-degree", "2",
+                       "--format", "text")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:-1]] \
+        == sorted(CHECK_IDS)
+
+
+def test_verify_all_reports_the_first_error_in_order(capsys):
+    code, out, err = run(capsys, "verify", "all", "--charges", "3,3")
+    assert code == 2
+    assert out == ""
+    assert err == ("notice: hl-oracle runs at t-order 24\n"
+                   "notice: --charges does not apply to classical, "
+                   "expansion, hl-oracle, jacobi, vacuum\n"
+                   "error: braided-commutativity: charge 6 outside 0..3\n")
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qvertex.cli;"
+            " print(sorted({'multiprocessing', 'concurrent.futures'}"
+            " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -382,6 +382,43 @@ def test_y_product_cap_is_a_projection():
             assert lo.get(m) == hi.get(m).weight_truncate(c), (ops, m)
 
 
+def first_outside(chunk, support):
+    """A term of chunk outside support (None bounds nothing), or None."""
+    for m in chunk.terms:
+        for e, (lo, hi) in zip(m, support):
+            if (lo is not None and e < lo) or (hi is not None and e > hi):
+                return m
+    return None
+
+
+def test_y_product_support_holds_on_widened_windows():
+    # the support bounds the full series: on a window widened in every
+    # variable, every nonzero term lies inside it.  In the first case the
+    # later operator's E- lowers the weight as z1 falls, so z2 has no
+    # ceiling (z2^4 and z2^5 sit on z1 in [-8, 3]), and z1 no floor
+    ops = ((1, "z1"), (1, "z2"))
+    ea = FockVector.exponential(1, 2, 1)
+    ranges = {"z1": (-8, 3), "z2": (-3, 3)}
+    assert y_product(ops, ea, ranges).support[:2] == ((None, 4), (1, None))
+    cases = [(ops, ea, ranges)]
+    rng = random.Random(20261020)
+    for _ in range(10):
+        cap, t_order, q = rng.randint(1, 3), rng.randint(0, 2), \
+            rng.randint(0, 1)
+        ops = rng.choice((((1, "z1"), (1, "z2")), ((1, "z2"), (1, "z1")),
+                          ((0, "z1"), (1, "z2"), (1, "z3")),
+                          ((1, "z1"), (1, "z2"), (0, "z3"))))
+        v = FockVector.pure(q, SymFuncP.one(cap, t_order)
+                            + SymFuncP.p(1, cap, t_order))
+        cases.append((ops, v, {var: (-rng.randint(0, 3), rng.randint(0, 3))
+                               for _, var in ops}))
+    for ops, v, ranges in cases:
+        support = y_product(ops, v, ranges).support
+        wide = {var: (lo - 6, hi + 6) for var, (lo, hi) in ranges.items()}
+        m = first_outside(y_product(ops, v, wide), support)
+        assert m is None, (ops, ranges, support, m)
+
+
 def test_charge_bounds_on_closed_forms():
     with pytest.raises(UnsupportedCharge):
         x2_closed_form(2, 2)
