@@ -4,8 +4,11 @@ The operator content lives in the Jing gauge: the creation half of a
 charge-a vertex operator multiplies by exp(a sum_n (1-t^n)/n p_n z^n),
 the annihilation half applies exp(-a sum_n (d/dp_n) z^{-n}), and the
 lattice zero mode contributes z^{a m} on a charge-m state before the
-charge shift m -> m + a.  Composing two vertex operators produces the
-normal-ordered closed form
+charge shift m -> m + a.  Applying an operator to a chunk of states is
+therefore one Laurent product (``laurent.mul_raw``) of its E+ chunk and
+its E-.zero-mode chunk; ``y_apply``, each step of ``y_product`` and the
+Heisenberg modes all run through it.  Composing two vertex operators
+produces the normal-ordered closed form
 
     Y(e^a, z1) Y(e^b, z2) v = r(z1,z2)^{ab} E+_a(z1) E+_b(z2) ...
 
@@ -32,7 +35,7 @@ from .errors import UnsupportedCharge
 from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
                       RegionOrder, VARS, VAR_INDEX, Window, _fold,
-                      bounds_add, iv_hull, lform)
+                      bounds_add, iv_hull, lform, mul_raw)
 from .rationals import Rat
 from .scalars import TScalar, tp
 from .symfunc import Partition, SymFuncP
@@ -98,23 +101,11 @@ def eminus_states(a: int, f: SymFuncP) -> list:
     return gs
 
 
-def _mode(a: int, power: int, gs: list) -> SymFuncP:
-    """[var^power] E+_a(var) sum_w g_w var^{-w}, for gs from eminus_states."""
-    cap, T = gs[0].degree_cap, gs[0].t_order
-    out = SymFuncP.zero(cap, T)
-    for w, gw in enumerate(gs):
-        k = power + w
-        if k < 0 or gw.is_zero():
-            continue
-        c = eplus_coeff(a, k, cap, T) * gw
-        if not c.is_zero():
-            out = out + c
-    return out
-
-
 def heis_mode(power: int, f: SymFuncP, a: int = 1) -> SymFuncP:
-    """[var^power] E+_a(var) E-_a(var) f, the pure-Heisenberg field mode."""
-    return _mode(a, power, eminus_states(a, f))
+    """[var^power] E+_a(var) E-_a(var) f, the pure-Heisenberg field mode:
+    the charge-a component of Y(e^{a alpha}, var) f e^0 at var^power."""
+    ch = y_apply(a, "z1", FockVector.pure(0, f), (power, power))
+    return ch.get(Monomial.var("z1", power)).component(a)
 
 
 def jing_Q(lam: Partition, t_order: int) -> SymFuncP:
@@ -135,42 +126,53 @@ def jing_Q(lam: Partition, t_order: int) -> SymFuncP:
 # lattice vertex operators
 
 
-def y_apply(a: int, var: str, v: FockVector, var_range) -> LaurentChunk:
-    """Y(e^{a alpha}, var) v on the exponent range [lo, hi].
+def _apply(a: int, var: str, chunk: LaurentChunk, var_range,
+           cap: int) -> LaurentChunk:
+    """Y(e^{a alpha}, var) on every coefficient of a chunk free of var, at
+    the working cap, on the exponent range [lo, hi] of var.
 
-    Per charge-m component: apply E+ E-, multiply by the zero mode
-    var^{a m}, shift the charge to m + a.  a = 0 is the identity operator.
+    On charge m, Y is var^{a m} E+_a(var) E-_a(var) followed by the shift
+    m -> m + a, so the whole step is one Laurent product: the E+ chunk
+    times the chunk of var^{a m - w} g_w at charge m + a, with
+    E-_a f = sum_w g_w var^{-w} (``eminus_states``) for each charge-m
+    component f.  Every output exponent is an E+ exponent in [0, cap] plus
+    an E- exponent, so E+ up to hi minus the lowest E- exponent covers
+    every split landing in the window.
     """
     _check_charge(a)
-    for m in v.charges():
-        _check_charge(m + a)
     lo, hi = var_range
-    cap, T = v.degree_cap, v.t_order
+    T = chunk.zero.t_order
     iv = VAR_INDEX[var]
-    window = Window.of(**{var: (lo, hi)})
-    zero = FockVector.zero(cap, T)
-    if v.is_zero():
-        return LaurentChunk({}, window, zero)
-    acc: dict = {}
-    slos, shis = [], []
-    for m, f in v.components.items():
-        gs = eminus_states(a, f)
-        shift, top = a * m, len(gs) - 1
-        slos.append(shift - top)
-        shis.append(shift + cap)
-        # the z^p mode takes weight w to w + p - shift, and E- lowers by at
-        # most top: it vanishes unless shift - top <= p <= shift + cap - wmin
-        wmin = min(lam.weight for lam in f.num)
-        for p in range(max(lo, shift - top), min(hi, shift + cap - wmin) + 1):
-            state = _mode(a, p - shift, gs)
-            if state.is_zero():
-                continue
-            key = Monomial.var(var, p)
-            piece = FockVector.pure(m + a, state)
-            acc[key] = acc[key] + piece if key in acc else piece
-    support = tuple((min(slos), max(shis)) if i == iv else (0, 0)
-                    for i in range(NVARS))
-    return LaurentChunk(acc, window, zero, support)
+    em: dict = {}
+    for mono, v in chunk.terms.items():
+        for m, f in v.components.items():
+            _check_charge(m + a)
+            for w, g in enumerate(eminus_states(a, f.weight_truncate(cap))):
+                if g.is_zero():
+                    continue
+                key = mono * Monomial.var(var, a * m - w)
+                piece = FockVector.pure(m + a, g)
+                em[key] = em[key] + piece if key in em else piece
+    exps = [key[iv] for key in em] or [0]
+
+    def window(r):  # the chunk's window with var's range r
+        return Window(tuple(r if i == iv else b
+                            for i, b in enumerate(chunk.window.bounds)))
+
+    eminus = LaurentChunk(em, window((min(exps), max(exps))),
+                          FockVector.zero(cap, T))
+    eplus = _eplus_multi_chunk(a, (var,), {var: max(0, hi - min(exps))},
+                               cap, T)
+    return mul_raw(eplus, eminus, window((lo, hi)))
+
+
+def y_apply(a: int, var: str, v: FockVector, var_range) -> LaurentChunk:
+    """Y(e^{a alpha}, var) v on the exponent range [lo, hi]: one Laurent
+    product (``_apply``) of the E+ chunk and the E-.zero-mode chunk of v.
+    a = 0 is the identity operator."""
+    point = LaurentChunk({Monomial(): v}, Window.of(),
+                         FockVector.zero(v.degree_cap, v.t_order))
+    return _apply(a, var, point, var_range, v.degree_cap)
 
 
 def working_caps(ops, ranges: dict, weights: dict, cap: int) -> list:
@@ -222,30 +224,23 @@ def _product_support(ops, v: FockVector) -> tuple:
 def y_product(ops, v: FockVector, ranges: dict) -> LaurentChunk:
     """Y(a_1, var_1) ... Y(a_k, var_k) v, applied right to left, for a v
     with no term dropped at its cap; ops holds (charge, var) with distinct
-    vars, ranges each var's exponent window.  E- lowers the p-weight, so a
-    state cut at the cap would feed wrong terms back below it: each
-    operator runs at the larger working cap (``working_caps``) of its input
-    and output, and the result is projected to v's cap.  The support is
-    ``_product_support``."""
+    vars, ranges each var's exponent window.  Each operator is one Laurent
+    product (``_apply``) on the whole chunk so far.  E- lowers the
+    p-weight, so a state cut at the cap would feed wrong terms back below
+    it: each operator runs at the larger working cap (``working_caps``) of
+    its input and output, and the result is projected to v's cap.  The
+    support is ``_product_support``."""
     cap, T = v.degree_cap, v.t_order
     zero = FockVector.zero(cap, T)
     caps = working_caps(ops, ranges, {m: f.max_weight() for m, f
                                       in v.components.items()}, cap)
-    terms = {Monomial(): v}
-    wbounds = [(0, 0)] * NVARS
+    chunk = LaurentChunk({Monomial(): v}, Window.of(), zero)
     for i, (a, var) in enumerate(reversed(list(ops))):
-        c = max(caps[i], caps[i + 1])
-        new_terms: dict = {}
-        for m, w in terms.items():
-            sub = y_apply(a, var, w.weight_truncate(c), ranges[var])
-            for sm, sv in sub.terms.items():
-                key = m * sm
-                new_terms[key] = new_terms[key] + sv if key in new_terms \
-                    else sv
-        terms = new_terms
-        wbounds[VAR_INDEX[var]] = tuple(ranges[var])
-    return LaurentChunk({m: w.weight_truncate(cap) for m, w in terms.items()},
-                        Window(tuple(wbounds)), zero, _product_support(ops, v))
+        chunk = _apply(a, var, chunk, ranges[var],
+                       max(caps[i], caps[i + 1]))
+    return LaurentChunk({m: w.weight_truncate(cap)
+                         for m, w in chunk.terms.items()},
+                        chunk.window, zero, _product_support(ops, v))
 
 
 # ---------------------------------------------------------------------------

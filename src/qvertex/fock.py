@@ -17,7 +17,7 @@ demonstrate that the covariance checks catch it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import TruncationMismatch, UnsupportedCharge
 from .laurent import LaurentChunk, Monomial, VAR_INDEX, Window
@@ -183,13 +183,16 @@ def apply_D(v: FockVector, charge_coeff=None) -> FockVector:
     """One application of the deformed translation generator.
 
     charge_coeff is the exact t-polynomial multiplying m p_1 on charge m;
-    the default (1-t) is the Jing-gauge value.
+    the default (1-t) is the Jing-gauge value.  Both parts of D add into
+    one set of rows per charge, over den times the lcm of charge_coeff's
+    denominators.
     """
     if charge_coeff is None:
         charge_coeff = D_CHARGE_COEFF
     cap, T = v.degree_cap, v.t_order
-    ccoeff = TScalar.from_tpoly(charge_coeff, T)
-    out = FockVector.zero(cap, T)
+    k = lcm(*(Rat(c).denominator for c in charge_coeff))
+    crow = tuple(int(Rat(c) * k) for c in charge_coeff)
+    comps = {}
     for m, f in v.components.items():
         acc: dict = {}
         for lam, row in f.num.items():
@@ -198,12 +201,11 @@ def apply_D(v: FockVector, charge_coeff=None) -> FockVector:
             for part in set(lam):
                 add_row(acc, lam.replace_part(part, part + 1),
                         tp_mullow(row, _d_pn_row(part, T), T + 1),
-                        lam.mult(part))
-        piece = SymFuncP.from_rows(acc, f.den, cap, T)
-        if m:
-            piece = piece + f.mul_p(1) * ccoeff.scale(m)
-        out = out + FockVector.pure(m, piece)
-    return out
+                        k * lam.mult(part))
+            if m:
+                add_row(acc, lam.add_part(1), tp_mullow(row, crow, T + 1), m)
+        comps[m] = SymFuncP.from_rows(acc, f.den * k, cap, T)
+    return FockVector(comps, cap, T)
 
 
 def exp_D(v: FockVector, var: str, order: int,

@@ -283,10 +283,10 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
     target3 = Window.of(z2=(-W, W), z3=(0, W))
     sub = x2_closed_form(1, 1).substitute({"z1": ("z2", "z3")})
     lhs3 = evaluate(sub, REG23, target3, cap, T)
-    scg = s_gamma(1, 1, "z3", None, "z2").expand(
-        REG23, Window.of(z2=(-(W + cap + T + 4), 2), z3=(0, W + T + 2)), T)
     ych = y_apply(1, "z3", ea, (1, W))
     ed = exp_D_chunk(ych, "z2", cap)
+    scg = s_gamma(1, 1, "z3", None, "z2").expand(
+        REG23, _widened(target3, ed, ("z2", "z3")), T)
     rhs3 = laurent_mul(scg, ed, target3)
     cmp_.chunks(lhs3, rhs3, target3, tag="line3 ")
 

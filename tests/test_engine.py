@@ -11,10 +11,12 @@ from qvertex.engine import (ClosedForm, eminus_states, eplus_coeff, evaluate,
                             x120_closed_form, y_apply, y_product)
 from qvertex.errors import UnsupportedCharge
 from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
-from qvertex.laurent import (FactorProduct, Monomial, Window, lform, region)
+from qvertex.laurent import (FactorProduct, Monomial, VAR_INDEX, Window,
+                             lform, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp
-from qvertex.symfunc import Partition, SymFuncP, hl_q_oracle, p_to_x
+from qvertex.symfunc import (Partition, SymFuncP, hl_q_oracle, p_to_x,
+                             partitions_up_to)
 
 CAP, T = 8, 4
 REG = region("z1", "z2", "g")
@@ -176,6 +178,55 @@ def test_y_charge_overflow():
     v = FockVector.exponential(3, CAP, T)
     with pytest.raises(UnsupportedCharge):
         y_apply(1, "z1", v, (0, 2))
+
+
+def mode_by_definition(a, v, p):
+    """[var^p] Y(e^{a alpha}, var) v, mode by mode: on charge m the sum
+    over w of eplus_coeff(a, p - a m + w) g_w, at charge m + a."""
+    cap, t_order = v.degree_cap, v.t_order
+    out = FockVector.zero(cap, t_order)
+    for m, f in v.components.items():
+        for w, g in enumerate(eminus_states(a, f)):
+            k = p - a * m + w
+            if k >= 0:
+                out = out + FockVector.pure(
+                    m + a, eplus_coeff(a, k, cap, t_order) * g)
+    return out
+
+
+def test_y_apply_matches_the_mode_sum():
+    # y_apply is one Laurent product of the E+ chunk and the E- chunk; the
+    # modes summed one by one must give every coefficient, and no nonzero
+    # mode may lie outside the support it claims, also on a range widened
+    # by 6 on both sides
+    rng = random.Random(20261021)
+    for _ in range(24):
+        a, cap, t_order = rng.randint(0, 2), rng.randint(1, 4), \
+            rng.randint(0, 3)
+        comps = {}
+        for m in rng.sample(range(min(2, 3 - a) + 1), rng.randint(1, 2)):
+            lams = [lam for lam in partitions_up_to(cap)
+                    if rng.random() < 0.5] or [Partition((1,))]
+            comps[m] = SymFuncP({lam: TScalar.from_tpoly(tp(*(
+                Rat(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(t_order + 1))), t_order) for lam in lams},
+                cap, t_order)
+        v = FockVector(comps, cap, t_order)
+        var = rng.choice(("z1", "z2", "z3"))
+        lo, hi = -rng.randint(0, 4), rng.randint(0, 6)
+        ch = y_apply(a, var, v, (lo, hi))
+        assert ch.window == Window.of(**{var: (lo, hi)})
+        iv = VAR_INDEX[var]
+        slo, shi = ch.support[iv]
+        assert all(s == (0, 0) for i, s in enumerate(ch.support) if i != iv)
+        wide = y_apply(a, var, v, (lo - 6, hi + 6))
+        for p in range(lo - 6, hi + 7):
+            expect = mode_by_definition(a, v, p)
+            assert wide.get(Monomial.var(var, p)) == expect, (a, var, p)
+            if lo <= p <= hi:
+                assert ch.get(Monomial.var(var, p)) == expect, (a, var, p)
+            if not expect.is_zero():
+                assert slo <= p <= shi, (a, var, p, ch.support)
 
 
 # ---------------------------------------------------------------------------

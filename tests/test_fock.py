@@ -94,6 +94,23 @@ def test_D_charge_term_is_derivation_compatible():
         assert apply_D(f * g) == apply_D(f) * g + f * apply_D(g)
 
 
+def test_D_with_a_rational_charge_coeff():
+    # the charge term's row is scaled by the lcm of the coefficient's
+    # denominators, and so are the derivation's rows it joins
+    cc = tp(Rat(1, 2), Rat(-1, 3))
+    v = FockVector.pure(2, sym({(1,): (Rat(1, 5),), (): (1, 1)}))
+    expect = sym({(2,): (Rat(1, 5), Rat(1, 5)),
+                  (1, 1): (Rat(1, 5), Rat(-2, 15)),
+                  (1,): (1, Rat(1, 3), Rat(-2, 3))})
+    assert apply_D(v, cc) == FockVector.pure(2, expect)
+    rng = random.Random(11)
+    for _ in range(30):
+        f = FockVector.pure(1, random_symfunc(rng, CAP, T).scale(Rat(1, 7)))
+        g = FockVector.pure(2, random_symfunc(rng, CAP, T))
+        assert apply_D(f * g, cc) == \
+            apply_D(f, cc) * g + f * apply_D(g, cc)
+
+
 def test_D_preserves_charge():
     v = FockVector({1: SymFuncP.p(2, CAP, T), 3: SymFuncP.one(CAP, T)},
                    CAP, T)
