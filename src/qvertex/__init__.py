@@ -11,15 +11,14 @@ points and the exception hierarchy.
 __version__ = "0.1.0"
 
 from .engine import jing_Q
-from .errors import (DegreeCapExceeded, EmptyComparison, NonExpandableFactor,
-                     OutsideWindow, QVertexError, TooFewVariables,
-                     TruncationMismatch, UnsupportedCharge, WindowUnderflow,
-                     ZeroConstantTerm)
+from .errors import (EmptyComparison, NonExpandableFactor, OutsideWindow,
+                     QVertexError, TooFewVariables, TruncationMismatch,
+                     UnsupportedCharge, WindowUnderflow, ZeroConstantTerm)
 from .verifier import CHECK_IDS, CheckReport, run_check
 
 __all__ = [
-    "CHECK_IDS", "CheckReport", "DegreeCapExceeded", "EmptyComparison",
-    "NonExpandableFactor", "OutsideWindow", "QVertexError", "TooFewVariables",
-    "TruncationMismatch", "UnsupportedCharge", "WindowUnderflow",
-    "ZeroConstantTerm", "jing_Q", "run_check",
+    "CHECK_IDS", "CheckReport", "EmptyComparison", "NonExpandableFactor",
+    "OutsideWindow", "QVertexError", "TooFewVariables", "TruncationMismatch",
+    "UnsupportedCharge", "WindowUnderflow", "ZeroConstantTerm", "jing_Q",
+    "run_check",
 ]

@@ -59,25 +59,22 @@ def _creation_coeff(a: int, j: int, t_order: int) -> TScalar:
 _EPLUS_CACHE: dict = {}
 
 
-def eplus_coeff(a: int, k: int, degree_cap: int, t_order: int) -> SymFuncP:
-    """Coefficient of var^k in exp(a sum_n (1-t^n)/n p_n var^n).
+def eplus_coeff(a: int, k: int, t_order: int) -> SymFuncP:
+    """Coefficient c_k of var^k in exp(a sum_n (1-t^n)/n p_n var^n).
 
     Euler recurrence k c_k = sum_j a (1-t^j) p_j c_{k-j}.  c_k is
-    homogeneous of weight k, so it vanishes in the quotient for k > cap,
-    and one c_k, kept at cap k per (a, T), serves every cap from k up.
+    homogeneous of weight k, so one list per (a, T) serves every cap.
     """
-    if k > degree_cap:
-        return SymFuncP.zero(degree_cap, t_order)
-    lst = _EPLUS_CACHE.setdefault((a, t_order), [SymFuncP.one(0, t_order)])
+    lst = _EPLUS_CACHE.setdefault((a, t_order), [SymFuncP.one(t_order)])
     while len(lst) <= k:
         kk = len(lst)
-        acc = SymFuncP.zero(kk, t_order)
+        acc = SymFuncP.zero(t_order)
         if a:
             for j in range(1, kk + 1):
-                piece = lst[kk - j].relabel(kk).mul_p(j)
+                piece = lst[kk - j].mul_p(j)
                 acc = acc + piece * _creation_coeff(a, j, t_order)
         lst.append(acc.scale(Rat(1, kk)))
-    return lst[k].relabel(degree_cap)
+    return lst[k]
 
 
 def eminus_states(a: int, f: SymFuncP) -> list:
@@ -90,7 +87,7 @@ def eminus_states(a: int, f: SymFuncP) -> list:
     if a == 0 or f.is_zero():
         return gs
     for w in range(1, f.max_weight() + 1):
-        acc = SymFuncP.zero(f.degree_cap, f.t_order)
+        acc = SymFuncP.zero(f.t_order)
         for j in range(1, w + 1):
             g = gs[w - j].dp(j)
             if not g.is_zero():
@@ -101,11 +98,14 @@ def eminus_states(a: int, f: SymFuncP) -> list:
     return gs
 
 
-def heis_mode(power: int, f: SymFuncP, a: int = 1) -> SymFuncP:
-    """[var^power] E+_a(var) E-_a(var) f, the pure-Heisenberg field mode:
-    the charge-a component of Y(e^{a alpha}, var) f e^0 at var^power."""
-    ch = y_apply(a, "z1", FockVector.pure(0, f), (power, power))
-    return ch.get(Monomial.var("z1", power)).component(a)
+def heis_mode(power: int, f: SymFuncP) -> SymFuncP:
+    """[var^power] E+(var) E-(var) f, the pure-Heisenberg field mode: the
+    charge-1 component of Y(e^alpha, var) f e^0 at var^power.  The mode
+    takes weight w to w + power, so the cap f.max_weight() + max(power, 0)
+    keeps f whole and drops nothing of the result."""
+    cap = f.max_weight() + max(power, 0)
+    ch = y_apply(1, "z1", FockVector.pure(0, f), (power, power), cap)
+    return ch.get(Monomial.var("z1", power)).component(1)
 
 
 def jing_Q(lam: Partition, t_order: int) -> SymFuncP:
@@ -114,10 +114,8 @@ def jing_Q(lam: Partition, t_order: int) -> SymFuncP:
     Expected to equal the Hall-Littlewood Q_lambda in power sums; the
     verifier compares against the classical oracle rather than assuming it.
     """
-    lam = Partition(lam)
-    cap = max(lam.weight, 1)
-    f = SymFuncP.one(cap, t_order)
-    for part in reversed(lam):
+    f = SymFuncP.one(t_order)
+    for part in reversed(Partition(lam)):
         f = heis_mode(part, f)
     return f
 
@@ -160,19 +158,20 @@ def _apply(a: int, var: str, chunk: LaurentChunk, var_range,
                             for i, b in enumerate(chunk.window.bounds)))
 
     eminus = LaurentChunk(em, window((min(exps), max(exps))),
-                          FockVector.zero(cap, T))
+                          FockVector.zero(T))
     eplus = _eplus_multi_chunk(a, (var,), {var: max(0, hi - min(exps))},
                                cap, T)
-    return mul_raw(eplus, eminus, window((lo, hi)))
+    return mul_raw(eplus, eminus, window((lo, hi)), cap)
 
 
-def y_apply(a: int, var: str, v: FockVector, var_range) -> LaurentChunk:
-    """Y(e^{a alpha}, var) v on the exponent range [lo, hi]: one Laurent
-    product (``_apply``) of the E+ chunk and the E-.zero-mode chunk of v.
-    a = 0 is the identity operator."""
+def y_apply(a: int, var: str, v: FockVector, var_range,
+            degree_cap: int) -> LaurentChunk:
+    """Y(e^{a alpha}, var) v on the exponent range [lo, hi] at degree_cap:
+    one Laurent product (``_apply``) of the E+ chunk and the E-.zero-mode
+    chunk of v.  a = 0 is the identity operator."""
     point = LaurentChunk({Monomial(): v}, Window.of(),
-                         FockVector.zero(v.degree_cap, v.t_order))
-    return _apply(a, var, point, var_range, v.degree_cap)
+                         FockVector.zero(v.t_order))
+    return _apply(a, var, point, var_range, degree_cap)
 
 
 def working_caps(ops, ranges: dict, weights: dict, cap: int) -> list:
@@ -196,9 +195,9 @@ def working_caps(ops, ranges: dict, weights: dict, cap: int) -> list:
     return list(map(min, reach, need))
 
 
-def _product_support(ops, v: FockVector) -> tuple:
+def _product_support(ops, v: FockVector, cap: int) -> tuple:
     """Per-variable bounds, None for unbounded, on the exponents of the full
-    series Y(a_1, var_1) ... Y(a_k, var_k) v, projected to v's cap.
+    series Y(a_1, var_1) ... Y(a_k, var_k) v, projected to the cap.
 
     The z^p mode of operator i takes weight w_{i-1} at charge m_i to
     w_i = w_{i-1} + p - a_i m_i, so p = a_i m_i + w_i - w_{i-1}: w_0 is a
@@ -207,7 +206,6 @@ def _product_support(ops, v: FockVector) -> tuple:
     first operator applied has a floor and only the last one a ceiling: a
     later operator's E- lowers the weight without limit as its exponent
     falls."""
-    cap = v.degree_cap
     steps = list(reversed(list(ops)))
     found: dict = {}
     for m, f in v.components.items():
@@ -221,17 +219,17 @@ def _product_support(ops, v: FockVector) -> tuple:
     return tuple(found.get(var, (0, 0)) for var in VARS)
 
 
-def y_product(ops, v: FockVector, ranges: dict) -> LaurentChunk:
-    """Y(a_1, var_1) ... Y(a_k, var_k) v, applied right to left, for a v
-    with no term dropped at its cap; ops holds (charge, var) with distinct
-    vars, ranges each var's exponent window.  Each operator is one Laurent
+def y_product(ops, v: FockVector, ranges: dict,
+              degree_cap: int) -> LaurentChunk:
+    """Y(a_1, var_1) ... Y(a_k, var_k) v, applied right to left and
+    projected to degree_cap; ops holds (charge, var) with distinct vars,
+    ranges each var's exponent window.  Each operator is one Laurent
     product (``_apply``) on the whole chunk so far.  E- lowers the
     p-weight, so a state cut at the cap would feed wrong terms back below
     it: each operator runs at the larger working cap (``working_caps``) of
-    its input and output, and the result is projected to v's cap.  The
-    support is ``_product_support``."""
-    cap, T = v.degree_cap, v.t_order
-    zero = FockVector.zero(cap, T)
+    its input and output.  The support is ``_product_support``."""
+    cap, T = degree_cap, v.t_order
+    zero = FockVector.zero(T)
     caps = working_caps(ops, ranges, {m: f.max_weight() for m, f
                                       in v.components.items()}, cap)
     chunk = LaurentChunk({Monomial(): v}, Window.of(), zero)
@@ -240,7 +238,7 @@ def y_product(ops, v: FockVector, ranges: dict) -> LaurentChunk:
                        max(caps[i], caps[i + 1]))
     return LaurentChunk({m: w.weight_truncate(cap)
                          for m, w in chunk.terms.items()},
-                        chunk.window, zero, _product_support(ops, v))
+                        chunk.window, zero, _product_support(ops, v, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,7 @@ def _eplus_multi_chunk(a: int, svars: tuple, his: dict, degree_cap: int,
     """
     vset = sorted(set(svars), key=VAR_INDEX.get)
     mult = [svars.count(v) for v in vset]
-    cs = [eplus_coeff(a, k, degree_cap, t_order)
+    cs = [eplus_coeff(a, k, t_order)
           for k in range(min(degree_cap, sum(his[v] for v in vset)) + 1)]
     terms = {}
     for ks in itertools.product(*(range(his[v] + 1) for v in vset)):
@@ -334,8 +332,7 @@ def _eplus_multi_chunk(a: int, svars: tuple, his: dict, degree_cap: int,
     window = Window(tuple((0, his.get(VARS[i], 0)) for i in range(NVARS)))
     support = tuple((0, degree_cap) if VARS[i] in vset else (0, 0)
                     for i in range(NVARS))
-    return LaurentChunk(terms, window, SymFuncP.zero(degree_cap, t_order),
-                        support)
+    return LaurentChunk(terms, window, SymFuncP.zero(t_order), support)
 
 
 def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
@@ -346,7 +343,7 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
     split of a window monomial across prefactor and E+ slots is covered;
     slot exponents above degree_cap die in the quotient.
     """
-    zero = FockVector.zero(degree_cap, t_order)
+    zero = FockVector.zero(t_order)
     occ = [0] * NVARS
     for a, svars in cf.slots:
         for v in set(svars):
@@ -378,13 +375,13 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
         boxes.append(tuple((0, his.get(VARS[i], 0)) for i in range(NVARS)))
 
     support = _cf_support(pref, cf, degree_cap)
-    acc = _fold(chain, boxes, window)
+    acc = _fold(chain, boxes, window, degree_cap)
     if acc is None:
         return LaurentChunk({}, window, zero, support)
 
     def lift(c):
         if isinstance(c, TScalar):
-            return SymFuncP({Partition(()): c}, degree_cap, t_order)
+            return SymFuncP({Partition(()): c}, t_order)
         return c
 
     terms = {m: FockVector.pure(cf.charge, lift(c))

@@ -34,10 +34,6 @@ class EmptyComparison(QVertexError):
     """A check compared zero monomials; the parameters are vacuous."""
 
 
-class DegreeCapExceeded(QVertexError):
-    """A symmetric-function term above the configured degree cap."""
-
-
 class TooFewVariables(QVertexError):
     """An x-realization with fewer variables than the partition length."""
 

@@ -33,47 +33,42 @@ D_CHARGE_COEFF = tp(1, -1)
 class FockVector:
     """Map from lattice charge to its symmetric-function component."""
 
-    __slots__ = ("components", "degree_cap", "t_order")
+    __slots__ = ("components", "t_order")
 
-    def __init__(self, components: dict, degree_cap: int, t_order: int):
+    def __init__(self, components: dict, t_order: int):
         clean = {}
         for m, f in components.items():
             if not isinstance(m, int) or m < 0 or m > MAX_CHARGE:
                 raise UnsupportedCharge(f"charge {m} outside 0..{MAX_CHARGE}")
-            if (f.degree_cap, f.t_order) != (degree_cap, t_order):
-                raise TruncationMismatch("component config mismatch")
+            if f.t_order != t_order:
+                raise TruncationMismatch("component t-order mismatch")
             if not f.is_zero():
                 clean[m] = f
         self.components = clean
-        self.degree_cap = degree_cap
         self.t_order = t_order
 
     @classmethod
-    def zero(cls, degree_cap: int, t_order: int) -> "FockVector":
-        return cls({}, degree_cap, t_order)
+    def zero(cls, t_order: int) -> "FockVector":
+        return cls({}, t_order)
 
     @classmethod
-    def vacuum(cls, degree_cap: int, t_order: int) -> "FockVector":
-        return cls.exponential(0, degree_cap, t_order)
+    def vacuum(cls, t_order: int) -> "FockVector":
+        return cls.exponential(0, t_order)
 
     @classmethod
-    def exponential(cls, m: int, degree_cap: int,
-                    t_order: int) -> "FockVector":
-        return cls({m: SymFuncP.one(degree_cap, t_order)},
-                   degree_cap, t_order)
+    def exponential(cls, m: int, t_order: int) -> "FockVector":
+        return cls({m: SymFuncP.one(t_order)}, t_order)
 
     @classmethod
     def pure(cls, m: int, f: SymFuncP) -> "FockVector":
-        return cls({m: f}, f.degree_cap, f.t_order)
+        return cls({m: f}, f.t_order)
 
-    def _check(self, other: "FockVector"):
-        if (self.degree_cap, self.t_order) != (other.degree_cap,
-                                               other.t_order):
-            raise TruncationMismatch("Fock config mismatch")
+    def _check(self, other):
+        if self.t_order != other.t_order:
+            raise TruncationMismatch("Fock t-order mismatch")
 
     def component(self, m: int) -> SymFuncP:
-        return self.components.get(
-            m, SymFuncP.zero(self.degree_cap, self.t_order))
+        return self.components.get(m, SymFuncP.zero(self.t_order))
 
     def charges(self):
         return sorted(self.components)
@@ -81,20 +76,22 @@ class FockVector:
     def is_zero(self) -> bool:
         return not self.components
 
+    def max_weight(self) -> int:
+        return max((f.max_weight() for f in self.components.values()),
+                   default=0)
+
     def t_truncate(self, t_order: int) -> "FockVector":
         return FockVector({m: f.t_truncate(t_order)
-                           for m, f in self.components.items()},
-                          self.degree_cap, t_order)
+                           for m, f in self.components.items()}, t_order)
 
     def weight_truncate(self, degree_cap: int) -> "FockVector":
-        """The vector at another cap.  Lowering it projects onto the exact
-        image; raising it relabels, exact only for a vector with no dropped
-        terms."""
-        if degree_cap == self.degree_cap:
+        """The projection that drops the terms above degree_cap; self when
+        none is."""
+        if self.max_weight() <= degree_cap:
             return self
         return FockVector({m: f.weight_truncate(degree_cap)
                            for m, f in self.components.items()},
-                          degree_cap, self.t_order)
+                          self.t_order)
 
     def __add__(self, other):
         if not isinstance(other, FockVector):
@@ -103,14 +100,14 @@ class FockVector:
         comps = dict(self.components)
         for m, f in other.components.items():
             comps[m] = comps[m] + f if m in comps else f
-        return FockVector(comps, self.degree_cap, self.t_order)
+        return FockVector(comps, self.t_order)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return FockVector({m: -f for m, f in self.components.items()},
-                          self.degree_cap, self.t_order)
+                          self.t_order)
 
     def __mul__(self, other):
         if isinstance(other, FockVector):
@@ -121,7 +118,7 @@ class FockVector:
                     f = f1 * f2
                     m = m1 + m2
                     comps[m] = comps[m] + f if m in comps else f
-            return FockVector(comps, self.degree_cap, self.t_order)
+            return FockVector(comps, self.t_order)
         if isinstance(other, (TScalar, SymFuncP, int, Rat)):
             return self.scale(other)
         return NotImplemented
@@ -130,13 +127,11 @@ class FockVector:
 
     def scale(self, c) -> "FockVector":
         """Times a SymFuncP, a TScalar, an int or a rational; a SymFuncP or
-        TScalar at another configuration raises, the zero vector included."""
-        if isinstance(c, SymFuncP):
+        TScalar at another t-order raises, the zero vector included."""
+        if isinstance(c, (SymFuncP, TScalar)):
             self._check(c)
-        elif isinstance(c, TScalar) and c.t_order != self.t_order:
-            raise TruncationMismatch("scalar t-order mismatch")
         return FockVector({m: f * c for m, f in self.components.items()},
-                          self.degree_cap, self.t_order)
+                          self.t_order)
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
@@ -152,12 +147,12 @@ class FockVector:
         return tuple((q, f.num, f.den) for q, f in self.components.items())
 
     def from_charge_rows(self, num: dict, den: int) -> "FockVector":
-        """The vector with component q equal to num[q] / den, at this cap
-        and t-order; a charge above MAX_CHARGE raises, even one whose rows
-        are all zero."""
-        cap, T = self.degree_cap, self.t_order
-        return FockVector({q: SymFuncP.from_rows(rows, den, cap, T)
-                           for q, rows in num.items()}, cap, T)
+        """The vector with component q equal to num[q] / den, at this
+        t-order; a charge above MAX_CHARGE raises, even one whose rows are
+        all zero."""
+        T = self.t_order
+        return FockVector({q: SymFuncP.from_rows(rows, den, T)
+                           for q, rows in num.items()}, T)
 
     def __str__(self):
         if not self.components:
@@ -179,8 +174,10 @@ def _d_pn_row(n: int, t_order: int) -> tuple:
     return tp_mullow((1,) + (0,) * n + (-1,), geometric, t_order + 1)
 
 
-def apply_D(v: FockVector, charge_coeff=None) -> FockVector:
-    """One application of the deformed translation generator.
+def apply_D(v: FockVector, degree_cap: int,
+            charge_coeff=None) -> FockVector:
+    """One application of the deformed translation generator, dropping the
+    terms it would raise above degree_cap.
 
     charge_coeff is the exact t-polynomial multiplying m p_1 on charge m;
     the default (1-t) is the Jing-gauge value.  Both parts of D add into
@@ -189,14 +186,14 @@ def apply_D(v: FockVector, charge_coeff=None) -> FockVector:
     """
     if charge_coeff is None:
         charge_coeff = D_CHARGE_COEFF
-    cap, T = v.degree_cap, v.t_order
+    T = v.t_order
     k = lcm(*(Rat(c).denominator for c in charge_coeff))
     crow = tuple(int(Rat(c) * k) for c in charge_coeff)
     comps = {}
     for m, f in v.components.items():
         acc: dict = {}
         for lam, row in f.num.items():
-            if lam.weight + 1 > cap:
+            if lam.weight + 1 > degree_cap:
                 continue
             for part in set(lam):
                 add_row(acc, lam.replace_part(part, part + 1),
@@ -204,26 +201,29 @@ def apply_D(v: FockVector, charge_coeff=None) -> FockVector:
                         k * lam.mult(part))
             if m:
                 add_row(acc, lam.add_part(1), tp_mullow(row, crow, T + 1), m)
-        comps[m] = SymFuncP.from_rows(acc, f.den * k, cap, T)
-    return FockVector(comps, cap, T)
+        comps[m] = SymFuncP.from_rows(acc, f.den * k, T)
+    return FockVector(comps, T)
 
 
-def exp_D(v: FockVector, var: str, order: int,
+def exp_D(v: FockVector, var: str, order: int, degree_cap: int,
           charge_coeff=None) -> LaurentChunk:
-    """exp(var * D) v as a chunk with FockVector coefficients on [0, order]."""
+    """exp(var * D) v as a chunk with FockVector coefficients on [0, order],
+    projected to degree_cap."""
     point = LaurentChunk({Monomial(): v}, Window.of(),
-                         FockVector.zero(v.degree_cap, v.t_order))
-    return exp_D_chunk(point, var, order, charge_coeff)
+                         FockVector.zero(v.t_order))
+    return exp_D_chunk(point, var, order, degree_cap, charge_coeff)
 
 
-def exp_D_chunk(chunk: LaurentChunk, var: str, order: int,
+def exp_D_chunk(chunk: LaurentChunk, var: str, order: int, degree_cap: int,
                 charge_coeff=None) -> LaurentChunk:
     """Apply exp(var * D) to a chunk of FockVector coefficients that may
-    already carry powers of var (with window starting at 0).
+    already carry powers of var (with window starting at 0), projected to
+    degree_cap.
 
-    D raises the weight by one and every stored weight lies in
-    [0, degree_cap], so D^k kills each coefficient once k > degree_cap:
-    the support in var ends degree_cap above the chunk's own.
+    D raises the weight by exactly one, so projecting each coefficient
+    and then each step (``apply_D``) projects the whole sum, and D^k kills
+    every projected coefficient once k > degree_cap: the support in var
+    ends degree_cap above the chunk's own.
     """
     iv = VAR_INDEX[var]
     lo, hi = chunk.window.bounds[iv]
@@ -233,17 +233,17 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int,
     terms: dict = {}
     for m, w in chunk.terms.items():
         base = m[iv]
-        cur = w
+        cur = w.weight_truncate(degree_cap)
         for k in range(0, order - base + 1):
             if k:
-                cur = apply_D(cur, charge_coeff)
+                cur = apply_D(cur, degree_cap, charge_coeff)
             piece = cur.scale(Rat(1, factorial(k))) if k else cur
             key = m * Monomial.var(var, k)
             terms[key] = terms[key] + piece if key in terms else piece
     window = Window(tuple((0, order) if i == iv else b
                           for i, b in enumerate(chunk.window.bounds)))
     s_hi = chunk.support[iv][1]
-    reach = (0, None if s_hi is None else s_hi + chunk.zero.degree_cap)
+    reach = (0, None if s_hi is None else s_hi + degree_cap)
     support = tuple(reach if i == iv else s
                     for i, s in enumerate(chunk.support))
     return LaurentChunk(terms, window, chunk.zero, support)

@@ -297,8 +297,9 @@ class LaurentChunk:
 
 
 def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
-            support=None) -> LaurentChunk:
-    """Product restricted to a window, with no soundness guard.
+            degree_cap=None) -> LaurentChunk:
+    """Product restricted to a window, with no soundness guard, projected
+    to degree_cap (None keeps every weight).
 
     Only for callers that have proved separately that every support split
     landing in the window is covered by the operand windows.
@@ -308,16 +309,16 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
     partition, a block per charge over its own denominator
     (``charge_rows``), and the in-window term pairs are bucketed by output
     monomial.  Each output is then accumulated over D = lcm(d1*d2) of its
-    own block pairs: charges add, partitions merge (a merge above the
-    degree cap is dropped before any arithmetic) and each product row is
+    own block pairs: charges add, partitions merge (a merge above
+    degree_cap is dropped before any arithmetic) and each product row is
     multiplied, truncated at T+1, straight into a list of T+1 ints.  The
     output is canonicalized once and rebuilt (``from_charge_rows``) before
-    the next one starts.  The kind and configuration of the product come
-    from the product of the operand zeros, which raises
-    TruncationMismatch on a t-order or cap mismatch.
+    the next one starts.  The kind and t-order of the product come from
+    the product of the operand zeros, which raises TruncationMismatch on a
+    t-order mismatch.
     """
     zero = a.zero * b.zero
-    n, cap = zero.t_order + 1, zero.degree_cap
+    n = zero.t_order + 1
     # the partitions of each operand as small ints, in each block a tuple
     # parallel to its rows
     parts = ({}, {})
@@ -329,6 +330,8 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
                       for m, c in ch.terms.items()})
     lams1, lams2 = list(parts[0]), list(parts[1])
     w1, w2 = [sum(lam) for lam in lams1], [sum(mu) for mu in lams2]
+    cap = (max(w1, default=0) + max(w2, default=0) if degree_cap is None
+           else degree_cap)
     # merged[i1][i2]: the int of the merged partition, -1 above the cap
     merged = [None] * len(lams1)
     nus: dict = {}
@@ -397,14 +400,13 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
              for q, out in acc.items()}, den)
         if not c.is_zero():
             terms[m] = c
-    if support is None:
-        support = bounds_add(a.support, b.support)
-    return LaurentChunk(terms, window, zero, support)
+    return LaurentChunk(terms, window, zero,
+                        bounds_add(a.support, b.support))
 
 
-def _fold(chunks, boxes, target: Window):
-    """chunks[0] * chunks[1] * ... on the target window, or None when the
-    product vanishes there.
+def _fold(chunks, boxes, target: Window, degree_cap=None):
+    """chunks[0] * chunks[1] * ... on the target window, projected to
+    degree_cap (``mul_raw``), or None when the product vanishes there.
 
     boxes[j] holds every exponent of chunks[j] that can land in the target.
     Each prefix product is kept on its own box minus what the remaining
@@ -423,7 +425,7 @@ def _fold(chunks, boxes, target: Window):
             if lo > hi:
                 return None
             req.append((lo, hi))
-        acc = mul_raw(acc, chunks[k], Window(tuple(req)))
+        acc = mul_raw(acc, chunks[k], Window(tuple(req)), degree_cap)
     return acc
 
 
@@ -439,7 +441,9 @@ def _deficits(w, s):
 
 def laurent_mul(a: LaurentChunk, b: LaurentChunk,
                 window: Window) -> LaurentChunk:
-    """Sound product of two chunks on the given window.
+    """Sound product of two chunks on the given window, keeping every
+    weight (``mul_raw`` with no cap): its callers multiply by scalar
+    chunks, which have weight 0.
 
     Raises WindowUnderflow when some requested exponent has a split x + y,
     with x and y in the operand supports, that leaves a stored window.

@@ -1,10 +1,11 @@
 """Exact rational number type.
 
-``Rat`` is ``fractions.Fraction``.  The hot t-series arithmetic in
-``scalars.TScalar`` and the Hall-Littlewood oracle in ``symfunc`` run on
-Python ints over a common denominator, so the remaining rational work
-(exact t-polynomials, closed-form expansion) stays on the standard
-library.
+``Rat`` is ``fractions.Fraction``.  The hot arithmetic runs on Python
+ints: integer t-rows over one common denominator (``SymFuncP``, the
+Laurent product ``laurent.mul_raw``, the Jacobi rows of the verifier)
+and the Z[t] Hall-Littlewood oracle in ``symfunc``.  The remaining
+rational work (exact t-polynomials, the closed-form expansion, reading
+and printing coefficients) stays on the standard library.
 """
 
 from fractions import Fraction as Rat

@@ -28,7 +28,7 @@ The coefficients of a Laurent chunk (``TScalar``, ``SymFuncP`` and
 one block per charge over its own denominator (``charge_rows``), and
 rebuild from {charge: {partition: row}} over one denominator
 (``from_charge_rows``).  A ``TScalar`` is the one row at charge 0 and the
-empty partition, the weight-0 coefficient (``degree_cap`` 0).
+empty partition, so every product with it keeps the p-weight.
 """
 
 from __future__ import annotations
@@ -181,7 +181,6 @@ class TScalar:
     """
 
     __slots__ = ("num", "den")
-    degree_cap = 0   # one row, at the empty partition
 
     def __init__(self, coeffs: tuple):
         den = lcm(*(c.denominator for c in coeffs))

@@ -2,10 +2,11 @@
 
 ``SymFuncP`` is the working representation of the engine: a finite linear
 combination of power-sum monomials p_lambda with truncated t-adic
-coefficients, subject to a degree cap.  The cap acts as a ring congruence:
-products whose total p-weight would exceed the cap are dropped, so all
-computations happen in the quotient by the span of high-weight terms and
-two expressions are only ever compared inside the same quotient.
+coefficients.  It carries no degree cap: a term's p-weight is the weight
+of its partition, its own arithmetic is exact, and ``weight_truncate``
+projects onto the quotient by the span of high-weight terms.  The cap is
+an argument of the operations that raise the weight (the Laurent product,
+D and the E+ rows), which drop what lies above it.
 
 ``XPoly`` is an exact polynomial in finitely many variables x_1..x_n with
 exact t-polynomial coefficients.  Both store Z[t] numerator rows over one
@@ -35,7 +36,7 @@ from functools import lru_cache
 from math import lcm
 from operator import add
 
-from .errors import (DegreeCapExceeded, TooFewVariables, TruncationMismatch)
+from .errors import TooFewVariables, TruncationMismatch
 from .rationals import Rat
 from .scalars import (TScalar, add_row, canonical_rows, tp_add,
                       tp_bracket_factorial, tp_divexact, tp_eval, tp_mul,
@@ -194,23 +195,18 @@ class _Terms(Mapping):
 
 
 class SymFuncP(_Rows):
-    """Linear combination of p_lambda with coefficients in Q[t]/(t^{T+1}),
-    in the quotient by terms of p-weight above degree_cap.
+    """Linear combination of p_lambda with coefficients in Q[t]/(t^{T+1}).
 
     ``num`` maps each partition to a row of at most T+1 numerators over
     ``den``.  The arithmetic runs on the rows and canonicalizes once per
     result; ``coefficient`` and ``terms`` build TScalars on read.
     """
 
-    __slots__ = ("degree_cap", "t_order")
+    __slots__ = ("t_order",)
 
-    def __init__(self, terms: dict, degree_cap: int, t_order: int):
-        """From {Partition: TScalar}, each at t_order and of weight at most
-        degree_cap."""
-        for lam, c in terms.items():
-            if lam.weight > degree_cap:
-                raise DegreeCapExceeded(
-                    f"term p_{lam} above cap {degree_cap}")
+    def __init__(self, terms: dict, t_order: int):
+        """From {Partition: TScalar}, each at t_order."""
+        for c in terms.values():
             if c.t_order != t_order:
                 raise TruncationMismatch(
                     f"coefficient t-order {c.t_order} != {t_order}")
@@ -218,47 +214,40 @@ class SymFuncP(_Rows):
         self.num, self.den = canonical_rows(
             {lam: tuple(x * (den // c.den) for x in c.num)
              for lam, c in terms.items()}, den)
-        self.degree_cap = degree_cap
         self.t_order = t_order
 
     # -- constructors
 
     @classmethod
-    def from_rows(cls, num: dict, den: int, degree_cap: int,
-                  t_order: int) -> "SymFuncP":
+    def from_rows(cls, num: dict, den: int, t_order: int) -> "SymFuncP":
         """From integer rows {Partition: Z[t] row} over den > 0; the caller
-        keeps every row within T+1 numerators and every weight within the
-        cap."""
+        keeps every row within T+1 numerators."""
         f = object.__new__(cls)
         f.num, f.den = canonical_rows(num, den)
-        f.degree_cap = degree_cap
         f.t_order = t_order
         return f
 
     @classmethod
-    def zero(cls, degree_cap: int, t_order: int) -> "SymFuncP":
-        return cls({}, degree_cap, t_order)
+    def zero(cls, t_order: int) -> "SymFuncP":
+        return cls({}, t_order)
 
     @classmethod
-    def one(cls, degree_cap: int, t_order: int) -> "SymFuncP":
-        return cls({Partition(): TScalar.one(t_order)}, degree_cap, t_order)
+    def one(cls, t_order: int) -> "SymFuncP":
+        return cls({Partition(): TScalar.one(t_order)}, t_order)
 
     @classmethod
-    def p(cls, n: int, degree_cap: int, t_order: int) -> "SymFuncP":
-        return cls({Partition((n,)): TScalar.one(t_order)},
-                   degree_cap, t_order)
+    def p(cls, n: int, t_order: int) -> "SymFuncP":
+        return cls({Partition((n,)): TScalar.one(t_order)}, t_order)
 
     def _rows(self, num: dict, den: int) -> "SymFuncP":
-        return SymFuncP.from_rows(num, den, self.degree_cap, self.t_order)
+        return SymFuncP.from_rows(num, den, self.t_order)
 
     # -- structure
 
     def _check(self, other: "SymFuncP"):
-        if (self.degree_cap, self.t_order) != (other.degree_cap,
-                                               other.t_order):
+        if self.t_order != other.t_order:
             raise TruncationMismatch(
-                f"cap/t-order mismatch: ({self.degree_cap},{self.t_order})"
-                f" vs ({other.degree_cap},{other.t_order})")
+                f"t-order mismatch: {self.t_order} vs {other.t_order}")
 
     @property
     def terms(self) -> "_Terms":
@@ -279,24 +268,15 @@ class SymFuncP(_Rows):
                 f"cannot extend truncation {self.t_order} to {t_order}")
         return SymFuncP.from_rows(
             {lam: row[: t_order + 1] for lam, row in self.num.items()},
-            self.den, self.degree_cap, t_order)
-
-    def relabel(self, degree_cap: int) -> "SymFuncP":
-        """The same canonical rows at another cap, which the caller keeps
-        at or above every weight."""
-        f = object.__new__(SymFuncP)
-        f.num, f.den = self.num, self.den
-        f.degree_cap, f.t_order = degree_cap, self.t_order
-        return f
+            self.den, t_order)
 
     def weight_truncate(self, degree_cap: int) -> "SymFuncP":
-        """Drop the partitions above a lower cap; relabel if none is."""
+        """The projection that drops the partitions above degree_cap; self
+        when none is."""
         if self.max_weight() <= degree_cap:
-            return self.relabel(degree_cap)
-        return SymFuncP.from_rows(
-            {lam: row for lam, row in self.num.items()
-             if lam.weight <= degree_cap},
-            self.den, degree_cap, self.t_order)
+            return self
+        return self._rows({lam: row for lam, row in self.num.items()
+                           if lam.weight <= degree_cap}, self.den)
 
     # -- ring operations
 
@@ -328,15 +308,12 @@ class SymFuncP(_Rows):
     def __mul__(self, other):
         if isinstance(other, SymFuncP):
             self._check(other)
-            cap, n = self.degree_cap, self.t_order + 1
-            rows = [(mu, mu.weight, d) for mu, d in other.num.items()]
+            n = self.t_order + 1
             acc: dict = {}
             for lam, c in self.num.items():
-                room = cap - lam.weight
-                for mu, wm, d in rows:
-                    if wm <= room:
-                        add_row(acc, Partition.merge(lam, mu),
-                                tp_mullow(c, d, n))
+                for mu, d in other.num.items():
+                    add_row(acc, Partition.merge(lam, mu),
+                            tp_mullow(c, d, n))
             return self._rows(acc, self.den * other.den)
         if isinstance(other, (TScalar, int, Rat)):
             return self.scale(other)
@@ -367,15 +344,13 @@ class SymFuncP(_Rows):
         return ((0, self.num, self.den),)
 
     def from_charge_rows(self, num: dict, den: int) -> "SymFuncP":
-        """num[0] / den at this cap and t-order."""
+        """num[0] / den at this t-order."""
         return self._rows(num.get(0, {}), den)
 
     def mul_p(self, n: int) -> "SymFuncP":
-        """Multiply by p_n; overweight results vanish in the quotient."""
-        room = self.degree_cap - n
+        """Multiply by p_n."""
         return self._rows({lam.add_part(n): row
-                           for lam, row in self.num.items()
-                           if lam.weight <= room}, self.den)
+                           for lam, row in self.num.items()}, self.den)
 
     def dp(self, n: int) -> "SymFuncP":
         """Formal derivative with respect to p_n."""

@@ -159,9 +159,9 @@ def check_vacuum(t_order: int = 3, window: int = 6, degree_cap: int = 8,
     if d_charge_coeff is not None:
         params["mutation"] = "d-charge-coeff"
     cmp_ = _Comparator()
-    ea = FockVector.exponential(1, cap, T)
-    ed1 = exp_D(ea, "z1", W, d_charge_coeff)
-    ed2 = exp_D(ea, "z2", W, d_charge_coeff)
+    ea = FockVector.exponential(1, T)
+    ed1 = exp_D(ea, "z1", W, cap, d_charge_coeff)
+    ed2 = exp_D(ea, "z2", W, cap, d_charge_coeff)
 
     line1, line2 = Window.of(z1=(0, W)), Window.of(z2=(0, W))
     left = evaluate(x2_closed_form(1, 0), REG12, line1, cap, T)
@@ -170,9 +170,9 @@ def check_vacuum(t_order: int = 3, window: int = 6, degree_cap: int = 8,
     cmp_.chunks(right, ed2, line2)
 
     both = evaluate(x2_closed_form(0, 0), REG12, Window.of(), cap, T)
-    cmp_.take("1", both.get(Monomial()), FockVector.vacuum(cap, T))
+    cmp_.take("1", both.get(Monomial()), FockVector.vacuum(T))
 
-    yv = y_apply(1, "z1", FockVector.vacuum(cap, T), (0, W))
+    yv = y_apply(1, "z1", FockVector.vacuum(T), (0, W), cap)
     cmp_.chunks(yv, ed1, line1)
 
     return cmp_.report("vacuum", params, t0)
@@ -234,7 +234,7 @@ def check_translation_covariance(a: int = 1, b: int = 1, t_order: int = 3,
                    _widened(Window.of(z1=(-W, W), z2=(-W, W)), sc,
                             ("z1", "z2")), cap, T)
     prod = laurent_mul(sc, xch, target)
-    lhs = exp_D_chunk(prod, "g", G, d_charge_coeff)
+    lhs = exp_D_chunk(prod, "g", G, cap, d_charge_coeff)
 
     shifted = form.substitute({"z1": ("z1", "g"), "z2": ("z2", "g")})
     rhs = evaluate(shifted, REG12, target, cap, T)
@@ -261,14 +261,14 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
     t0 = time.perf_counter()
     W, cap, T = window, degree_cap, t_order
     params = {"T": T, "window": W, "degree_cap": cap}
-    ea = FockVector.exponential(1, cap, T)
+    ea = FockVector.exponential(1, T)
     form = x120_closed_form(1, 1, 1)
     target = Window.of(z1=(-W, W), z2=(-W, W))
     cmp_ = _Comparator()
 
     xp1 = evaluate(form, REG12, target, cap, T)
     op1 = y_product(((1, "z1"), (1, "z2")), ea,
-                    {"z1": (-W, W), "z2": (-W, W)})
+                    {"z1": (-W, W), "z2": (-W, W)}, cap)
     cmp_.chunks(xp1, op1, target, tag="line1 ")
 
     xp2 = evaluate(form, REG21, target, cap, T)
@@ -276,15 +276,15 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
                        (0, 0), T)
     wide = _widened(target, sc, ("z1", "z2"))
     op2 = y_product(((1, "z2"), (1, "z1")), ea,
-                    {"z1": wide.range("z1"), "z2": wide.range("z2")})
+                    {"z1": wide.range("z1"), "z2": wide.range("z2")}, cap)
     rhs2 = laurent_mul(sc, op2, target)
     cmp_.chunks(xp2, rhs2, target, tag="line2 ")
 
     target3 = Window.of(z2=(-W, W), z3=(0, W))
     sub = x2_closed_form(1, 1).substitute({"z1": ("z2", "z3")})
     lhs3 = evaluate(sub, REG23, target3, cap, T)
-    ych = y_apply(1, "z3", ea, (1, W))
-    ed = exp_D_chunk(ych, "z2", cap)
+    ych = y_apply(1, "z3", ea, (1, W), cap)
+    ed = exp_D_chunk(ych, "z2", cap, cap)
     scg = s_gamma(1, 1, "z3", None, "z2").expand(
         REG23, _widened(target3, ed, ("z2", "z3")), T)
     rhs3 = laurent_mul(scg, ed, target3)
@@ -452,17 +452,19 @@ def check_classical_limit(window: int = 5,
     W, cap = window, degree_cap
     params = {"T": 0, "window": W, "degree_cap": cap}
     cmp_ = _Comparator()
-    vac = FockVector.vacuum(cap, 0)
-    ea = FockVector.exponential(1, cap, 0)
+    vac = FockVector.vacuum(0)
+    ea = FockVector.exponential(1, 0)
     top = max(cap, 2)  # D p_1 has weight 2
-    states = [("1", FockVector.vacuum(top, 0)),
-              ("e^a", FockVector.exponential(1, top, 0)),
-              ("p_1", FockVector.pure(0, SymFuncP.p(1, top, 0)))]
+    states = [("1", vac), ("e^a", ea),
+              ("p_1", FockVector.pure(0, SymFuncP.p(1, 0)))]
+
+    def D(v):
+        return apply_D(v, top)
 
     for name, v in states:
-        ych = y_apply(1, "z1", v, (-W - 1, W + 1))
-        comm = ych.map_coefficients(apply_D).add(
-            y_apply(1, "z1", apply_D(v), (-W - 1, W + 1)).scale(-1))
+        ych = y_apply(1, "z1", v, (-W - 1, W + 1), top)
+        comm = ych.map_coefficients(D).add(
+            y_apply(1, "z1", D(v), (-W - 1, W + 1), top).scale(-1))
         deriv = {}
         for m, c in ych.terms.items():
             k = m.exp("z1")
@@ -475,13 +477,13 @@ def check_classical_limit(window: int = 5,
                       dch.get(m).weight_truncate(cap))
 
     rng = {"z1": (-W - 1, W + 1), "z2": (-W - 1, W + 1)}
-    A = y_product(((1, "z1"), (1, "z2")), vac, rng)
-    B = y_product(((1, "z2"), (1, "z1")), vac, rng).scale(-1)
+    A = y_product(((1, "z1"), (1, "z2")), vac, rng, cap)
+    B = y_product(((1, "z2"), (1, "z1")), vac, rng, cap).scale(-1)
     cmp_.chunks(A, B, Window.of(z1=(-W - 1, W + 1), z2=(-W - 1, W + 1)),
                 tag="anticommute ")
 
-    edD = exp_D(apply_D(ea), "z1", W)
-    ed = exp_D(ea, "z1", W + 1)
+    edD = exp_D(apply_D(ea, cap), "z1", W, cap)
+    ed = exp_D(ea, "z1", W + 1, cap)
     for k in range(W + 1):
         m = Monomial.var("z1", k)
         cmp_.take(f"translate {m}", edD.get(m),

@@ -115,9 +115,9 @@ def test_ac07_vacuum_dictionary():
     r = check_vacuum()
     assert r.passed and r.first_mismatch is None
     cap, T = 8, 4
-    ea = FockVector.exponential(1, cap, T)
-    lhs = exp_D(ea, "z1", 6)
-    rhs = y_apply(1, "z1", FockVector.vacuum(cap, T), (0, 6))
+    ea = FockVector.exponential(1, T)
+    lhs = exp_D(ea, "z1", 6, cap)
+    rhs = y_apply(1, "z1", FockVector.vacuum(T), (0, 6), cap)
     for k in range(7):
         m = Monomial.var("z1", k)
         assert lhs.get(m) == rhs.get(m)

@@ -230,17 +230,28 @@ def without_elapsed(out):
     return [json.dumps(r) for r in rows]
 
 
+# the CLI defaults, and the low caps where the working caps and the
+# projections differ from the CLI cap
+VERIFY_ALL_GOLDENS = (
+    ("verify_all_default.jsonl", ()),
+    ("verify_all_max_degree_0.jsonl", ("--max-degree", "0")),
+    ("verify_all_max_degree_1_window_1.jsonl",
+     ("--max-degree", "1", "--window", "1")),
+)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_verify_all_matches_golden_pooled_or_not(capsys, monkeypatch, cpus):
     # one CPU runs the checks in this process, two in a pool of forked
     # workers; the reports come back in the same order either way
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
-    code, out, err = run(capsys, "verify", "all")
-    assert code == 0
-    assert err == "notice: hl-oracle runs at t-order 24\n"
-    golden = (DATA / "verify_all_default.jsonl").read_text().splitlines()
-    assert without_elapsed(out) == golden
+    for name, flags in VERIFY_ALL_GOLDENS:
+        code, out, err = run(capsys, "verify", "all", *flags)
+        assert code == 0
+        assert err == "notice: hl-oracle runs at t-order 24\n"
+        golden = (DATA / name).read_text().splitlines()
+        assert without_elapsed(out) == golden, name
     code, out, _ = run(capsys, "verify", "all", "--t-order", "1",
                        "--window", "1", "--max-degree", "2",
                        "--format", "text")

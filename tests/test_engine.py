@@ -11,8 +11,8 @@ from qvertex.engine import (ClosedForm, eminus_states, eplus_coeff, evaluate,
                             x120_closed_form, y_apply, y_product)
 from qvertex.errors import UnsupportedCharge
 from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
-from qvertex.laurent import (FactorProduct, Monomial, VAR_INDEX, Window,
-                             lform, region)
+from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial,
+                             VAR_INDEX, Window, lform, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp
 from qvertex.symfunc import (Partition, SymFuncP, hl_q_oracle, p_to_x,
@@ -27,9 +27,9 @@ def ts(*coeffs):
     return TScalar.from_tpoly(tp(*coeffs), T)
 
 
-def sym(terms, cap=CAP, t_order=T):
+def sym(terms, t_order=T):
     return SymFuncP({Partition(l): TScalar.from_tpoly(tp(*c), t_order)
-                     for l, c in terms.items()}, cap, t_order)
+                     for l, c in terms.items()}, t_order)
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +37,9 @@ def sym(terms, cap=CAP, t_order=T):
 
 
 def test_eplus_first_coefficients():
-    c1 = eplus_coeff(1, 1, CAP, T)
+    c1 = eplus_coeff(1, 1, T)
     assert c1 == sym({(1,): (1, -1)})
-    c2 = eplus_coeff(1, 2, CAP, T)
+    c2 = eplus_coeff(1, 2, T)
     half = Rat(1, 2)
     expect = sym({(1, 1): (1, -2, 1)}).scale(half) + \
         sym({(2,): (1, 0, -1)}).scale(half)
@@ -48,14 +48,14 @@ def test_eplus_first_coefficients():
 
 def test_eplus_coefficients_are_one_row_Q():
     for k in range(1, 7):
-        ck = eplus_coeff(1, k, 8, 8)
+        ck = eplus_coeff(1, k, 8)
         assert p_to_x(ck, k) == hl_q_oracle(Partition((k,)), k).t_truncate(8)
 
 
 def test_eplus_charge_zero_is_identity():
-    assert eplus_coeff(0, 0, CAP, T) == SymFuncP.one(CAP, T)
+    assert eplus_coeff(0, 0, T) == SymFuncP.one(T)
     for k in range(1, 4):
-        assert eplus_coeff(0, k, CAP, T).is_zero()
+        assert eplus_coeff(0, k, T).is_zero()
 
 
 def _eplus_slot(a, svars, window, cap, t_order):
@@ -68,7 +68,7 @@ def test_eplus_two_variables_by_hand():
     # E+_1(z1 + z2) at t = 0, cap 2: the x^2 coefficient (p_1^2 + p_2)/2
     # spreads as z1^2 + 2 z1 z2 + z2^2
     ch = _eplus_slot(1, ("z1", "z2"), Window.of(z1=(0, 2), z2=(0, 2)), 2, 0)
-    p11_p2 = sym({(1, 1): (1,), (2,): (1,)}, cap=2, t_order=0)
+    p11_p2 = sym({(1, 1): (1,), (2,): (1,)}, t_order=0)
     assert ch.get(Monomial(z1=1, z2=1)) == FockVector.pure(1, p11_p2)
     half = FockVector.pure(1, p11_p2.scale(Rat(1, 2)))
     assert ch.get(Monomial(z1=2)) == half
@@ -83,21 +83,22 @@ def test_eplus_repeated_variable():
         ch = _eplus_slot(a, ("z1", "z1"), Window.of(z1=(0, cap + 2)), cap,
                          t_order)
         for k in range(cap + 3):
-            expect = eplus_coeff(a, k, cap, t_order).scale(Rat(2) ** k)
+            expect = eplus_coeff(a, k, t_order).scale(Rat(2) ** k) \
+                .weight_truncate(cap)
             assert ch.get(Monomial(z1=k)) == FockVector.pure(a, expect)
 
 
 def test_eminus_on_vacuum():
-    gs = eminus_states(1, SymFuncP.one(CAP, T))
-    assert gs == [SymFuncP.one(CAP, T)]
+    gs = eminus_states(1, SymFuncP.one(T))
+    assert gs == [SymFuncP.one(T)]
 
 
 def test_eminus_single_derivative():
-    gs = eminus_states(1, SymFuncP.p(1, CAP, T))
-    assert gs == [SymFuncP.p(1, CAP, T), -SymFuncP.one(CAP, T)]
-    gs2 = eminus_states(1, SymFuncP.p(2, CAP, T))
-    assert gs2 == [SymFuncP.p(2, CAP, T), SymFuncP.zero(CAP, T),
-                   -SymFuncP.one(CAP, T)]
+    gs = eminus_states(1, SymFuncP.p(1, T))
+    assert gs == [SymFuncP.p(1, T), -SymFuncP.one(T)]
+    gs2 = eminus_states(1, SymFuncP.p(2, T))
+    assert gs2 == [SymFuncP.p(2, T), SymFuncP.zero(T),
+                   -SymFuncP.one(T)]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,7 @@ def test_eminus_single_derivative():
 
 
 def test_jing_Q_single_row():
-    assert jing_Q(Partition((1,)), T) == sym({(1,): (1, -1)}, cap=1)
+    assert jing_Q(Partition((1,)), T) == sym({(1,): (1, -1)})
 
 
 def test_jing_Q_column():
@@ -113,7 +114,7 @@ def test_jing_Q_column():
     c = tp(*[x * Rat(1, 2) for x in (1, -1, -1, 1)])
     expect = SymFuncP(
         {Partition((1, 1)): TScalar.from_tpoly(c, T),
-         Partition((2,)): TScalar.from_tpoly(tuple(-x for x in c), T)}, 2, T)
+         Partition((2,)): TScalar.from_tpoly(tuple(-x for x in c), T)}, T)
     assert jing_Q(Partition((1, 1)), T) == expect
 
 
@@ -132,7 +133,7 @@ def test_jing_Q_vanishes_at_t_one():
 
 
 def test_heis_mode_is_homogeneous():
-    f = heis_mode(3, SymFuncP.one(3, T))
+    f = heis_mode(3, SymFuncP.one(T))
     assert all(lam.weight == 3 for lam in f.terms)
 
 
@@ -141,8 +142,8 @@ def test_heis_mode_is_homogeneous():
 
 
 def test_y_vacuum_coefficients_are_one_row_Q():
-    vac = FockVector.vacuum(6, 6)
-    ch = y_apply(1, "z1", vac, (-2, 6))
+    vac = FockVector.vacuum(6)
+    ch = y_apply(1, "z1", vac, (-2, 6), 6)
     for k in range(-2, 0):
         assert ch.get(Monomial.var("z1", k)).is_zero()
     for k in range(0, 7):
@@ -153,45 +154,44 @@ def test_y_vacuum_coefficients_are_one_row_Q():
 
 
 def test_y_charge_zero_is_identity():
-    v = FockVector.pure(1, SymFuncP.p(2, CAP, T))
-    ch = y_apply(0, "z2", v, (-3, 3))
+    v = FockVector.pure(1, SymFuncP.p(2, T))
+    ch = y_apply(0, "z2", v, (-3, 3), CAP)
     assert ch.get(Monomial()) == v
     assert len(ch.terms) == 1
 
 
 def test_y_zero_mode_shift():
     # on charge 1 the zero mode contributes var^1; at t=0 the z^0 term dies
-    ea = FockVector.exponential(1, CAP, 0)
-    ch = y_apply(1, "z1", ea, (-2, 3))
+    ea = FockVector.exponential(1, 0)
+    ch = y_apply(1, "z1", ea, (-2, 3), CAP)
     assert ch.get(Monomial()).is_zero()
-    assert ch.get(Monomial.var("z1", 1)) == FockVector.exponential(2, CAP, 0)
+    assert ch.get(Monomial.var("z1", 1)) == FockVector.exponential(2, 0)
 
 
 def test_y_charge_additivity():
-    v = FockVector.exponential(1, CAP, T)
-    ch = y_apply(1, "z1", v, (0, 4))
+    v = FockVector.exponential(1, T)
+    ch = y_apply(1, "z1", v, (0, 4), CAP)
     for st in ch.terms.values():
         assert st.charges() == [2]
 
 
 def test_y_charge_overflow():
-    v = FockVector.exponential(3, CAP, T)
+    v = FockVector.exponential(3, T)
     with pytest.raises(UnsupportedCharge):
-        y_apply(1, "z1", v, (0, 2))
+        y_apply(1, "z1", v, (0, 2), CAP)
 
 
-def mode_by_definition(a, v, p):
-    """[var^p] Y(e^{a alpha}, var) v, mode by mode: on charge m the sum
-    over w of eplus_coeff(a, p - a m + w) g_w, at charge m + a."""
-    cap, t_order = v.degree_cap, v.t_order
-    out = FockVector.zero(cap, t_order)
+def mode_by_definition(a, v, p, cap):
+    """[var^p] Y(e^{a alpha}, var) v at cap, mode by mode: on charge m the
+    sum over w of eplus_coeff(a, p - a m + w) g_w, at charge m + a."""
+    out = FockVector.zero(v.t_order)
     for m, f in v.components.items():
         for w, g in enumerate(eminus_states(a, f)):
             k = p - a * m + w
-            if k >= 0:
+            if 0 <= k <= cap:
                 out = out + FockVector.pure(
-                    m + a, eplus_coeff(a, k, cap, t_order) * g)
-    return out
+                    m + a, eplus_coeff(a, k, v.t_order) * g)
+    return out.weight_truncate(cap)
 
 
 def test_y_apply_matches_the_mode_sum():
@@ -210,23 +210,31 @@ def test_y_apply_matches_the_mode_sum():
             comps[m] = SymFuncP({lam: TScalar.from_tpoly(tp(*(
                 Rat(rng.randint(-4, 4), rng.randint(1, 3))
                 for _ in range(t_order + 1))), t_order) for lam in lams},
-                cap, t_order)
-        v = FockVector(comps, cap, t_order)
+                t_order)
+        v = FockVector(comps, t_order)
         var = rng.choice(("z1", "z2", "z3"))
         lo, hi = -rng.randint(0, 4), rng.randint(0, 6)
-        ch = y_apply(a, var, v, (lo, hi))
+        ch = y_apply(a, var, v, (lo, hi), cap)
         assert ch.window == Window.of(**{var: (lo, hi)})
         iv = VAR_INDEX[var]
         slo, shi = ch.support[iv]
         assert all(s == (0, 0) for i, s in enumerate(ch.support) if i != iv)
-        wide = y_apply(a, var, v, (lo - 6, hi + 6))
+        wide = y_apply(a, var, v, (lo - 6, hi + 6), cap)
         for p in range(lo - 6, hi + 7):
-            expect = mode_by_definition(a, v, p)
+            expect = mode_by_definition(a, v, p, cap)
             assert wide.get(Monomial.var(var, p)) == expect, (a, var, p)
             if lo <= p <= hi:
                 assert ch.get(Monomial.var(var, p)) == expect, (a, var, p)
             if not expect.is_zero():
                 assert slo <= p <= shi, (a, var, p, ch.support)
+    # heis_mode derives its cap: at a negative power on an inhomogeneous
+    # state, E- brings the top weights of f down into the mode, so they
+    # must survive; the reference runs at a cap above every weight
+    f = sym({(3, 1): (1, 2), (2, 1): (0, 1), (2,): (1,), (1,): (3, -1),
+             (): (1, 1)})
+    for p in range(-4, 3):
+        expect = mode_by_definition(1, FockVector.pure(0, f), p, 8)
+        assert heis_mode(p, f) == expect.component(1), p
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +243,19 @@ def test_y_apply_matches_the_mode_sum():
 
 def test_x2_vacuum_slot_matches_translation():
     vs = evaluate(x2_closed_form(1, 0), REG, Window.of(z1=(0, 6)), CAP, T)
-    ed = exp_D(FockVector.exponential(1, CAP, T), "z1", 6)
+    ed = exp_D(FockVector.exponential(1, T), "z1", 6, CAP)
     for k in range(7):
         m = Monomial.var("z1", k)
         assert vs.get(m) == ed.get(m)
-    assert vs.get(Monomial()) == FockVector.exponential(1, CAP, T)
+    assert vs.get(Monomial()) == FockVector.exponential(1, T)
 
 
 def test_x2_other_vacuum_slot():
     vs = evaluate(x2_closed_form(0, 1), REG,
                   Window.of(z1=(-2, 2), z2=(0, 4)), CAP, T)
-    assert vs.get(Monomial()) == FockVector.exponential(1, CAP, T)
+    assert vs.get(Monomial()) == FockVector.exponential(1, T)
     assert all(m.exp("z1") == 0 for m in vs.terms)
-    ed = exp_D(FockVector.exponential(1, CAP, T), "z2", 4)
+    ed = exp_D(FockVector.exponential(1, T), "z2", 4, CAP)
     for k in range(5):
         m = Monomial.var("z2", k)
         assert vs.get(m) == ed.get(m)
@@ -256,16 +264,16 @@ def test_x2_other_vacuum_slot():
 def test_x2_classical_leading_term():
     vs = evaluate(x2_closed_form(1, 1), REG,
                   Window.of(z1=(-3, 3), z2=(-3, 3)), CAP, 0)
-    assert vs.get(Monomial(z1=1)) == FockVector.exponential(2, CAP, 0)
+    assert vs.get(Monomial(z1=1)) == FockVector.exponential(2, 0)
 
 
 def test_x2_matches_operator_product():
     W = 4
     win = Window.of(z1=(-W, W), z2=(-W, W))
     vs = evaluate(x2_closed_form(1, 1), REG, win, CAP, 3)
-    vac = FockVector.vacuum(CAP, 3)
+    vac = FockVector.vacuum(3)
     op = y_product(((1, "z1"), (1, "z2")), vac,
-                   {"z1": (-W, W), "z2": (-W, W)})
+                   {"z1": (-W, W), "z2": (-W, W)}, CAP)
     for m in set(vs.terms) | set(op.terms):
         assert vs.get(m) == op.get(m)
     assert len(op.terms) > 20
@@ -282,9 +290,9 @@ def test_x3_matches_triple_operator_product():
     W, t_order = 3, 2
     win = Window.of(z1=(-W, W), z2=(-W, W), z3=(-W, W))
     vs = evaluate(x3_closed_form(), REG3, win, 9, t_order)
-    vac = FockVector.vacuum(9, t_order)
+    vac = FockVector.vacuum(t_order)
     rng = {v: (-W, W) for v in ("z1", "z2", "z3")}
-    op = y_product(((1, "z1"), (1, "z2"), (1, "z3")), vac, rng)
+    op = y_product(((1, "z1"), (1, "z2"), (1, "z3")), vac, rng, 9)
     for m in set(vs.terms) | set(op.terms):
         assert vs.get(m) == op.get(m)
     assert len(op.terms) > 50
@@ -315,9 +323,9 @@ def test_x120_matches_operator_product_on_exponential():
     win = Window.of(z1=(-4, 4), z2=(-4, 4))
     form = x120_closed_form(1, 1, 1)
     ch = evaluate(form, REG, win, 9, 2)
-    ea = FockVector.exponential(1, 9, 2)
+    ea = FockVector.exponential(1, 2)
     op = y_product(((1, "z1"), (1, "z2")), ea,
-                   {"z1": (-4, 4), "z2": (-4, 4)})
+                   {"z1": (-4, 4), "z2": (-4, 4)}, 9)
     for m in set(ch.terms) | set(op.terms):
         assert ch.get(m) == op.get(m)
 
@@ -379,12 +387,12 @@ def test_p_weight_is_fixed_by_the_monomial():
         xg = evaluate(shifted, REG, Window.of(z1=(-W, W), z2=(-W, W),
                                               g=(0, G)), cap, t_order)
         assert grade_offsets(xg) == {a * b}
-        assert grade_offsets(exp_D_chunk(x2, "g", G)) == {a * b}
+        assert grade_offsets(exp_D_chunk(x2, "g", G, cap)) == {a * b}
         op = y_product(((a, "z1"), (b, "z2")),
-                       FockVector.exponential(c, cap, t_order),
-                       {"z1": (-W, W), "z2": (-W, W)})
+                       FockVector.exponential(c, t_order),
+                       {"z1": (-W, W), "z2": (-W, W)}, cap)
         assert grade_offsets(op) == {b * c + a * (b + c)}
-        assert grade_offsets(exp_D_chunk(op, "g", G)) \
+        assert grade_offsets(exp_D_chunk(op, "g", G, cap)) \
             == {b * c + a * (b + c)}
 
 
@@ -405,10 +413,17 @@ def test_working_caps_follow_the_grading():
                         2) == [0, 0, 2]
 
 
-def test_y_product_cap_is_a_projection():
-    # at cap c, y_product equals the projection of its run at c + k: the
-    # working caps keep every state exact where it can still reach the cap
+@pytest.mark.parametrize("op", ("y_product", "y_apply", "apply_D",
+                                "exp_D_chunk"))
+def test_y_product_cap_is_a_projection(op):
+    # at cap c, each operation that raises the p-weight equals the
+    # projection of its run at c + k.  y_product needs its working caps,
+    # which keep every state exact where it can still reach the cap;
+    # y_apply cuts its input at the cap, so it gets a state within c and a
+    # range that reaches above it; D and exp(gD) get a state that reaches
+    # c + k
     rng = random.Random(20261019)
+    cut = 0
     for _ in range(12):
         c, k, t_order, W = (rng.randint(1, 3), rng.randint(1, 3),
                             rng.randint(0, 2), rng.randint(2, 4))
@@ -421,16 +436,35 @@ def test_y_product_cap_is_a_projection():
         ranges = {v: (-rng.randint(0, 2), rng.randint(1, W))
                   for _, v in ops}
         q = rng.randint(0, 1)
+        v = FockVector.pure(q, SymFuncP.one(t_order)
+                            + SymFuncP.p(1, t_order))
+        var = ops[-1][1]
+        deep = FockVector.pure(q, SymFuncP(
+            {lam: TScalar.from_tpoly(tp(*(rng.randint(-3, 3)
+                                          for _ in range(t_order + 1))),
+                                     t_order)
+             for lam in partitions_up_to(c + k)}, t_order))
+        chunk = LaurentChunk({Monomial(): deep, Monomial(g=1): deep},
+                             Window.of(g=(0, 1)), FockVector.zero(t_order))
 
-        def state(cap):
-            return FockVector.pure(q, SymFuncP.one(cap, t_order)
-                                   + SymFuncP.p(1, cap, t_order))
+        def run(cap):
+            if op == "y_product":
+                return y_product(ops, v, ranges, cap)
+            if op == "y_apply":
+                return y_apply(1, var, v, (ranges[var][0], W + c), cap)
+            if op == "apply_D":
+                return LaurentChunk({Monomial(): apply_D(deep, cap)},
+                                    Window.of(), FockVector.zero(t_order))
+            return exp_D_chunk(chunk, "g", W, cap)
 
-        lo = y_product(ops, state(c), ranges)
-        hi = y_product(ops, state(c + k), ranges)
+        lo, hi = run(c), run(c + k)
         assert lo.window == hi.window
+        cut += any(w != w.weight_truncate(c) for w in hi.terms.values())
         for m in set(lo.terms) | set(hi.terms):
             assert lo.get(m) == hi.get(m).weight_truncate(c), (ops, m)
+    # the higher run has terms above c in 4 of the 12 y_product cases and
+    # in every case of the other operations
+    assert cut >= (4 if op == "y_product" else 12)
 
 
 def first_outside(chunk, support):
@@ -448,10 +482,11 @@ def test_y_product_support_holds_on_widened_windows():
     # later operator's E- lowers the weight as z1 falls, so z2 has no
     # ceiling (z2^4 and z2^5 sit on z1 in [-8, 3]), and z1 no floor
     ops = ((1, "z1"), (1, "z2"))
-    ea = FockVector.exponential(1, 2, 1)
+    ea = FockVector.exponential(1, 1)
     ranges = {"z1": (-8, 3), "z2": (-3, 3)}
-    assert y_product(ops, ea, ranges).support[:2] == ((None, 4), (1, None))
-    cases = [(ops, ea, ranges)]
+    assert y_product(ops, ea, ranges, 2).support[:2] == ((None, 4),
+                                                          (1, None))
+    cases = [(ops, ea, ranges, 2)]
     rng = random.Random(20261020)
     for _ in range(10):
         cap, t_order, q = rng.randint(1, 3), rng.randint(0, 2), \
@@ -459,14 +494,14 @@ def test_y_product_support_holds_on_widened_windows():
         ops = rng.choice((((1, "z1"), (1, "z2")), ((1, "z2"), (1, "z1")),
                           ((0, "z1"), (1, "z2"), (1, "z3")),
                           ((1, "z1"), (1, "z2"), (0, "z3"))))
-        v = FockVector.pure(q, SymFuncP.one(cap, t_order)
-                            + SymFuncP.p(1, cap, t_order))
+        v = FockVector.pure(q, SymFuncP.one(t_order)
+                            + SymFuncP.p(1, t_order))
         cases.append((ops, v, {var: (-rng.randint(0, 3), rng.randint(0, 3))
-                               for _, var in ops}))
-    for ops, v, ranges in cases:
-        support = y_product(ops, v, ranges).support
+                               for _, var in ops}, cap))
+    for ops, v, ranges, cap in cases:
+        support = y_product(ops, v, ranges, cap).support
         wide = {var: (lo - 6, hi + 6) for var, (lo, hi) in ranges.items()}
-        m = first_outside(y_product(ops, v, wide), support)
+        m = first_outside(y_product(ops, v, wide, cap), support)
         assert m is None, (ops, ranges, support, m)
 
 
@@ -579,9 +614,9 @@ def test_s_gamma_second_variable_at_zero():
 def test_shift_substitute_translation():
     form = x2_closed_form(1, 0).substitute({"z1": ("z1", "g")})
     sub = evaluate(form, REG, Window.of(z1=(0, 4), g=(0, 3)), CAP, T)
-    ea = FockVector.exponential(1, CAP, T)
-    assert sub.get(Monomial(g=1)) == apply_D(ea)
-    assert sub.get(Monomial(z1=1, g=1)) == apply_D(apply_D(ea))
+    ea = FockVector.exponential(1, T)
+    assert sub.get(Monomial(g=1)) == apply_D(ea, CAP)
+    assert sub.get(Monomial(z1=1, g=1)) == apply_D(apply_D(ea, CAP), CAP)
 
 
 def test_substituted_form_shape():

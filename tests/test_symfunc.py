@@ -10,8 +10,7 @@ import pytest
 from qvertex import symfunc
 from qvertex.engine import jing_Q
 from qvertex.fock import FockVector
-from qvertex.errors import (DegreeCapExceeded, TooFewVariables,
-                            TruncationMismatch)
+from qvertex.errors import TooFewVariables, TruncationMismatch
 from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp, tp_eval, tp_mul, tp_trim
 from qvertex.symfunc import (Partition, SymFuncP, XPoly, b_lambda,
@@ -45,39 +44,43 @@ def test_dominance():
 
 
 def test_symfunc_ring():
-    cap, T = 6, 2
-    p1 = SymFuncP.p(1, cap, T)
-    p2 = SymFuncP.p(2, cap, T)
+    T = 2
+    p1 = SymFuncP.p(1, T)
+    p2 = SymFuncP.p(2, T)
     sq = p1 * p1
     assert sq.coefficient(Partition((1, 1))) == TScalar.one(T)
     assert (sq - sq).is_zero()
     assert (p1 * p2).coefficient(Partition((2, 1))) == TScalar.one(T)
-    assert p1.dp(1) == SymFuncP.one(cap, T)
+    assert p1.dp(1) == SymFuncP.one(T)
     assert sq.dp(1) == p1.scale(2)
     assert p1.mul_p(2) == p2 * p1
 
 
 def test_symfunc_cap_is_quotient():
+    # weight_truncate is the quotient map: it kills p_2 p_2 at cap 3 and
+    # commutes with sums and products
     cap, T = 3, 1
-    p2 = SymFuncP.p(2, cap, T)
-    assert (p2 * p2).is_zero()
-    with pytest.raises(DegreeCapExceeded):
-        SymFuncP({Partition((4,)): TScalar.one(T)}, cap, T)
+    p1, p2 = SymFuncP.p(1, T), SymFuncP.p(2, T)
+    assert (p2 * p2).weight_truncate(cap).is_zero()
+    f, g = p1 + p2 * p1, p2 - p1 * p1 * p1
+    fc, gc = f.weight_truncate(cap), g.weight_truncate(cap)
+    assert (f + g).weight_truncate(cap) == fc + gc
+    assert (f * g).weight_truncate(cap) == (fc * gc).weight_truncate(cap)
 
 
 def test_symfunc_config_mismatch():
-    a = SymFuncP.p(1, 4, 2)
-    b = SymFuncP.p(1, 4, 3)
+    a = SymFuncP.p(1, 2)
+    b = SymFuncP.p(1, 3)
     with pytest.raises(TruncationMismatch):
         a + b
     with pytest.raises(TruncationMismatch):
-        a == SymFuncP.p(1, 5, 2)
+        a * b
 
 
 def test_p_to_x_examples():
-    cap, T = 4, 1
-    p1 = SymFuncP.p(1, cap, T)
-    p2 = SymFuncP.p(2, cap, T)
+    T = 1
+    p1 = SymFuncP.p(1, T)
+    p2 = SymFuncP.p(2, T)
     assert p_to_x(p1, 2) == XPoly(2, {(1, 0): tp(1), (0, 1): tp(1)})
     assert p_to_x(p1 * p1 - p2, 2) == XPoly(2, {(1, 1): tp(2)})
     f = p1.scale(TScalar.from_tpoly(tp(1, -1), T))
@@ -228,9 +231,9 @@ def _p_to_x_reference(f, nvars):
     return {e: row for e, row in trimmed.items() if row}
 
 
-def _random_symfunc(rng, cap, T):
+def _random_symfunc(rng, top, T):
     terms = {}
-    for lam in partitions_up_to(cap):
+    for lam in partitions_up_to(top):
         if rng.random() < 0.5:
             continue
         coeffs = []
@@ -241,21 +244,21 @@ def _random_symfunc(rng, cap, T):
                 coeffs.append(Fraction(rng.randint(-9, 9),
                                        rng.choice((1, 2, 3, 4, 6, 7, 12))))
         terms[lam] = TScalar(tuple(coeffs))
-    return SymFuncP(terms, cap, T)
+    return SymFuncP(terms, T)
 
 
 @pytest.mark.parametrize("T", [0, 1, 24])
 def test_p_to_x_matches_rational_reference(T):
     rng = random.Random(4100 + T)
-    p1, p2 = SymFuncP.p(1, 5, T), SymFuncP.p(2, 5, T)
+    p1, p2 = SymFuncP.p(1, T), SymFuncP.p(2, T)
     half = TScalar.from_rat(Rat(1, 2), T)
     cases = [
         # p_1^2 - p_2 vanishes in one variable and keeps only the mixed
         # monomial 2 x_i x_j in more
         (p1 * p1 - p2, 1), (p1 * p1 - p2, 3),
         ((p1 * p1 - p2).scale(half), 2),
-        (SymFuncP.zero(5, T), 2),
-        (SymFuncP.one(5, T).scale(TScalar.t_power(T, T)), 4),
+        (SymFuncP.zero(T), 2),
+        (SymFuncP.one(T).scale(TScalar.t_power(T, T)), 4),
     ]
     for _ in range(12):
         cases.append((_random_symfunc(rng, 5, T), rng.randint(1, 6)))
@@ -302,13 +305,12 @@ def _ref_add(a, b, sign=1):
     return _ref_clean(out)
 
 
-def _ref_mul(a, b, cap):
+def _ref_mul(a, b):
     out = {}
     for lam, c in a.items():
         for mu, d in b.items():
-            if lam.weight + mu.weight <= cap:
-                nu = Partition(sorted(lam + mu, reverse=True))
-                out[nu] = out[nu] + c * d if nu in out else c * d
+            nu = Partition(sorted(lam + mu, reverse=True))
+            out[nu] = out[nu] + c * d if nu in out else c * d
     return _ref_clean(out)
 
 
@@ -338,14 +340,14 @@ def _random_series(rng, T, dens):
     return TScalar(tuple(coeffs) + (Fraction(0),) * (T - deg))
 
 
-def _random_terms(rng, cap, T, dens):
+def _random_terms(rng, top, T, dens):
     return {lam: _random_series(rng, T, dens)
-            for lam in partitions_up_to(cap) if rng.random() < 0.5}
+            for lam in partitions_up_to(top) if rng.random() < 0.5}
 
 
-def _assert_matches(f, ref, cap, T):
-    """f is canonical, at (cap, T), and equals the reference ref."""
-    assert (f.degree_cap, f.t_order) == (cap, T)
+def _assert_matches(f, ref, T):
+    """f is canonical, at t-order T, and equals the reference ref."""
+    assert f.t_order == T
     assert f.den > 0
     for row in f.num.values():
         assert type(row) is tuple and 0 < len(row) <= T + 1 and row[-1]
@@ -354,19 +356,19 @@ def _assert_matches(f, ref, cap, T):
     assert f.terms == ref
     vals = {lam: tp_eval(c.coeffs, Rat(1, 3)) for lam, c in ref.items()}
     assert f.eval_t(Rat(1, 3)) == {lam: v for lam, v in vals.items() if v}
-    assert f == SymFuncP(ref, cap, T)
+    assert f == SymFuncP(ref, T)
     assert str(f) == _ref_str(ref)
-    for lam in partitions_up_to(cap):
+    for lam in partitions_up_to(f.max_weight() + 1):
         assert f.coefficient(lam) == ref.get(lam, TScalar.zero(T))
 
 
 @pytest.mark.parametrize("T", [0, 1, 8, 24])
 def test_symfunc_matches_tscalar_reference(T):
     rng = random.Random(5200 + T)
-    cap = 5
+    top = 5
 
     def check(f, ref):
-        _assert_matches(f, ref, cap, T)
+        _assert_matches(f, ref, T)
 
     # (1/2) p_1 + (1/3 + t^T/4) p_2 plus -(1/3 + t^T/4) p_2 cancels to one
     # row over 2, and 1 + t^T added into 1 needs the longer row
@@ -374,27 +376,27 @@ def test_symfunc_matches_tscalar_reference(T):
     tail = TScalar.t_power(T, T)
     x = {p1: TScalar.from_rat(Rat(1, 2), T),
          p2: TScalar.from_rat(Rat(1, 3), T) + tail.scale(Rat(1, 4))}
-    f = SymFuncP(x, cap, T)
-    half = f + SymFuncP({p2: -x[p2]}, cap, T)
+    f = SymFuncP(x, T)
+    half = f + SymFuncP({p2: -x[p2]}, T)
     check(half, {p1: x[p1]})
     assert half.den == 2
     check(f - f, {})
-    one = SymFuncP.p(1, cap, T)
-    check(one + SymFuncP({p1: TScalar.one(T) + tail}, cap, T),
+    one = SymFuncP.p(1, T)
+    check(one + SymFuncP({p1: TScalar.one(T) + tail}, T),
           {p1: TScalar.one(T) * 2 + tail})
 
     # a, b and s draw denominators from different sets, so sums and
     # products bring them over a common one
     for _ in range(6):
-        a = _random_terms(rng, cap, T, (1, 2, 4, 6))
-        b = _random_terms(rng, cap, T, (1, 3, 5, 9))
-        fa, fb = SymFuncP(a, cap, T), SymFuncP(b, cap, T)
+        a = _random_terms(rng, top, T, (1, 2, 4, 6))
+        b = _random_terms(rng, top, T, (1, 3, 5, 9))
+        fa, fb = SymFuncP(a, T), SymFuncP(b, T)
         a, b = _ref_clean(a), _ref_clean(b)
         check(fa, a)
         check(fa + fb, _ref_add(a, b))
         check(fa - fb, _ref_add(a, b, -1))
         check(-fa, {lam: -c for lam, c in a.items()})
-        check(fa * fb, _ref_mul(a, b, cap))
+        check(fa * fb, _ref_mul(a, b))
         k = rng.choice((-6, -1, 0, 2, 5))
         q = Rat(rng.randint(-9, 9), rng.randint(1, 12))
         s = _random_series(rng, T, (1, 7, 14))
@@ -403,19 +405,18 @@ def test_symfunc_matches_tscalar_reference(T):
         check(fa.scale(q), _ref_clean({lam: c.scale(q)
                                        for lam, c in a.items()}))
         check(fa.scale(s), _ref_clean({lam: c * s for lam, c in a.items()}))
-        for n in range(1, cap + 2):
-            check(fa.mul_p(n), {lam.add_part(n): c for lam, c in a.items()
-                                if lam.weight + n <= cap})
+        for n in range(1, top + 2):
+            check(fa.mul_p(n), {lam.add_part(n): c for lam, c in a.items()})
             check(fa.dp(n), _ref_dp(a, n))
         cut = rng.randrange(T + 1)
         _assert_matches(fa.t_truncate(cut),
                         _ref_clean({lam: c.truncate(cut)
-                                    for lam, c in a.items()}), cap, cut)
-        low = rng.randrange(cap + 1)
-        w = FockVector({0: fa, 2: fb}, cap, T).weight_truncate(low)
+                                    for lam, c in a.items()}), cut)
+        low = rng.randrange(top + 1)
+        w = FockVector({0: fa, 2: fb}, T).weight_truncate(low)
         for charge, ref in ((0, a), (2, b)):
             _assert_matches(w.component(charge),
                             {lam: c for lam, c in ref.items()
-                             if lam.weight <= low}, low, T)
+                             if lam.weight <= low}, T)
         assert (fa == fb) == (a == b)
-        assert fa == SymFuncP(a, cap, T) and not fa != SymFuncP(a, cap, T)
+        assert fa == SymFuncP(a, T) and not fa != SymFuncP(a, T)

@@ -192,7 +192,7 @@ def test_hl_oracle_detects_perturbed_coefficient(monkeypatch, lam, mu, k,
         bump = TScalar.t_power(k, t_order).scale(Rat(1, den))
         terms = dict(f.terms)
         terms[Partition(mu)] = f.coefficient(Partition(mu)) + bump
-        return SymFuncP(terms, f.degree_cap, f.t_order)
+        return SymFuncP(terms, f.t_order)
 
     monkeypatch.setattr(verifier, "jing_Q", perturbed)
     r = check_hl_against_oracle(max_weight=3, t_order=24)
@@ -284,7 +284,7 @@ def test_empty_comparison_is_an_error():
     with pytest.raises(EmptyComparison):
         c.report("nothing", {}, 0.0)
     from qvertex.fock import FockVector
-    z = FockVector.zero(4, 2)
+    z = FockVector.zero(2)
     c2 = _Comparator()
     c2.take("x", z, z)
     with pytest.raises(EmptyComparison):
@@ -429,9 +429,9 @@ def _random_chunk(rng, window, cap, T, dens):
                                             rng.choice(dens))
                                         for _ in range(T + 1)))
                      for lam in rng.sample(parts, rng.randint(1, 3))},
-                    cap, T)
-            terms[m] = FockVector(comps, cap, T)
-    return LaurentChunk(terms, window, FockVector.zero(cap, T))
+                    T)
+            terms[m] = FockVector(comps, T)
+    return LaurentChunk(terms, window, FockVector.zero(T))
 
 
 def _convolution_matches_reference(rng, W, T, cap, dens1, dens2, dens3):
@@ -474,9 +474,9 @@ def test_jacobi_convolution_with_distinct_denominators():
 def test_jacobi_probe_raises_inside_support():
     # a chunk stored on z1 <= 2 whose support reaches z1 = 5: a probe at
     # z1 = 3..5 is unknown, not zero
-    cap, T = 4, 1
-    zero = FockVector.zero(cap, T)
-    v = FockVector.exponential(1, cap, T)
+    T = 1
+    zero = FockVector.zero(T)
+    v = FockVector.exponential(1, T)
     support = ((0, 5), (0, 2), (0, 0), (0, 0))
     full = LaurentChunk(
         {Monomial(a, b): v for a in range(6) for b in range(3)},
