@@ -37,8 +37,8 @@ from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
                       RegionOrder, VARS, VAR_INDEX, Window, _fold,
                       bounds_add, iv_hull, lform, mul_raw)
 from .rationals import Rat
-from .scalars import TScalar, tp
-from .symfunc import Partition, SymFuncP
+from .scalars import tp
+from .symfunc import Partition, SymFuncP, scalar
 
 
 def _check_charge(a: int):
@@ -51,9 +51,9 @@ def _check_charge(a: int):
 
 
 @lru_cache(maxsize=None)
-def _creation_coeff(a: int, j: int, t_order: int) -> TScalar:
+def _creation_coeff(a: int, j: int, t_order: int) -> SymFuncP:
     """a (1 - t^j)."""
-    return TScalar.from_tpoly(tp(*([a] + [0] * (j - 1) + [-a])), t_order)
+    return scalar(tp(*([a] + [0] * (j - 1) + [-a])), t_order)
 
 
 _EPLUS_CACHE: dict = {}
@@ -378,13 +378,7 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
     acc = _fold(chain, boxes, window, degree_cap)
     if acc is None:
         return LaurentChunk({}, window, zero, support)
-
-    def lift(c):
-        if isinstance(c, TScalar):
-            return SymFuncP({Partition(()): c}, t_order)
-        return c
-
-    terms = {m: FockVector.pure(cf.charge, lift(c))
+    terms = {m: FockVector.pure(cf.charge, c)
              for m, c in acc.terms.items() if window.contains(m)}
     return LaurentChunk(terms, window, zero, support)
 

@@ -22,7 +22,7 @@ from math import factorial, lcm
 from .errors import TruncationMismatch, UnsupportedCharge
 from .laurent import LaurentChunk, Monomial, VAR_INDEX, Window
 from .rationals import Rat
-from .scalars import TScalar, add_row, tp, tp_mullow
+from .scalars import add_row, tp, tp_mullow
 from .symfunc import SymFuncP
 
 MAX_CHARGE = 3
@@ -119,16 +119,16 @@ class FockVector:
                     m = m1 + m2
                     comps[m] = comps[m] + f if m in comps else f
             return FockVector(comps, self.t_order)
-        if isinstance(other, (TScalar, SymFuncP, int, Rat)):
+        if isinstance(other, (SymFuncP, int, Rat)):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "FockVector":
-        """Times a SymFuncP, a TScalar, an int or a rational; a SymFuncP or
-        TScalar at another t-order raises, the zero vector included."""
-        if isinstance(c, (SymFuncP, TScalar)):
+        """Times a SymFuncP, an int or a rational; a SymFuncP at another
+        t-order raises, the zero vector included."""
+        if isinstance(c, SymFuncP):
             self._check(c)
         return FockVector({m: f * c for m, f in self.components.items()},
                           self.t_order)
@@ -151,7 +151,7 @@ class FockVector:
         t-order; a charge above MAX_CHARGE raises, even one whose rows are
         all zero."""
         T = self.t_order
-        return FockVector({q: SymFuncP.from_rows(rows, den, T)
+        return FockVector({q: SymFuncP(rows, den, T)
                            for q, rows in num.items()}, T)
 
     def __str__(self):
@@ -201,7 +201,7 @@ def apply_D(v: FockVector, degree_cap: int,
                         k * lam.mult(part))
             if m:
                 add_row(acc, lam.add_part(1), tp_mullow(row, crow, T + 1), m)
-        comps[m] = SymFuncP.from_rows(acc, f.den * k, T)
+        comps[m] = SymFuncP(acc, f.den * k, T)
     return FockVector(comps, T)
 
 

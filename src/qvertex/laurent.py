@@ -31,8 +31,8 @@ from math import factorial, lcm
 
 from .errors import (NonExpandableFactor, OutsideWindow, WindowUnderflow)
 from .rationals import RAT_ONE, RAT_ZERO, Rat
-from .scalars import TP_ONE, TScalar, tp_mul, tp_pow, tp_str, tp_trim
-from .symfunc import Partition
+from .scalars import TP_ONE, tp_mul, tp_pow, tp_str, tp_trim
+from .symfunc import Partition, SymFuncP, scalar
 
 VARS = ("z1", "z2", "z3", "g")
 NVARS = 4
@@ -230,8 +230,8 @@ def region(*names) -> RegionOrder:
 class LaurentChunk:
     """Finitely many exact coefficients of a Laurent series on a window.
 
-    ``zero`` is the zero coefficient object (TScalar, SymFuncP or
-    FockVector depending on the series); ``support`` bounds where the full
+    ``zero`` is the zero coefficient object, a SymFuncP (a scalar series
+    has weight-0 ones) or a FockVector; ``support`` bounds where the full
     series can be nonzero, with None meaning unbounded on that side.
     """
 
@@ -304,9 +304,10 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
     Only for callers that have proved separately that every support split
     landing in the window is covered by the operand windows.
 
-    One fused kernel on integer rows serves every pair of coefficient
-    kinds.  Each coefficient is read once as Z[t] rows keyed by charge and
-    partition, a block per charge over its own denominator
+    One fused kernel on integer rows serves both coefficient kinds,
+    SymFuncP (a scalar is its weight-0 part) and FockVector, in any
+    pairing.  Each coefficient is read once as Z[t] rows keyed by charge
+    and partition, a block per charge over its own denominator
     (``charge_rows``), and the in-window term pairs are bucketed by output
     monomial.  Each output is then accumulated over D = lcm(d1*d2) of its
     own block pairs: charges add, partitions merge (a merge above
@@ -729,12 +730,9 @@ class _FactorInfo:
         hi = tuple(b[1] for b in self.box)
         acc: dict = {}
         self._enum(acc, lo, hi, t_order)
-        window = Window(tuple(self.box))
-        n = t_order + 1
-        terms = {m: TScalar(tuple(cs) + (RAT_ZERO,) * (n - len(cs)))
-                 for m, cs in acc.items()}
-        return LaurentChunk(terms, window, TScalar.zero(t_order),
-                            self.support)
+        terms = {m: scalar(cs, t_order) for m, cs in acc.items()}
+        return LaurentChunk(terms, Window(tuple(self.box)),
+                            SymFuncP.zero(t_order), self.support)
 
     def _enum(self, acc, lo, hi, t_order):
         e = self.exp
@@ -780,7 +778,7 @@ class _FactorInfo:
 
 def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
             t_order: int) -> LaurentChunk:
-    zero = TScalar.zero(t_order)
+    zero = SymFuncP.zero(t_order)
     glo = window.range("g")[0]
     if glo < 0:
         raise NonExpandableFactor("g admits no negative exponents")
@@ -791,7 +789,7 @@ def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
     infos = [_FactorInfo(form, e, reg, t_order, g_cap)
              for form, e in fp.factors if e]
     m_pref = fp.monomial
-    pref_scalar = TScalar.from_tpoly(fp.coeff, t_order)
+    pref_scalar = scalar(fp.coeff, t_order)
     if pref_scalar.is_zero():
         return LaurentChunk({}, window, zero)
 
@@ -814,7 +812,7 @@ def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
         return LaurentChunk({}, window, zero, full_support)
 
     acc = acc.shift(m_pref)
-    if not pref_scalar == TScalar.one(t_order):
+    if pref_scalar != SymFuncP.one(t_order):
         acc = acc.scale(pref_scalar)
     terms = {m: c for m, c in acc.terms.items() if window.contains(m)}
     return LaurentChunk(terms, window, zero, full_support)

@@ -1,13 +1,6 @@
 """Coefficient arithmetic in the deformation parameter t.
 
-Two representations are used throughout the package:
-
-* ``TScalar`` -- a t-adic series truncated at a fixed order T, stored as
-  T+1 integer numerators over one common denominator.  All ring operations
-  are performed in the quotient Q[t]/(t^{T+1}): degrees above T are
-  discarded, so results are always exact as elements of the quotient.
-  Mixing two truncation orders is a configuration bug and raises
-  TruncationMismatch.
+Two representations live here:
 
 * ``TPoly`` -- an exact polynomial in t with no truncation, stored as a
   plain tuple of coefficients with trailing zeros trimmed.  Closed-form
@@ -16,19 +9,19 @@ Two representations are used throughout the package:
   division only when its divisor is monic), so the Hall-Littlewood oracle
   in ``symfunc`` uses them on integer t-polynomials.
 
+* ``TScalar`` -- a t-adic series in Q[t]/(t^{T+1}), stored as T+1
+  integer numerators over one common denominator; degrees above T are
+  discarded and mixing two orders raises TruncationMismatch.  The engine
+  does not use it: a scalar there is the weight-0 ``SymFuncP``
+  (``symfunc.scalar``).  The class and ``ts_invert`` stay as a reference
+  implementation for the unit-inversion property of the acceptance suite
+  and for the benchmark tracer, which wraps the class by name.
+
 Many-term coefficients (``SymFuncP``, ``XPoly``, the Jacobi rows of the
 verifier and the accumulators of the Laurent product ``laurent.mul_raw``)
 share one layout: a dict of integer rows -- Z[t] numerators, lowest degree
 first -- over one common denominator.  ``canonical_rows`` brings such a
-dict to canonical form and ``add_row`` adds one row into it in place;
-``TScalar`` is the one-row case with its own fixed-length form.
-
-The coefficients of a Laurent chunk (``TScalar``, ``SymFuncP`` and
-``FockVector``) read out as integer rows keyed by charge and partition,
-one block per charge over its own denominator (``charge_rows``), and
-rebuild from {charge: {partition: row}} over one denominator
-(``from_charge_rows``).  A ``TScalar`` is the one row at charge 0 and the
-empty partition, so every product with it keeps the p-weight.
+dict to canonical form and ``add_row`` adds one row into it in place.
 """
 
 from __future__ import annotations
@@ -210,11 +203,6 @@ class TScalar:
         return cls(q + (RAT_ZERO,) * (n - len(q)))
 
     @classmethod
-    def from_row(cls, row: tuple, den: int, t_order: int) -> "TScalar":
-        """row / den, for an integer row of at most T+1 numerators."""
-        return _reduced(tuple(row) + (0,) * (t_order + 1 - len(row)), den)
-
-    @classmethod
     def t_power(cls, k: int, t_order: int) -> "TScalar":
         c = [0] * (t_order + 1)
         if 0 <= k <= t_order:
@@ -244,17 +232,6 @@ class TScalar:
             raise TruncationMismatch(
                 f"cannot extend truncation {self.t_order} to {t_order}")
         return _reduced(self.num[: t_order + 1], self.den)
-
-    # -- rows keyed by charge and partition, for the Laurent product
-
-    def charge_rows(self) -> tuple:
-        """((0, {(): trimmed numerators}, den),)."""
-        return ((0, {(): tp_trim(self.num)}, self.den),)
-
-    def from_charge_rows(self, num: dict, den: int) -> "TScalar":
-        """num[0][()] / den at this t-order."""
-        return TScalar.from_row(num.get(0, {}).get((), ()), den,
-                                self.t_order)
 
     # -- arithmetic
 

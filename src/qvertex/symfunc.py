@@ -1,18 +1,20 @@
 """Symmetric functions in two guises.
 
-``SymFuncP`` is the working representation of the engine: a finite linear
+``SymFuncP`` is the one coefficient type of the engine: a finite linear
 combination of power-sum monomials p_lambda with truncated t-adic
-coefficients.  It carries no degree cap: a term's p-weight is the weight
-of its partition, its own arithmetic is exact, and ``weight_truncate``
-projects onto the quotient by the span of high-weight terms.  The cap is
-an argument of the operations that raise the weight (the Laurent product,
-D and the E+ rows), which drop what lies above it.
+coefficients.  A scalar -- a prefactor, a braiding or translation scalar
+-- is its weight-0 part, one row at the empty partition (``scalar``).  It
+carries no degree cap: a term's p-weight is the weight of its partition,
+its own arithmetic is exact, and ``weight_truncate`` projects onto the
+quotient by the span of high-weight terms.  The cap is an argument of the
+operations that raise the weight (the Laurent product, D and the E+
+rows), which drop what lies above it.
 
 ``XPoly`` is an exact polynomial in finitely many variables x_1..x_n with
 exact t-polynomial coefficients.  Both store Z[t] numerator rows over one
 common denominator, canonicalized and accumulated by the row helpers of
-``scalars``, and both do their arithmetic on the rows; ``TScalar``
-coefficients and rationals are built only on read.
+``scalars``, and both do their arithmetic on the rows; rationals are
+built only on read.
 
 The Hall-Littlewood oracle runs entirely in Z[t]: P_lambda is computed
 from the classical symmetrization formula
@@ -38,9 +40,9 @@ from operator import add
 
 from .errors import TooFewVariables, TruncationMismatch
 from .rationals import Rat
-from .scalars import (TScalar, add_row, canonical_rows, tp_add,
-                      tp_bracket_factorial, tp_divexact, tp_eval, tp_mul,
-                      tp_mullow, tp_phi, tp_str, tp_trim)
+from .scalars import (add_row, canonical_rows, tp_add, tp_bracket_factorial,
+                      tp_divexact, tp_eval, tp_mul, tp_mullow, tp_phi,
+                      tp_str, tp_trim)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -92,18 +94,20 @@ class Partition(tuple):
         return Partition(parts)
 
     @staticmethod
-    def merge(lam: tuple, mu: tuple) -> "Partition":
+    def merge(lam: "Partition", mu: "Partition") -> "Partition":
         """The Partition with the parts of both; a merge of two partitions
-        is one, so it is not revalidated.  Either side may be the plain ()
-        of a TScalar's row (``TScalar.charge_rows``)."""
-        if not mu and type(lam) is Partition:
+        is one, so it is not revalidated."""
+        if not mu:
             return lam
-        if not lam and type(mu) is Partition:
+        if not lam:
             return mu
         return tuple.__new__(Partition, sorted(lam + mu, reverse=True))
 
     def __str__(self):
         return "[" + ",".join(str(x) for x in self) + "]"
+
+
+_EMPTY = Partition()
 
 
 def partitions_of(n: int, max_part=None):
@@ -175,17 +179,18 @@ class _Rows:
 
 
 class _Terms(Mapping):
-    """Read-only {Partition: TScalar} view of a SymFuncP: a TScalar is
-    built when its item is read, so len() and iteration build none."""
+    """Read-only {Partition: weight-0 SymFuncP} view of a SymFuncP: a
+    coefficient is built when its item is read, so len() and iteration
+    build none."""
 
     __slots__ = ("_f",)
 
     def __init__(self, f: "SymFuncP"):
         self._f = f
 
-    def __getitem__(self, lam) -> TScalar:
+    def __getitem__(self, lam) -> "SymFuncP":
         f = self._f
-        return TScalar.from_row(f.num[lam], f.den, f.t_order)
+        return SymFuncP({_EMPTY: f.num[lam]}, f.den, f.t_order)
 
     def __iter__(self):
         return iter(self._f.num)
@@ -199,48 +204,34 @@ class SymFuncP(_Rows):
 
     ``num`` maps each partition to a row of at most T+1 numerators over
     ``den``.  The arithmetic runs on the rows and canonicalizes once per
-    result; ``coefficient`` and ``terms`` build TScalars on read.
+    result.  A scalar is the weight-0 SymFuncP, one row at the empty
+    partition (``scalar``); ``terms`` reads each coefficient as one.
     """
 
     __slots__ = ("t_order",)
 
-    def __init__(self, terms: dict, t_order: int):
-        """From {Partition: TScalar}, each at t_order."""
-        for c in terms.values():
-            if c.t_order != t_order:
-                raise TruncationMismatch(
-                    f"coefficient t-order {c.t_order} != {t_order}")
-        den = lcm(*(c.den for c in terms.values()))
-        self.num, self.den = canonical_rows(
-            {lam: tuple(x * (den // c.den) for x in c.num)
-             for lam, c in terms.items()}, den)
+    def __init__(self, num: dict, den: int, t_order: int):
+        """From integer rows {Partition: Z[t] row} over den > 0; the caller
+        keeps every row within T+1 numerators."""
+        self.num, self.den = canonical_rows(num, den)
         self.t_order = t_order
 
     # -- constructors
 
     @classmethod
-    def from_rows(cls, num: dict, den: int, t_order: int) -> "SymFuncP":
-        """From integer rows {Partition: Z[t] row} over den > 0; the caller
-        keeps every row within T+1 numerators."""
-        f = object.__new__(cls)
-        f.num, f.den = canonical_rows(num, den)
-        f.t_order = t_order
-        return f
-
-    @classmethod
     def zero(cls, t_order: int) -> "SymFuncP":
-        return cls({}, t_order)
+        return cls({}, 1, t_order)
 
     @classmethod
     def one(cls, t_order: int) -> "SymFuncP":
-        return cls({Partition(): TScalar.one(t_order)}, t_order)
+        return cls({_EMPTY: (1,)}, 1, t_order)
 
     @classmethod
     def p(cls, n: int, t_order: int) -> "SymFuncP":
-        return cls({Partition((n,)): TScalar.one(t_order)}, t_order)
+        return cls({Partition((n,)): (1,)}, 1, t_order)
 
     def _rows(self, num: dict, den: int) -> "SymFuncP":
-        return SymFuncP.from_rows(num, den, self.t_order)
+        return SymFuncP(num, den, self.t_order)
 
     # -- structure
 
@@ -256,17 +247,13 @@ class SymFuncP(_Rows):
     def max_weight(self) -> int:
         return max((lam.weight for lam in self.num), default=0)
 
-    def coefficient(self, lam: Partition) -> TScalar:
-        return TScalar.from_row(self.num.get(lam, ()), self.den,
-                                self.t_order)
-
     def t_truncate(self, t_order: int) -> "SymFuncP":
         """Prefix at a lower t-order; raising the order is not
         recoverable."""
         if t_order > self.t_order:
             raise TruncationMismatch(
                 f"cannot extend truncation {self.t_order} to {t_order}")
-        return SymFuncP.from_rows(
+        return SymFuncP(
             {lam: row[: t_order + 1] for lam, row in self.num.items()},
             self.den, t_order)
 
@@ -315,21 +302,14 @@ class SymFuncP(_Rows):
                     add_row(acc, Partition.merge(lam, mu),
                             tp_mullow(c, d, n))
             return self._rows(acc, self.den * other.den)
-        if isinstance(other, (TScalar, int, Rat)):
+        if isinstance(other, (int, Rat)):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "SymFuncP":
-        """Times a TScalar at the same t-order, an int or a rational."""
-        if isinstance(c, TScalar):
-            if c.t_order != self.t_order:
-                raise TruncationMismatch("scalar t-order mismatch")
-            n = self.t_order + 1
-            return self._rows({lam: tp_mullow(row, c.num, n)
-                               for lam, row in self.num.items()},
-                              self.den * c.den)
+        """Times an int or a rational."""
         if not isinstance(c, (int, Rat)):
             c = Rat(c)
         k = c.numerator
@@ -371,6 +351,16 @@ class SymFuncP(_Rows):
     def _names(self):
         for lam in sorted(self.num):
             yield lam, "p" + str(lam) if lam else "1"
+
+
+def scalar(coeffs, t_order: int) -> SymFuncP:
+    """The weight-0 SymFuncP with the exact rational t-coefficients coeffs,
+    lowest degree first, cut at t^T: one row over their lcm, built with
+    integer operations only."""
+    coeffs = coeffs[: t_order + 1]
+    den = lcm(*(c.denominator for c in coeffs))
+    return SymFuncP({_EMPTY: tuple(c.numerator * (den // c.denominator)
+                                   for c in coeffs)}, den, t_order)
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_ac09_infrastructure_properties():
     sc_deep = s_tau(1, 1, "z2", "z1").expand(REG12, swin, 4)
     sc_shallow = s_tau(1, 1, "z2", "z1").expand(REG12, swin, 2)
     for m, c in sc_deep.terms.items():
-        assert c.truncate(2) == sc_shallow.get(m)
+        assert c.t_truncate(2) == sc_shallow.get(m)
     r2 = check_braided_commutativity(1, 1, t_order=2, window=6, degree_cap=8)
     assert r2.passed
     return ("delta residue, region-independent polynomials, unit inversion, "

@@ -260,6 +260,15 @@ def test_verify_all_matches_golden_pooled_or_not(capsys, monkeypatch, cpus):
         == sorted(CHECK_IDS)
 
 
+def test_verify_expansion_below_the_window_matches_golden(capsys):
+    # the degree cap below the window, at a t-order of its own
+    code, out, _ = run(capsys, "verify", "expansion", "--window", "6",
+                       "--max-degree", "4", "--t-order", "2")
+    assert code == 0
+    golden = (DATA / "verify_expansion_window_6_max_degree_4_t_order_2.jsonl")
+    assert without_elapsed(out) == golden.read_text().splitlines()
+
+
 def test_verify_all_reports_the_first_error_in_order(capsys):
     code, out, err = run(capsys, "verify", "all", "--charges", "3,3")
     assert code == 2

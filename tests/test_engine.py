@@ -1,7 +1,9 @@
 """Vertex-operator engine: exponential halves, lattice operators, closed
 forms, braiding/translation scalars, and their cross-validations."""
 
+import itertools
 import random
+from math import lcm
 
 import pytest
 
@@ -14,7 +16,7 @@ from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial,
                              VAR_INDEX, Window, lform, region)
 from qvertex.rationals import Rat
-from qvertex.scalars import TScalar, tp
+from qvertex.scalars import tp
 from qvertex.symfunc import (Partition, SymFuncP, hl_q_oracle, p_to_x,
                              partitions_up_to)
 
@@ -23,13 +25,19 @@ REG = region("z1", "z2", "g")
 REG3 = region("z1", "z2", "z3", "g")
 
 
-def ts(*coeffs):
-    return TScalar.from_tpoly(tp(*coeffs), T)
-
-
 def sym(terms, t_order=T):
-    return SymFuncP({Partition(l): TScalar.from_tpoly(tp(*c), t_order)
-                     for l, c in terms.items()}, t_order)
+    """The SymFuncP with the exact t-coefficients terms[l] at p_l."""
+    rows = {Partition(l): tp(*c)[: t_order + 1] for l, c in terms.items()}
+    den = lcm(*(x.denominator for row in rows.values() for x in row))
+    return SymFuncP({lam: tuple(int(x * den) for x in row)
+                     for lam, row in rows.items()}, den, t_order)
+
+
+def coeffs(c):
+    """The T+1 t-coefficients of a weight-0 SymFuncP."""
+    row = c.num.get(Partition(), ())
+    return tuple(Rat(x, c.den)
+                 for x in row + (0,) * (c.t_order + 1 - len(row)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +120,7 @@ def test_jing_Q_single_row():
 def test_jing_Q_column():
     # (1-t)(1-t^2)(p_1^2 - p_2)/2
     c = tp(*[x * Rat(1, 2) for x in (1, -1, -1, 1)])
-    expect = SymFuncP(
-        {Partition((1, 1)): TScalar.from_tpoly(c, T),
-         Partition((2,)): TScalar.from_tpoly(tuple(-x for x in c), T)}, T)
+    expect = sym({(1, 1): c, (2,): tuple(-x for x in c)})
     assert jing_Q(Partition((1, 1)), T) == expect
 
 
@@ -207,10 +213,9 @@ def test_y_apply_matches_the_mode_sum():
         for m in rng.sample(range(min(2, 3 - a) + 1), rng.randint(1, 2)):
             lams = [lam for lam in partitions_up_to(cap)
                     if rng.random() < 0.5] or [Partition((1,))]
-            comps[m] = SymFuncP({lam: TScalar.from_tpoly(tp(*(
+            comps[m] = sym({lam: tuple(
                 Rat(rng.randint(-4, 4), rng.randint(1, 3))
-                for _ in range(t_order + 1))), t_order) for lam in lams},
-                t_order)
+                for _ in range(t_order + 1)) for lam in lams}, t_order)
         v = FockVector(comps, t_order)
         var = rng.choice(("z1", "z2", "z3"))
         lo, hi = -rng.randint(0, 4), rng.randint(0, 6)
@@ -339,6 +344,24 @@ def test_region_coherence_of_x2():
     assert c12.terms == c21.terms
 
 
+@pytest.mark.parametrize("t_order", [0, 3])
+def test_evaluate_slot_free_form_is_its_prefactor(t_order):
+    # with no E+ slot the closed form is its prefactor times e^0: its
+    # weight-0 coefficients come through evaluate as charge-0 states
+    pref = r_factor("z1", "z2", 2)
+    reg = region("z1", "z2")
+    win = Window.of(z1=(-3, 5), z2=(-4, 3))
+    got = evaluate(ClosedForm(pref, (), 0), reg, win, CAP, t_order)
+    want = pref.expand(reg, win, t_order)
+    assert len(want.terms) == {0: 3, 3: 4}[t_order]
+    assert any(len(c.num[Partition()]) == t_order + 1
+               for c in want.terms.values())
+    for m in itertools.product(*(range(lo, hi + 1)
+                                 for lo, hi in win.bounds)):
+        m = Monomial(*m)
+        assert got.get(m) == FockVector.pure(0, want.get(m)), m
+
+
 def test_monotone_stabilization_in_t_and_cap():
     win = Window.of(z1=(-3, 3), z2=(-3, 3))
     hi = evaluate(x2_closed_form(1, 1), REG, win, 8, 4)
@@ -350,9 +373,9 @@ def test_monotone_stabilization_in_t_and_cap():
         for lam in set(a.component(2).terms) | set(b.component(2).terms):
             if lam.weight > 6:
                 continue
-            ca = a.component(2).coefficient(lam)
-            cb = b.component(2).coefficient(lam)
-            assert ca.coeffs == cb.truncate(2).coeffs
+            ca = a.component(2).terms.get(lam, SymFuncP.zero(2))
+            cb = b.component(2).terms.get(lam, SymFuncP.zero(4))
+            assert coeffs(ca) == coeffs(cb.t_truncate(2))
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +462,8 @@ def test_y_product_cap_is_a_projection(op):
         v = FockVector.pure(q, SymFuncP.one(t_order)
                             + SymFuncP.p(1, t_order))
         var = ops[-1][1]
-        deep = FockVector.pure(q, SymFuncP(
-            {lam: TScalar.from_tpoly(tp(*(rng.randint(-3, 3)
-                                          for _ in range(t_order + 1))),
-                                     t_order)
+        deep = FockVector.pure(q, sym(
+            {lam: tuple(rng.randint(-3, 3) for _ in range(t_order + 1))
              for lam in partitions_up_to(c + k)}, t_order))
         chunk = LaurentChunk({Monomial(): deep, Monomial(g=1): deep},
                              Window.of(g=(0, 1)), FockVector.zero(t_order))
@@ -521,7 +542,7 @@ def test_s_tau_first_order():
         REG, Window.of(z1=(-3, 3), z2=(-3, 3)), 1)
     want = {Monomial(): (-1, 0), Monomial(z1=1, z2=-1): (0, -1),
             Monomial(z1=-1, z2=1): (0, 1)}
-    assert {m: tuple(c.coeffs) for m, c in ch.terms.items()} == \
+    assert {m: coeffs(c) for m, c in ch.terms.items()} == \
         {m: tuple(Rat(x) for x in cs) for m, cs in want.items()}
 
 
@@ -529,7 +550,7 @@ def test_s_tau_classical_sign():
     ch = s_tau(1, 1).expand(
         REG, Window.of(z1=(-3, 3), z2=(-3, 3)), 0)
     assert len(ch.terms) == 1
-    assert ch.get(Monomial()).coeffs == (Rat(-1),)
+    assert coeffs(ch.get(Monomial())) == (Rat(-1),)
 
 
 def test_s_tau_charge_zero():
@@ -541,7 +562,7 @@ def test_s_tau_unitarity():
     prod = s_tau(1, 1, "z1", "z2").mul(s_tau(1, 1, "z2", "z1"))
     ch = prod.expand(REG, Window.of(z1=(-4, 4), z2=(-4, 4)), 4)
     assert list(ch.terms) == [Monomial()]
-    assert ch.get(Monomial()) == TScalar.one(4)
+    assert ch.get(Monomial()) == SymFuncP.one(4)
 
 
 def test_s_tau_is_ratio_of_prefactors():
@@ -556,7 +577,7 @@ def test_s_gamma_identity_slices():
     sg = s_gamma(1, 1)
     ch0 = sg.expand(REG, Window.of(z1=(-4, 4), z2=(-4, 4)), 3)
     assert list(ch0.terms) == [Monomial()]
-    assert ch0.get(Monomial()) == TScalar.one(3)
+    assert ch0.get(Monomial()) == SymFuncP.one(3)
     cht = sg.expand(
         REG, Window.of(z1=(-4, 4), z2=(-4, 4), g=(0, 3)), 0)
     assert list(cht.terms) == [Monomial()]
@@ -567,8 +588,8 @@ def test_s_gamma_first_order():
     # oracle below
     ch = s_gamma(1, 1).expand(
         REG, Window.of(z1=(-4, 4), z2=(-4, 4), g=(0, 1)), 1)
-    assert ch.get(Monomial(z1=-1, g=1)).coeffs == (Rat(0), Rat(1))
-    assert ch.get(Monomial(z1=-2, z2=1, g=1)).coeffs == (Rat(0), Rat(-1))
+    assert coeffs(ch.get(Monomial(z1=-1, g=1))) == (Rat(0), Rat(1))
+    assert coeffs(ch.get(Monomial(z1=-2, z2=1, g=1))) == (Rat(0), Rat(-1))
     assert len([m for m in ch.terms if m.exp("g") == 1]) == 2
 
 
@@ -603,8 +624,8 @@ def test_s_gamma_second_variable_at_zero():
     win = Window.of(z2=(-4, 4), z3=(-4, 4))
     got = sg.mul(den).expand(reg, win, 2)
     assert list(got.terms) == [Monomial()]
-    assert got.get(Monomial()) == TScalar.one(2)
-    assert ch.get(Monomial()).coeffs[0] == Rat(1)
+    assert got.get(Monomial()) == SymFuncP.one(2)
+    assert coeffs(ch.get(Monomial()))[0] == Rat(1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 charge action, and the exponential series."""
 
 import random
+from math import lcm
 
 import pytest
 
@@ -9,18 +10,22 @@ from qvertex.errors import TruncationMismatch, UnsupportedCharge
 from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
 from qvertex.laurent import LaurentChunk, Monomial, Window
 from qvertex.rationals import Rat
-from qvertex.scalars import TScalar, tp
-from qvertex.symfunc import Partition, SymFuncP, partitions_up_to
+from qvertex.scalars import tp
+from qvertex.symfunc import Partition, SymFuncP, partitions_up_to, scalar
 
 CAP, T = 8, 4
 
 
 def ts(*coeffs):
-    return TScalar.from_tpoly(tp(*coeffs), T)
+    return scalar(tp(*coeffs), T)
 
 
-def sym(terms):
-    return SymFuncP({Partition(l): ts(*c) for l, c in terms.items()}, T)
+def sym(terms, t_order=T):
+    """The SymFuncP with the exact t-coefficients terms[l] at p_l."""
+    rows = {Partition(l): tp(*c)[: t_order + 1] for l, c in terms.items()}
+    den = lcm(*(x.denominator for row in rows.values() for x in row))
+    return SymFuncP({lam: tuple(int(x * den) for x in row)
+                     for lam, row in rows.items()}, den, t_order)
 
 
 def test_D_kills_vacuum():
@@ -69,9 +74,8 @@ def random_symfunc(rng, t_order):
     terms = {}
     for lam in partitions_up_to(4):
         if rng.random() < 0.4:
-            coeffs = tuple(rng.randint(-3, 3) for _ in range(t_order + 1))
-            terms[lam] = TScalar.from_tpoly(tp(*coeffs), t_order)
-    return SymFuncP(terms, t_order)
+            terms[lam] = tuple(rng.randint(-3, 3) for _ in range(t_order + 1))
+    return sym(terms, t_order)
 
 
 def test_D_is_a_derivation_on_charge_zero():

@@ -10,8 +10,8 @@ from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
                              binom_expansion_terms, laurent_mul, lform,
                              mul_raw, region)
 from qvertex.rationals import Rat
-from qvertex.scalars import TScalar, tp
-from qvertex.symfunc import SymFuncP, partitions_up_to
+from qvertex.scalars import tp
+from qvertex.symfunc import Partition, SymFuncP, partitions_up_to, scalar
 
 Z12 = region("z1", "z2")
 Z21 = region("z2", "z1")
@@ -24,9 +24,19 @@ def fp_power(form, e):
     return FactorProduct.of(factors=[(form, e)])
 
 
+def const(c, t_order):
+    """The rational c as a weight-0 SymFuncP."""
+    return scalar((Rat(c),), t_order)
+
+
+def t_power(k, t_order):
+    """t^k as a weight-0 SymFuncP."""
+    return scalar(tp(*[0] * k, 1), t_order)
+
+
 def one_chunk(window, t_order):
-    return LaurentChunk({Monomial(): TScalar.one(t_order)}, window,
-                        TScalar.zero(t_order))
+    return LaurentChunk({Monomial(): SymFuncP.one(t_order)}, window,
+                        SymFuncP.zero(t_order))
 
 
 def test_expand_geometric_z1_dominant():
@@ -34,7 +44,7 @@ def test_expand_geometric_z1_dominant():
     ch = fp_power(FORM_Z1_MINUS_Z2, -1).expand(Z12, w, 0)
     assert len(ch.terms) == 5
     for k in range(5):
-        assert ch.get(Monomial(z1=-1 - k, z2=k)) == TScalar.one(0)
+        assert ch.get(Monomial(z1=-1 - k, z2=k)) == SymFuncP.one(0)
     # support records the infinite tails
     assert ch.support[0] == (None, -1)
     assert ch.support[1] == (0, None)
@@ -44,7 +54,7 @@ def test_expand_geometric_z2_dominant():
     w = Window.of(z1=(0, 4), z2=(-5, 0))
     ch = fp_power(FORM_Z1_MINUS_Z2, -1).expand(Z21, w, 0)
     for k in range(5):
-        assert ch.get(Monomial(z1=k, z2=-1 - k)) == TScalar.from_rat(-1, 0)
+        assert ch.get(Monomial(z1=k, z2=-1 - k)) == const(-1, 0)
 
 
 def test_expand_t_adic_inverse():
@@ -52,9 +62,9 @@ def test_expand_t_adic_inverse():
     w = Window.of(z1=(-3, 0), z2=(0, 2))
     for reg in (Z12, Z21):
         ch = fp_power(FORM_Z1_MINUS_TZ2, -1).expand(reg, w, 2)
-        assert ch.get(Monomial(z1=-1)) == TScalar.one(2)
-        assert ch.get(Monomial(z1=-2, z2=1)) == TScalar.t_power(1, 2)
-        assert ch.get(Monomial(z1=-3, z2=2)) == TScalar.t_power(2, 2)
+        assert ch.get(Monomial(z1=-1)) == SymFuncP.one(2)
+        assert ch.get(Monomial(z1=-2, z2=1)) == t_power(1, 2)
+        assert ch.get(Monomial(z1=-3, z2=2)) == t_power(2, 2)
         assert len(ch.terms) == 3
 
 
@@ -64,7 +74,7 @@ def test_expand_multiply_back_exactly_one():
     poly = fp_power(FORM_Z1_MINUS_TZ2, 1).expand(
         Z12, Window.of(z1=(0, 1), z2=(0, 1)), 3)
     prod = laurent_mul(inv, poly, Window.of(z1=(-2, 0), z2=(0, 2)))
-    assert prod.get(Monomial()) == TScalar.one(3)
+    assert prod.get(Monomial()) == SymFuncP.one(3)
     assert len(prod.terms) == 1
 
 
@@ -75,7 +85,7 @@ def test_expand_with_g_budget_multiply_back():
     poly = fp_power(form, 1).expand(
         region("z1", "z2", "g"), Window.of(z1=(0, 1), z2=(0, 1), g=(0, 1)), 2)
     prod = laurent_mul(inv, poly, Window.of(z1=(-4, 0), z2=(0, 1), g=(0, 3)))
-    assert prod.get(Monomial()) == TScalar.one(2)
+    assert prod.get(Monomial()) == SymFuncP.one(2)
     assert len(prod.terms) == 1
 
 
@@ -93,9 +103,9 @@ def test_expand_no_t0_term_rejected():
 
 def test_mul_identity():
     w = Window.of(z1=(-2, 2), z2=(-2, 2))
-    a = LaurentChunk({Monomial(z1=1): TScalar.one(1),
-                      Monomial(z2=-1): TScalar.t_power(1, 1)}, w,
-                     TScalar.zero(1))
+    a = LaurentChunk({Monomial(z1=1): SymFuncP.one(1),
+                      Monomial(z2=-1): t_power(1, 1)}, w,
+                     SymFuncP.zero(1))
     prod = laurent_mul(a, one_chunk(Window.of(z1=(0, 0), z2=(0, 0)), 1), w)
     assert prod.terms == a.terms
 
@@ -104,14 +114,14 @@ def test_mul_boundary_term_of_finite_chunk():
     # finite truncation of the geometric series times (z1 - z2) leaves the
     # telescoping boundary term, and the product is exact because the chunk
     # is genuinely finite (support equals its terms)
-    terms = {Monomial(z1=-1 - k, z2=k): TScalar.one(0) for k in range(4)}
+    terms = {Monomial(z1=-1 - k, z2=k): SymFuncP.one(0) for k in range(4)}
     a = LaurentChunk(terms, Window.of(z1=(-4, -1), z2=(0, 3)),
-                     TScalar.zero(0))
+                     SymFuncP.zero(0))
     b = fp_power(FORM_Z1_MINUS_Z2, 1).expand(
         Z12, Window.of(z1=(0, 1), z2=(0, 1)), 0)
     prod = laurent_mul(a, b, Window.of(z1=(-4, 1), z2=(0, 4)))
-    assert prod.get(Monomial()) == TScalar.one(0)
-    assert prod.get(Monomial(z1=-4, z2=4)) == TScalar.from_rat(-1, 0)
+    assert prod.get(Monomial()) == SymFuncP.one(0)
+    assert prod.get(Monomial(z1=-4, z2=4)) == const(-1, 0)
     assert len(prod.terms) == 2
 
 
@@ -125,14 +135,14 @@ def test_mul_underflow_on_unsound_request():
         laurent_mul(inv, b, Window.of(z1=(-4, 0), z2=(0, 4)))
     # away from the boundary the product is sound and equals 1
     prod = laurent_mul(inv, b, Window.of(z1=(-3, 0), z2=(0, 2)))
-    assert prod.get(Monomial()) == TScalar.one(0)
+    assert prod.get(Monomial()) == SymFuncP.one(0)
     assert len(prod.terms) == 1
 
 
 def test_coefficient_access():
     w = Window.of(z1=(-2, 2))
-    ch = LaurentChunk({Monomial(z1=1): TScalar.one(0)}, w, TScalar.zero(0))
-    assert ch.get(Monomial(z1=1)) == TScalar.one(0)
+    ch = LaurentChunk({Monomial(z1=1): SymFuncP.one(0)}, w, SymFuncP.zero(0))
+    assert ch.get(Monomial(z1=1)) == SymFuncP.one(0)
     assert ch.get(Monomial(z1=-2)).is_zero()
     with pytest.raises(OutsideWindow):
         ch.get(Monomial(z1=3))
@@ -142,10 +152,10 @@ def test_delta_residue():
     w = Window.of(z1=(-3, 3), z2=(-3, 3))
     d = fp_power(FORM_Z1_MINUS_Z2, -1).expand(Z12, w, 0).add(
         fp_power(FORM_Z1_MINUS_Z2, -1).expand(Z21, w, 0).scale(
-            TScalar.from_rat(-1, 0)))
-    assert d.get(Monomial(z1=-1)) == TScalar.one(0)
-    assert d.get(Monomial(z1=-2, z2=1)) == TScalar.one(0)
-    assert d.get(Monomial(z1=1, z2=-2)) == TScalar.one(0)
+            const(-1, 0)))
+    assert d.get(Monomial(z1=-1)) == SymFuncP.one(0)
+    assert d.get(Monomial(z1=-2, z2=1)) == SymFuncP.one(0)
+    assert d.get(Monomial(z1=1, z2=-2)) == SymFuncP.one(0)
     assert d.get(Monomial(z1=-1, z2=1)).is_zero()
 
 
@@ -155,11 +165,11 @@ def test_delta_identity_full_window():
     w = Window.of(z1=(-6, 6), z2=(-6, 6))
     d = fp_power(FORM_Z1_MINUS_Z2, -1).expand(Z12, w, 0).add(
         fp_power(FORM_Z1_MINUS_Z2, -1).expand(Z21, w, 0).scale(
-            TScalar.from_rat(-1, 0)))
+            const(-1, 0)))
     expected = {}
     for n in range(-6, 6):
         if -6 <= -n - 1 <= 6:
-            expected[Monomial(z1=-n - 1, z2=n)] = TScalar.one(0)
+            expected[Monomial(z1=-n - 1, z2=n)] = SymFuncP.one(0)
     assert d.terms == expected
 
 
@@ -224,9 +234,9 @@ def test_monotone_in_t_order():
     lo = fp_power(FORM_Z1_MINUS_TZ2, -2).expand(Z12, w, 2)
     hi = fp_power(FORM_Z1_MINUS_TZ2, -2).expand(Z12, w, 5)
     for m, c in lo.terms.items():
-        assert hi.get(m).truncate(2) == c
+        assert hi.get(m).t_truncate(2) == c
     for m, c in hi.terms.items():
-        if c.truncate(2).is_zero():
+        if c.t_truncate(2).is_zero():
             assert m not in lo.terms
 
 
@@ -259,7 +269,7 @@ def test_substitute_shift():
     sub = fp.substitute({"z1": ("z2", "z3")})
     ch = sub.expand(region("z2", "z3"),
                     Window.of(z2=(0, 2), z3=(0, 2)), 0)
-    assert ch.terms == {Monomial(z3=1): TScalar.one(0)}
+    assert ch.terms == {Monomial(z3=1): SymFuncP.one(0)}
 
 
 def test_substitute_zero_in_inverted_factor():
@@ -267,7 +277,7 @@ def test_substitute_zero_in_inverted_factor():
     fp = fp_power(FORM_Z1_MINUS_TZ2, -1)
     sub = fp.substitute({"z2": ()})
     ch = sub.expand(Z12, Window.of(z1=(-2, 0)), 2)
-    assert ch.terms == {Monomial(z1=-1): TScalar.one(2)}
+    assert ch.terms == {Monomial(z1=-1): SymFuncP.one(2)}
 
 
 def test_substitute_monomial_to_sum():
@@ -276,9 +286,9 @@ def test_substitute_monomial_to_sum():
     sub = fp.substitute({"z1": ("z1", "g")})
     ch = sub.expand(region("z1", "g"),
                     Window.of(z1=(-4, 0), g=(0, 2)), 0)
-    assert ch.get(Monomial(z1=-1)) == TScalar.one(0)
-    assert ch.get(Monomial(z1=-2, g=1)) == TScalar.from_rat(-1, 0)
-    assert ch.get(Monomial(z1=-3, g=2)) == TScalar.one(0)
+    assert ch.get(Monomial(z1=-1)) == SymFuncP.one(0)
+    assert ch.get(Monomial(z1=-2, g=1)) == const(-1, 0)
+    assert ch.get(Monomial(z1=-3, g=2)) == SymFuncP.one(0)
 
 
 def test_expand_positive_power_without_t0_term():
@@ -286,7 +296,7 @@ def test_expand_positive_power_without_t0_term():
     # form carries t, so the expansion starts at t^2
     form = lform((1, "z1", 1), (-1, "z2", 1))
     w = Window.of(z1=(-1, 3), z2=(-1, 3))
-    t2 = TScalar.t_power(2, 3)
+    t2 = t_power(2, 3)
     for reg in (Z12, Z21):
         ch = fp_power(form, 2).expand(reg, w, 3)
         assert ch.terms == {Monomial(z1=2): t2,
@@ -303,12 +313,12 @@ def test_expand_positive_power_with_g_lowest():
     reg = region("z1", "g")
     w = Window.of(z1=(0, 2), g=(0, 2))
     ch = fp_power(form, 2).expand(reg, w, 2)
-    assert ch.terms == {Monomial(g=2): TScalar.one(2),
-                        Monomial(z1=1, g=1): TScalar.t_power(1, 2).scale(2),
-                        Monomial(z1=2): TScalar.t_power(2, 2)}
+    assert ch.terms == {Monomial(g=2): SymFuncP.one(2),
+                        Monomial(z1=1, g=1): t_power(1, 2).scale(2),
+                        Monomial(z1=2): t_power(2, 2)}
     low = fp_power(form, 2).expand(reg, w, 1)
-    assert low.terms == {Monomial(g=2): TScalar.one(1),
-                         Monomial(z1=1, g=1): TScalar.t_power(1, 1).scale(2)}
+    assert low.terms == {Monomial(g=2): SymFuncP.one(1),
+                         Monomial(z1=1, g=1): t_power(1, 1).scale(2)}
     with pytest.raises(NonExpandableFactor):
         fp_power(form, -1).expand(reg, w, 2)
 
@@ -359,9 +369,9 @@ def _random_finite_chunk(rng, t_order):
     terms = {}
     for _ in range(rng.randrange(1, 7)):
         m = Monomial(*(rng.randint(lo, hi) for lo, hi in box))
-        terms[m] = TScalar(tuple(Rat(rng.randrange(-3, 4))
-                                 for _ in range(t_order + 1)))
-    return LaurentChunk(terms, Window(box), TScalar.zero(t_order))
+        terms[m] = scalar(tuple(Rat(rng.randrange(-3, 4))
+                                for _ in range(t_order + 1)), t_order)
+    return LaurentChunk(terms, Window(box), SymFuncP.zero(t_order))
 
 
 def test_laurent_mul_is_exact_or_raises():
@@ -431,7 +441,7 @@ def test_expand_monotone_in_t_order_and_window():
         hi_ch = fp.expand(reg, big, T + k)
         expect = {}
         for m, c in hi_ch.terms.items():
-            c = c.truncate(T)
+            c = c.t_truncate(T)
             if small.contains(m) and not c.is_zero():
                 expect[m] = c
         assert lo_ch.terms == expect
@@ -443,7 +453,7 @@ def test_expand_monotone_in_t_order_and_window():
 # the fused integer-row product against the per-pair product
 
 
-KINDS = ("TScalar", "SymFuncP", "FockVector")
+KINDS = ("scalar", "SymFuncP", "FockVector")
 
 
 def _random_row(rng, T):
@@ -456,22 +466,22 @@ def _random_row(rng, T):
 
 def _random_sym(rng, cap, T):
     lams = list(partitions_up_to(cap))
-    return SymFuncP.from_rows(
+    return SymFuncP(
         {lam: _random_row(rng, T) for lam in rng.sample(lams, 3)},
         rng.choice((1, 2, 3, 4, 6, 9)), T)
 
 
 def _random_coeff(rng, kind, cap, T, charges):
-    if kind == "TScalar":
-        return TScalar.from_row(_random_row(rng, T),
-                                rng.choice((1, 2, 3, 4, 6, 9)), T)
+    if kind == "scalar":
+        return SymFuncP({Partition(): _random_row(rng, T)},
+                        rng.choice((1, 2, 3, 4, 6, 9)), T)
     if kind == "SymFuncP":
         return _random_sym(rng, cap, T)
     return FockVector({q: _random_sym(rng, cap, T)
                        for q in rng.sample(charges, 2)}, T)
 
 
-ZEROS = {"TScalar": TScalar.zero, "SymFuncP": SymFuncP.zero,
+ZEROS = {"scalar": SymFuncP.zero, "SymFuncP": SymFuncP.zero,
          "FockVector": FockVector.zero}
 
 
@@ -514,7 +524,7 @@ def _config(c):
 
 
 def _projected(c, cap):
-    return c if type(c) is TScalar else c.weight_truncate(cap)
+    return c.weight_truncate(cap)
 
 
 @pytest.mark.parametrize("T", [0, 1, 8, 24])
@@ -538,9 +548,6 @@ def test_mul_raw_matches_per_pair_product(T):
                 for m, c in ref.items():
                     assert _config(prod.get(m)) == _config(c)
                 assert _config(prod.zero) == _config(a.zero * b.zero)
-                if T:
-                    assert all(len(c.num) == T + 1 for c in
-                               prod.terms.values() if type(c) is TScalar)
                 cancelled += sum(c.is_zero() for c in ref.values())
                 dropped += any(_max_weight(c1) + _max_weight(c2) > cap
                                for m1, c1 in a.terms.items()

@@ -11,6 +11,7 @@ from qvertex.rationals import Rat
 from qvertex.scalars import (TScalar, tp, tp_add, tp_bracket_factorial,
                              tp_divexact, tp_eval, tp_mul, tp_phi, tp_pow,
                              tp_str, tp_trim, ts_invert)
+from qvertex.symfunc import Partition
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -228,8 +229,8 @@ def test_tscalar_constructors_are_canonical():
 
 
 def test_evaluate_t24_golden():
-    # str() of every coefficient of X(2 x 1) at T=24, cap 8, |e| <= 5,
-    # recorded with the tuple-of-rationals TScalar
+    # every coefficient of X(2 x 1) at T=24, cap 8, |e| <= 5, printed as
+    # its t-polynomial; recorded as str() of the tuple-of-rationals TScalar
     with open(os.path.join(DATA, "evaluate_x2_charges21_t24.txt")) as fh:
         expect = fh.read().splitlines()
     ch = evaluate(x2_closed_form(2, 1), region("z1", "z2", "g"),
@@ -240,5 +241,7 @@ def test_evaluate_t24_golden():
         for q in sorted(v.components):
             f = v.components[q]
             for lam in sorted(f.terms):
-                got.append(f"{tuple(m)} {q} {list(lam)}: {f.terms[lam]}")
+                c = f.terms[lam]
+                row = tuple(Rat(x, c.den) for x in c.num[Partition()])
+                got.append(f"{tuple(m)} {q} {list(lam)}: {tp_str(row)}")
     assert got == expect

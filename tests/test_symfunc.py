@@ -16,8 +16,8 @@ from qvertex.scalars import TScalar, tp, tp_eval, tp_mul, tp_trim
 from qvertex.symfunc import (Partition, SymFuncP, XPoly, b_lambda,
                              dominance_leq, hl_p_oracle,
                              hl_q_oracle, p_to_x, partitions_of,
-                             partitions_up_to, schur_bialternant, schur_x,
-                             v_lambda, xpoly_monomial_coeffs)
+                             partitions_up_to, scalar, schur_bialternant,
+                             schur_x, v_lambda, xpoly_monomial_coeffs)
 
 
 def test_partition_basic():
@@ -48,9 +48,9 @@ def test_symfunc_ring():
     p1 = SymFuncP.p(1, T)
     p2 = SymFuncP.p(2, T)
     sq = p1 * p1
-    assert sq.coefficient(Partition((1, 1))) == TScalar.one(T)
+    assert sq.terms[Partition((1, 1))] == SymFuncP.one(T)
     assert (sq - sq).is_zero()
-    assert (p1 * p2).coefficient(Partition((2, 1))) == TScalar.one(T)
+    assert (p1 * p2).terms[Partition((2, 1))] == SymFuncP.one(T)
     assert p1.dp(1) == SymFuncP.one(T)
     assert sq.dp(1) == p1.scale(2)
     assert p1.mul_p(2) == p2 * p1
@@ -83,7 +83,7 @@ def test_p_to_x_examples():
     p2 = SymFuncP.p(2, T)
     assert p_to_x(p1, 2) == XPoly(2, {(1, 0): tp(1), (0, 1): tp(1)})
     assert p_to_x(p1 * p1 - p2, 2) == XPoly(2, {(1, 1): tp(2)})
-    f = p1.scale(TScalar.from_tpoly(tp(1, -1), T))
+    f = p1 * scalar(tp(1, -1), T)
     expect = XPoly(3, {(1, 0, 0): tp(1, -1), (0, 1, 0): tp(1, -1),
                        (0, 0, 1): tp(1, -1)})
     assert p_to_x(f, 3) == expect
@@ -214,12 +214,19 @@ def test_hl_oracle_sides_golden():
 # p_to_x against a naive rational reference
 
 
+def _coeffs(c):
+    """The T+1 t-coefficients of a weight-0 SymFuncP as Fractions."""
+    row = c.num.get(Partition(), ())
+    return tuple(Fraction(x, c.den)
+                 for x in row + (0,) * (c.t_order + 1 - len(row)))
+
+
 def _p_to_x_reference(f, nvars):
     """Expand each p_lambda as a sum over all choices of one variable per
     part, accumulating Fraction coefficient lists."""
     out = {}
     for lam, c in f.terms.items():
-        coeffs = c.coeffs
+        coeffs = _coeffs(c)
         for choice in itertools.product(range(nvars), repeat=len(lam)):
             e = [0] * nvars
             for part, i in zip(lam, choice):
@@ -244,21 +251,21 @@ def _random_symfunc(rng, top, T):
                 coeffs.append(Fraction(rng.randint(-9, 9),
                                        rng.choice((1, 2, 3, 4, 6, 7, 12))))
         terms[lam] = TScalar(tuple(coeffs))
-    return SymFuncP(terms, T)
+    return _sym(terms, T)
 
 
 @pytest.mark.parametrize("T", [0, 1, 24])
 def test_p_to_x_matches_rational_reference(T):
     rng = random.Random(4100 + T)
     p1, p2 = SymFuncP.p(1, T), SymFuncP.p(2, T)
-    half = TScalar.from_rat(Rat(1, 2), T)
+    half = scalar((Rat(1, 2),), T)
     cases = [
         # p_1^2 - p_2 vanishes in one variable and keeps only the mixed
         # monomial 2 x_i x_j in more
         (p1 * p1 - p2, 1), (p1 * p1 - p2, 3),
-        ((p1 * p1 - p2).scale(half), 2),
+        ((p1 * p1 - p2) * half, 2),
         (SymFuncP.zero(T), 2),
-        (SymFuncP.one(T).scale(TScalar.t_power(T, T)), 4),
+        (SymFuncP.one(T) * scalar(tp(*[0] * T, 1), T), 4),
     ]
     for _ in range(12):
         cases.append((_random_symfunc(rng, 5, T), rng.randint(1, 6)))
@@ -291,6 +298,18 @@ def test_hl_oracle_division_raises(monkeypatch, v):
 
 # ---------------------------------------------------------------------------
 # SymFuncP on integer rows against a {partition: TScalar} reference
+
+
+def _sym(terms, T):
+    """The SymFuncP with the TScalar coefficients terms."""
+    den = math.lcm(*(c.den for c in terms.values()))
+    return SymFuncP({lam: tuple(x * (den // c.den) for x in c.num)
+                     for lam, c in terms.items()}, den, T)
+
+
+def _weight0(c, T):
+    """The TScalar c as a weight-0 SymFuncP."""
+    return _sym({Partition(): c}, T)
 
 
 def _ref_clean(terms):
@@ -353,13 +372,14 @@ def _assert_matches(f, ref, T):
         assert type(row) is tuple and 0 < len(row) <= T + 1 and row[-1]
         assert all(type(x) is int for x in row)
     assert math.gcd(f.den, *(x for row in f.num.values() for x in row)) == 1
-    assert f.terms == ref
+    assert f.terms == {lam: _weight0(c, T) for lam, c in ref.items()}
     vals = {lam: tp_eval(c.coeffs, Rat(1, 3)) for lam, c in ref.items()}
     assert f.eval_t(Rat(1, 3)) == {lam: v for lam, v in vals.items() if v}
-    assert f == SymFuncP(ref, T)
+    assert f == _sym(ref, T)
     assert str(f) == _ref_str(ref)
     for lam in partitions_up_to(f.max_weight() + 1):
-        assert f.coefficient(lam) == ref.get(lam, TScalar.zero(T))
+        assert f.terms.get(lam, SymFuncP.zero(T)) \
+            == _weight0(ref.get(lam, TScalar.zero(T)), T)
 
 
 @pytest.mark.parametrize("T", [0, 1, 8, 24])
@@ -376,13 +396,13 @@ def test_symfunc_matches_tscalar_reference(T):
     tail = TScalar.t_power(T, T)
     x = {p1: TScalar.from_rat(Rat(1, 2), T),
          p2: TScalar.from_rat(Rat(1, 3), T) + tail.scale(Rat(1, 4))}
-    f = SymFuncP(x, T)
-    half = f + SymFuncP({p2: -x[p2]}, T)
+    f = _sym(x, T)
+    half = f + _sym({p2: -x[p2]}, T)
     check(half, {p1: x[p1]})
     assert half.den == 2
     check(f - f, {})
     one = SymFuncP.p(1, T)
-    check(one + SymFuncP({p1: TScalar.one(T) + tail}, T),
+    check(one + _sym({p1: TScalar.one(T) + tail}, T),
           {p1: TScalar.one(T) * 2 + tail})
 
     # a, b and s draw denominators from different sets, so sums and
@@ -390,7 +410,7 @@ def test_symfunc_matches_tscalar_reference(T):
     for _ in range(6):
         a = _random_terms(rng, top, T, (1, 2, 4, 6))
         b = _random_terms(rng, top, T, (1, 3, 5, 9))
-        fa, fb = SymFuncP(a, T), SymFuncP(b, T)
+        fa, fb = _sym(a, T), _sym(b, T)
         a, b = _ref_clean(a), _ref_clean(b)
         check(fa, a)
         check(fa + fb, _ref_add(a, b))
@@ -404,7 +424,8 @@ def test_symfunc_matches_tscalar_reference(T):
                                        for lam, c in a.items()}))
         check(fa.scale(q), _ref_clean({lam: c.scale(q)
                                        for lam, c in a.items()}))
-        check(fa.scale(s), _ref_clean({lam: c * s for lam, c in a.items()}))
+        check(fa * _weight0(s, T),
+              _ref_clean({lam: c * s for lam, c in a.items()}))
         for n in range(1, top + 2):
             check(fa.mul_p(n), {lam.add_part(n): c for lam, c in a.items()})
             check(fa.dp(n), _ref_dp(a, n))
@@ -419,4 +440,23 @@ def test_symfunc_matches_tscalar_reference(T):
                             {lam: c for lam, c in ref.items()
                              if lam.weight <= low}, T)
         assert (fa == fb) == (a == b)
-        assert fa == SymFuncP(a, T) and not fa != SymFuncP(a, T)
+        assert fa == _sym(a, T) and not fa != _sym(a, T)
+
+
+@pytest.mark.parametrize("T", [0, 3, 24])
+def test_terms_rebuild_the_function(T):
+    # each coefficient read through terms is a weight-0 SymFuncP, and
+    # sum_lambda terms[lambda] * p_lambda gives the function back
+    rng = random.Random(5300 + T)
+    for _ in range(8):
+        f = _sym(_random_terms(rng, 5, T, (1, 2, 3, 5, 12)), T)
+        assert len(f.terms) == len(f.num)
+        total = SymFuncP.zero(T)
+        for lam in f.terms:
+            c = f.terms[lam]
+            assert c.t_order == T and set(c.num) <= {Partition()}
+            p_lam = SymFuncP.one(T)
+            for part in lam:
+                p_lam = p_lam * SymFuncP.p(part, T)
+            total = total + c * p_lam
+        assert total == f

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from qvertex.errors import (EmptyComparison, TruncationMismatch,
 from qvertex.fock import FockVector
 from qvertex.laurent import LaurentChunk, Monomial, Window
 from qvertex.rationals import Rat
-from qvertex.scalars import TScalar, tp
+from qvertex.scalars import tp
 from qvertex.symfunc import Partition, SymFuncP, partitions_up_to
 from qvertex.verifier import (CHECK_IDS, CheckReport, _Comparator,
                               check_braided_commutativity,
@@ -189,10 +190,9 @@ def test_hl_oracle_detects_perturbed_coefficient(monkeypatch, lam, mu, k,
         f = jing_Q(partition, t_order)
         if tuple(partition) != lam:
             return f
-        bump = TScalar.t_power(k, t_order).scale(Rat(1, den))
-        terms = dict(f.terms)
-        terms[Partition(mu)] = f.coefficient(Partition(mu)) + bump
-        return SymFuncP(terms, f.t_order)
+        # t^k / den at p_mu
+        bump = SymFuncP({Partition(mu): (0,) * k + (1,)}, den, t_order)
+        return f + bump
 
     monkeypatch.setattr(verifier, "jing_Q", perturbed)
     r = check_hl_against_oracle(max_weight=3, t_order=24)
@@ -424,12 +424,13 @@ def _random_chunk(rng, window, cap, T, dens):
         if rng.random() < 0.5:
             comps = {}
             for q in rng.sample(range(4), rng.randint(1, 2)):
-                comps[q] = SymFuncP(
-                    {lam: TScalar(tuple(Rat(rng.randint(-4, 4),
-                                            rng.choice(dens))
-                                        for _ in range(T + 1)))
-                     for lam in rng.sample(parts, rng.randint(1, 3))},
-                    T)
+                rows = {lam: tuple(Rat(rng.randint(-4, 4), rng.choice(dens))
+                                   for _ in range(T + 1))
+                        for lam in rng.sample(parts, rng.randint(1, 3))}
+                den = lcm(*(x.denominator for row in rows.values()
+                            for x in row))
+                comps[q] = SymFuncP({lam: tuple(int(x * den) for x in row)
+                                     for lam, row in rows.items()}, den, T)
             terms[m] = FockVector(comps, T)
     return LaurentChunk(terms, window, FockVector.zero(T))
 
