@@ -35,7 +35,7 @@ from .errors import UnsupportedCharge
 from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
                       RegionOrder, VARS, VAR_INDEX, Window, _fold,
-                      bounds_add, iv_hull, lform, mul_raw)
+                      bounds_add, iv_hull, laurent_mul, lform, mul_raw)
 from .rationals import Rat
 from .scalars import tp
 from .symfunc import Partition, SymFuncP, scalar
@@ -343,6 +343,67 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
     split of a window monomial across prefactor and E+ slots is covered;
     slot exponents above degree_cap die in the quotient.
     """
+    return _evaluate(cf, reg, window, degree_cap, t_order)
+
+
+def evaluate_scaled(sc: LaurentChunk, cf: ClosedForm, reg: RegionOrder,
+                    window: Window, target: Window, degree_cap: int,
+                    t_order: int) -> LaurentChunk:
+    """laurent_mul(sc, evaluate(cf, reg, window, ...), target), with each
+    coefficient of the evaluated series formed only to the t-precision
+    that the scalar chunk sc carries into the target.
+
+    sc[s] = t^v u contributes sc[s] X[m - s] to the target monomial m, and
+    that is exact mod t^{T+1} once X[m - s] is exact mod t^{T+1-v}; so X
+    at m' is formed mod t^{keep[m']} (``mul_raw``), with keep[m'] =
+    T+1 - min v(s) over the s with m' + s in the target, and not at all
+    where no such s exists.  The cut series never leaves this function,
+    every returned coefficient is exact, and laurent_mul's soundness guard
+    still runs on the series' window and support.
+    """
+    keep = _scaled_keep(sc, window, target, t_order)
+    return laurent_mul(sc, _evaluate(cf, reg, window, degree_cap, t_order,
+                                     keep), target)
+
+
+def _scaled_keep(sc: LaurentChunk, window: Window, target: Window,
+                 t_order: int) -> dict:
+    """keep[m'] = T+1 - min v(s) over the s of sc with m' + s in the target,
+    for the m' of the window, with v the t-valuation of sc[s].
+
+    The box of such m' for one s is (target - s) within the window, so sc
+    is folded to the least valuation per distinct box (a variable in which
+    the window is one point, such as g for a series free of it, collapses
+    there), and the boxes are painted in rising valuation, each monomial
+    keeping the first, largest, count.
+    """
+    n = t_order + 1
+    least: dict = {}
+    for s, c in sc.terms.items():
+        box = []
+        for (wlo, whi), (tlo, thi), e in zip(window.bounds, target.bounds, s):
+            lo, hi = max(wlo, tlo - e), min(whi, thi - e)
+            if lo > hi:
+                break
+            box.append(range(lo, hi + 1))
+        else:
+            v = min(next(i for i, x in enumerate(row) if x)
+                    for row in c.num.values())
+            box = tuple(box)
+            if v < least.get(box, n):
+                least[box] = v
+    keep: dict = {}
+    for box, v in sorted(least.items(), key=lambda item: item[1]):
+        for m in itertools.product(*box):
+            if m not in keep:
+                keep[tuple.__new__(Monomial, m)] = n - v
+    return keep
+
+
+def _evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
+              degree_cap: int, t_order: int, keep=None) -> LaurentChunk:
+    """The body of ``evaluate``; keep (``mul_raw``) cuts the last product
+    of the fold."""
     zero = FockVector.zero(t_order)
     occ = [0] * NVARS
     for a, svars in cf.slots:
@@ -375,7 +436,7 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
         boxes.append(tuple((0, his.get(VARS[i], 0)) for i in range(NVARS)))
 
     support = _cf_support(pref, cf, degree_cap)
-    acc = _fold(chain, boxes, window, degree_cap)
+    acc = _fold(chain, boxes, window, degree_cap, keep)
     if acc is None:
         return LaurentChunk({}, window, zero, support)
     terms = {m: FockVector.pure(cf.charge, c)

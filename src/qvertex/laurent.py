@@ -297,9 +297,17 @@ class LaurentChunk:
 
 
 def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
-            degree_cap=None) -> LaurentChunk:
+            degree_cap=None, keep=None) -> LaurentChunk:
     """Product restricted to a window, with no soundness guard, projected
     to degree_cap (None keeps every weight).
+
+    keep, when given, maps each output monomial to the number of
+    t-coefficients to form, 1..T+1: the product there is reduced mod
+    t^{keep[m]}, and a monomial absent from keep is not formed.  x_i y_j
+    lands at t^{i+j}, so cutting each row product at keep[m] is exactly
+    that reduction.  Such a chunk is exact only in the quotients keep
+    names, so it is for a caller that multiplies it at once by a series
+    whose valuations need no more (``engine.evaluate_scaled``).
 
     Only for callers that have proved separately that every support split
     landing in the window is covered by the operand windows.
@@ -338,7 +346,9 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
     nus: dict = {}
     nu_list = []
     (l0, h0), (l1, h1), (l2, h2), (l3, h3) = window.bounds
-    buckets: dict = {}
+    # with keep, only its monomials get a bucket
+    grow = keep is None
+    buckets: dict = {} if grow else {m: [] for m in keep}
     for m1, c1 in reads[0].items():
         for m2, c2 in reads[1].items():
             e0 = m1[0] + m2[0]
@@ -355,12 +365,16 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
                 continue
             m = tuple.__new__(Monomial, (e0, e1, e2, e3))
             pairs = buckets.get(m)
-            if pairs is None:
-                buckets[m] = [(c1, c2)]
-            else:
+            if pairs is not None:
                 pairs.append((c1, c2))
+            elif grow:
+                buckets[m] = [(c1, c2)]
     terms = {}
     for m, pairs in buckets.items():
+        if not grow:
+            if not pairs:
+                continue
+            n = keep[m]
         den = lcm(*(d1 * d2 for c1, c2 in pairs
                     for _, _, _, d1 in c1 for _, _, _, d2 in c2))
         acc: dict = {}
@@ -391,7 +405,9 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
                             s = out.get(o)
                             if s is None:
                                 s = out[o] = [0] * n
-                            for i, x in enumerate(x1):
+                            # x1 is never longer than T+1, so only a keep
+                            # cut needs a slice (x2[:n - i] would wrap)
+                            for i, x in enumerate(x1 if grow else x1[:n]):
                                 if x:
                                     x *= k
                                     for j, y in enumerate(x2[:n - i], i):
@@ -405,14 +421,16 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
                         bounds_add(a.support, b.support))
 
 
-def _fold(chunks, boxes, target: Window, degree_cap=None):
+def _fold(chunks, boxes, target: Window, degree_cap=None, keep=None):
     """chunks[0] * chunks[1] * ... on the target window, projected to
     degree_cap (``mul_raw``), or None when the product vanishes there.
 
     boxes[j] holds every exponent of chunks[j] that can land in the target.
     Each prefix product is kept on its own box minus what the remaining
     factors can still add, which is exact on the target; an empty prefix
-    window means no split reaches it.
+    window means no split reaches it.  keep (``mul_raw``) cuts the last
+    product only, so every prefix stays exact; a single chunk is returned
+    whole.
     """
     acc = chunks[0]
     for k in range(1, len(chunks)):
@@ -426,7 +444,8 @@ def _fold(chunks, boxes, target: Window, degree_cap=None):
             if lo > hi:
                 return None
             req.append((lo, hi))
-        acc = mul_raw(acc, chunks[k], Window(tuple(req)), degree_cap)
+        acc = mul_raw(acc, chunks[k], Window(tuple(req)), degree_cap,
+                      keep if k == len(chunks) - 1 else None)
     return acc
 
 
@@ -728,18 +747,38 @@ class _FactorInfo:
     def chunk(self, t_order) -> LaurentChunk:
         lo = tuple(b[0] for b in self.box)
         hi = tuple(b[1] for b in self.box)
-        acc: dict = {}
-        self._enum(acc, lo, hi, t_order)
-        terms = {m: scalar(cs, t_order) for m, cs in acc.items()}
+        acc, den = self._enum(lo, hi, t_order)
+        terms = {m: SymFuncP({Partition(): tuple(row)}, den, t_order)
+                 for m, row in acc.items()}
         return LaurentChunk(terms, Window(tuple(self.box)),
                             SymFuncP.zero(t_order), self.support)
 
-    def _enum(self, acc, lo, hi, t_order):
+    def _enum(self, lo, hi, t_order):
+        """({monomial: T+1 integer numerators}, den) of the expansion on
+        the box [lo, hi].
+
+        The pick j_1..j_r of the u-terms carries base^e prod_i u_i^{j_i}
+        times e(e-1)...(e-J+1) / prod_i j_i!, J = sum_i j_i; that last
+        factor is C(e, J) times a multinomial coefficient, an integer.
+        With u_i = p_i / q_i, every leaf is an integer over the one
+        denominator den = den(base^e) prod_i q_i^{jmax_i}: pick j of u_i
+        contributes p_i^j q_i^{jmax_i - j}.
+        """
         e = self.exp
         uterms = self.uterms
         r = len(uterms)
         base_m = tuple(a * e for a in self.base_m)
         base_c = Rat(self.base_c) ** e
+        den = base_c.denominator
+        pows = []
+        for _, _, c, jmax in uterms:
+            p, q = c.numerator, c.denominator
+            pows.append([p ** j * q ** (jmax - j) for j in range(jmax + 1)])
+            den *= q ** jmax
+        # falling factorials e(e-1)...(e-J+1), for J up to every pick
+        ff = [1]
+        for i in range(sum(jmax for _, _, _, jmax in uterms)):
+            ff.append(ff[-1] * (e - i))
         # suffix reach per variable for pruning
         suffix = [[(0, 0)] * NVARS for _ in range(r + 1)]
         for i in range(r - 1, -1, -1):
@@ -748,6 +787,7 @@ class _FactorInfo:
                 d = ratio[v] * jmax
                 nlo, nhi = suffix[i + 1][v]
                 suffix[i][v] = (nlo + min(d, 0), nhi + max(d, 0))
+        acc: dict = {}
 
         def rec(idx, cur_m, cur_k, cur_c, picks, denom):
             for v in range(NVARS):
@@ -755,25 +795,24 @@ class _FactorInfo:
                 if cur_m[v] + shi < lo[v] or cur_m[v] + slo > hi[v]:
                     return
             if idx == r:
-                ff = RAT_ONE
-                for i in range(picks):
-                    ff *= e - i
                 mono = tuple.__new__(Monomial, cur_m)
-                slot = acc.setdefault(mono, [RAT_ZERO] * (t_order + 1))
-                slot[cur_k] += base_c * cur_c * ff / denom
+                slot = acc.setdefault(mono, [0] * (t_order + 1))
+                slot[cur_k] += cur_c * (ff[picks] // denom)
                 return
-            ratio, k, c, jmax = uterms[idx]
-            cm, ck, cc = cur_m, cur_k, cur_c
+            ratio, k, _, jmax = uterms[idx]
+            pw = pows[idx]
+            cm, ck = cur_m, cur_k
             for j in range(jmax + 1):
                 if ck > t_order or 0 < e < picks + j:
                     break
-                rec(idx + 1, cm, ck, cc, picks + j, denom * factorial(j))
+                rec(idx + 1, cm, ck, cur_c * pw[j], picks + j,
+                    denom * factorial(j))
                 cm = tuple(a + b for a, b in zip(cm, ratio))
                 ck += k
-                cc = cc * c
 
         if self.base_k <= t_order:
-            rec(0, base_m, self.base_k, RAT_ONE, 0, 1)
+            rec(0, base_m, self.base_k, base_c.numerator, 0, 1)
+        return acc, den
 
 
 def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,

@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass
 from math import lcm
 
-from .engine import (evaluate, jing_Q, s_gamma, s_tau, x2_closed_form,
-                     x120_closed_form, y_apply, y_product)
+from .engine import (evaluate, evaluate_scaled, jing_Q, s_gamma, s_tau,
+                     x2_closed_form, x120_closed_form, y_apply, y_product)
 from .errors import EmptyComparison, TruncationMismatch, WindowUnderflow
 from .fock import FockVector, apply_D, exp_D, exp_D_chunk
 from .laurent import (LaurentChunk, Monomial, VAR_INDEX, Window,
@@ -202,9 +202,8 @@ def check_braided_commutativity(a: int = 1, b: int = 1, t_order: int = 4,
 
     swapped = x2_closed_form(b, a).substitute(
         {"z1": ("z2",), "z2": ("z1",)})
-    xch = evaluate(swapped, REG12, _widened(target, sc, ("z1", "z2")),
-                   cap, T)
-    rhs = laurent_mul(sc, xch, target)
+    rhs = evaluate_scaled(sc, swapped, REG12,
+                          _widened(target, sc, ("z1", "z2")), target, cap, T)
 
     cmp_ = _Comparator()
     cmp_.chunks(lhs, rhs, target)
@@ -230,10 +229,9 @@ def check_translation_covariance(a: int = 1, b: int = 1, t_order: int = 3,
 
     form = x2_closed_form(a, b)
     sc = _scalar_chunk(s_gamma(a, b), REG12, ("z1", "z2"), (0, G), T)
-    xch = evaluate(form, REG12,
-                   _widened(Window.of(z1=(-W, W), z2=(-W, W)), sc,
-                            ("z1", "z2")), cap, T)
-    prod = laurent_mul(sc, xch, target)
+    prod = evaluate_scaled(sc, form, REG12,
+                           _widened(Window.of(z1=(-W, W), z2=(-W, W)), sc,
+                                    ("z1", "z2")), target, cap, T)
     lhs = exp_D_chunk(prod, "g", G, cap, d_charge_coeff)
 
     shifted = form.substitute({"z1": ("z1", "g"), "z2": ("z2", "g")})

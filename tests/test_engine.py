@@ -8,13 +8,14 @@ from math import lcm
 import pytest
 
 from qvertex.engine import (ClosedForm, eminus_states, eplus_coeff, evaluate,
-                            heis_mode, jing_Q, r_factor, s_gamma, s_tau,
-                            working_caps, x2_closed_form, x3_closed_form,
-                            x120_closed_form, y_apply, y_product)
+                            evaluate_scaled, heis_mode, jing_Q, r_factor,
+                            s_gamma, s_tau, working_caps, x2_closed_form,
+                            x3_closed_form, x120_closed_form, y_apply,
+                            y_product)
 from qvertex.errors import UnsupportedCharge
 from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial,
-                             VAR_INDEX, Window, lform, region)
+                             VAR_INDEX, Window, laurent_mul, lform, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import tp
 from qvertex.symfunc import (Partition, SymFuncP, hl_q_oracle, p_to_x,
@@ -644,3 +645,42 @@ def test_substituted_form_shape():
     fs = x120_closed_form(1, 1, 1).substitute({"z1": ("z2", "z3")})
     assert fs.slots == ((1, ("z2", "z3")), (1, ("z2",)))
     assert fs.charge == 3
+
+
+# ---------------------------------------------------------------------------
+# series under a scalar, formed to the precision the scalar lets through
+
+
+def _scaled_cases(T):
+    """(scalar, closed form, target, series window) for the braiding
+    scalar, its sign mutation and the translation scalar at every charge
+    pair, with seeded windows, caps and g-orders."""
+    from qvertex.verifier import REG12, _scalar_chunk, _widened
+    rng = random.Random(700 + T)
+    zv = ("z1", "z2")
+    for a, b in ((1, 1), (1, 2), (2, 1)):
+        W = rng.randint(2, 5)
+        plane = Window.of(z1=(-W, W), z2=(-W, W))
+        swapped = x2_closed_form(b, a).substitute(
+            {"z1": ("z2",), "z2": ("z1",)})
+        for sign in (1, -1):
+            fp = s_tau(a, b, "z2", "z1").mul(FactorProduct.of(coeff=(sign,)))
+            sc = _scalar_chunk(fp, REG12, zv, (0, 0), T)
+            yield sc, swapped, plane, _widened(plane, sc, zv)
+        G = rng.randint(1, 3)
+        sc = _scalar_chunk(s_gamma(a, b), REG12, zv, (0, G), T)
+        yield (sc, x2_closed_form(a, b), Window.of(z1=(-W, W), z2=(-W, W),
+                                                   g=(0, G)),
+               _widened(plane, sc, zv))
+
+
+@pytest.mark.parametrize("T", [0, 1, 3, 8, 24])
+def test_evaluate_scaled_is_the_product_with_evaluate(T):
+    rng = random.Random(750 + T)
+    for sc, cf, target, window in _scaled_cases(T):
+        cap = rng.randint(3, 8)
+        want = laurent_mul(sc, evaluate(cf, REG, window, cap, T), target)
+        got = evaluate_scaled(sc, cf, REG, window, target, cap, T)
+        assert want.terms
+        assert got.terms == want.terms
+        assert (got.window, got.support) == (want.window, want.support)

@@ -581,3 +581,54 @@ def test_mul_raw_charge_above_max_raises():
                      Window.of(), FockVector.zero(1))
     with pytest.raises(UnsupportedCharge):
         mul_raw(h, h, Window.of(), 4)
+
+
+def _rows_within(c, n):
+    return all(len(row) <= n for _, num, _ in c.charge_rows()
+               for row in num.values())
+
+
+@pytest.mark.parametrize("T", [0, 1, 8, 24])
+def test_mul_raw_keep_is_the_product_mod_t_power(T):
+    # each kept monomial holds the full product mod t^keep[m], with no row
+    # longer; a monomial absent from keep is not formed
+    rng = random.Random(900 + T)
+    cap = 4
+    window = Window(((-3, 5), (-4, 3), (0, 0), (0, 6)))
+    box = [Monomial(e0, e1, 0, e3) for e0 in range(-3, 6)
+           for e1 in range(-4, 4) for e3 in range(7)]
+    cut = kept = 0
+    for k1 in KINDS:
+        for k2 in KINDS:
+            for _ in range(3):
+                a = _random_operand(rng, k1, cap, T, [0, 1, 2], 1)
+                b = _random_operand(rng, k2, cap, T, [0, 1], -1)
+                full = mul_raw(a, b, window, cap)
+                keep = {m: rng.randint(1, T + 1)
+                        for m in rng.sample(box, len(box) // 2)}
+                prod = mul_raw(a, b, window, cap, keep)
+                assert set(prod.terms) <= set(keep)
+                for m, n in keep.items():
+                    c, ref = prod.get(m), full.get(m)
+                    assert _rows_within(c, n)
+                    assert c.t_truncate(n - 1) == ref.t_truncate(n - 1)
+                    kept += not ref.is_zero()
+                    cut += c != ref
+    assert kept >= 60 and (T == 0 or cut >= 20)
+
+
+@pytest.mark.parametrize("T", [0, 3, 24])
+def test_mul_raw_full_keep_is_no_keep(T):
+    rng = random.Random(950 + T)
+    window = Window(((-3, 5), (-4, 3), (0, 0), (0, 6)))
+    every = {Monomial(e0, e1, 0, e3): T + 1 for e0 in range(-3, 6)
+             for e1 in range(-4, 4) for e3 in range(7)}
+    for k1 in KINDS:
+        for k2 in KINDS:
+            a = _random_operand(rng, k1, 4, T, [0, 1, 2], 1)
+            b = _random_operand(rng, k2, 4, T, [0, 1], -1)
+            full = mul_raw(a, b, window, 4)
+            assert full.terms
+            prod = mul_raw(a, b, window, 4, every)
+            assert prod.terms == full.terms
+            assert prod.support == full.support

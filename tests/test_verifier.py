@@ -1,6 +1,7 @@
 """Identity checks: pass at modest orders, fail under shipped mutations,
 and report deterministically."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from qvertex import verifier
-from qvertex.engine import jing_Q
+from qvertex.engine import (evaluate_scaled, jing_Q, s_gamma, s_tau,
+                            x2_closed_form)
 from qvertex.errors import (EmptyComparison, TruncationMismatch,
                             WindowUnderflow)
 from qvertex.fock import FockVector
@@ -502,3 +504,67 @@ def test_jacobi_probe_raises_inside_support():
     x1, x2 = verifier._int_rows(cut, other)
     with pytest.raises(WindowUnderflow):
         list(verifier._jacobi_sides(x1, x2, x3, 1, zero))
+
+
+# ---------------------------------------------------------------------------
+# the series under a braiding or translation scalar, at deep t
+
+
+SCALED_GOLDEN = (DATA / "scaled_products_sha256.txt").read_text() \
+    .splitlines()
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _scaled_product(kind, a, b):
+    """The braided right-hand side (T=24, W=4, cap 8) or the translation
+    product (T=16, G=3, W=3, cap 7) as the checks form them, with its
+    target."""
+    zv = ("z1", "z2")
+    if kind == "braided":
+        T, W, cap = 24, 4, 8
+        target = Window.of(z1=(-W, W), z2=(-W, W))
+        sc = verifier._scalar_chunk(s_tau(a, b, "z2", "z1"), verifier.REG12,
+                                    zv, (0, 0), T)
+        cf = x2_closed_form(b, a).substitute({"z1": ("z2",), "z2": ("z1",)})
+        window = verifier._widened(target, sc, zv)
+    else:
+        T, G, W, cap = 16, 3, 3, 7
+        target = Window.of(z1=(-W, W), z2=(-W, W), g=(0, G))
+        sc = verifier._scalar_chunk(s_gamma(a, b), verifier.REG12, zv,
+                                    (0, G), T)
+        cf = x2_closed_form(a, b)
+        window = verifier._widened(Window.of(z1=(-W, W), z2=(-W, W)), sc, zv)
+    return (evaluate_scaled(sc, cf, verifier.REG12, window, target, cap, T),
+            target)
+
+
+@pytest.mark.parametrize("kind", ["braided", "translation"])
+@pytest.mark.parametrize("pair", ["1,1", "1,2", "2,1"])
+def test_scaled_products_golden(kind, pair):
+    # one line per target monomial: kind, charges, exponents of z1, z2 and
+    # g, then the sha256 of str() of the coefficient
+    want = {tuple(row.split()[2].split(",")): row.split()[3]
+            for row in SCALED_GOLDEN if row.startswith(f"{kind} {pair} ")}
+    prod, target = _scaled_product(kind, *map(int, pair.split(",")))
+    got = {(str(m[0]), str(m[1]), str(m[3])): _sha(str(prod.get(m)))
+           for m in verifier._box(target)}
+    assert len(got) == {"braided": 81, "translation": 196}[kind]
+    for key in sorted(got, key=lambda k: tuple(map(int, k))):
+        assert got[key] == want[key], key
+    assert set(want) == set(got)
+
+
+@pytest.mark.parametrize("pair", ["1,1", "1,2", "2,1"])
+def test_translation_charge_term_mutation_golden(pair):
+    # the d_charge_coeff = tp(1) witness at the deep-t translation
+    # parameters, pinned by the sha256 of its report minus elapsed
+    a, b = map(int, pair.split(","))
+    r = _strip(check_translation_covariance(
+        a, b, t_order=16, g_order=3, window=3, degree_cap=7,
+        d_charge_coeff=tp(1)))
+    assert r["compared"] == 196 and not r["passed"]
+    assert r["first_mismatch"] is not None
+    assert f"d-charge-report {pair} {_sha(json.dumps(r))}" in SCALED_GOLDEN
