@@ -17,11 +17,11 @@ Two representations live here:
   implementation for the unit-inversion property of the acceptance suite
   and for the benchmark tracer, which wraps the class by name.
 
-Many-term coefficients (``SymFuncP``, ``XPoly``, the Jacobi rows of the
-verifier and the accumulators of the Laurent product ``laurent.mul_raw``)
-share one layout: a dict of integer rows -- Z[t] numerators, lowest degree
-first -- over one common denominator.  ``canonical_rows`` brings such a
-dict to canonical form and ``add_row`` adds one row into it in place.
+Many-term coefficients (``SymFuncP``, ``XPoly`` and the accumulators of
+the Laurent product ``laurent.mul_raw``) share one layout: a dict of
+integer rows -- Z[t] numerators, lowest degree first -- over one common
+denominator.  ``canonical_rows`` brings such a dict to canonical form and
+``add_row`` adds one row into it in place.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain, product
 from math import lcm
 
 from .engine import (evaluate, evaluate_scaled, jing_Q, s_gamma, s_tau,
@@ -23,10 +24,9 @@ from .engine import (evaluate, evaluate_scaled, jing_Q, s_gamma, s_tau,
 from .errors import EmptyComparison, TruncationMismatch, WindowUnderflow
 from .fock import FockVector, apply_D, exp_D, exp_D_chunk
 from .laurent import (LaurentChunk, Monomial, VAR_INDEX, Window,
-                      binom_expansion_terms, laurent_mul, lform, region,
-                      FactorProduct)
+                      binom_expansion_terms, iv_intersect, laurent_mul, lform,
+                      region, FactorProduct)
 from .rationals import Rat
-from .scalars import add_row
 from .symfunc import SymFuncP, hl_q_oracle, p_to_x, partitions_up_to
 
 REG12 = region("z1", "z2", "g")
@@ -75,8 +75,7 @@ class _Comparator:
 
     def take(self, label, lhs, rhs):
         self.compared += 1
-        if not (lhs.is_zero() and rhs.is_zero()):
-            self.live += 1
+        self.live += not (lhs.is_zero() and rhs.is_zero())
         if self.first is None and lhs != rhs:
             self.first = (str(label), str(lhs), str(rhs))
 
@@ -96,12 +95,8 @@ class _Comparator:
 
 def _box(window: Window):
     """All monomials of a finite window box, lexicographically."""
-    (l0, h0), (l1, h1), (l2, h2), (l3, h3) = window.bounds
-    for e0 in range(l0, h0 + 1):
-        for e1 in range(l1, h1 + 1):
-            for e2 in range(l2, h2 + 1):
-                for e3 in range(l3, h3 + 1):
-                    yield Monomial(e0, e1, e2, e3)
+    return (Monomial(*e) for e in product(*(range(lo, hi + 1)
+                                           for lo, hi in window.bounds)))
 
 
 def _scalar_chunk(fp: FactorProduct, reg, zvars, g_bounds,
@@ -295,99 +290,103 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
 # braided Jacobi identity
 
 
-class _IntRows:
-    """A chunk of FockVector coefficients as integer rows over one common
-    denominator ``den``: ``rows[m]`` is a tuple of (charge, {partition:
-    numerators}) blocks, and the coefficient is numerators / den.
+class _Packed(dict):
+    """A Jacobi chunk, monomial -> ((charge, weight), block) pairs; a
+    missing monomial inside the support but outside the window raises."""
 
-    ``probe`` reads a row under the soundness rule of the chunk: outside
-    the stored window it returns the empty row only where the support
-    rules the monomial out, and raises WindowUnderflow otherwise.
-    """
-
-    __slots__ = ("rows", "den", "window", "support")
-
-    def __init__(self, chunk: LaurentChunk, den: int):
-        """The chunk's ``charge_rows``, brought over den."""
-        self.rows = {m: tuple((q, num if s == 1 else
-                               {lam: tuple(x * s for x in row)
-                                for lam, row in num.items()})
-                              for q, num, d in v.charge_rows()
-                              for s in (den // d,))
-                     for m, v in chunk.terms.items()}
-        self.den = den
-        self.window = chunk.window
-        self.support = chunk.support
-
-    def probe(self, m: tuple) -> tuple:
-        row = self.rows.get(m)
-        if row is not None:
-            return row
-        if self.window.contains(m):
-            return ()
-        for (lo, hi), e in zip(self.support, m):
-            if (lo is not None and e < lo) or (hi is not None and e > hi):
-                return ()
-        raise WindowUnderflow(f"{Monomial(*m)} outside window {self.window} "
-                              "but inside support")
+    def __missing__(self, m: tuple) -> tuple:
+        if not self.window.contains(m) and all(
+                iv_intersect((e, e), s) for e, s in zip(m, self.support)):
+            raise WindowUnderflow(f"{Monomial(*m)} outside window "
+                                  f"{self.window} but inside support")
+        return self.setdefault(m, ())
 
 
-def _int_rows(*chunks) -> list:
-    """The chunks as _IntRows over the lcm of all their denominators."""
-    den = lcm(*(d for ch in chunks for v in ch.terms.values()
-                for _, _, d in v.charge_rows()))
-    return [_IntRows(ch, den) for ch in chunks]
-
-
-def _add_blocks(acc: dict, blocks, k: int):
-    """acc[q][partition] += k * row for every row of the probed blocks."""
-    for q, num in blocks:
-        a = acc.get(q)
-        if a is None:
-            a = acc[q] = {}
-        for lam, row in num.items():
-            add_row(a, lam, row, k)
-
-
-def _jacobi_sides(x1: _IntRows, x2: _IntRows, x3: _IntRows, W: int,
-                  zero: FockVector):
-    """(monomial, lhs, rhs) of the delta-convolutions over the box
-    [-W, W]^3 in (z1, z2, z3), lexicographically.
+class _JacobiSides:
+    """The delta-convolutions over the box [-W, W]^3 in (z1, z2, z3), k
+    running until the probed exponent reaches its support floor:
 
     lhs = sum_k C(-e3-1, k) (-1)^k x1[z1^(e1+e3+1+k) z2^(e2-k)]
         + (-1)^e3 sum_k C(-e3-1, k) (-1)^k x2[z1^(e1-k) z2^(e2+e3+1+k)]
     rhs = sum_k C(-e1-1, k) x3[z2^(e1+e2+1+k) z3^(e3-k)]
 
-    with k running until the probed exponent reaches its support floor.
-    x1 and x2 must share a denominator.
+    One int per (charge, p-weight) block, over den12 (x1, x2) or den3 (x3),
+    holds the row of the i-th partition met of that weight in signed B-bit
+    digits i(T+1)..i(T+1)+T; no digit of lhs*den3 - rhs*den12 reaches 2 S12
+    X12 den3 + S3 X3 den12 < 2^(B-1), X a side's largest |numerator|, S a
+    binomial row's sum |C(-e-1, k)|.
     """
-    f1, f2, f3 = x2.support[0][0], x1.support[1][0], x3.support[2][0]
-    probe1, probe2, probe3 = x1.probe, x2.probe, x3.probe
-    rng = range(-W, W + 1)
-    # binomial rows of the left-hand deltas, one per e3, long enough for
-    # every kmax of either probe
-    row12 = {e3: binom_expansion_terms(-e3 - 1, -1, W - min(f1, f2))
-             for e3 in rng}
-    for e1 in rng:
-        row3 = binom_expansion_terms(-e1 - 1, 1, W - f3)
-        for e2 in rng:
-            for e3 in rng:
-                lhs: dict = {}
-                row = row12[e3]
-                for k, c in row[:max(0, e2 - f2 + 1)]:
-                    _add_blocks(lhs, probe1((e1 + e3 + 1 + k, e2 - k, 0, 0)),
-                                c)
-                sgn = -1 if e3 & 1 else 1
-                for k, c in row[:max(0, e1 - f1 + 1)]:
-                    _add_blocks(lhs, probe2((e1 - k, e2 + e3 + 1 + k, 0, 0)),
-                                sgn * c)
-                rhs: dict = {}
-                for k, c in row3[:max(0, e3 - f3 + 1)]:
-                    _add_blocks(rhs, probe3((0, e1 + e2 + 1 + k, e3 - k, 0)),
-                                c)
-                yield (Monomial(e1, e2, e3),
-                       zero.from_charge_rows(lhs, x1.den),
-                       zero.from_charge_rows(rhs, x3.den))
+
+    def __init__(self, xp1: LaurentChunk, xp2: LaurentChunk,
+                 xp3: LaurentChunk, W: int):
+        self.rng, self.zero = range(-W, W + 1), xp1.zero
+        self.floors = f1, f2, f3 = (xp2.support[0][0], xp1.support[1][0],
+                                    xp3.support[2][0])
+        # binomial rows, each long enough for every kmax of its probes
+        self.row12, self.row3 = ({e: binom_expansion_terms(-e - 1, s, W - f)
+                                  for e in self.rng}
+                                 for s, f in ((-1, min(f1, f2)), (1, f3)))
+        rows = [[b for ch in chs for v in ch.terms.values()
+                 for b in v.charge_rows()] for chs in ((xp1, xp2), (xp3,))]
+        self.den12, self.den3 = dens = [lcm(*(b[2] for b in r)) for r in rows]
+        X12, X3 = (max((max(map(abs, chain.from_iterable(num.values())))
+                        * (den // d) for _, num, d in r), default=0)
+                   for r, den in zip(rows, dens))
+        S12, S3 = (max(sum(abs(c) for _, c in row) for row in rs.values())
+                   for rs in (self.row12, self.row3))
+        self.B = (2 * S12 * X12 * self.den3
+                  + S3 * X3 * self.den12).bit_length() + 1
+        self.index: dict = {}  # weight -> {partition: position}
+        self.x = tuple(self._pack(ch, den) for ch, den in zip(
+            (xp1, xp2, xp3), (self.den12, self.den12, self.den3)))
+
+    def _pack(self, chunk: LaurentChunk, den: int) -> _Packed:
+        B, n, out = self.B, self.zero.t_order + 1, _Packed()
+        for m, v in chunk.terms.items():
+            blocks: dict = {}
+            for q, num, d in v.charge_rows():
+                s = den // d
+                for lam, row in num.items():
+                    key = (q, w := lam.weight)
+                    index = self.index.setdefault(w, {})
+                    i = index.setdefault(lam, len(index)) * n
+                    blocks[key] = blocks.get(key, 0) + sum(
+                        x * s << (i + j) * B for j, x in enumerate(row))
+            out[m] = tuple(blocks.items())
+        out.window, out.support = chunk.window, chunk.support
+        return out
+
+    def fock(self, blocks: dict, den: int) -> FockVector:
+        """The coefficient blocks / den, read off balanced digits."""
+        B, n, num, half = self.B, self.zero.t_order + 1, {}, 1 << (self.B - 1)
+        for (q, w), x in blocks.items():
+            for lam in self.index[w]:
+                row = num.setdefault(q, {})[lam] = []
+                for _ in range(n):
+                    row.append((x + half) % (2 * half) - half)
+                    x = (x - row[-1]) >> B
+        return self.zero.from_charge_rows(num, den)
+
+    def __iter__(self):
+        """(monomial, lhs blocks, rhs blocks), lexicographically."""
+        rng, (f1, f2, f3), (x1, x2, x3) = self.rng, self.floors, self.x
+        for e1 in rng:
+            row3 = self.row3[e1]
+            for e2 in rng:
+                for e3 in rng:
+                    lhs: dict = {}
+                    for k, c in self.row12[e3][:max(0, e2 - f2 + 1)]:
+                        for key, x in x1[e1 + e3 + 1 + k, e2 - k, 0, 0]:
+                            lhs[key] = lhs.get(key, 0) + c * x
+                    sgn = -1 if e3 & 1 else 1
+                    for k, c in self.row12[e3][:max(0, e1 - f1 + 1)]:
+                        for key, x in x2[e1 - k, e2 + e3 + 1 + k, 0, 0]:
+                            lhs[key] = lhs.get(key, 0) + sgn * c * x
+                    rhs: dict = {}
+                    for k, c in row3[:max(0, e3 - f3 + 1)]:
+                        for key, x in x3[0, e1 + e2 + 1 + k, e3 - k, 0]:
+                            rhs[key] = rhs.get(key, 0) + c * x
+                    yield Monomial(e1, e2, e3), lhs, rhs
 
 
 def check_braided_jacobi(t_order: int = 3, window: int = 5,
@@ -411,10 +410,6 @@ def check_braided_jacobi(t_order: int = 3, window: int = 5,
                    Window.of(z1=(1 - T - 1, 3 * W), z2=(0, W)), cap, T)
     xp2 = evaluate(form, REG21,
                    Window.of(z1=(1 - T - 1, W), z2=(0, 3 * W + T)), cap, T)
-    zero = xp1.zero
-    # each chunk is freed once it is in integer rows
-    x1, x2 = _int_rows(xp1, xp2)
-    del xp1, xp2
     sub = form.substitute({"z1": ("z2", "z3")})
     if drop_s_gamma:
         undo = FactorProduct.of(factors=(
@@ -424,12 +419,17 @@ def check_braided_jacobi(t_order: int = 3, window: int = 5,
     xp3 = evaluate(sub, REG23,
                    Window.of(z2=(-2 * W, 3 * W), z3=(0, W)), cap, T)
 
-    x3, = _int_rows(xp3)
-    del xp3
-
-    cmp_ = _Comparator()
-    for m, lhs, rhs in _jacobi_sides(x1, x2, x3, W, zero):
-        cmp_.take(m, lhs, rhs)
+    sides = _JacobiSides(xp1, xp2, xp3, W)
+    del xp1, xp2, xp3
+    cmp_, d12, d3 = _Comparator(), sides.den12, sides.den3
+    for m, lhs, rhs in sides:
+        cmp_.compared += 1
+        cmp_.live += any(lhs.values()) or any(rhs.values())
+        if cmp_.first is None and any(
+                lhs.get(k, 0) * d3 != rhs.get(k, 0) * d12
+                for k in lhs.keys() | rhs.keys()):
+            cmp_.first = (str(m), str(sides.fock(lhs, d12)),
+                          str(sides.fock(rhs, d3)))
     return cmp_.report("jacobi", params, t0)
 
 

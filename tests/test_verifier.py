@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from qvertex import verifier
-from qvertex.engine import (evaluate_scaled, jing_Q, s_gamma, s_tau,
-                            x2_closed_form)
+from qvertex.engine import (evaluate, evaluate_scaled, jing_Q, s_gamma,
+                            s_tau, x2_closed_form, x120_closed_form)
 from qvertex.errors import (EmptyComparison, TruncationMismatch,
                             WindowUnderflow)
 from qvertex.fock import FockVector
@@ -437,6 +437,29 @@ def _random_chunk(rng, window, cap, T, dens):
     return LaurentChunk(terms, window, FockVector.zero(T))
 
 
+def _decoded_sides(sides):
+    """The kernel's sides as FockVectors, lhs over den12 and rhs over den3."""
+    for m, lhs, rhs in sides:
+        yield m, sides.fock(lhs, sides.den12), sides.fock(rhs, sides.den3)
+
+
+def _matches_reference(xp1, xp2, xp3, W):
+    """The decoded sides equal the FockVector reference at every monomial;
+    returns the kernel."""
+    sides = verifier._JacobiSides(xp1, xp2, xp3, W)
+    live = 0
+    for (m, lhs, rhs), (rm, rlhs, rrhs) in zip(
+            _decoded_sides(sides), _reference_sides(xp1, xp2, xp3, W),
+            strict=True):
+        assert m == rm
+        assert lhs == rlhs, (m, "lhs")
+        assert rhs == rrhs, (m, "rhs")
+        live += not lhs.is_zero()
+        live += not rhs.is_zero()
+    assert live > (2 * W + 1) ** 3 // 2
+    return sides
+
+
 def _convolution_matches_reference(rng, W, T, cap, dens1, dens2, dens3):
     lo = [rng.randint(-1, 1) for _ in range(3)]
     xp1 = _random_chunk(rng, Window.of(z1=(-T - 1, 3 * W),
@@ -445,19 +468,8 @@ def _convolution_matches_reference(rng, W, T, cap, dens1, dens2, dens3):
                                        z2=(0, 3 * W + T)), cap, T, dens2)
     xp3 = _random_chunk(rng, Window.of(z2=(-2 * W, 3 * W),
                                        z3=(lo[2], W)), cap, T, dens3)
-    x1, x2 = verifier._int_rows(xp1, xp2)
-    x3, = verifier._int_rows(xp3)
-    got = verifier._jacobi_sides(x1, x2, x3, W, xp1.zero)
-    live = 0
-    for (m, lhs, rhs), (rm, rlhs, rrhs) in zip(
-            got, _reference_sides(xp1, xp2, xp3, W), strict=True):
-        assert m == rm
-        assert lhs == rlhs, (m, "lhs")
-        assert rhs == rrhs, (m, "rhs")
-        live += not lhs.is_zero()
-        live += not rhs.is_zero()
-    assert live > (2 * W + 1) ** 3 // 2
-    return x1.den, x3.den
+    sides = _matches_reference(xp1, xp2, xp3, W)
+    return sides.den12, sides.den3
 
 
 @pytest.mark.parametrize("W, T, cap", [(2, 0, 4), (2, 3, 7), (3, 1, 5),
@@ -490,20 +502,109 @@ def test_jacobi_probe_raises_inside_support():
         cut_window, zero, support)
     other = LaurentChunk({Monomial(0, 0): v}, Window.of(), zero)
 
-    rows, = verifier._int_rows(cut)
-    assert rows.probe((1, 1, 0, 0)) != ()
-    assert rows.probe((1, 3, 0, 0)) == ()
-    assert rows.probe((6, 1, 0, 0)) == ()
+    rows = verifier._JacobiSides(cut, other, other, 1).x[0]
+    assert rows[1, 1, 0, 0] != ()
+    assert rows[1, 3, 0, 0] == ()
+    assert rows[6, 1, 0, 0] == ()
     for a in (3, 4, 5):
         with pytest.raises(WindowUnderflow):
-            rows.probe((a, 1, 0, 0))
+            rows[a, 1, 0, 0]
 
-    x3, = verifier._int_rows(other)
-    x1, x2 = verifier._int_rows(full, other)
-    assert len(list(verifier._jacobi_sides(x1, x2, x3, 1, zero))) == 27
-    x1, x2 = verifier._int_rows(cut, other)
+    assert len(list(verifier._JacobiSides(full, other, other, 1))) == 27
     with pytest.raises(WindowUnderflow):
-        list(verifier._jacobi_sides(x1, x2, x3, 1, zero))
+        list(verifier._JacobiSides(cut, other, other, 1))
+
+
+def _big_chunk(rng, window, cap, T, den, sign):
+    """FockVector coefficients on most of the window: numerators near
+    sign(m) * 2^80 over den, at weights up to cap mixed in one
+    coefficient."""
+    parts = list(partitions_up_to(cap))
+    terms = {}
+    for m in verifier._box(window):
+        if rng.random() < 0.8:
+            s = sign(m)
+            rows = {lam: tuple(s * (2 ** 80 - rng.randrange(2 ** 40))
+                               for _ in range(T + 1))
+                    for lam in rng.sample(parts, rng.randint(2, 5))}
+            terms[m] = FockVector({rng.randrange(4): SymFuncP(rows, den, T)},
+                                  T)
+    return LaurentChunk(terms, window, FockVector.zero(T))
+
+
+def _max_digit(sides, xp1, xp2, xp3, W):
+    """The largest |digit| of lhs * den3 - rhs * den12, from the reference."""
+    scale = sides.den12 * sides.den3
+    top = 0
+    for _, lhs, rhs in _reference_sides(xp1, xp2, xp3, W):
+        for f in (lhs - rhs).components.values():
+            for row in f.num.values():
+                top = max(top, max(map(abs, row)) * (scale // f.den))
+    return top
+
+
+@pytest.mark.parametrize("den12, den3", [(2 ** 61 - 1, 3 ** 30), (1, 1)],
+                         ids=["mersenne-61-3^30", "integer"])
+def test_jacobi_digit_width_holds_every_digit(den12, den3):
+    # the signs line every binomial term up at e1 = e3 = W (W even), so
+    # the sums come close to the bound that B is derived from
+    W, T, cap = 2, 1, 6
+    rng = random.Random(den12 + den3)
+    xp1 = _big_chunk(rng, Window.of(z1=(-T - 1, 3 * W), z2=(-1, W)), cap,
+                     T, den12, lambda m: 1)
+    xp2 = _big_chunk(rng, Window.of(z1=(-1 - T, W), z2=(0, 3 * W + T)),
+                     cap, T, den12, lambda m: 1)
+    xp3 = _big_chunk(rng, Window.of(z2=(-2 * W, 3 * W), z3=(-1, W)), cap,
+                     T, den3, lambda m: (-1) ** (W + 1 + m[2]))
+    sides = _matches_reference(xp1, xp2, xp3, W)
+    assert (sides.den12, sides.den3) == (den12, den3)
+    assert _max_digit(sides, xp1, xp2, xp3, W) < 2 ** (sides.B - 1)
+
+
+def _jacobi_chunks(T, W, cap):
+    form = x120_closed_form(1, 1, 1)
+    sub = form.substitute({"z1": ("z2", "z3")})
+    return (evaluate(form, verifier.REG12,
+                     Window.of(z1=(-T, 3 * W), z2=(0, W)), cap, T),
+            evaluate(form, verifier.REG21,
+                     Window.of(z1=(-T, W), z2=(0, 3 * W + T)), cap, T),
+            evaluate(sub, verifier.REG23,
+                     Window.of(z2=(-2 * W, 3 * W), z3=(0, W)), cap, T))
+
+
+def test_jacobi_one_unit_mismatch_reported_like_fockvectors(monkeypatch):
+    # the three expansions times one big rational satisfy the identity;
+    # one unit in the top digit of the highest-index partition that the
+    # rhs probes in x3 must then show up where the FockVector route sees it
+    T, W, cap = 1, 3, 6
+    c = Rat(2 ** 80 + 1, 3 ** 30)
+    xp1, xp2, xp3 = (ch.scale(c) for ch in _jacobi_chunks(T, W, cap))
+    index = verifier._JacobiSides(xp1, xp2, xp3, W).index
+    probed = {Monomial(z2=e1 + e2 + 1 + k, z3=e3 - k)
+              for e1, e2, e3 in product(range(-W, W + 1), repeat=3)
+              for k in range(e3 - xp3.support[2][0] + 1)}
+    _, m, lam = max((index[lam.weight][lam], m, lam)
+                    for m in probed & xp3.terms.keys()
+                    for f in xp3.terms[m].components.values()
+                    for lam in f.num)
+    assert index[lam.weight][lam] == len(index[lam.weight]) - 1 > 5
+    (q, f), = xp3.terms[m].components.items()
+    num = dict(f.num)
+    row = num[lam] = list(num[lam]) + [0] * (T + 1 - len(num[lam]))
+    row[T] += 1
+    terms = dict(xp3.terms)
+    terms[m] = FockVector({q: SymFuncP(num, f.den, T)}, T)
+    bad = LaurentChunk(terms, xp3.window, xp3.zero, xp3.support)
+
+    for x3, passed in ((xp3, True), (bad, False)):
+        chunks = iter((xp1, xp2, x3))
+        monkeypatch.setattr(verifier, "evaluate", lambda *a: next(chunks))
+        got = check_braided_jacobi(t_order=T, window=W, degree_cap=cap)
+        ref = verifier._Comparator()
+        for label, lhs, rhs in _reference_sides(xp1, xp2, x3, W):
+            ref.take(label, lhs, rhs)
+        assert (got.compared, got.first_mismatch) == (ref.compared, ref.first)
+        assert got.passed == passed
 
 
 # ---------------------------------------------------------------------------
