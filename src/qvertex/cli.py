@@ -6,11 +6,16 @@ strings; runs with identical flags produce identical bytes apart from the
 elapsed fields.
 
 ``verify`` runs the selected checks side by side, in up to one forked
-worker process per usable CPU, and prints their reports in check order;
-with one usable CPU or one check it runs them in this process.  Each
-elapsed field is that check's own time, so their sum can exceed the wall
-time.  If a check raises, the first such check in check order prints its
-error, nothing else is printed and the exit code is 2.
+worker process per usable CPU, and prints their reports in check order.
+The pool starts the heaviest check first (``BY_COST``), so the longest one
+does not start last while a worker sits idle.  Only the checks outside the
+cheap tail of ``BY_COST`` (braided-commutativity, classical, vacuum: each
+under 0.06 s, about what starting a pool costs) size the pool; with one
+usable CPU, or at most one selected check outside that tail, every check
+runs in this process.  Each elapsed field is that check's own time, so
+their sum can exceed the wall time.  If a check raises, the first such
+check in check order prints its error, nothing else is printed and the
+exit code is 2.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from functools import partial
 from .engine import jing_Q
 from .errors import QVertexError
 from .rationals import Rat
-from .symfunc import Partition, p_to_x, xpoly_monomial_coeffs
+from .symfunc import Partition, p_to_x_dominant, xpoly_monomial_coeffs
 from .verifier import CHECK_IDS, run_check
 
 HL_MIN_T_ORDER = 24
@@ -34,6 +39,16 @@ HL_MAX_WEIGHT = 8
 # or (hl-oracle) they have none
 IGNORES_CHARGES = frozenset(("classical", "expansion", "hl-oracle",
                              "jacobi", "vacuum"))
+# every check, heaviest first by its time in a fresh process at the CLI
+# defaults (2 vCPU, Python 3.11): translation 0.28-0.31 s, expansion
+# 0.27-0.35, hl-oracle 0.14-0.18, jacobi 0.13-0.15, braided-commutativity
+# 0.055-0.059, classical 0.024-0.027, vacuum 0.005-0.007; the pool starts
+# them in this order
+BY_COST = ("translation", "expansion", "hl-oracle", "jacobi",
+           "braided-commutativity", "classical", "vacuum")
+# the tail of BY_COST: each takes under 0.06 s, about what starting a pool
+# costs (37 ms), so these checks never size one
+CHEAP = frozenset(BY_COST[4:])
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,7 @@ def run_hl(lambdas, cfg: RunConfig, nvars=None, basis: str = "p") -> int:
             n = nvars if nvars is not None else max(lam.weight, 1)
             # a monomial of Q_lambda uses at most |lambda| variables
             mono = xpoly_monomial_coeffs(
-                p_to_x(f, min(n, max(lam.weight, 1))))
+                p_to_x_dominant(f, min(n, max(lam.weight, 1))))
             rows = [(list(mu), [str(c) for c in cs])
                     for mu, cs in sorted(mono.items(), reverse=True)]
             payload["nvars"] = n
@@ -122,14 +137,15 @@ def run_hl(lambdas, cfg: RunConfig, nvars=None, basis: str = "p") -> int:
 def _run_checks(cids, cfg: RunConfig):
     """The reports of cids in their order, or None after printing the
     error of the first check that raises.  The checks are independent, so
-    they run side by side in up to one forked worker per usable CPU; one
-    worker runs them in this process, which saves starting a pool."""
+    they run side by side in up to one forked worker per usable CPU and per
+    selected check outside CHEAP, heaviest first; with at most one such
+    worker they run in this process, which saves starting a pool."""
     kwargs = dict(t_order=cfg.t_order, g_order=cfg.gamma_order,
                   degree_cap=cfg.degree_cap, window=cfg.window,
                   charges=cfg.charges)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
-    workers = min(len(cids), cpus)
+    workers = min(len(set(cids) - CHEAP), cpus)
     if workers <= 1:
         return _collect(cids, [partial(run_check, cid, **kwargs)
                                for cid in cids])
@@ -139,8 +155,9 @@ def _run_checks(cids, cfg: RunConfig):
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(run_check, cid, **kwargs) for cid in cids]
-        return _collect(cids, [f.result for f in futures])
+        futures = {cid: pool.submit(run_check, cid, **kwargs)
+                   for cid in sorted(cids, key=BY_COST.index)}
+        return _collect(cids, [futures[cid].result for cid in cids])
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -28,6 +28,15 @@ for Schur polynomials, and dividing exactly by the monic v_lambda(t), so
 the quotient stays in Z[t] and a nonzero remainder raises.  Q_lambda is
 b_lambda P_lambda.  Everything here is independent of the vertex-operator
 engine so it can serve as its oracle.
+
+A symmetric polynomial is fixed by its dominant part, the terms x^e with
+e weakly decreasing: their coefficients are its monomial-basis
+coefficients.  Both realizations are built on their dominant parts only
+(``p_to_x_dominant`` and ``hl_q_dominant``: 11 exponent vectors of the
+462 in 6 variables at weight 6), and that is what the verifier compares.
+Where the full XPoly is needed (``p_to_x``, ``hl_p_oracle``,
+``hl_q_oracle``, ``schur_x``) it is the orbit sum of the dominant part,
+each row placed at every distinct permutation of its exponent vector.
 """
 
 from __future__ import annotations
@@ -415,8 +424,9 @@ def _xpoly(nvars: int, num: dict, den: int) -> XPoly:
 
 
 def xpoly_monomial_coeffs(p: XPoly) -> dict:
-    """Monomial-basis coefficients of a symmetric XPoly, keyed by partition
-    (read off the dominant representative of each orbit)."""
+    """Monomial-basis coefficients of a symmetric XPoly or of its dominant
+    part, keyed by partition (read off the dominant representative of each
+    orbit)."""
     out = {}
     for exps, c in p.num.items():
         s = tuple(sorted(exps, reverse=True))
@@ -426,23 +436,55 @@ def xpoly_monomial_coeffs(p: XPoly) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def _orbit(e: tuple) -> tuple:
+    """The distinct permutations of a weakly decreasing e."""
+    if len(e) <= 1:
+        return (e,)
+    out = []
+    for i, x in enumerate(e):
+        if i and e[i - 1] == x:
+            continue
+        # what is left of a weakly decreasing tuple stays so
+        out.extend((x,) + r for r in _orbit(e[:i] + e[i + 1:]))
+    return tuple(out)
+
+
+def orbit_sum(p: XPoly) -> XPoly:
+    """The symmetric polynomial whose dominant part is p: the row of each
+    weakly decreasing e of p at every distinct permutation of e."""
+    return _xpoly(p.nvars, {f: row for e, row in p.num.items()
+                            for f in _orbit(e)}, p.den)
+
+
 @lru_cache(maxsize=1024)
 def _p_realization(lam: tuple, nvars: int) -> tuple:
-    """p_lambda(x_1..x_nvars) as ((exponents, positive int), ...)."""
+    """The dominant part of p_lambda(x_1..x_nvars) as ((exponents, positive
+    int), ...), the exponents weakly decreasing."""
     if not lam:
         return (((0,) * nvars, 1),)
     k = lam[-1]
-    out: dict = {}
-    for e, c in _p_realization(lam[:-1], nvars):
-        for i in range(nvars):
-            f = e[:i] + (e[i] + k,) + e[i + 1:]
-            out[f] = out.get(f, 0) + c
-    return tuple(out.items())
+    # p_lambda = p_lambda' (x_1^k + ... + x_n^k) and p_lambda' is symmetric,
+    # so its coefficient at any e is the one at e sorted
+    prev = dict(_p_realization(lam[:-1], nvars))
+    out = []
+    for nu in partitions_of(sum(lam)):
+        if len(nu) > nvars:
+            continue
+        e = nu + (0,) * (nvars - len(nu))
+        c = sum(prev.get(tuple(sorted(e[:i] + (x - k,) + e[i + 1:],
+                                      reverse=True)), 0)
+                for i, x in enumerate(e) if x >= k)
+        if c:
+            out.append((e, c))
+    return tuple(out)
 
 
-def p_to_x(f: SymFuncP, nvars: int) -> XPoly:
-    """Realize a power-sum expression in nvars variables; coefficients are
-    read as exact polynomials in t (the truncation must dominate them)."""
+def p_to_x_dominant(f: SymFuncP, nvars: int) -> XPoly:
+    """The dominant part of the realization of a power-sum expression in
+    nvars variables: its monomial-basis coefficients, each at its weakly
+    decreasing exponent vector.  Coefficients are read as exact
+    polynomials in t (the truncation must dominate them)."""
     if nvars < 1:
         raise TooFewVariables("need at least one variable")
     acc: dict = {}
@@ -450,6 +492,12 @@ def p_to_x(f: SymFuncP, nvars: int) -> XPoly:
         for e, k in _p_realization(tuple(lam), nvars):
             add_row(acc, e, row, k)
     return _xpoly(nvars, acc, f.den)
+
+
+def p_to_x(f: SymFuncP, nvars: int) -> XPoly:
+    """Realize a power-sum expression in nvars variables: the orbit sum of
+    its dominant part."""
+    return orbit_sum(p_to_x_dominant(f, nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +535,10 @@ def antisymmetrize(terms) -> dict:
 
 @lru_cache(maxsize=None)
 def _schur_terms(nu: tuple, n: int):
-    """Monomial expansion of the Schur polynomial s_nu(x_1..x_n) by the
-    branching rule s_nu = sum over interlacing mu of s_mu * x_n^{|nu|-|mu|}."""
+    """Dominant part of the monomial expansion of the Schur polynomial
+    s_nu(x_1..x_n) by the branching rule s_nu = sum over interlacing mu of
+    s_mu * x_n^{|nu|-|mu|}: an exponent vector (e, k) is weakly decreasing
+    when e is and its last entry is at least k."""
     if n == 0:
         return {(): 1} if not nu else {}
     if len(nu) > n:
@@ -502,6 +552,8 @@ def _schur_terms(nu: tuple, n: int):
         mu = tuple(x for x in mu_full if x)
         k = sum(nu) - sum(mu)
         for exps, c in _schur_terms(mu, n - 1).items():
+            if exps and exps[-1] < k:
+                continue
             key = exps + (k,)
             out[key] = out.get(key, 0) + c
     return out
@@ -509,8 +561,8 @@ def _schur_terms(nu: tuple, n: int):
 
 def schur_x(nu, n: int) -> XPoly:
     """Schur polynomial via the branching rule (engine-independent)."""
-    return _xpoly(n, {e: (c,) for e, c in _schur_terms(tuple(nu), n).items()},
-                  1)
+    return orbit_sum(_xpoly(n, {e: (c,) for e, c
+                                in _schur_terms(tuple(nu), n).items()}, 1))
 
 
 def xp_div_linear(p: XPoly, i: int, j: int) -> XPoly:
@@ -597,13 +649,15 @@ def _staircase_product(n: int) -> tuple:
     return tuple(terms.items())
 
 
-def hl_p_oracle(lam, n: int) -> XPoly:
-    """Hall-Littlewood P_lambda(x_1..x_n; t) by the symmetrization formula.
+def hl_p_dominant(lam, n: int) -> XPoly:
+    """The dominant part of the Hall-Littlewood P_lambda(x_1..x_n; t), by
+    the symmetrization formula.
 
     x^lambda prod_{i<j}(x_i - t x_j) is expanded, antisymmetrized term by
-    term, the alternants are recombined into Schur polynomials through the
-    branching rule, and the result is divided exactly by the monic
-    v_lambda(t).  All in Z[t], exact in t, no truncation.
+    term, the alternants are recombined into the dominant parts of Schur
+    polynomials through the branching rule, and the result is divided
+    exactly by the monic v_lambda(t).  All in Z[t], exact in t, no
+    truncation.
     """
     lam = Partition(lam)
     if n < len(lam):
@@ -627,8 +681,19 @@ def hl_p_oracle(lam, n: int) -> XPoly:
     return _xpoly(n, {e: tp_divexact(row, v) for e, row in acc.items()}, 1)
 
 
-def hl_q_oracle(lam, n: int) -> XPoly:
-    """Q_lambda = b_lambda(t) P_lambda, exact in t."""
-    p = hl_p_oracle(lam, n)
+def hl_q_dominant(lam, n: int) -> XPoly:
+    """The dominant part of Q_lambda = b_lambda(t) P_lambda, exact in t."""
+    p = hl_p_dominant(lam, n)
     b = b_lambda(lam)
     return _xpoly(n, {e: tp_mul(c, b) for e, c in p.num.items()}, p.den)
+
+
+def hl_p_oracle(lam, n: int) -> XPoly:
+    """Hall-Littlewood P_lambda(x_1..x_n; t), the orbit sum of its dominant
+    part."""
+    return orbit_sum(hl_p_dominant(lam, n))
+
+
+def hl_q_oracle(lam, n: int) -> XPoly:
+    """Q_lambda(x_1..x_n; t), the orbit sum of its dominant part."""
+    return orbit_sum(hl_q_dominant(lam, n))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qvertex.cli import main
+from qvertex.cli import BY_COST, CHEAP, main
 from qvertex.symfunc import partitions_up_to
 from qvertex.verifier import CHECK_IDS
 
@@ -287,3 +287,52 @@ def test_importing_the_cli_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-I", "-c", code, src],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_cost_order_covers_every_check():
+    # a check missing from BY_COST would never be submitted to the pool
+    assert sorted(BY_COST) == sorted(CHECK_IDS)
+    assert len(BY_COST) == len(CHECK_IDS)
+    assert CHEAP < set(BY_COST)
+
+
+def test_cheap_selection_starts_no_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]);"
+            " os.sched_getaffinity = lambda pid: {0, 1};"
+            " from qvertex.cli import main;"
+            " code = main(['verify', 'vacuum', 'classical']);"
+            " print(code, 'concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_pool_starts_the_heaviest_check_first(capsys, monkeypatch):
+    import concurrent.futures as cf
+    submitted = []
+
+    class Recorder:
+        # runs each check at submission, in this process
+        def __init__(self, workers, mp_context=None):
+            pass
+
+        def submit(self, fn, cid, **kwargs):
+            submitted.append(cid)
+            future = cf.Future()
+            future.set_result(fn(cid, **kwargs))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    code, out, _ = run(capsys, "verify", "vacuum", "jacobi", "translation",
+                       "--t-order", "1", "--window", "1",
+                       "--max-degree", "2")
+    assert code == 0
+    assert submitted == ["translation", "jacobi", "vacuum"]
+    assert [p["check_id"] for p in payloads(out)] \
+        == ["jacobi", "translation", "vacuum"]

@@ -15,9 +15,10 @@ from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp, tp_eval, tp_mul, tp_trim
 from qvertex.symfunc import (Partition, SymFuncP, XPoly, b_lambda,
                              dominance_leq, hl_p_oracle,
-                             hl_q_oracle, p_to_x, partitions_of,
-                             partitions_up_to, scalar, schur_bialternant,
-                             schur_x, v_lambda, xpoly_monomial_coeffs)
+                             hl_q_oracle, orbit_sum, p_to_x, p_to_x_dominant,
+                             partitions_of, partitions_up_to, scalar,
+                             schur_bialternant, schur_x, v_lambda,
+                             xpoly_monomial_coeffs)
 
 
 def test_partition_basic():
@@ -210,6 +211,15 @@ def test_hl_oracle_sides_golden():
         assert _sha(str(hl_q_oracle(lam, n).t_truncate(24))) == rhs_sha, lam
 
 
+def test_orbit_sum_spreads_each_row_over_distinct_permutations():
+    p = XPoly(3, {(2, 1, 1): tp(1, 2), (1, 1, 1): tp(3), (3, 0, 0): tp(5)})
+    full = orbit_sum(p)
+    assert full == XPoly(3, {
+        (2, 1, 1): tp(1, 2), (1, 2, 1): tp(1, 2), (1, 1, 2): tp(1, 2),
+        (1, 1, 1): tp(3),
+        (3, 0, 0): tp(5), (0, 3, 0): tp(5), (0, 0, 3): tp(5)})
+
+
 # ---------------------------------------------------------------------------
 # p_to_x against a naive rational reference
 
@@ -272,6 +282,9 @@ def test_p_to_x_matches_rational_reference(T):
     for f, n in cases:
         got = p_to_x(f, n)
         ref = _p_to_x_reference(f, n)
+        # the dominant part holds the weakly decreasing exponent vectors
+        assert p_to_x_dominant(f, n) == XPoly(n, {
+            e: c for e, c in ref.items() if list(e) == sorted(e)[::-1]})
         assert got.terms == ref
         assert got == XPoly(n, ref)
         assert str(got) == str(XPoly(n, ref))

@@ -188,20 +188,34 @@ def test_mutated_translation_fails():
 ])
 def test_hl_oracle_detects_perturbed_coefficient(monkeypatch, lam, mu, k,
                                                  den):
-    def perturbed(partition, t_order):
-        f = jing_Q(partition, t_order)
-        if tuple(partition) != lam:
-            return f
-        # t^k / den at p_mu
-        bump = SymFuncP({Partition(mu): (0,) * k + (1,)}, den, t_order)
-        return f + bump
-
-    monkeypatch.setattr(verifier, "jing_Q", perturbed)
-    r = check_hl_against_oracle(max_weight=3, t_order=24)
+    r = _perturbed_hl_report(monkeypatch, lam, mu, k, den)
     assert not r.passed
     label, lhs, rhs = r.first_mismatch
     assert label == f"Q_{lam}"
     assert lhs != rhs
+
+
+def _perturbed_hl_report(monkeypatch, lam, mu, k, den):
+    """The hl-oracle report at weight <= 3 with t^k / den added at p_mu of
+    the engine's Q_lam."""
+    def perturbed(partition, t_order):
+        f = jing_Q(partition, t_order)
+        if tuple(partition) != lam:
+            return f
+        bump = SymFuncP({Partition(mu): (0,) * k + (1,)}, den, t_order)
+        return f + bump
+
+    monkeypatch.setattr(verifier, "jing_Q", perturbed)
+    return check_hl_against_oracle(max_weight=3, t_order=24)
+
+
+def test_hl_oracle_perturbed_report_golden(monkeypatch):
+    # the check compares monomial coefficients but reports the first
+    # mismatch as the two full polynomials, byte for byte
+    r = _perturbed_hl_report(monkeypatch, (3,), (2, 1), 5, 1)
+    golden = json.loads((DATA / "hl_oracle_perturbed_report.json")
+                        .read_text())
+    assert _strip(r) == golden
 
 
 # Exact mutation reports, pinned byte for byte: together they exercise the
