@@ -1,14 +1,19 @@
 """Quantum vertex operators for the rank-one deformed lattice algebra.
 
 The operator content lives in the Jing gauge: the creation half of a
-charge-a vertex operator multiplies by exp(a sum_n (1-t^n)/n p_n z^n),
-the annihilation half applies exp(-a sum_n (d/dp_n) z^{-n}), and the
-lattice zero mode contributes z^{a m} on a charge-m state before the
-charge shift m -> m + a.  Applying an operator to a chunk of states is
-therefore one Laurent product (``laurent.mul_raw``) of its E+ chunk and
-its E-.zero-mode chunk; ``y_apply``, each step of ``y_product`` and the
-Heisenberg modes all run through it.  Composing two vertex operators
-produces the normal-ordered closed form
+charge-a vertex operator multiplies by E+_a(z) = exp(a sum_n (1-t^n)/n
+p_n z^n), the annihilation half E-_a(z) = exp(-a sum_n (d/dp_n) z^{-n})
+is the shift p_n -> p_n - a z^{-n}, and the lattice zero mode contributes
+z^{a m} on a charge-m state before the charge shift m -> m + a.  Both
+halves are read off closed forms with integer multipliers: the z^k
+coefficient of E+_a is sum_{lambda |- k} a^{l(lambda)} z_lambda^{-1}
+prod_i (1 - t^{lambda_i}) p_lambda (``eplus_coeff``), and E-_a p_lambda
+is prod_i (p_{lambda_i} - a z^{-lambda_i}) (``eminus_states``).  Applying
+an operator to a chunk of states is one Laurent product
+(``laurent.mul_raw``) of its E+ chunk and its E-.zero-mode chunk;
+``y_apply``, each step of ``y_product`` and the Heisenberg modes all run
+through it.  Composing two vertex operators produces the normal-ordered
+closed form
 
     Y(e^a, z1) Y(e^b, z2) v = r(z1,z2)^{ab} E+_a(z1) E+_b(z2) ...
 
@@ -29,16 +34,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 
 from .errors import UnsupportedCharge
 from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
                       RegionOrder, VARS, VAR_INDEX, Window, _fold,
                       bounds_add, iv_hull, laurent_mul, lform, mul_raw)
-from .rationals import Rat
-from .scalars import tp
-from .symfunc import Partition, SymFuncP, scalar
+from .scalars import add_row, tp_mullow
+from .symfunc import Partition, SymFuncP, partitions_of
 
 
 def _check_charge(a: int):
@@ -51,48 +55,52 @@ def _check_charge(a: int):
 
 
 @lru_cache(maxsize=None)
-def _creation_coeff(a: int, j: int, t_order: int) -> SymFuncP:
-    """a (1 - t^j)."""
-    return scalar(tp(*([a] + [0] * (j - 1) + [-a])), t_order)
-
-
-_EPLUS_CACHE: dict = {}
-
-
 def eplus_coeff(a: int, k: int, t_order: int) -> SymFuncP:
-    """Coefficient c_k of var^k in exp(a sum_n (1-t^n)/n p_n var^n).
+    """Coefficient c_k of var^k in exp(a sum_n (1-t^n)/n p_n var^n),
 
-    Euler recurrence k c_k = sum_j a (1-t^j) p_j c_{k-j}.  c_k is
-    homogeneous of weight k, so one list per (a, T) serves every cap.
+        c_k = sum_{lambda |- k} a^{l(lambda)} z_lambda^{-1}
+              prod_i (1 - t^{lambda_i}) p_lambda,
+
+    with z_lambda = prod_i i^{m_i} m_i!.  It is built over k!: each
+    numerator k!/z_lambda is the size of a conjugacy class of S_k, an
+    integer.  c_k is homogeneous of weight k, so one value per (a, k, T)
+    serves every cap.
     """
-    lst = _EPLUS_CACHE.setdefault((a, t_order), [SymFuncP.one(t_order)])
-    while len(lst) <= k:
-        kk = len(lst)
-        acc = SymFuncP.zero(t_order)
-        if a:
-            for j in range(1, kk + 1):
-                piece = lst[kk - j].mul_p(j)
-                acc = acc + piece * _creation_coeff(a, j, t_order)
-        lst.append(acc.scale(Rat(1, kk)))
-    return lst[k]
+    n = t_order + 1
+    num = {}
+    for lam in partitions_of(k):
+        row = (a ** len(lam) * factorial(k)
+               // prod(i ** m * factorial(m)
+                       for i, m in lam.multiplicities().items()),)
+        for part in lam:
+            row = tp_mullow(row, (1,) + (0,) * (part - 1) + (-1,), n)
+        num[lam] = row
+    return SymFuncP(num, factorial(k), t_order)
 
 
 def eminus_states(a: int, f: SymFuncP) -> list:
     """[g_0, g_1, ...] with E-_a(var) f = sum_w g_w var^{-w}.
 
-    Euler recurrence w g_w = sum_j (-a j) (d/dp_j) g_{w-j}; the list is
-    exactly finite since each step lowers the p-weight.
+    E-_a is the shift p_n -> p_n - a var^{-n}, so E-_a p_lambda =
+    prod_i (p_{lambda_i} - a var^{-lambda_i}): g_w is the sum, over the
+    sub-multisets S of lambda of weight w, of prod_i C(m_i, s_i)
+    (-a)^{|S|} p_{lambda minus S}, with m_i and s_i the multiplicities of
+    i in lambda and in S.  The multipliers are integers over f.den, and the
+    list ends at the top weight of f, trailing zeros trimmed.
     """
-    gs = [f]
     if a == 0 or f.is_zero():
-        return gs
-    for w in range(1, f.max_weight() + 1):
-        acc = SymFuncP.zero(f.t_order)
-        for j in range(1, w + 1):
-            g = gs[w - j].dp(j)
-            if not g.is_zero():
-                acc = acc + g.scale(-a * j)
-        gs.append(acc.scale(Rat(1, w)))
+        return [f]
+    rows = [{} for _ in range(f.max_weight() + 1)]
+    for lam, row in f.num.items():
+        mults = tuple(lam.multiplicities().items())
+        for picks in itertools.product(*(range(m + 1) for _, m in mults)):
+            k, w, rest = (-a) ** sum(picks), 0, []
+            for (i, m), s in zip(mults, picks):
+                k *= comb(m, s)
+                w += i * s
+                rest += [i] * (m - s)
+            add_row(rows[w], Partition(rest), row, k)
+    gs = [SymFuncP(num, f.den, f.t_order) for num in rows]
     while len(gs) > 1 and gs[-1].is_zero():
         gs.pop()
     return gs
@@ -130,12 +138,13 @@ def _apply(a: int, var: str, chunk: LaurentChunk, var_range,
     the working cap, on the exponent range [lo, hi] of var.
 
     On charge m, Y is var^{a m} E+_a(var) E-_a(var) followed by the shift
-    m -> m + a, so the whole step is one Laurent product: the E+ chunk
-    times the chunk of var^{a m - w} g_w at charge m + a, with
-    E-_a f = sum_w g_w var^{-w} (``eminus_states``) for each charge-m
-    component f.  Every output exponent is an E+ exponent in [0, cap] plus
-    an E- exponent, so E+ up to hi minus the lowest E- exponent covers
-    every split landing in the window.
+    m -> m + a, so the whole step is one Laurent product: the E+ chunk of
+    the closed-form coefficients (``eplus_coeff``) times the chunk of
+    var^{a m - w} g_w at charge m + a, with E-_a f = sum_w g_w var^{-w}
+    read off the shift p_n -> p_n - a var^{-n} (``eminus_states``) for
+    each charge-m component f.  Every output exponent is an E+ exponent in
+    [0, cap] plus an E- exponent, so E+ up to hi minus the lowest E-
+    exponent covers every split landing in the window.
     """
     _check_charge(a)
     lo, hi = var_range

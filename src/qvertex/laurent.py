@@ -768,7 +768,7 @@ class _FactorInfo:
         uterms = self.uterms
         r = len(uterms)
         base_m = tuple(a * e for a in self.base_m)
-        base_c = Rat(self.base_c) ** e
+        base_c = self.base_c ** e
         den = base_c.denominator
         pows = []
         for _, _, c, jmax in uterms:

@@ -97,11 +97,6 @@ class Partition(tuple):
     def add_part(self, k: int) -> "Partition":
         return Partition(sorted(self + (k,), reverse=True))
 
-    def remove_part(self, k: int) -> "Partition":
-        parts = list(self)
-        parts.remove(k)
-        return Partition(parts)
-
     @staticmethod
     def merge(lam: "Partition", mu: "Partition") -> "Partition":
         """The Partition with the parts of both; a merge of two partitions
@@ -335,21 +330,6 @@ class SymFuncP(_Rows):
     def from_charge_rows(self, num: dict, den: int) -> "SymFuncP":
         """num[0] / den at this t-order."""
         return self._rows(num.get(0, {}), den)
-
-    def mul_p(self, n: int) -> "SymFuncP":
-        """Multiply by p_n."""
-        return self._rows({lam.add_part(n): row
-                           for lam, row in self.num.items()}, self.den)
-
-    def dp(self, n: int) -> "SymFuncP":
-        """Formal derivative with respect to p_n."""
-        # lam -> lam minus one part n is one-to-one, so nothing adds up
-        num = {}
-        for lam, row in self.num.items():
-            m = lam.mult(n)
-            if m:
-                num[lam.remove_part(n)] = tuple(m * x for x in row)
-        return self._rows(num, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, SymFuncP):

@@ -3,7 +3,7 @@ forms, braiding/translation scalars, and their cross-validations."""
 
 import itertools
 import random
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -108,6 +108,53 @@ def test_eminus_single_derivative():
     gs2 = eminus_states(1, SymFuncP.p(2, T))
     assert gs2 == [SymFuncP.p(2, T), SymFuncP.zero(T),
                    -SymFuncP.one(T)]
+
+
+@pytest.mark.parametrize("t_order", [0, 3, 24])
+def test_eplus_satisfies_the_euler_recurrence(t_order):
+    # c = exp(a sum_n (1-t^n)/n p_n var^n) solves var c' = (sum_j a (1-t^j)
+    # p_j var^j) c, that is k c_k = sum_j a (1-t^j) p_j c_{k-j}
+    for a in range(4):
+        assert eplus_coeff(a, 0, t_order) == SymFuncP.one(t_order)
+        for k in range(1, 11):
+            rhs = SymFuncP.zero(t_order)
+            for j in range(1, k + 1):
+                gen = SymFuncP.p(j, t_order) * sym(
+                    {(): (a,) + (0,) * (j - 1) + (-a,)}, t_order)
+                rhs = rhs + gen * eplus_coeff(a, k - j, t_order)
+            assert eplus_coeff(a, k, t_order).scale(k) == rhs, (a, k)
+
+
+def _cauchy(fs, gs, t_order):
+    out = [SymFuncP.zero(t_order)] * (len(fs) + len(gs) - 1)
+    for u, f in enumerate(fs):
+        for v, g in enumerate(gs):
+            out[u + v] = out[u + v] + f * g
+    while len(out) > 1 and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def test_eminus_is_multiplicative():
+    # E-_a is a ring map (a shift of the p_n), so E-(f g) is the Cauchy
+    # product of E-(f) and E-(g) in var^{-1}
+    rng = random.Random(20261019)
+    for _ in range(30):
+        t_order = rng.choice((0, 1, 3, 8))
+        fg = []
+        for den in rng.sample((2, 3, 7, 12), 2):
+            # numerators prime to den keep den the common denominator
+            nums = [n for n in range(-9, 10) if gcd(n, den) == 1]
+            lams = [lam for lam in partitions_up_to(rng.randint(0, 4))
+                    if rng.random() < 0.5] or [Partition((1,))]
+            fg.append(sym({lam: tuple(
+                Rat(rng.choice(nums), den) for _ in range(t_order + 1))
+                for lam in lams}, t_order))
+        f, g = fg
+        assert f.den > 1 and g.den > 1
+        for a in range(4):
+            assert eminus_states(a, f * g) == _cauchy(
+                eminus_states(a, f), eminus_states(a, g), t_order)
 
 
 # ---------------------------------------------------------------------------

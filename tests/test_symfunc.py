@@ -52,9 +52,6 @@ def test_symfunc_ring():
     assert sq.terms[Partition((1, 1))] == SymFuncP.one(T)
     assert (sq - sq).is_zero()
     assert (p1 * p2).terms[Partition((2, 1))] == SymFuncP.one(T)
-    assert p1.dp(1) == SymFuncP.one(T)
-    assert sq.dp(1) == p1.scale(2)
-    assert p1.mul_p(2) == p2 * p1
 
 
 def test_symfunc_cap_is_quotient():
@@ -346,16 +343,6 @@ def _ref_mul(a, b):
     return _ref_clean(out)
 
 
-def _ref_dp(a, n):
-    out = {}
-    for lam, c in a.items():
-        m = lam.mult(n)
-        if m:
-            mu = lam.remove_part(n)
-            out[mu] = out[mu] + c.scale(m) if mu in out else c.scale(m)
-    return _ref_clean(out)
-
-
 def _ref_str(terms):
     if not terms:
         return "0"
@@ -439,9 +426,6 @@ def test_symfunc_matches_tscalar_reference(T):
                                        for lam, c in a.items()}))
         check(fa * _weight0(s, T),
               _ref_clean({lam: c * s for lam, c in a.items()}))
-        for n in range(1, top + 2):
-            check(fa.mul_p(n), {lam.add_part(n): c for lam, c in a.items()})
-            check(fa.dp(n), _ref_dp(a, n))
         cut = rng.randrange(T + 1)
         _assert_matches(fa.t_truncate(cut),
                         _ref_clean({lam: c.truncate(cut)
