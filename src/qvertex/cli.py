@@ -40,11 +40,10 @@ HL_MAX_WEIGHT = 8
 IGNORES_CHARGES = frozenset(("classical", "expansion", "hl-oracle",
                              "jacobi", "vacuum"))
 # every check, heaviest first by its time in a fresh process at the CLI
-# defaults (2 vCPU, Python 3.11): translation 0.28-0.31 s, expansion
-# 0.27-0.35, hl-oracle 0.14-0.18, jacobi 0.13-0.15, braided-commutativity
-# 0.055-0.059, classical 0.024-0.027, vacuum 0.005-0.007; the pool starts
-# them in this order
-BY_COST = ("translation", "expansion", "hl-oracle", "jacobi",
+# defaults (2 vCPU, Python 3.11, medians of 6): translation 0.22 s,
+# hl-oracle 0.15, expansion 0.13, jacobi 0.07, braided-commutativity 0.034,
+# classical 0.024, vacuum 0.006; the pool starts them in this order
+BY_COST = ("translation", "hl-oracle", "expansion", "jacobi",
            "braided-commutativity", "classical", "vacuum")
 # the tail of BY_COST: each takes under 0.06 s, about what starting a pool
 # costs (37 ms), so these checks never size one

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import factorial, lcm
 
 from .errors import (NonExpandableFactor, OutsideWindow, WindowUnderflow)
 from .rationals import RAT_ONE, RAT_ZERO, Rat
-from .scalars import TP_ONE, tp_mul, tp_pow, tp_str, tp_trim
+from .scalars import (TP_ONE, pack_row, tp_mul, tp_pow, tp_str, tp_trim,
+                      unpack_row)
 from .symfunc import Partition, SymFuncP, scalar
 
 VARS = ("z1", "z2", "z3", "g")
@@ -312,29 +314,39 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
     Only for callers that have proved separately that every support split
     landing in the window is covered by the operand windows.
 
-    One fused kernel on integer rows serves both coefficient kinds,
-    SymFuncP (a scalar is its weight-0 part) and FockVector, in any
+    One fused kernel on packed integer rows serves both coefficient
+    kinds, SymFuncP (a scalar is its weight-0 part) and FockVector, in any
     pairing.  Each coefficient is read once as Z[t] rows keyed by charge
     and partition, a block per charge over its own denominator
     (``charge_rows``), and the in-window term pairs are bucketed by output
-    monomial.  Each output is then accumulated over D = lcm(d1*d2) of its
-    own block pairs: charges add, partitions merge (a merge above
-    degree_cap is dropped before any arithmetic) and each product row is
-    multiplied, truncated at T+1, straight into a list of T+1 ints.  The
-    output is canonicalized once and rebuilt (``from_charge_rows``) before
-    the next one starts.  The kind and t-order of the product come from
-    the product of the operand zeros, which raises TruncationMismatch on a
-    t-order mismatch.
+    monomial.  Each output is accumulated over D = lcm(d1*d2) of its own
+    block pairs, with k = D/(d1*d2) per pair: charges add, partitions merge
+    (a merge above degree_cap is dropped before any arithmetic) and each
+    row pair adds k*P(x1)*P(x2), one integer multiply.  P writes a row
+    x_0..x_T as the int sum_i x_i 2^(iB), signed B-bit digits
+    (``scalars.pack_row``); each operand row is packed once per call.  No
+    digit of an output exceeds M, the largest over the outputs of the sum
+    over its block pairs of k*|block1|_1*|block2|_1 (the sums of the
+    absolute numerators), and B = M.bit_length() + 2.  So the lowest
+    n = T+1 (or keep[m]) balanced digits of each accumulated int are the
+    product row mod t^n (``scalars.unpack_row``): carries only move
+    upward, so what lands above digit n never reaches the ones below.
+    The output is canonicalized once and rebuilt (``from_charge_rows``)
+    before the next one starts.  The kind and t-order of the product come
+    from the product of the operand zeros, which raises TruncationMismatch
+    on a t-order mismatch.
     """
     zero = a.zero * b.zero
     n = zero.t_order + 1
     # the partitions of each operand as small ints, in each block a tuple
-    # parallel to its rows
+    # parallel to its rows, and the block's L1 mass
     parts = ({}, {})
     reads = []
     for ch, ids in zip((a, b), parts):
         reads.append({m: tuple((q, tuple([ids.setdefault(lam, len(ids))
-                                          for lam in num]), num, d)
+                                          for lam in num]), num, d,
+                                sum(map(abs, chain.from_iterable(
+                                    num.values()))))
                                for q, num, d in c.charge_rows())
                       for m, c in ch.terms.items()})
     lams1, lams2 = list(parts[0]), list(parts[1])
@@ -349,8 +361,9 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
     # with keep, only its monomials get a bucket
     grow = keep is None
     buckets: dict = {} if grow else {m: [] for m in keep}
-    for m1, c1 in reads[0].items():
-        for m2, c2 in reads[1].items():
+    r1, r2 = reads
+    for m1 in r1:
+        for m2 in r2:
             e0 = m1[0] + m2[0]
             if e0 < l0 or e0 > h0:
                 continue
@@ -366,30 +379,47 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
             m = tuple.__new__(Monomial, (e0, e1, e2, e3))
             pairs = buckets.get(m)
             if pairs is not None:
-                pairs.append((c1, c2))
+                pairs.append((m1, m2))
             elif grow:
-                buckets[m] = [(c1, c2)]
-    terms = {}
+                buckets[m] = [(m1, m2)]
+    # each output's denominator, the digit width from the largest bound on
+    # a digit of any output, and the operand terms read
+    dens = {}
+    bound = 0
+    used1, used2 = set(), set()
     for m, pairs in buckets.items():
+        if pairs:
+            used1.update(m1 for m1, _ in pairs)
+            used2.update(m2 for _, m2 in pairs)
+            blocks = [(b1, b2) for m1, m2 in pairs
+                      for b1 in r1[m1] for b2 in r2[m2]]
+            den = dens[m] = lcm(*(b1[3] * b2[3] for b1, b2 in blocks))
+            bound = max(bound, sum(den // (b1[3] * b2[3]) * b1[4] * b2[4]
+                                   for b1, b2 in blocks))
+    B = bound.bit_length() + 2
+    p1, p2 = ({m: tuple((q, ids, tuple([pack_row(x, B)
+                                         for x in num.values()]), d)
+                        for q, ids, num, d, _ in r[m])
+               for m in ms} for r, ms in ((r1, used1), (r2, used2)))
+    terms = {}
+    for m, den in dens.items():
         if not grow:
-            if not pairs:
-                continue
             n = keep[m]
-        den = lcm(*(d1 * d2 for c1, c2 in pairs
-                    for _, _, _, d1 in c1 for _, _, _, d2 in c2))
         acc: dict = {}
-        for c1, c2 in pairs:
-            for q1, ids1, num1, d1 in c1:
-                for q2, ids2, num2, d2 in c2:
+        for m1, m2 in buckets[m]:
+            for q1, ids1, xs1, d1 in p1[m1]:
+                for q2, ids2, xs2, d2 in p2[m2]:
                     k = den // (d1 * d2)
                     out = acc.get(q1 + q2)
                     if out is None:
                         out = acc[q1 + q2] = {}
-                    for i1, x1 in zip(ids1, num1.values()):
+                    for i1, x1 in zip(ids1, xs1):
                         row = merged[i1]
                         if row is None:
                             row = merged[i1] = [None] * len(lams2)
-                        for i2, x2 in zip(ids2, num2.values()):
+                        if k != 1:
+                            x1 *= k
+                        for i2, x2 in zip(ids2, xs2):
                             o = row[i2]
                             if o is None:
                                 o = -1
@@ -400,20 +430,10 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
                                         o = nus[nu] = len(nu_list)
                                         nu_list.append(nu)
                                 row[i2] = o
-                            if o < 0:
-                                continue
-                            s = out.get(o)
-                            if s is None:
-                                s = out[o] = [0] * n
-                            # x1 is never longer than T+1, so only a keep
-                            # cut needs a slice (x2[:n - i] would wrap)
-                            for i, x in enumerate(x1 if grow else x1[:n]):
-                                if x:
-                                    x *= k
-                                    for j, y in enumerate(x2[:n - i], i):
-                                        s[j] += x * y
+                            if o >= 0:
+                                out[o] = out.get(o, 0) + x1 * x2
         c = zero.from_charge_rows(
-            {q: {nu_list[o]: s for o, s in out.items()}
+            {q: {nu_list[o]: unpack_row(s, n, B) for o, s in out.items()}
              for q, out in acc.items()}, den)
         if not c.is_zero():
             terms[m] = c

@@ -17,15 +17,20 @@ Two representations live here:
   implementation for the unit-inversion property of the acceptance suite
   and for the benchmark tracer, which wraps the class by name.
 
-Many-term coefficients (``SymFuncP``, ``XPoly`` and the accumulators of
-the Laurent product ``laurent.mul_raw``) share one layout: a dict of
-integer rows -- Z[t] numerators, lowest degree first -- over one common
-denominator.  ``canonical_rows`` brings such a dict to canonical form and
-``add_row`` adds one row into it in place.
+Many-term coefficients (``SymFuncP`` and ``XPoly``) share one layout: a
+dict of integer rows -- Z[t] numerators, lowest degree first -- over one
+common denominator.  ``canonical_rows`` brings such a dict to canonical
+form and ``add_row`` adds one row into it in place.
+
+The Laurent product ``laurent.mul_raw`` and the Jacobi convolutions of
+``verifier`` accumulate instead on rows packed into one int each, as
+signed digits of B bits (``pack_row``), so a row product is one integer
+multiply; ``unpack_row`` reads the balanced digits back once per result.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, floordiv, mul, sub
@@ -396,3 +401,45 @@ def add_row(acc: dict, key, row, k: int = 1):
         a.extend([0] * (len(row) - len(a)))
     for i, x in enumerate(row):
         a[i] += k * x
+
+
+# ---------------------------------------------------------------------------
+# integer rows packed into one int
+
+
+def pack_row(row, B: int) -> int:
+    """The row x_0, x_1, ... as the int sum_i x_i 2^(iB): signed B-bit
+    digits, lowest degree lowest."""
+    x = 0
+    for c in reversed(row):
+        x = (x << B) + c
+    return x
+
+
+@lru_cache(maxsize=None)
+def _digit_offset(n: int, B: int) -> tuple:
+    """2^(B-1) in each of the lowest n B-bit digits, and the mask of those
+    digits."""
+    return (sum(1 << (j * B + B - 1) for j in range(n)),
+            (1 << n * B) - 1)
+
+
+def unpack_row(x: int, n: int, B: int) -> list:
+    """The lowest n digits d_0, d_1, ... of x = sum_j d_j 2^(jB), where
+    every |d_j| < 2^(B-1), less any zero digits above the highest nonzero
+    one.
+
+    Adding 2^(B-1) to each of the lowest n digits makes them nonnegative
+    and below 2^B, so no carry crosses a digit boundary below n, whatever
+    the higher digits are.  A nonzero top digit d_k leaves |x| > 2^(kB-1),
+    so no digit above bit_length(x) // B is nonzero.
+    """
+    n = min(n, x.bit_length() // B + 1)
+    offset, low = _digit_offset(n, B)
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    y = (x + offset) & low
+    row = []
+    for _ in range(n):
+        row.append((y & mask) - half)
+        y >>= B
+    return row

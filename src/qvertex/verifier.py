@@ -27,6 +27,7 @@ from .laurent import (LaurentChunk, Monomial, VAR_INDEX, Window,
                       binom_expansion_terms, iv_intersect, laurent_mul, lform,
                       region, FactorProduct)
 from .rationals import Rat
+from .scalars import pack_row, unpack_row
 from .symfunc import (SymFuncP, hl_q_dominant, orbit_sum, p_to_x_dominant,
                       partitions_up_to)
 
@@ -351,21 +352,20 @@ class _JacobiSides:
                     key = (q, w := lam.weight)
                     index = self.index.setdefault(w, {})
                     i = index.setdefault(lam, len(index)) * n
-                    blocks[key] = blocks.get(key, 0) + sum(
-                        x * s << (i + j) * B for j, x in enumerate(row))
+                    blocks[key] = blocks.get(key, 0) + (
+                        pack_row(row, B) * s << i * B)
             out[m] = tuple(blocks.items())
         out.window, out.support = chunk.window, chunk.support
         return out
 
     def fock(self, blocks: dict, den: int) -> FockVector:
         """The coefficient blocks / den, read off balanced digits."""
-        B, n, num, half = self.B, self.zero.t_order + 1, {}, 1 << (self.B - 1)
+        n, num = self.zero.t_order + 1, {}
         for (q, w), x in blocks.items():
-            for lam in self.index[w]:
-                row = num.setdefault(q, {})[lam] = []
-                for _ in range(n):
-                    row.append((x + half) % (2 * half) - half)
-                    x = (x - row[-1]) >> B
+            index = self.index[w]
+            digits = unpack_row(x, n * len(index), self.B)
+            num.setdefault(q, {}).update(
+                (lam, digits[i * n:(i + 1) * n]) for lam, i in index.items())
         return self.zero.from_charge_rows(num, den)
 
     def __iter__(self):

@@ -260,6 +260,20 @@ def test_verify_all_matches_golden_pooled_or_not(capsys, monkeypatch, cpus):
         == sorted(CHECK_IDS)
 
 
+@pytest.mark.parametrize("pair", ["1,2", "2,1"])
+def test_verify_charged_checks_match_the_charged_goldens(capsys, pair):
+    # the two checks that read --charges, against their lines of the
+    # verify-all golden at that pair
+    code, out, err = run(capsys, "verify", "braided-commutativity",
+                         "translation", "--charges", pair)
+    assert code == 0 and err == ""
+    golden = (DATA / f"verify_all_charges_{pair.replace(',', '_')}.jsonl")
+    assert without_elapsed(out) == [
+        line for line in golden.read_text().splitlines()
+        if json.loads(line)["check_id"] in ("braided-commutativity",
+                                            "translation")]
+
+
 def test_verify_expansion_below_the_window_matches_golden(capsys):
     # the degree cap below the window, at a t-order of its own
     code, out, _ = run(capsys, "verify", "expansion", "--window", "6",

@@ -489,14 +489,14 @@ def _max_weight(c):
     return max(sum(lam) for _, num, _ in c.charge_rows() for lam in num)
 
 
-def _random_operand(rng, kind, cap, T, charges, sign):
+def _random_operand(rng, kind, cap, T, charges, sign, coeff=_random_coeff):
     # random terms at g^0, plus a pair at g^3 whose product with the other
     # operand's pair cancels at z1 g^6: c z1^0 + c z1 against d z1 - d z1^0
     terms = {}
     for _ in range(rng.randrange(2, 6)):
         m = Monomial(rng.randrange(-2, 3), rng.randrange(-2, 3))
-        terms[m] = _random_coeff(rng, kind, cap, T, charges)
-    c = _random_coeff(rng, kind, cap, T, charges)
+        terms[m] = coeff(rng, kind, cap, T, charges)
+    c = coeff(rng, kind, cap, T, charges)
     if sign > 0:
         terms[Monomial(g=3)] = terms[Monomial(z1=1, g=3)] = c
     else:
@@ -615,6 +615,67 @@ def test_mul_raw_keep_is_the_product_mod_t_power(T):
                     kept += not ref.is_zero()
                     cut += c != ref
     assert kept >= 60 and (T == 0 or cut >= 20)
+
+
+# numerators near 2^80 over the denominators of each side: the prime
+# 2^61 - 1 and 3^30 against 3^30 and 1, so most block pairs have
+# k = D/(d1 d2) far from 1
+BIG_DENS = {1: (2 ** 61 - 1, 3 ** 30), -1: (3 ** 30, 1)}
+
+
+def _big_sym(rng, cap, T, sign):
+    # one block of three rows, all negative in about half of the blocks
+    negative = rng.random() < 0.5
+    rows = {}
+    for lam in rng.sample(list(partitions_up_to(cap)), 3):
+        row = [0] * (T + 1)
+        for i in rng.sample(range(T + 1), min(T + 1, 6)):
+            x = 2 ** 80 - rng.randrange(1 << 20)
+            row[i] = -x if negative or rng.random() < 0.5 else x
+        rows[lam] = row
+    return SymFuncP(rows, rng.choice(BIG_DENS[sign]), T)
+
+
+def _big_coeff(sign):
+    def coeff(rng, kind, cap, T, charges):
+        if kind == "SymFuncP":
+            return _big_sym(rng, cap, T, sign)
+        return FockVector({q: _big_sym(rng, cap, T, sign)
+                           for q in rng.sample(charges, 2)}, T)
+    return coeff
+
+
+@pytest.mark.parametrize("T", [1, 8, 24])
+def test_mul_raw_digit_width_on_big_numerators(T):
+    # every digit of a packed product sits near the bound the width comes
+    # from, so a width without k or without one side's L1 mass, or a decode
+    # that is not balanced, reads wrong rows here; keep cuts each output
+    rng = random.Random(1000 + T)
+    cap = 4
+    window = Window(((-3, 5), (-4, 3), (0, 0), (0, 6)))
+    box = [Monomial(e0, e1, 0, e3) for e0 in range(-3, 6)
+           for e1 in range(-4, 4) for e3 in range(7)]
+    cancelled = cut = 0
+    for k1 in ("SymFuncP", "FockVector"):
+        for k2 in ("SymFuncP", "FockVector"):
+            a = _random_operand(rng, k1, cap, T, [0, 1, 2], 1, _big_coeff(1))
+            b = _random_operand(rng, k2, cap, T, [0, 1], -1, _big_coeff(-1))
+            ref = {m: _projected(c, cap) for m, c in
+                   _per_pair_product(a, b, window).items()}
+            full = mul_raw(a, b, window, cap)
+            assert full.terms == {m: c for m, c in ref.items()
+                                  if not c.is_zero()}
+            cancelled += sum(c.is_zero() for c in ref.values())
+            keep = {m: rng.randint(1, T + 1)
+                    for m in rng.sample(box, len(box) // 2)}
+            prod = mul_raw(a, b, window, cap, keep)
+            assert set(prod.terms) <= set(keep)
+            for m, n in keep.items():
+                c, r = prod.get(m), full.get(m)
+                assert _rows_within(c, n)
+                assert c.t_truncate(n - 1) == r.t_truncate(n - 1)
+                cut += c != r
+    assert cancelled >= 4 and cut >= 20
 
 
 @pytest.mark.parametrize("T", [0, 3, 24])

@@ -13,10 +13,11 @@ import pytest
 
 from qvertex import verifier
 from qvertex.engine import (evaluate, evaluate_scaled, jing_Q, s_gamma,
-                            s_tau, x2_closed_form, x120_closed_form)
+                            s_tau, x2_closed_form, x120_closed_form,
+                            y_product)
 from qvertex.errors import (EmptyComparison, TruncationMismatch,
                             WindowUnderflow)
-from qvertex.fock import FockVector
+from qvertex.fock import FockVector, exp_D_chunk
 from qvertex.laurent import LaurentChunk, Monomial, Window
 from qvertex.rationals import Rat
 from qvertex.scalars import tp
@@ -683,3 +684,49 @@ def test_translation_charge_term_mutation_golden(pair):
     assert r["compared"] == 196 and not r["passed"]
     assert r["first_mismatch"] is not None
     assert f"d-charge-report {pair} {_sha(json.dumps(r))}" in SCALED_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# the products of expansion and translation at the CLI defaults
+
+
+T8_GOLDEN = (DATA / "products_t8_sha256.txt").read_text().splitlines()
+
+
+def _t8_product(kind, a, b):
+    """Expansion line 1's Y(z1)Y(z2)e^a, or translation's e^{gD} of the
+    scaled series, at the CLI defaults (T=8, G=3, W=5, cap 9), with its
+    target."""
+    T, G, W, cap = 8, 3, 5, 9
+    zv = ("z1", "z2")
+    if kind == "y-product":
+        target = Window.of(z1=(-W, W), z2=(-W, W))
+        prod = y_product(((a, "z1"), (b, "z2")), FockVector.exponential(1, T),
+                         {"z1": (-W, W), "z2": (-W, W)}, cap)
+        return prod, target
+    target = Window.of(z1=(-W, W), z2=(-W, W), g=(0, G))
+    sc = verifier._scalar_chunk(s_gamma(a, b), verifier.REG12, zv, (0, G), T)
+    prod = evaluate_scaled(sc, x2_closed_form(a, b), verifier.REG12,
+                           verifier._widened(Window.of(z1=(-W, W),
+                                                       z2=(-W, W)), sc, zv),
+                           target, cap, T)
+    return exp_D_chunk(prod, "g", G, cap), target
+
+
+@pytest.mark.parametrize("kind, pair", [("y-product", "1,1"),
+                                        ("translation", "1,1"),
+                                        ("translation", "1,2"),
+                                        ("translation", "2,1")])
+def test_t8_products_golden(kind, pair):
+    # one line per target monomial, in the layout of the deep-t golden:
+    # kind, charges, exponents of z1, z2 and g, then the sha256 of str()
+    # of the coefficient
+    want = {tuple(row.split()[2].split(",")): row.split()[3]
+            for row in T8_GOLDEN if row.startswith(f"{kind} {pair} ")}
+    prod, target = _t8_product(kind, *map(int, pair.split(",")))
+    got = {(str(m[0]), str(m[1]), str(m[3])): _sha(str(prod.get(m)))
+           for m in verifier._box(target)}
+    assert len(got) == {"y-product": 121, "translation": 484}[kind]
+    for key in sorted(got, key=lambda k: tuple(map(int, k))):
+        assert got[key] == want[key], key
+    assert set(want) == set(got)
