@@ -12,6 +12,14 @@ exp(sum_n (1-t^n)/n p_n z^n) e^alpha.  At t=0 this degenerates to the
 classical lattice translation operator.  The per-charge coefficient (1-t)
 is exposed as a parameter so the verifier can inject a perturbed D and
 demonstrate that the covariance checks catch it.
+
+D acts on the Z[t] rows of a state, one charge block at a time.  What it
+does to p_lambda e^{m alpha} is a cached table (``_d_table``), and one D
+step (``_d_step``) packs each row once into an int and adds one integer
+multiply per table entry.  ``apply_D`` is one step; ``exp_D_chunk``
+iterates it on the raw rows and canonicalizes each output once.  e^{gD}
+stays iterated rather than closed-form, because the vacuum and classical
+checks test D itself.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from math import factorial, lcm
 from .errors import TruncationMismatch, UnsupportedCharge
 from .laurent import LaurentChunk, Monomial, VAR_INDEX, Window
 from .rationals import Rat
-from .scalars import add_row, tp, tp_mullow
-from .symfunc import SymFuncP
+from .scalars import add_row, pack_row, tp, tp_mullow, unpack_row
+from .symfunc import Partition, SymFuncP
 
 MAX_CHARGE = 3
 
@@ -174,6 +182,71 @@ def _d_pn_row(n: int, t_order: int) -> tuple:
     return tp_mullow((1,) + (0,) * n + (-1,), geometric, t_order + 1)
 
 
+def _charge_row(charge_coeff, t_order: int) -> tuple:
+    """(k, crow): k the lcm of the denominators of charge_coeff (default
+    1-t) and crow the integer row k * charge_coeff, cut at t^T."""
+    if charge_coeff is None:
+        charge_coeff = D_CHARGE_COEFF
+    k = lcm(*(Rat(c).denominator for c in charge_coeff))
+    return k, tuple(int(Rat(c) * k) for c in charge_coeff[: t_order + 1])
+
+
+@lru_cache(maxsize=None)
+def _d_table(lam: Partition, m: int, t_order: int, k: int,
+             crow: tuple) -> tuple:
+    """k D(p_lam e^{m alpha}) as ((nu, row, mult), ...), the term
+    mult * row at p_nu each, and the largest L1 norm of a mult * row.
+
+    Each distinct part p of lam gives nu = lam with one p raised to p+1,
+    row = _d_pn_row(p) and mult = k m_p(lam); charge m > 0 adds
+    nu = lam + (1,), row = crow and mult = m.  The nu are distinct.
+    """
+    entries = [(lam.replace_part(p, p + 1), _d_pn_row(p, t_order),
+                k * lam.mult(p)) for p in sorted(set(lam), reverse=True)]
+    if m:
+        entries.append((lam.add_part(1), crow, m))
+    return tuple(entries), max((mult * sum(map(abs, row))
+                                for _, row, mult in entries), default=0)
+
+
+def _d_step(blocks, degree_cap: int, t_order: int, k: int,
+            crow: tuple) -> list:
+    """D on charge blocks ((q, {lam: row}, den), ...), as the blocks
+    (q, {nu: row}, den * k) that keep a row, dropping the terms D would
+    raise above degree_cap.
+
+    Each live row is packed once as signed B-bit digits
+    (``scalars.pack_row``) and each entry of its table (``_d_table``)
+    adds mult * P(row) * P(entry row), one integer multiply.  An output
+    nu gets at most one entry from each lam, so no digit exceeds the sum
+    of the rows' L1 norms times the largest entry norm, and
+    B = that bound's bit_length + 2; the lowest T+1 balanced digits of
+    each sum are its row (``scalars.unpack_row``).
+    """
+    n = t_order + 1
+    out = []
+    for q, num, den in blocks:
+        live = [(row, _d_table(lam, q, t_order, k, crow))
+                for lam, row in num.items() if lam.weight < degree_cap]
+        if not live:
+            continue
+        B = (sum(sum(map(abs, row)) for row, _ in live)
+             * max(table[1] for _, table in live)).bit_length() + 2
+        packed: dict = {}
+        acc: dict = {}
+        for row, (entries, _) in live:
+            x = pack_row(row, B)
+            for nu, drow, mult in entries:
+                y = packed.get(drow)
+                if y is None:
+                    y = packed[drow] = pack_row(drow, B)
+                acc[nu] = acc.get(nu, 0) + mult * x * y
+        rows = {nu: unpack_row(s, n, B) for nu, s in acc.items() if s}
+        if rows:
+            out.append((q, rows, den * k))
+    return out
+
+
 def apply_D(v: FockVector, degree_cap: int,
             charge_coeff=None) -> FockVector:
     """One application of the deformed translation generator, dropping the
@@ -182,27 +255,12 @@ def apply_D(v: FockVector, degree_cap: int,
     charge_coeff is the exact t-polynomial multiplying m p_1 on charge m;
     the default (1-t) is the Jing-gauge value.  Both parts of D add into
     one set of rows per charge, over den times the lcm of charge_coeff's
-    denominators.
+    denominators (``_d_step``).
     """
-    if charge_coeff is None:
-        charge_coeff = D_CHARGE_COEFF
     T = v.t_order
-    k = lcm(*(Rat(c).denominator for c in charge_coeff))
-    crow = tuple(int(Rat(c) * k) for c in charge_coeff)
-    comps = {}
-    for m, f in v.components.items():
-        acc: dict = {}
-        for lam, row in f.num.items():
-            if lam.weight + 1 > degree_cap:
-                continue
-            for part in set(lam):
-                add_row(acc, lam.replace_part(part, part + 1),
-                        tp_mullow(row, _d_pn_row(part, T), T + 1),
-                        k * lam.mult(part))
-            if m:
-                add_row(acc, lam.add_part(1), tp_mullow(row, crow, T + 1), m)
-        comps[m] = SymFuncP(acc, f.den * k, T)
-    return FockVector(comps, T)
+    return FockVector({q: SymFuncP(num, den, T) for q, num, den in
+                       _d_step(v.charge_rows(), degree_cap, T,
+                               *_charge_row(charge_coeff, T))}, T)
 
 
 def exp_D(v: FockVector, var: str, order: int, degree_cap: int,
@@ -221,25 +279,42 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int, degree_cap: int,
     degree_cap.
 
     D raises the weight by exactly one, so projecting each coefficient
-    and then each step (``apply_D``) projects the whole sum, and D^k kills
-    every projected coefficient once k > degree_cap: the support in var
-    ends degree_cap above the chunk's own.
+    and then each step projects the whole sum, and D^j kills every
+    projected coefficient once j > degree_cap: the support in var ends
+    degree_cap above the chunk's own.
+
+    D is iterated on the raw charge blocks, one ``_d_step`` (the kernel
+    of ``apply_D``) per power, with no FockVector in between.  Each output
+    monomial gathers its pieces D^j w / j! over the lcm of their den * j!
+    and is canonicalized once (``from_charge_rows``).
     """
     iv = VAR_INDEX[var]
     lo, hi = chunk.window.bounds[iv]
     if lo != 0 or hi > order:
         raise TruncationMismatch(
             f"chunk window {chunk.window} incompatible with order {order}")
-    terms: dict = {}
+    T = chunk.zero.t_order
+    k, crow = _charge_row(charge_coeff, T)
+    pieces: dict = {}
     for m, w in chunk.terms.items():
-        base = m[iv]
-        cur = w.weight_truncate(degree_cap)
-        for k in range(0, order - base + 1):
-            if k:
-                cur = apply_D(cur, degree_cap, charge_coeff)
-            piece = cur.scale(Rat(1, factorial(k))) if k else cur
-            key = m * Monomial.var(var, k)
-            terms[key] = terms[key] + piece if key in terms else piece
+        blocks = w.weight_truncate(degree_cap).charge_rows()
+        for j in range(order - m[iv] + 1):
+            if j:
+                blocks = _d_step(blocks, degree_cap, T, k, crow)
+                if not blocks:
+                    break
+            pieces.setdefault(m * Monomial.var(var, j), []).append(
+                (blocks, factorial(j)))
+    terms = {}
+    for key, parts in pieces.items():
+        den = lcm(*(d * f for blocks, f in parts for _, _, d in blocks))
+        acc: dict = {}
+        for blocks, f in parts:
+            for q, num, d in blocks:
+                rows = acc.setdefault(q, {})
+                for lam, row in num.items():
+                    add_row(rows, lam, row, den // (d * f))
+        terms[key] = chunk.zero.from_charge_rows(acc, den)
     window = Window(tuple((0, order) if i == iv else b
                           for i, b in enumerate(chunk.window.bounds)))
     s_hi = chunk.support[iv][1]

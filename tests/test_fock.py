@@ -2,7 +2,7 @@
 charge action, and the exponential series."""
 
 import random
-from math import lcm
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -149,6 +149,172 @@ def test_exp_D_chunk_matches_exp_D():
                            FockVector.zero(T))
     assert exp_D_chunk(trivial, "g", 3, CAP).terms == expect
     assert exp_D(v, "g", 3, CAP).terms == expect
+
+
+# ---------------------------------------------------------------------------
+# e^{gD} in closed form, built with SymFuncP arithmetic only
+#
+# D = delta + m c(t) p_1 on charge m, with delta the derivation
+# p_n -> n (1-t^{n+1})/(1-t^n) p_{n+1}.  exp(g delta) is the ring map
+# p_n -> sum_k C(n+k-1, k) g^k (1-t^{n+k})/(1-t^n) p_{n+k}, and
+#
+#   exp(gD)(f e^{m alpha}) = exp(g delta)(f)
+#       * exp(m c(t)/(1-t) sum_n (1-t^n)/n p_n g^n) e^{m alpha}.
+
+
+def _ratio_row(n, j, T):
+    """(1 - t^{n+j})/(1 - t^n) through t^T."""
+    geo = [0 if i % n else 1 for i in range(T + 1)]
+    return tuple(geo[i] - (geo[i - n - j] if i >= n + j else 0)
+                 for i in range(T + 1))
+
+
+def _gmul(a, b, cap):
+    """The product of two g-series [g^0, ..., g^G] of SymFuncP, cut at g^G
+    and projected to cap."""
+    zero = SymFuncP.zero(a[0].t_order)
+    return [sum(((a[i] * b[k - i]).weight_truncate(cap)
+                 for i in range(k + 1)), zero) for k in range(len(a))]
+
+
+def _exp_gD_oracle(f, m, c, G, cap):
+    """exp(gD)(f e^{m alpha}) as [g^0, ..., g^G], each coefficient's
+    e^{m alpha} component projected to cap."""
+    T = f.t_order
+    zero, one = SymFuncP.zero(T), SymFuncP.one(T)
+    sigma = {}
+    for lam in f.num:
+        for n in lam:
+            sigma[n] = [SymFuncP({Partition((n + j,)): tuple(
+                comb(n + j - 1, j) * x for x in _ratio_row(n, j, T))}, 1, T)
+                .weight_truncate(cap) for j in range(G + 1)]
+    shifted = [zero] * (G + 1)
+    for lam, coeff in f.terms.items():
+        term = [coeff] + [zero] * G
+        for n in lam:
+            term = _gmul(term, sigma[n], cap)
+        shifted = [x + y for x, y in zip(shifted, term)]
+    # Phi = m c(t) sum_n (1 + t + ... + t^{n-1})/n p_n g^n; exp(Phi)
+    cs = scalar(c, T)
+    phi = [zero] + [(cs * SymFuncP.p(n, T) * scalar(tp(*[1] * n), T))
+                    .scale(Rat(m, n)).weight_truncate(cap)
+                    for n in range(1, G + 1)]
+    power, expo = [one] + [zero] * G, [one] + [zero] * G
+    for i in range(1, G + 1):
+        power = _gmul(power, phi, cap)
+        expo = [x + y.scale(Rat(1, factorial(i)))
+                for x, y in zip(expo, power)]
+    return _gmul(shifted, expo, cap)
+
+
+def _random_state(rng, T, cap, charges):
+    """A FockVector on the given charges, with rational rows up to weight
+    cap + 1 so the projection of the input counts too."""
+    comps = {}
+    for q in charges:
+        lams = rng.sample(list(partitions_up_to(cap + 1)), 4)
+        comps[q] = sym({lam: tuple(Rat(rng.randint(-9, 9), rng.choice(
+            (1, 2, 3, 5))) for _ in range(rng.randint(1, T + 1)))
+            for lam in lams}, T)
+    return FockVector(comps, T)
+
+
+CHARGE_COEFFS = (tp(1, -1), tp(1), tp(Rat(1, 2), Rat(-1, 3)))
+
+
+@pytest.mark.parametrize("T", range(7))
+def test_exp_D_chunk_matches_closed_form(T):
+    # exp_D_chunk against the closed form on chunks with powers of g
+    # already present: the coefficient at g^j sums e^{gD} of the term at
+    # g^b, read at g^(j-b)
+    rng = random.Random(2000 + T)
+    live = 0
+    for c in CHARGE_COEFFS:
+        for _ in range(2):
+            G, cap = rng.randint(1, 4), rng.randint(2, 7)
+            base = {b: _random_state(rng, T, cap,
+                                     rng.sample(range(4), rng.randint(1, 2)))
+                    for b in range(rng.randint(1, 2))}
+            chunk = LaurentChunk({Monomial.var("g", b): v
+                                  for b, v in base.items()},
+                                 Window.of(g=(0, max(base))),
+                                 FockVector.zero(T))
+            out = exp_D_chunk(chunk, "g", G, cap, c)
+            expect = {j: FockVector.zero(T) for j in range(G + 1)}
+            for b, v in base.items():
+                for q, f in v.components.items():
+                    series = _exp_gD_oracle(f, q, c, G - b, cap)
+                    for j, x in enumerate(series):
+                        expect[b + j] += FockVector.pure(q, x)
+            for j in range(G + 1):
+                assert out.get(Monomial.var("g", j)) == expect[j], (c, j)
+                live += j > 0 and not expect[j].is_zero()
+            assert set(out.terms) <= {Monomial.var("g", j)
+                                      for j in range(G + 1)}
+    assert live >= 6
+
+
+# ---------------------------------------------------------------------------
+# the packed D step on numerators near 2^80
+
+
+def _reference_D(v, cap, c):
+    """D term by term with SymFuncP products: each part p of lam gives
+    m_p(lam) (p (1-t^{p+1})/(1-t^p)) p_{lam - p + (p+1)}, and charge m adds
+    m c(t) p_1 p_lam."""
+    T = v.t_order
+    comps = {}
+    for m, f in v.components.items():
+        out = SymFuncP.zero(T)
+        for lam, coeff in f.terms.items():
+            if lam.weight >= cap:
+                continue
+            for p in set(lam):
+                row = tuple(p * x for x in _ratio_row(p, 1, T))
+                out += coeff * SymFuncP({lam.replace_part(p, p + 1): row},
+                                        1, T).scale(lam.mult(p))
+            if m:
+                out += (coeff * scalar(c, T) * SymFuncP(
+                    {lam.add_part(1): (1,)}, 1, T)).scale(m)
+        comps[m] = out
+    return FockVector(comps, T)
+
+
+@pytest.mark.parametrize("T", [0, 1, 6])
+def test_D_digit_width_on_big_numerators(T):
+    # numerators a little below 2^80 of one sign put every digit of a
+    # packed sum near the bound the width comes from: T = 0 makes the L1
+    # bounds tight, and a partition with many distinct parts collects one
+    # entry from each of several rows; a width without the largest entry
+    # norm or without the sum over the rows reads wrong rows here
+    rng = random.Random(3000 + T)
+    cap = 8
+    # p_{3,2,1} e^{3 alpha} collects 4x + 2x + 3x from p_{2,2,1}, p_{3,1,1}
+    # and p_{3,2}, whose largest entry is 4: at T = 0 with x just below
+    # 2^80, 9x needs more than the bits of 4x + 1
+    x = 2 ** 80 - 3
+    tight = FockVector.pure(3, SymFuncP({Partition(lam): (x,) for lam in (
+        (2, 2, 1), (3, 1, 1), (3, 2))}, 2 ** 61 - 1, T))
+    assert apply_D(tight, cap) == _reference_D(tight, cap, tp(1, -1))
+    c = tp(Rat(1, 2), Rat(-1, 3))
+    lams = list(partitions_up_to(cap - 1))
+    for den in (2 ** 61 - 1, 3 ** 30):
+        for sign in (1, -1):
+            for m in (0, 3):
+                rows = {lam: tuple(sign * (2 ** 80 - rng.randint(1, 2 ** 20))
+                                   for _ in range(T + 1)) for lam in lams}
+                v = FockVector({m: SymFuncP(rows, den, T)}, T)
+                assert apply_D(v, cap, c) == _reference_D(v, cap, c)
+                mixed = {lam: tuple(rng.choice((-1, 1)) * x for x in row)
+                         for lam, row in rows.items()}
+                w = FockVector({m: SymFuncP(mixed, den, T),
+                                (m + 1) % 4: SymFuncP(rows, 3 * den, T)}, T)
+                assert apply_D(w, cap, c) == _reference_D(w, cap, c)
+                dw = w
+                ed = exp_D(w, "g", 3, cap, c)
+                for j in range(1, 4):
+                    dw = _reference_D(dw, cap, c).scale(Rat(1, j))
+                    assert ed.get(Monomial.var("g", j)) == dw
 
 
 def test_exp_D_support_ends_at_cap():

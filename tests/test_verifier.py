@@ -14,7 +14,7 @@ import pytest
 from qvertex import verifier
 from qvertex.engine import (evaluate, evaluate_scaled, jing_Q, s_gamma,
                             s_tau, x2_closed_form, x120_closed_form,
-                            y_product)
+                            y_apply, y_product)
 from qvertex.errors import (EmptyComparison, TruncationMismatch,
                             WindowUnderflow)
 from qvertex.fock import FockVector, exp_D_chunk
@@ -671,6 +671,37 @@ def test_scaled_products_golden(kind, pair):
     for key in sorted(got, key=lambda k: tuple(map(int, k))):
         assert got[key] == want[key], key
     assert set(want) == set(got)
+
+
+EXP_D_GOLDEN = (DATA / "exp_D_sha256.txt").read_text().splitlines()
+
+
+def _exp_D_product(kind, pair):
+    """e^{gD} of the deep-t translation product (T=16, G=3, W=3, cap 7),
+    or e^{z2 D} of expansion line 3's Y(z3)e^a at the wide-window
+    parameters (T=1, W=7, cap 10, order 10)."""
+    if kind == "translation":
+        prod, target = _scaled_product(kind, *map(int, pair.split(",")))
+        return exp_D_chunk(prod, "g", 3, 7)
+    T, W, cap = 1, 7, 10
+    ych = y_apply(1, "z3", FockVector.exponential(1, T), (1, W), cap)
+    return exp_D_chunk(ych, "z2", cap, cap)
+
+
+@pytest.mark.parametrize("kind, pair", [("translation", "1,1"),
+                                        ("translation", "1,2"),
+                                        ("translation", "2,1"),
+                                        ("line3", "1,1")])
+def test_exp_D_chunk_golden(kind, pair):
+    # one line per monomial of the output window: kind, charges, all four
+    # exponents, then the sha256 of str() of the coefficient
+    want = {row.split()[2]: row.split()[3]
+            for row in EXP_D_GOLDEN if row.startswith(f"{kind} {pair} ")}
+    ed = _exp_D_product(kind, pair)
+    got = {",".join(map(str, m)): _sha(str(ed.get(m)))
+           for m in verifier._box(ed.window)}
+    assert len(got) == {"translation": 196, "line3": 77}[kind]
+    assert got == want
 
 
 @pytest.mark.parametrize("pair", ["1,1", "1,2", "2,1"])
