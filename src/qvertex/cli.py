@@ -9,13 +9,13 @@ elapsed fields.
 worker process per usable CPU, and prints their reports in check order.
 The pool starts the heaviest check first (``BY_COST``), so the longest one
 does not start last while a worker sits idle.  Only the checks outside the
-cheap tail of ``BY_COST`` (braided-commutativity, classical, vacuum: each
-0.04 s or less, about what starting a pool costs) size the pool; with one
-usable CPU, or at most one selected check outside that tail, every check
-runs in this process.  Each elapsed field is that check's own time, so
-their sum can exceed the wall time.  If a check raises, the first such
-check in check order prints its error, nothing else is printed and the
-exit code is 2.
+cheap tail of ``BY_COST`` (hl-oracle, braided-commutativity, classical,
+vacuum: each 0.04 s or less, about what starting a pool costs) size the
+pool; with one usable CPU, or at most one selected check outside that
+tail, every check runs in this process.  Each elapsed field is that
+check's own time, so their sum can exceed the wall time.  If a check
+raises, the first such check in check order prints its error, nothing
+else is printed and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -40,15 +40,15 @@ HL_MAX_WEIGHT = 8
 IGNORES_CHARGES = frozenset(("classical", "expansion", "hl-oracle",
                              "jacobi", "vacuum"))
 # every check, heaviest first by its time in a fresh process at the CLI
-# defaults (2 vCPU, Python 3.11, medians of 6, two sets): hl-oracle
-# 0.16 s, translation 0.14, expansion 0.13, jacobi 0.09-0.10,
-# braided-commutativity 0.04, classical 0.023, vacuum 0.006; the pool
+# defaults (2 vCPU, Python 3.11, medians of 6, two sets): translation
+# 0.13-0.14 s, expansion 0.12, jacobi 0.08-0.09, hl-oracle 0.04,
+# braided-commutativity 0.04, classical 0.02, vacuum 0.005; the pool
 # starts them in this order
-BY_COST = ("hl-oracle", "translation", "expansion", "jacobi",
+BY_COST = ("translation", "expansion", "jacobi", "hl-oracle",
            "braided-commutativity", "classical", "vacuum")
 # the tail of BY_COST: each takes under 0.06 s, about what starting a pool
 # costs (37 ms), so these checks never size one
-CHEAP = frozenset(BY_COST[4:])
+CHEAP = frozenset(BY_COST[3:])
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ Two representations live here:
 * ``TPoly`` -- an exact polynomial in t with no truncation, stored as a
   plain tuple of coefficients with trailing zeros trimmed.  Closed-form
   data (factor prefactors) is kept as rationals so the same object can be
-  re-truncated at any order.  The ``tp_*`` helpers keep ints as ints (a
-  division only when its divisor is monic), so the Hall-Littlewood oracle
-  in ``symfunc`` uses them on integer t-polynomials.
+  re-truncated at any order.  The ``tp_*`` helpers keep ints as ints, so
+  the Hall-Littlewood oracle in ``symfunc`` uses them on integer
+  t-polynomials.
 
 * ``TScalar`` -- a t-adic series in Q[t]/(t^{T+1}), stored as T+1
   integer numerators over one common denominator; degrees above T are
@@ -102,29 +102,6 @@ def tp_eval(a: tuple, x) -> "Rat":
     return acc
 
 
-def tp_divexact(num: tuple, den: tuple) -> tuple:
-    """Exact division in Q[t]; raises if the remainder is nonzero.  A monic
-    divisor keeps integer coefficients integers."""
-    den = tp_trim(tuple(den))
-    if not den:
-        raise ZeroDivisionError("tp_divexact by zero")
-    rem = list(num)
-    d = len(den) - 1
-    lead = den[d]
-    q = [0] * max(0, len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        f = c if lead == 1 else Rat(c) / lead
-        q[i - d] = f
-        for j, cd in enumerate(den):
-            rem[i - d + j] -= f * cd
-    if any(rem):
-        raise ValueError("tp_divexact: inexact division")
-    return tp_trim(tuple(q))
-
-
 def tp_str(a: tuple) -> str:
     if not a:
         return "0"
@@ -153,15 +130,6 @@ def tp_phi(r: int) -> tuple:
     out = (1,)
     for j in range(1, r + 1):
         out = tp_mul(out, (1,) + (0,) * (j - 1) + (-1,))
-    return out
-
-
-def tp_bracket_factorial(m: int) -> tuple:
-    """[m]_t! = prod_{j=1}^{m} (1 + t + ... + t^{j-1}), with int
-    coefficients; monic."""
-    out = (1,)
-    for j in range(1, m + 1):
-        out = tp_mul(out, (1,) * j)
     return out
 
 

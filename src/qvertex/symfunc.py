@@ -16,18 +16,18 @@ common denominator, canonicalized and accumulated by the row helpers of
 ``scalars``, and both do their arithmetic on the rows; rationals are
 built only on read.
 
-The Hall-Littlewood oracle runs entirely in Z[t]: P_lambda is computed
-from the classical symmetrization formula
+The Hall-Littlewood oracle runs entirely in Z[t], from the tableau
+formulas (Macdonald, Symmetric Functions and Hall Polynomials, III (5.11),
+(5.11'))
 
-    P_lambda = (1/v_lambda(t)) sum_{w in S_n} w( x^lambda prod_{i<j}
-               (x_i - t x_j)/(x_i - x_j) )
+    Q_lambda = sum_T phi_T(t) x^T,    P_lambda = sum_T psi_T(t) x^T
 
-by antisymmetrizing x^lambda prod_{i<j}(x_i - t x_j) term by term,
-recombining the resulting alternants through the classical branching rule
-for Schur polynomials, and dividing exactly by the monic v_lambda(t), so
-the quotient stays in Z[t] and a nonzero remainder raises.  Q_lambda is
-b_lambda P_lambda.  Everything here is independent of the vertex-operator
-engine so it can serve as its oracle.
+over the semistandard tableaux T of shape lambda, phi_T and psi_T the
+products of the weights of the horizontal strips that T's entries fill.
+One cached recursion over horizontal strips (``_hl_terms``) builds either
+sum, with no division, and its t^0 row is the Schur polynomial
+(Q_lambda(x; 0) = s_lambda).  Everything here is independent of the
+vertex-operator engine so it can serve as its oracle.
 
 A symmetric polynomial is fixed by its dominant part, the terms x^e with
 e weakly decreasing: their coefficients are its monomial-basis
@@ -45,13 +45,11 @@ import itertools
 from collections.abc import Mapping
 from functools import lru_cache
 from math import lcm
-from operator import add
 
 from .errors import TooFewVariables, TruncationMismatch
 from .rationals import Rat
-from .scalars import (add_row, canonical_rows, tp_add, tp_bracket_factorial,
-                      tp_divexact, tp_eval, tp_mul, tp_mullow, tp_phi,
-                      tp_str, tp_trim)
+from .scalars import (add_row, canonical_rows, tp_add, tp_eval, tp_mul,
+                      tp_mullow, tp_phi, tp_str)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -481,68 +479,7 @@ def p_to_x(f: SymFuncP, nvars: int) -> XPoly:
 
 
 # ---------------------------------------------------------------------------
-# alternants, Schur polynomials
-
-
-def _perm_sign_sorted(exps):
-    """Sign to sort exps into strictly decreasing order; None if repeated."""
-    if len(set(exps)) != len(exps):
-        return None, None
-    inv = 0
-    for i in range(len(exps)):
-        for j in range(i + 1, len(exps)):
-            if exps[i] < exps[j]:
-                inv += 1
-    return tuple(sorted(exps, reverse=True)), (1 if inv % 2 == 0 else -1)
-
-
-def antisymmetrize(terms) -> dict:
-    """Alternant coefficients of sum_w sign(w) w(p), for p given as
-    (exponents, Z[t] polynomial) pairs.
-
-    Returns {strict decreasing exps: Z[t] polynomial}; each input term with
-    distinct exponents contributes sign(sorting permutation) times its
-    coefficient to its orbit representative.  Reconstructing the full
-    antisymmetric polynomial would attach the alternant a_mu to each key.
-    """
-    out: dict = {}
-    for exps, c in terms:
-        key, sign = _perm_sign_sorted(exps)
-        if key is not None:
-            add_row(out, key, c, sign)
-    return canonical_rows(out, 1)[0]
-
-
-@lru_cache(maxsize=None)
-def _schur_terms(nu: tuple, n: int):
-    """Dominant part of the monomial expansion of the Schur polynomial
-    s_nu(x_1..x_n) by the branching rule s_nu = sum over interlacing mu of
-    s_mu * x_n^{|nu|-|mu|}: an exponent vector (e, k) is weakly decreasing
-    when e is and its last entry is at least k."""
-    if n == 0:
-        return {(): 1} if not nu else {}
-    if len(nu) > n:
-        return {}
-    out: dict = {}
-    ranges = []
-    for i in range(len(nu)):
-        lo = nu[i + 1] if i + 1 < len(nu) else 0
-        ranges.append(range(lo, nu[i] + 1))
-    for mu_full in itertools.product(*ranges):
-        mu = tuple(x for x in mu_full if x)
-        k = sum(nu) - sum(mu)
-        for exps, c in _schur_terms(mu, n - 1).items():
-            if exps and exps[-1] < k:
-                continue
-            key = exps + (k,)
-            out[key] = out.get(key, 0) + c
-    return out
-
-
-def schur_x(nu, n: int) -> XPoly:
-    """Schur polynomial via the branching rule (engine-independent)."""
-    return orbit_sum(_xpoly(n, {e: (c,) for e, c
-                                in _schur_terms(tuple(nu), n).items()}, 1))
+# Schur polynomials by the bialternant formula
 
 
 def xp_div_linear(p: XPoly, i: int, j: int) -> XPoly:
@@ -569,7 +506,7 @@ def xp_div_linear(p: XPoly, i: int, j: int) -> XPoly:
 def schur_bialternant(lam, n: int) -> XPoly:
     """Schur polynomial as a_{lam+delta}/a_delta by exact division.
 
-    Independent of both the branching-rule route and the engine; intended
+    Independent of both the strip recursion and the engine; intended
     for small n (the alternant has n! terms).
     """
     lam = Partition(lam)
@@ -593,7 +530,7 @@ def schur_bialternant(lam, n: int) -> XPoly:
 
 
 # ---------------------------------------------------------------------------
-# Hall-Littlewood oracle, in Z[t]
+# Hall-Littlewood polynomials by horizontal strips, in Z[t]
 
 
 def b_lambda(lam) -> tuple:
@@ -604,68 +541,70 @@ def b_lambda(lam) -> tuple:
     return out
 
 
-def v_lambda(lam, n: int) -> tuple:
-    """v_lambda(t) = prod_{i>=0} [m_i]_t! in Z[t], with m_0 = n - l(lambda);
-    monic."""
-    lam = Partition(lam)
-    out = (1,)
-    for m in (n - len(lam), *lam.multiplicities().values()):
-        out = tp_mul(out, tp_bracket_factorial(m))
-    return out
+def _strip_weight(lam: tuple, mu: tuple, q: bool) -> tuple:
+    """The Z[t] weight of the horizontal strip lam/mu (mu padded to the
+    length of lam): phi_{lam/mu}(t) = prod (1 - t^{m_j(lam)}) over the
+    columns j that hold a strip box and have none in column j+1 when q,
+    else psi_{lam/mu}(t) = prod (1 - t^{m_j(mu)}) over the columns j >= 1
+    that hold none and have one in column j+1 (Macdonald III (5.8),
+    (5.8'))."""
+    boxes = {j for a, b in zip(lam, mu) for j in range(b + 1, a + 1)}
+    if q:
+        parts, cols = lam, (j for j in boxes if j + 1 not in boxes)
+    else:
+        parts, cols = mu, (j - 1 for j in boxes
+                           if j > 1 and j - 1 not in boxes)
+    w = (1,)
+    for j in cols:
+        w = tp_mul(w, (1,) + (0,) * (parts.count(j) - 1) + (-1,))
+    return w
 
 
-@lru_cache(maxsize=8)
-def _staircase_product(n: int) -> tuple:
-    """prod_{i<j}(x_i - t x_j) as (exponents, Z[t] polynomial) pairs,
-    shared between all lambda at fixed n."""
-    terms = {(0,) * n: (1,)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            out: dict = {}
-            for e, c in terms.items():
-                add_row(out, e[:i] + (e[i] + 1,) + e[i + 1:], c)
-                add_row(out, e[:j] + (e[j] + 1,) + e[j + 1:], (0,) + c, -1)
-            terms = canonical_rows(out, 1)[0]
-    return tuple(terms.items())
+@lru_cache(maxsize=None)
+def _hl_terms(lam: tuple, n: int, q: bool) -> tuple:
+    """The dominant part of Q_lam(x_1..x_n; t) when q, else of
+    P_lam(x_1..x_n; t), as ((exponents, Z[t] row), ...).
+
+    Macdonald III (5.11'), (5.11): Q_lam is the sum over semistandard
+    tableaux of shape lam of the product of the phi weights of their
+    horizontal strips times x^T, P_lam the same with psi.  The entries n
+    fill a horizontal strip lam/mu, so Q_lam(x_1..x_n) is the sum over the
+    mu interlacing lam of phi_{lam/mu} Q_mu(x_1..x_{n-1}) x_n^{|lam/mu|};
+    an exponent vector (e, k) is weakly decreasing when e is and its last
+    entry is at least k."""
+    if n == 0:
+        return (((), (1,)),) if not lam else ()
+    if len(lam) > n:
+        return ()
+    out: dict = {}
+    ranges = [range(lam[i + 1] if i + 1 < len(lam) else 0, lam[i] + 1)
+              for i in range(len(lam))]
+    for mu in itertools.product(*ranges):
+        w = _strip_weight(lam, mu, q)
+        k = sum(lam) - sum(mu)
+        for e, row in _hl_terms(tuple(x for x in mu if x), n - 1, q):
+            if not e or e[-1] >= k:
+                add_row(out, e + (k,), tp_mul(row, w))
+    return tuple(canonical_rows(out, 1)[0].items())
 
 
-def hl_p_dominant(lam, n: int) -> XPoly:
-    """The dominant part of the Hall-Littlewood P_lambda(x_1..x_n; t), by
-    the symmetrization formula.
-
-    x^lambda prod_{i<j}(x_i - t x_j) is expanded, antisymmetrized term by
-    term, the alternants are recombined into the dominant parts of Schur
-    polynomials through the branching rule, and the result is divided
-    exactly by the monic v_lambda(t).  All in Z[t], exact in t, no
-    truncation.
-    """
+def _hl_dominant(lam, n: int, q: bool) -> XPoly:
     lam = Partition(lam)
     if n < len(lam):
         raise TooFewVariables(f"{n} variables for {lam}")
-    if n > 7:
-        raise ValueError("symmetrization oracle limited to n <= 7")
-    base = tuple(lam[i] if i < len(lam) else 0 for i in range(n))
-    alts = antisymmetrize((tuple(map(add, e, base)), c)
-                          for e, c in _staircase_product(n))
-    delta = tuple(range(n - 1, -1, -1))
-    acc: dict = {}
-    for mu, c in alts.items():
-        nu = tuple(a - b for a, b in zip(mu, delta))
-        if any(x < 0 for x in nu):
-            raise AssertionError("alternant below staircase")
-        for e, k in _schur_terms(tuple(x for x in nu if x), n).items():
-            add_row(acc, e, c, k)
-    v = tp_trim(tuple(v_lambda(lam, n)))
-    if not v or v[-1] != 1:
-        raise ValueError(f"v_lambda(t) = {v} is not monic")
-    return _xpoly(n, {e: tp_divexact(row, v) for e, row in acc.items()}, 1)
+    return _xpoly(n, dict(_hl_terms(tuple(lam), n, q)), 1)
+
+
+def hl_p_dominant(lam, n: int) -> XPoly:
+    """The dominant part of the Hall-Littlewood P_lambda(x_1..x_n; t), the
+    psi sum of the strip recursion; exact in t."""
+    return _hl_dominant(lam, n, False)
 
 
 def hl_q_dominant(lam, n: int) -> XPoly:
-    """The dominant part of Q_lambda = b_lambda(t) P_lambda, exact in t."""
-    p = hl_p_dominant(lam, n)
-    b = b_lambda(lam)
-    return _xpoly(n, {e: tp_mul(c, b) for e, c in p.num.items()}, p.den)
+    """The dominant part of Q_lambda(x_1..x_n; t), the phi sum of the strip
+    recursion; exact in t."""
+    return _hl_dominant(lam, n, True)
 
 
 def hl_p_oracle(lam, n: int) -> XPoly:
@@ -677,3 +616,10 @@ def hl_p_oracle(lam, n: int) -> XPoly:
 def hl_q_oracle(lam, n: int) -> XPoly:
     """Q_lambda(x_1..x_n; t), the orbit sum of its dominant part."""
     return orbit_sum(hl_q_dominant(lam, n))
+
+
+def schur_x(nu, n: int) -> XPoly:
+    """Schur polynomial s_nu(x_1..x_n) = Q_nu(x_1..x_n; 0), the t^0 row of
+    the strip recursion (engine-independent)."""
+    return orbit_sum(_xpoly(n, {e: row[:1] for e, row
+                                in _hl_terms(tuple(nu), n, True)}, 1))

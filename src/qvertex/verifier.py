@@ -497,8 +497,8 @@ def check_classical_limit(window: int = 5,
 
 def check_hl_against_oracle(max_weight: int = 6,
                             t_order: int = 24) -> CheckReport:
-    """Vertex-operator Q_lambda against the symmetrization-formula oracle,
-    in n = |lambda| variables.
+    """Vertex-operator Q_lambda against the tableau-formula oracle
+    (``symfunc.hl_q_dominant``), in n = |lambda| variables.
 
     Both sides are symmetric, so each is fixed by its dominant part, its
     monomial-basis coefficients; those are what is compared.  The first

@@ -45,7 +45,7 @@ def test_ac01_hall_littlewood_oracle():
     assert r.passed and r.first_mismatch is None
     assert r.compared == 30
     assert r.elapsed < 60
-    return f"30 partitions against the classical oracle, {r.elapsed:.2f}s"
+    return f"30 partitions against the tableau oracle, {r.elapsed:.2f}s"
 
 
 @acceptance("AC-2")

@@ -8,9 +8,8 @@ from qvertex.engine import evaluate, x2_closed_form
 from qvertex.errors import TruncationMismatch, ZeroConstantTerm
 from qvertex.laurent import Window, region
 from qvertex.rationals import Rat
-from qvertex.scalars import (TScalar, tp, tp_add, tp_bracket_factorial,
-                             tp_divexact, tp_eval, tp_mul, tp_phi, tp_pow,
-                             tp_str, tp_trim, ts_invert)
+from qvertex.scalars import (TScalar, tp, tp_add, tp_eval, tp_mul, tp_phi,
+                             tp_pow, tp_str, tp_trim, ts_invert)
 from qvertex.symfunc import Partition
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -93,30 +92,15 @@ def test_tpoly_roundtrip():
     assert tp_eval(tp_pow(tp(1, 1), 3), 1) == 8
 
 
-def test_tpoly_divexact():
-    num = tp_mul(tp(1, -1), tp(1, 1, 1))
-    assert tp_divexact(num, tp(1, -1)) == tp(1, 1, 1)
-    with pytest.raises(ValueError):
-        tp_divexact(tp(1, 1), tp(1, -1))
-
-
 def test_tpoly_keeps_integers():
     # the Hall-Littlewood oracle relies on these staying in Z[t]
-    for p in (tp_mul((1, 0, -1), (2, 3)), tp_phi(3), tp_bracket_factorial(4),
-              tp_divexact((1, 0, -1), (1, 1)), tp_divexact((), (1, 1))):
+    for p in (tp_mul((1, 0, -1), (2, 3)), tp_phi(3)):
         assert all(type(c) is int for c in p)
-    assert tp_divexact((1, 0, -1), (1, 1)) == (1, -1)
-    assert tp_bracket_factorial(4)[-1] == 1
-    with pytest.raises(ValueError, match="inexact"):
-        tp_divexact((1, 0, 1), (1, 1))
-    with pytest.raises(ZeroDivisionError):
-        tp_divexact((1,), ())
 
 
 def test_phi_and_bracket_factorial():
-    # phi_2 = (1-t)(1-t^2), [3]_t! = (1+t)(1+t+t^2)
+    # phi_2 = (1-t)(1-t^2)
     assert tp_phi(2) == tp(1, -1, -1, 1)
-    assert tp_bracket_factorial(3) == tp_mul(tp(1, 1), tp(1, 1, 1))
     assert tp_eval(tp_phi(3), 1) == 0
 
 

@@ -7,17 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from qvertex import symfunc
 from qvertex.engine import jing_Q
 from qvertex.fock import FockVector
 from qvertex.errors import TooFewVariables, TruncationMismatch
 from qvertex.rationals import Rat
 from qvertex.scalars import TScalar, tp, tp_eval, tp_mul, tp_trim
 from qvertex.symfunc import (Partition, SymFuncP, XPoly, b_lambda,
-                             dominance_leq, hl_p_oracle,
-                             hl_q_oracle, orbit_sum, p_to_x, p_to_x_dominant,
-                             partitions_of, partitions_up_to, scalar,
-                             schur_bialternant, schur_x, v_lambda,
+                             dominance_leq, hl_p_dominant, hl_p_oracle,
+                             hl_q_dominant, hl_q_oracle, orbit_sum, p_to_x,
+                             p_to_x_dominant, partitions_of, partitions_up_to,
+                             scalar, schur_bialternant, schur_x,
                              xpoly_monomial_coeffs)
 
 
@@ -115,6 +114,25 @@ def test_hl_q_small():
     assert q11 == XPoly(2, {(1, 1): b})
 
 
+def test_hl_q_2_strip_weights_by_hand():
+    # the tableaux 11, 22 and 12 of shape (2): the strips (2)/() and
+    # (2)/(2) give phi = 1 - t and 1; the strips (1)/() and (2)/(1) give
+    # 1 - t each, so Q_(2) = (1-t)(x1^2 + x2^2) + (1-t)^2 x1 x2
+    q2 = hl_q_oracle(Partition((2,)), 2)
+    assert q2 == XPoly(2, {(2, 0): tp(1, -1), (0, 2): tp(1, -1),
+                           (1, 1): tp(1, -2, 1)})
+
+
+def test_q_is_b_times_p():
+    # the phi and psi sums are built independently; Q = b_lambda(t) P
+    for lam in partitions_up_to(6):
+        b = b_lambda(lam)
+        for n in (lam.weight, lam.weight + 1):
+            p, q = hl_p_dominant(lam, n), hl_q_dominant(lam, n)
+            assert q.num == {e: tp_mul(c, b) for e, c in p.num.items()}, lam
+            assert p.den == q.den == 1
+
+
 def test_hl_q_2_at_t0_is_h2():
     # by hand: s_(2) = h_2 = x1^2 + x1 x2 + x2^2
     q2 = hl_q_oracle(Partition((2,)), 2)
@@ -166,22 +184,18 @@ def test_vanishing_at_t1():
 
 
 def test_stability():
+    # setting x_{n+1} = 0 in P_lambda(x_1..x_{n+1}) gives P_lambda(x_1..x_n),
+    # up to n + 1 = 8
     for lam in partitions_up_to(5):
         if not lam:
             continue
-        n = max(lam.weight, lam.length)
-        big = hl_p_oracle(lam, n + 1)
-        dropped = {}
-        for e, c in big.terms.items():
-            if e[-1] == 0:
-                dropped[e[:-1]] = c
-        assert dropped == hl_p_oracle(lam, n).terms
-
-
-def test_v_lambda():
-    # v_(1)(t) with n=2: [1]! * [1]! = 1; v_() with n=2: [2]! = 1+t
-    assert v_lambda(Partition((1,)), 2) == tp(1)
-    assert v_lambda(Partition(), 2) == tp(1, 1)
+        for n in range(max(lam.weight, lam.length), 8):
+            big = hl_p_oracle(lam, n + 1)
+            dropped = {}
+            for e, c in big.terms.items():
+                if e[-1] == 0:
+                    dropped[e[:-1]] = c
+            assert dropped == hl_p_oracle(lam, n).terms
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +305,6 @@ def test_p_to_x_matches_rational_reference(T):
         assert math.gcd(got.den, *(x for c in got.num.values()
                                    for x in c)) == 1
     assert p_to_x(p1 * p1 - p2, 1).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# exactness of the integer oracle
-
-
-@pytest.mark.parametrize("v", [(1, 1, 1), (2,), (1, 2)])
-def test_hl_oracle_division_raises(monkeypatch, v):
-    # (1, 1, 1) divides none of the numerators of P_(2,1) in 3 variables;
-    # (2,) and (1, 2) are not monic
-    monkeypatch.setattr(symfunc, "v_lambda", lambda lam, n: v)
-    with pytest.raises(ValueError):
-        hl_p_oracle(Partition((2, 1)), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,15 @@ def test_hl_oracle_passes():
     assert r.compared == 12
 
 
+def test_hl_oracle_passes_at_the_cli_weight_limit():
+    # weight 8 is cli.HL_MAX_WEIGHT; the oracle then runs in up to 8
+    # variables
+    r = check_hl_against_oracle(max_weight=8, t_order=24)
+    assert r.passed
+    # partitions of 0..8 inclusive
+    assert r.compared == 67
+
+
 def test_hl_oracle_needs_deep_truncation():
     with pytest.raises(TruncationMismatch):
         check_hl_against_oracle(max_weight=3, t_order=8)
