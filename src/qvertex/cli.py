@@ -10,7 +10,7 @@ worker process per usable CPU, and prints their reports in check order.
 The pool starts the heaviest check first (``BY_COST``), so the longest one
 does not start last while a worker sits idle.  Only the checks outside the
 cheap tail of ``BY_COST`` (hl-oracle, braided-commutativity, classical,
-vacuum: each 0.04 s or less, about what starting a pool costs) size the
+vacuum: each 0.02 s or less, about what starting a pool costs) size the
 pool; with one usable CPU, or at most one selected check outside that
 tail, every check runs in this process.  Each elapsed field is that
 check's own time, so their sum can exceed the wall time.  If a check
@@ -41,13 +41,13 @@ IGNORES_CHARGES = frozenset(("classical", "expansion", "hl-oracle",
                              "jacobi", "vacuum"))
 # every check, heaviest first by its time in a fresh process at the CLI
 # defaults (2 vCPU, Python 3.11, medians of 6, two sets): translation
-# 0.13-0.14 s, expansion 0.12, jacobi 0.08-0.09, hl-oracle 0.04,
-# braided-commutativity 0.04, classical 0.02, vacuum 0.005; the pool
+# 0.06 s, jacobi 0.04, expansion 0.03, hl-oracle 0.02,
+# braided-commutativity 0.02, classical 0.01, vacuum 0.002; the pool
 # starts them in this order
-BY_COST = ("translation", "expansion", "jacobi", "hl-oracle",
+BY_COST = ("translation", "jacobi", "expansion", "hl-oracle",
            "braided-commutativity", "classical", "vacuum")
-# the tail of BY_COST: each takes under 0.06 s, about what starting a pool
-# costs (37 ms), so these checks never size one
+# the tail of BY_COST: each takes 0.02 s or less, about what starting a
+# pool costs (14 ms on the same machine), so these checks never size one
 CHEAP = frozenset(BY_COST[3:])
 
 

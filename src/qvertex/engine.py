@@ -40,7 +40,7 @@ from .errors import UnsupportedCharge
 from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
                       RegionOrder, VARS, VAR_INDEX, Window, _fold,
-                      bounds_add, iv_hull, laurent_mul, lform, mul_raw)
+                      bounds_add, laurent_mul, lform, mul_raw)
 from .scalars import add_row, tp_mullow
 from .symfunc import Partition, SymFuncP, partitions_of
 
@@ -204,30 +204,6 @@ def working_caps(ops, ranges: dict, weights: dict, cap: int) -> list:
     return list(map(min, reach, need))
 
 
-def _product_support(ops, v: FockVector, cap: int) -> tuple:
-    """Per-variable bounds, None for unbounded, on the exponents of the full
-    series Y(a_1, var_1) ... Y(a_k, var_k) v, projected to the cap.
-
-    The z^p mode of operator i takes weight w_{i-1} at charge m_i to
-    w_i = w_{i-1} + p - a_i m_i, so p = a_i m_i + w_i - w_{i-1}: w_0 is a
-    weight of v, w_k lies in [0, cap] and the weights in between in
-    [0, inf), whose sums telescope to the band of total degree.  Only the
-    first operator applied has a floor and only the last one a ceiling: a
-    later operator's E- lowers the weight without limit as its exponent
-    falls."""
-    steps = list(reversed(list(ops)))
-    found: dict = {}
-    for m, f in v.components.items():
-        ws = ([(min(lam.weight for lam in f.num), f.max_weight())]
-              + [(0, None)] * (len(steps) - 1) + [(0, cap)])
-        for (a, var), (lo0, hi0), (lo1, hi1) in zip(steps, ws, ws[1:]):
-            iv = (None if hi0 is None else a * m + lo1 - hi0,
-                  None if hi1 is None else a * m + hi1 - lo0)
-            found[var] = iv_hull(found[var], iv) if var in found else iv
-            m += a
-    return tuple(found.get(var, (0, 0)) for var in VARS)
-
-
 def y_product(ops, v: FockVector, ranges: dict,
               degree_cap: int) -> LaurentChunk:
     """Y(a_1, var_1) ... Y(a_k, var_k) v, applied right to left and
@@ -236,7 +212,10 @@ def y_product(ops, v: FockVector, ranges: dict,
     product (``_apply``) on the whole chunk so far.  E- lowers the
     p-weight, so a state cut at the cap would feed wrong terms back below
     it: each operator runs at the larger working cap (``working_caps``) of
-    its input and output.  The support is ``_product_support``."""
+    its input and output.  The support claims no bound in any operator
+    variable, the one bound that always holds, so a ``laurent_mul`` that
+    needs a term outside the window raises WindowUnderflow instead of
+    passing silently."""
     cap, T = degree_cap, v.t_order
     zero = FockVector.zero(T)
     caps = working_caps(ops, ranges, {m: f.max_weight() for m, f
@@ -245,9 +224,12 @@ def y_product(ops, v: FockVector, ranges: dict,
     for i, (a, var) in enumerate(reversed(list(ops))):
         chunk = _apply(a, var, chunk, ranges[var],
                        max(caps[i], caps[i + 1]))
+    opvars = {var for _, var in ops}
     return LaurentChunk({m: w.weight_truncate(cap)
                          for m, w in chunk.terms.items()},
-                        chunk.window, zero, _product_support(ops, v, cap))
+                        chunk.window, zero,
+                        tuple((None, None) if var in opvars else (0, 0)
+                              for var in VARS))
 
 
 # ---------------------------------------------------------------------------

@@ -248,10 +248,17 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
     """The three region-expansions of X_{z1,z2,0}(e^a x e^a x c).
 
     Line 1: region (z1, z2) expansion equals Y(z1)Y(z2)e^a.
-    Line 2: region (z2, z1) expansion equals the braiding scalar times the
-    swapped product Y(z2)Y(z1)e^a.
+    Line 2: the inverse braiding scalar times the region (z2, z1)
+    expansion equals the swapped product Y(z2)Y(z1)e^a.  S_tau is a unit,
+    S_tau(z1, z2) S_tau(z2, z1) = 1, so the scalar may sit on either side;
+    on the closed-form side it is ``evaluate_scaled``, and the operator
+    product runs on the target alone, as on line 1.
     Line 3 (c = 1): X at (z2+z3, z2) equals the translation scalar at
-    (z3, 0; gamma = z2) times e^{z2 D} Y(z3)e^a.
+    (z3, 0; gamma = z2) times e^{z2 D} Y(z3)e^a.  In region (z2, z3) that
+    scalar and its inverse are both geometric in z3/z2 with a ratio free
+    of t, so their support is unbounded in z2 and z3 and neither fits
+    ``_scalar_chunk``; the scalar is expanded on the window that the
+    series needs and multiplied by ``laurent_mul``.
     """
     t0 = time.perf_counter()
     W, cap, T = window, degree_cap, t_order
@@ -266,14 +273,13 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
                     {"z1": (-W, W), "z2": (-W, W)}, cap)
     cmp_.chunks(xp1, op1, target, tag="line1 ")
 
-    xp2 = evaluate(form, REG21, target, cap, T)
-    sc = _scalar_chunk(s_tau(1, 1, "z2", "z1"), REG21, ("z1", "z2"),
-                       (0, 0), T)
-    wide = _widened(target, sc, ("z1", "z2"))
+    inv = _scalar_chunk(s_tau(1, 1, "z1", "z2"), REG21, ("z1", "z2"),
+                        (0, 0), T)
+    xp2 = evaluate_scaled(inv, form, REG21,
+                          _widened(target, inv, ("z1", "z2")), target, cap, T)
     op2 = y_product(((1, "z2"), (1, "z1")), ea,
-                    {"z1": wide.range("z1"), "z2": wide.range("z2")}, cap)
-    rhs2 = laurent_mul(sc, op2, target)
-    cmp_.chunks(xp2, rhs2, target, tag="line2 ")
+                    {"z1": (-W, W), "z2": (-W, W)}, cap)
+    cmp_.chunks(xp2, op2, target, tag="line2 ")
 
     target3 = Window.of(z2=(-W, W), z3=(0, W))
     sub = x2_closed_form(1, 1).substitute({"z1": ("z2", "z3")})

@@ -283,6 +283,15 @@ def test_verify_expansion_below_the_window_matches_golden(capsys):
     assert without_elapsed(out) == golden.read_text().splitlines()
 
 
+def test_verify_expansion_at_t_order_24_matches_golden(capsys):
+    # deep in t, where the braiding scalar's support is widest
+    code, out, _ = run(capsys, "verify", "expansion", "--t-order", "24",
+                       "--window", "4", "--max-degree", "8")
+    assert code == 0
+    golden = (DATA / "verify_expansion_t_order_24_window_4_max_degree_8.jsonl")
+    assert without_elapsed(out) == golden.read_text().splitlines()
+
+
 def test_verify_all_reports_the_first_error_in_order(capsys):
     code, out, err = run(capsys, "verify", "all", "--charges", "3,3")
     assert code == 2

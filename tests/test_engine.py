@@ -12,7 +12,7 @@ from qvertex.engine import (ClosedForm, eminus_states, eplus_coeff, evaluate,
                             s_gamma, s_tau, working_caps, x2_closed_form,
                             x3_closed_form, x120_closed_form, y_apply,
                             y_product)
-from qvertex.errors import UnsupportedCharge
+from qvertex.errors import UnsupportedCharge, WindowUnderflow
 from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial,
                              VAR_INDEX, Window, laurent_mul, lform, region)
@@ -536,42 +536,20 @@ def test_y_product_cap_is_a_projection(op):
     assert cut >= (4 if op == "y_product" else 12)
 
 
-def first_outside(chunk, support):
-    """A term of chunk outside support (None bounds nothing), or None."""
-    for m in chunk.terms:
-        for e, (lo, hi) in zip(m, support):
-            if (lo is not None and e < lo) or (hi is not None and e > hi):
-                return m
-    return None
-
-
-def test_y_product_support_holds_on_widened_windows():
-    # the support bounds the full series: on a window widened in every
-    # variable, every nonzero term lies inside it.  In the first case the
-    # later operator's E- lowers the weight as z1 falls, so z2 has no
-    # ceiling (z2^4 and z2^5 sit on z1 in [-8, 3]), and z1 no floor
+def test_y_product_support_is_unbounded_in_its_operator_variables():
+    # y_product claims no bound where its operators act, so a scalar
+    # product against it passes only where every split stays inside the
+    # window it was built on
     ops = ((1, "z1"), (1, "z2"))
     ea = FockVector.exponential(1, 1)
-    ranges = {"z1": (-8, 3), "z2": (-3, 3)}
-    assert y_product(ops, ea, ranges, 2).support[:2] == ((None, 4),
-                                                          (1, None))
-    cases = [(ops, ea, ranges, 2)]
-    rng = random.Random(20261020)
-    for _ in range(10):
-        cap, t_order, q = rng.randint(1, 3), rng.randint(0, 2), \
-            rng.randint(0, 1)
-        ops = rng.choice((((1, "z1"), (1, "z2")), ((1, "z2"), (1, "z1")),
-                          ((0, "z1"), (1, "z2"), (1, "z3")),
-                          ((1, "z1"), (1, "z2"), (0, "z3"))))
-        v = FockVector.pure(q, SymFuncP.one(t_order)
-                            + SymFuncP.p(1, t_order))
-        cases.append((ops, v, {var: (-rng.randint(0, 3), rng.randint(0, 3))
-                               for _, var in ops}, cap))
-    for ops, v, ranges, cap in cases:
-        support = y_product(ops, v, ranges, cap).support
-        wide = {var: (lo - 6, hi + 6) for var, (lo, hi) in ranges.items()}
-        m = first_outside(y_product(ops, v, wide, cap), support)
-        assert m is None, (ops, ranges, support, m)
+    prod = y_product(ops, ea, {"z1": (-3, 3), "z2": (-3, 3)}, 2)
+    assert prod.support == ((None, None), (None, None), (0, 0), (0, 0))
+    sc = s_tau(1, 1, "z2", "z1").expand(
+        REG, Window.of(z1=(-2, 2), z2=(-2, 2)), 1)
+    assert sc.support[:2] == ((-1, 1), (-1, 1))
+    with pytest.raises(WindowUnderflow):
+        laurent_mul(sc, prod, prod.window)
+    laurent_mul(sc, prod, Window.of(z1=(-2, 2), z2=(-2, 2)))
 
 
 def test_charge_bounds_on_closed_forms():

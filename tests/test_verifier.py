@@ -18,7 +18,8 @@ from qvertex.engine import (evaluate, evaluate_scaled, jing_Q, s_gamma,
 from qvertex.errors import (EmptyComparison, TruncationMismatch,
                             WindowUnderflow)
 from qvertex.fock import FockVector, exp_D_chunk
-from qvertex.laurent import LaurentChunk, Monomial, Window
+from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
+                             laurent_mul)
 from qvertex.rationals import Rat
 from qvertex.scalars import tp
 from qvertex.symfunc import Partition, SymFuncP, partitions_up_to
@@ -105,6 +106,35 @@ def test_expansion_passes_at_caps_below_the_window(W, cap, T):
     # line 1 needs its intermediate state at weight W - 1, above the cap
     r = run_check("expansion", t_order=T, window=W, degree_cap=cap)
     assert r.passed, r.first_mismatch
+
+
+@pytest.mark.parametrize("T", [0, 3, 8, 24])
+def test_braiding_scalar_times_its_inverse_is_one(T):
+    # expansion line 2 moves S_tau to the closed-form side as its inverse;
+    # the two region-(z2, z1) expansions multiply to exactly 1
+    zv = ("z1", "z2")
+    s, inv = (verifier._scalar_chunk(s_tau(1, 1, *vs), verifier.REG21, zv,
+                                     (0, 0), T)
+              for vs in (("z2", "z1"), ("z1", "z2")))
+    target = Window.of(z1=(-4, 4), z2=(-4, 4))
+    one = laurent_mul(s, inv, target)
+    assert list(one.terms) == [Monomial()]
+    assert one.get(Monomial()) == SymFuncP.one(T)
+
+
+@pytest.mark.parametrize("factor", [(-1,), (1, 1)])
+def test_expansion_line2_catches_a_wrong_braiding_scalar(monkeypatch,
+                                                         factor):
+    # S_tau times -1 or times (1 + t): lines 1 and 3 do not use it, so the
+    # first mismatch is on line 2
+    def wrong(*args):
+        return s_tau(*args).mul(FactorProduct.of(coeff=factor))
+
+    monkeypatch.setattr(verifier, "s_tau", wrong)
+    r = check_expansion_consistency(t_order=3, window=3, degree_cap=8)
+    assert r.passed is False
+    assert r.compared == 126
+    assert r.first_mismatch[0].startswith("line2 ")
 
 
 def test_jacobi_passes():
