@@ -13,11 +13,11 @@ classical lattice translation operator.  The per-charge coefficient (1-t)
 is exposed as a parameter so the verifier can inject a perturbed D and
 demonstrate that the covariance checks catch it.
 
-D acts on the Z[t] rows of a state, one charge block at a time.  What it
-does to p_lambda e^{m alpha} is a cached table (``_d_table``), and one D
-step (``_d_step``) packs each row once into an int and adds one integer
-multiply per table entry.  ``apply_D`` is one step; ``exp_D_chunk``
-iterates it on the raw rows and canonicalizes each output once.  e^{gD}
+D acts on the Z[t] rows of a state, one charge block at a time, packed
+into one int each.  What it does to p_lambda e^{m alpha} is a cached
+table (``_d_table``); one D step (``_d_step``) is one integer multiply
+per table entry.  ``apply_D`` is one step; ``exp_D_chunk`` iterates it
+with the rows packed throughout and decodes each output once.  e^{gD}
 stays iterated rather than closed-form, because the vacuum and classical
 checks test D itself.
 """
@@ -30,7 +30,7 @@ from math import factorial, lcm
 from .errors import TruncationMismatch, UnsupportedCharge
 from .laurent import LaurentChunk, Monomial, VAR_INDEX, Window
 from .rationals import Rat
-from .scalars import add_row, pack_row, tp, tp_mullow, unpack_row
+from .scalars import low_row, pack_row, tp, tp_mullow, unpack_row
 from .symfunc import Partition, SymFuncP
 
 MAX_CHARGE = 3
@@ -195,7 +195,7 @@ def _charge_row(charge_coeff, t_order: int) -> tuple:
 def _d_table(lam: Partition, m: int, t_order: int, k: int,
              crow: tuple) -> tuple:
     """k D(p_lam e^{m alpha}) as ((nu, row, mult), ...), the term
-    mult * row at p_nu each, and the largest L1 norm of a mult * row.
+    mult * row at p_nu each.
 
     Each distinct part p of lam gives nu = lam with one p raised to p+1,
     row = _d_pn_row(p) and mult = k m_p(lam); charge m > 0 adds
@@ -205,46 +205,41 @@ def _d_table(lam: Partition, m: int, t_order: int, k: int,
                 k * lam.mult(p)) for p in sorted(set(lam), reverse=True)]
     if m:
         entries.append((lam.add_part(1), crow, m))
-    return tuple(entries), max((mult * sum(map(abs, row))
-                                for _, row, mult in entries), default=0)
+    return tuple(entries)
 
 
-def _d_step(blocks, degree_cap: int, t_order: int, k: int,
-            crow: tuple) -> list:
-    """D on charge blocks ((q, {lam: row}, den), ...), as the blocks
-    (q, {nu: row}, den * k) that keep a row, dropping the terms D would
-    raise above degree_cap.
+@lru_cache(maxsize=None)
+def _d_mass(lam: Partition, m: int, t_order: int, k: int, crow: tuple,
+            degree_cap: int, j: int) -> int:
+    """A bound on the L1 mass (sum of absolute numerators) of (k D)^j
+    p_lam e^{m alpha} below degree_cap: the sum over the ``_d_table``
+    entries of mult * |row|_1 times the bound for nu at j-1.  |x|_1 |y|_1
+    bounds each digit of x*y and its own L1 norm."""
+    if not j:
+        return 1
+    if lam.weight >= degree_cap:
+        return 0
+    return sum(mult * sum(map(abs, row))
+               * _d_mass(nu, m, t_order, k, crow, degree_cap, j - 1)
+               for nu, row, mult in _d_table(lam, m, t_order, k, crow))
 
-    Each live row is packed once as signed B-bit digits
-    (``scalars.pack_row``) and each entry of its table (``_d_table``)
-    adds mult * P(row) * P(entry row), one integer multiply.  An output
-    nu gets at most one entry from each lam, so no digit exceeds the sum
-    of the rows' L1 norms times the largest entry norm, and
-    B = that bound's bit_length + 2; the lowest T+1 balanced digits of
-    each sum are its row (``scalars.unpack_row``).
-    """
-    n = t_order + 1
-    out = []
-    for q, num, den in blocks:
-        live = [(row, _d_table(lam, q, t_order, k, crow))
-                for lam, row in num.items() if lam.weight < degree_cap]
-        if not live:
-            continue
-        B = (sum(sum(map(abs, row)) for row, _ in live)
-             * max(table[1] for _, table in live)).bit_length() + 2
-        packed: dict = {}
-        acc: dict = {}
-        for row, (entries, _) in live:
-            x = pack_row(row, B)
-            for nu, drow, mult in entries:
+
+def _d_step(rows: dict, q: int, degree_cap: int, t_order: int, k: int,
+            crow: tuple, B: int, packed: dict) -> dict:
+    """k D below degree_cap on the rows {lam: P(row)} of a charge-q block,
+    signed B-bit digits (``scalars.pack_row``): each entry of a live row's
+    table adds mult * P(row) * P(entry row), and each sum is reduced mod
+    t^{T+1} (``scalars.low_row``); packed caches P(entry row).  Exact when
+    2^(B-1) exceeds the block's ``_d_mass`` bound."""
+    acc: dict = {}
+    for lam, x in rows.items():
+        if lam.weight < degree_cap:
+            for nu, drow, mult in _d_table(lam, q, t_order, k, crow):
                 y = packed.get(drow)
                 if y is None:
                     y = packed[drow] = pack_row(drow, B)
                 acc[nu] = acc.get(nu, 0) + mult * x * y
-        rows = {nu: unpack_row(s, n, B) for nu, s in acc.items() if s}
-        if rows:
-            out.append((q, rows, den * k))
-    return out
+    return {nu: low_row(x, t_order + 1, B) for nu, x in acc.items()}
 
 
 def apply_D(v: FockVector, degree_cap: int,
@@ -254,13 +249,21 @@ def apply_D(v: FockVector, degree_cap: int,
 
     charge_coeff is the exact t-polynomial multiplying m p_1 on charge m;
     the default (1-t) is the Jing-gauge value.  Both parts of D add into
-    one set of rows per charge, over den times the lcm of charge_coeff's
+    one set of rows per charge, over den times the lcm k of charge_coeff's
     denominators (``_d_step``).
     """
     T = v.t_order
-    return FockVector({q: SymFuncP(num, den, T) for q, num, den in
-                       _d_step(v.charge_rows(), degree_cap, T,
-                               *_charge_row(charge_coeff, T))}, T)
+    k, crow = _charge_row(charge_coeff, T)
+    out = {}
+    for q, num, den in v.charge_rows():
+        B = sum(sum(map(abs, row)) * _d_mass(lam, q, T, k, crow,
+                                             degree_cap, 1)
+                for lam, row in num.items()).bit_length() + 2
+        rows = _d_step({lam: pack_row(row, B) for lam, row in num.items()},
+                       q, degree_cap, T, k, crow, B, {})
+        out[q] = SymFuncP({nu: unpack_row(x, T + 1, B)
+                           for nu, x in rows.items()}, den * k, T)
+    return FockVector(out, T)
 
 
 def exp_D(v: FockVector, var: str, order: int, degree_cap: int,
@@ -283,10 +286,15 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int, degree_cap: int,
     projected coefficient once j > degree_cap: the support in var ends
     degree_cap above the chunk's own.
 
-    D is iterated on the raw charge blocks, one ``_d_step`` (the kernel
-    of ``apply_D``) per power, with no FockVector in between.  Each output
-    monomial gathers its pieces D^j w / j! over the lcm of their den * j!
-    and is canonicalized once (``from_charge_rows``).
+    D is iterated on the charge blocks (``_d_step``), each row packed
+    once and kept packed to its output.  Each output monomial gathers its
+    pieces (k D)^j w / (k^j j!) over the lcm D of their den * k^j * j!,
+    and each of its rows is decoded once (``scalars.unpack_row``) and
+    canonicalized once (``from_charge_rows``).  One B serves every step:
+    the ``_d_mass`` bound of (k D)^j of a block bounds its digits, so the
+    sum over an output's pieces of D/(den * k^j * j!) times that bound
+    bounds the output's digits and every step's; B = the largest such
+    sum's bit_length + 2.
     """
     iv = VAR_INDEX[var]
     lo, hi = chunk.window.bounds[iv]
@@ -295,26 +303,39 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int, degree_cap: int,
             f"chunk window {chunk.window} incompatible with order {order}")
     T = chunk.zero.t_order
     k, crow = _charge_row(charge_coeff, T)
-    pieces: dict = {}
+    # per block: charge, rows and its pieces (output monomial, den, bound)
+    plan, dens = [], {}
     for m, w in chunk.terms.items():
-        blocks = w.weight_truncate(degree_cap).charge_rows()
-        for j in range(order - m[iv] + 1):
-            if j:
-                blocks = _d_step(blocks, degree_cap, T, k, crow)
-                if not blocks:
+        for q, num, d in w.weight_truncate(degree_cap).charge_rows():
+            norms = [(lam, sum(map(abs, row))) for lam, row in num.items()]
+            pieces = []
+            for j in range(order - m[iv] + 1):
+                bound = sum(x * _d_mass(lam, q, T, k, crow, degree_cap, j)
+                            for lam, x in norms)
+                if not bound:
                     break
-            pieces.setdefault(m * Monomial.var(var, j), []).append(
-                (blocks, factorial(j)))
-    terms = {}
-    for key, parts in pieces.items():
-        den = lcm(*(d * f for blocks, f in parts for _, _, d in blocks))
-        acc: dict = {}
-        for blocks, f in parts:
-            for q, num, d in blocks:
-                rows = acc.setdefault(q, {})
-                for lam, row in num.items():
-                    add_row(rows, lam, row, den // (d * f))
-        terms[key] = chunk.zero.from_charge_rows(acc, den)
+                key = m * Monomial.var(var, j)
+                pieces.append((key, d * k ** j * factorial(j), bound))
+                dens[key] = lcm(dens.get(key, 1), pieces[-1][1])
+            plan.append((q, num, pieces))
+    sums: dict = {}
+    for _, _, pieces in plan:
+        for key, d, bound in pieces:
+            sums[key] = sums.get(key, 0) + dens[key] // d * bound
+    B = max(sums.values(), default=0).bit_length() + 2
+    packed, accs = {}, {}
+    for q, num, pieces in plan:
+        rows = {lam: pack_row(row, B) for lam, row in num.items()}
+        for j, (key, d, _) in enumerate(pieces):
+            if j:
+                rows = _d_step(rows, q, degree_cap, T, k, crow, B, packed)
+            f = dens[key] // d
+            out = accs.setdefault(key, {}).setdefault(q, {})
+            for lam, x in rows.items():
+                out[lam] = out.get(lam, 0) + f * x
+    terms = {key: chunk.zero.from_charge_rows(
+        {q: {lam: unpack_row(x, T + 1, B) for lam, x in out.items()}
+         for q, out in acc.items()}, dens[key]) for key, acc in accs.items()}
     window = Window(tuple((0, order) if i == iv else b
                           for i, b in enumerate(chunk.window.bounds)))
     s_hi = chunk.support[iv][1]

@@ -20,7 +20,9 @@ boxes for each factor are made finite by a fixpoint that combines the
 requested window, t/g truncation budgets and homogeneity of the linear
 forms; the per-factor boxes are then provably sufficient for the requested
 window, so the internal folding can multiply without the generic soundness
-guard.
+guard.  ``mul_raw`` and every such fold run on one kernel (``_product``)
+that keeps integer rows packed across its steps and decodes once per
+output.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from math import factorial, lcm
 
 from .errors import (NonExpandableFactor, OutsideWindow, WindowUnderflow)
 from .rationals import RAT_ONE, RAT_ZERO, Rat
-from .scalars import (TP_ONE, pack_row, tp_mul, tp_pow, tp_str, tp_trim,
-                      unpack_row)
+from .scalars import (TP_ONE, low_row, pack_row, tp_mul, tp_pow, tp_str,
+                      tp_trim, unpack_row)
 from .symfunc import Partition, SymFuncP, scalar
 
 VARS = ("z1", "z2", "z3", "g")
@@ -301,158 +303,188 @@ class LaurentChunk:
 def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
             degree_cap=None, keep=None) -> LaurentChunk:
     """Product restricted to a window, with no soundness guard, projected
-    to degree_cap (None keeps every weight).
-
-    keep, when given, maps each output monomial to the number of
-    t-coefficients to form, 1..T+1: the product there is reduced mod
-    t^{keep[m]}, and a monomial absent from keep is not formed.  x_i y_j
-    lands at t^{i+j}, so cutting each row product at keep[m] is exactly
-    that reduction.  Such a chunk is exact only in the quotients keep
-    names, so it is for a caller that multiplies it at once by a series
-    whose valuations need no more (``engine.evaluate_scaled``).
-
+    to degree_cap (None keeps every weight): one step of ``_product``.
     Only for callers that have proved separately that every support split
     landing in the window is covered by the operand windows.
 
-    One fused kernel on packed integer rows serves both coefficient
-    kinds, SymFuncP (a scalar is its weight-0 part) and FockVector, in any
+    keep, when given, maps each output monomial to the number of
+    t-coefficients to form, 1..T+1: the product there is reduced mod
+    t^{keep[m]} (x_i y_j lands at t^{i+j}), and a monomial absent from
+    keep is not formed.  Such a chunk is exact only in the quotients keep
+    names, so it is for a caller that multiplies it at once by a series
+    whose valuations need no more (``engine.evaluate_scaled``).
+    """
+    return _product((a, b), (window,), degree_cap, keep)
+
+
+def _product(chunks, windows, degree_cap=None, keep=None) -> LaurentChunk:
+    """chunks[0] * chunks[1] * ... * chunks[-1], the product by chunks[s]
+    kept on windows[s-1] and projected to degree_cap; keep (``mul_raw``)
+    cuts the last step only.
+
+    One kernel on packed integer rows serves both coefficient kinds,
+    SymFuncP (a scalar is its weight-0 part) and FockVector, in any
     pairing.  Each coefficient is read once as Z[t] rows keyed by charge
     and partition, a block per charge over its own denominator
-    (``charge_rows``), and the in-window term pairs are bucketed by output
-    monomial.  Each output is accumulated over D = lcm(d1*d2) of its own
-    block pairs, with k = D/(d1*d2) per pair: charges add, partitions merge
-    (a merge above degree_cap is dropped before any arithmetic) and each
-    row pair adds k*P(x1)*P(x2), one integer multiply.  P writes a row
-    x_0..x_T as the int sum_i x_i 2^(iB), signed B-bit digits
-    (``scalars.pack_row``); each operand row is packed once per call.  No
-    digit of an output exceeds M, the largest over the outputs of the sum
-    over its block pairs of k*|block1|_1*|block2|_1 (the sums of the
-    absolute numerators), and B = M.bit_length() + 2.  So the lowest
-    n = T+1 (or keep[m]) balanced digits of each accumulated int are the
-    product row mod t^n (``scalars.unpack_row``): carries only move
-    upward, so what lands above digit n never reaches the ones below.
-    The output is canonicalized once and rebuilt (``from_charge_rows``)
-    before the next one starts.  The kind and t-order of the product come
-    from the product of the operand zeros, which raises TruncationMismatch
-    on a t-order mismatch.
+    (``charge_rows``).  A step buckets its in-window term pairs by output
+    monomial and accumulates each output over D = lcm(d1*d2) of its block
+    pairs, k = D/(d1*d2) per pair: charges add, partitions merge (a merge
+    above degree_cap is dropped before any arithmetic) and each row pair
+    adds k*P(x1)*P(x2), one integer multiply, where P writes x_0..x_T as
+    the int sum_i x_i 2^(iB) of signed B-bit digits (``scalars.pack_row``).
+
+    Every step is planned before any product runs: its buckets, its D
+    (left unreduced: an intermediate block is an int per partition over
+    its output's D) and the L1 mass of each output block, the sum over its
+    block pairs of k*|block1|_1*|block2|_1 (sums of absolute numerators),
+    which bounds each digit of the block and its mass in the next step.
+    B = (the largest mass of any step).bit_length() + 2, so the lowest
+    T+1 balanced digits of an accumulated int are its row mod t^{T+1}:
+    carries only move upward.  An intermediate row stays packed, reduced
+    by an offset and a mask (``scalars.low_row``); each output of the last
+    step is decoded once (``scalars.unpack_row``, to keep[m] digits) and
+    rebuilt (``from_charge_rows``).  The product of the operand zeros
+    gives the kind and t-order (TruncationMismatch on a mismatch), and a
+    planned charge the kind refuses raises UnsupportedCharge up front.
     """
-    zero = a.zero * b.zero
-    n = zero.t_order + 1
-    # the partitions of each operand as small ints, in each block a tuple
-    # parallel to its rows, and the block's L1 mass
-    parts = ({}, {})
-    reads = []
-    for ch, ids in zip((a, b), parts):
-        reads.append({m: tuple((q, tuple([ids.setdefault(lam, len(ids))
-                                          for lam in num]), num, d,
-                                sum(map(abs, chain.from_iterable(
-                                    num.values()))))
-                               for q, num, d in c.charge_rows())
-                      for m, c in ch.terms.items()})
-    lams1, lams2 = list(parts[0]), list(parts[1])
-    w1, w2 = [sum(lam) for lam in lams1], [sum(mu) for mu in lams2]
-    cap = (max(w1, default=0) + max(w2, default=0) if degree_cap is None
+    zero, support = chunks[0].zero, chunks[0].support
+    for c in chunks[1:]:
+        zero, support = zero * c.zero, bounds_add(support, c.support)
+    # per chunk, the blocks of each term: charge, the partitions as small
+    # ints (chunk 0 and every step's output share one numbering), rows,
+    # den and L1 mass
+    pids = [{} for _ in chunks]
+    reads = [{m: tuple((q, tuple([ids.setdefault(lam, len(ids))
+                                  for lam in num]), num, d,
+                        sum(map(abs, chain.from_iterable(num.values()))))
+                       for q, num, d in c.charge_rows())
+              for m, c in ch.terms.items()} for ch, ids in zip(chunks, pids)]
+    weights = [[sum(lam) for lam in ids] for ids in pids]
+    cap = (sum(max(w, default=0) for w in weights) if degree_cap is None
            else degree_cap)
-    # merged[i1][i2]: the int of the merged partition, -1 above the cap
-    merged = [None] * len(lams1)
-    nus: dict = {}
-    nu_list = []
-    (l0, h0), (l1, h1), (l2, h2), (l3, h3) = window.bounds
-    # with keep, only its monomials get a bucket
-    grow = keep is None
-    buckets: dict = {} if grow else {m: [] for m in keep}
-    r1, r2 = reads
-    for m1 in r1:
-        for m2 in r2:
-            e0 = m1[0] + m2[0]
-            if e0 < l0 or e0 > h0:
-                continue
-            e1 = m1[1] + m2[1]
-            if e1 < l1 or e1 > h1:
-                continue
-            e2 = m1[2] + m2[2]
-            if e2 < l2 or e2 > h2:
-                continue
-            e3 = m1[3] + m2[3]
-            if e3 < l3 or e3 > h3:
-                continue
-            m = tuple.__new__(Monomial, (e0, e1, e2, e3))
-            pairs = buckets.get(m)
-            if pairs is not None:
-                pairs.append((m1, m2))
-            elif grow:
-                buckets[m] = [(m1, m2)]
-    # each output's denominator, the digit width from the largest bound on
-    # a digit of any output, and the operand terms read
-    dens = {}
-    bound = 0
-    used1, used2 = set(), set()
-    for m, pairs in buckets.items():
-        if pairs:
-            used1.update(m1 for m1, _ in pairs)
-            used2.update(m2 for _, m2 in pairs)
-            blocks = [(b1, b2) for m1, m2 in pairs
-                      for b1 in r1[m1] for b2 in r2[m2]]
-            den = dens[m] = lcm(*(b1[3] * b2[3] for b1, b2 in blocks))
-            bound = max(bound, sum(den // (b1[3] * b2[3]) * b1[4] * b2[4]
-                                   for b1, b2 in blocks))
+    nus, nu_list, nu_w = pids[0], list(pids[0]), weights[0]
+    # the plan: per step its buckets and each output's den, and per output
+    # block (charge, -, -, den, mass) for the next step
+    plan, charges, bound, left = [], set(), 0, reads[0]
+    for s, window in enumerate(windows, 1):
+        right = reads[s]
+        (l0, h0), (l1, h1), (l2, h2), (l3, h3) = window.bounds
+        # with keep, only its monomials get a bucket
+        grow = keep is None or s < len(windows)
+        buckets: dict = {} if grow else {m: [] for m in keep}
+        for m1 in left:
+            for m2 in right:
+                e0 = m1[0] + m2[0]
+                if e0 < l0 or e0 > h0:
+                    continue
+                e1 = m1[1] + m2[1]
+                if e1 < l1 or e1 > h1:
+                    continue
+                e2 = m1[2] + m2[2]
+                if e2 < l2 or e2 > h2:
+                    continue
+                e3 = m1[3] + m2[3]
+                if e3 < l3 or e3 > h3:
+                    continue
+                m = tuple.__new__(Monomial, (e0, e1, e2, e3))
+                pairs = buckets.get(m)
+                if pairs is not None:
+                    pairs.append((m1, m2))
+                elif grow:
+                    buckets[m] = [(m1, m2)]
+        dens, out = {}, {}
+        for m, pairs in buckets.items():
+            if pairs:
+                blocks = [(b1, b2) for m1, m2 in pairs
+                          for b1 in left[m1] for b2 in right[m2]]
+                den = dens[m] = lcm(*(b1[3] * b2[3] for b1, b2 in blocks))
+                mass: dict = {}
+                for (q1, _, _, d1, x1), (q2, _, _, d2, x2) in blocks:
+                    mass[q1 + q2] = (mass.get(q1 + q2, 0)
+                                     + den // (d1 * d2) * x1 * x2)
+                out[m] = [(q, None, None, den, x) for q, x in mass.items()]
+                charges.update(mass)
+                bound = max(bound, *mass.values())
+        plan.append((buckets, dens))
+        left = out
+    zero.from_charge_rows(dict.fromkeys(charges, {}), 1)  # bad charges raise
     B = bound.bit_length() + 2
-    p1, p2 = ({m: tuple((q, ids, tuple([pack_row(x, B)
+    n = zero.t_order + 1
+
+    def packed(s):  # the terms of chunk s in some pair, rows packed
+        buckets, dens = plan[max(s, 1) - 1]
+        return {m: tuple((q, ids, tuple([pack_row(x, B)
                                          for x in num.values()]), d)
-                        for q, ids, num, d, _ in r[m])
-               for m in ms} for r, ms in ((r1, used1), (r2, used2)))
+                         for q, ids, num, d, _ in reads[s][m])
+                for m in {pr[min(s, 1)] for o in dens for pr in buckets[o]}}
+
+    left = packed(0)
+    for s, (buckets, dens) in enumerate(plan, 1):
+        right, lams2, w2 = packed(s), list(pids[s]), weights[s]
+        plan[s - 1] = None  # one step's buckets alive at a time
+        # merged[i1][i2]: the int of the merged partition, -1 above the cap
+        merged = [None] * len(nu_list)
+        accs = {}
+        for m, den in dens.items():
+            acc = accs[m] = {}
+            for m1, m2 in buckets[m]:
+                for q1, ids1, xs1, d1 in left[m1]:
+                    for q2, ids2, xs2, d2 in right[m2]:
+                        k = den // (d1 * d2)
+                        out = acc.get(q1 + q2)
+                        if out is None:
+                            out = acc[q1 + q2] = {}
+                        for i1, x1 in zip(ids1, xs1):
+                            row = merged[i1]
+                            if row is None:
+                                row = merged[i1] = [None] * len(lams2)
+                            if k != 1:
+                                x1 *= k
+                            for i2, x2 in zip(ids2, xs2):
+                                o = row[i2]
+                                if o is None:
+                                    o = -1
+                                    if nu_w[i1] + w2[i2] <= cap:
+                                        nu = Partition.merge(nu_list[i1],
+                                                             lams2[i2])
+                                        o = nus.get(nu)
+                                        if o is None:
+                                            o = nus[nu] = len(nu_list)
+                                            nu_list.append(nu)
+                                            nu_w.append(sum(nu))
+                                    row[i2] = o
+                                if o >= 0:
+                                    out[o] = out.get(o, 0) + x1 * x2
+        if s < len(plan):
+            left = {m: tuple((q, tuple(out), [low_row(x, n, B)
+                                              for x in out.values()],
+                              dens[m]) for q, out in acc.items())
+                    for m, acc in accs.items()}
     terms = {}
-    for m, den in dens.items():
-        if not grow:
+    for m, acc in accs.items():
+        if keep is not None:
             n = keep[m]
-        acc: dict = {}
-        for m1, m2 in buckets[m]:
-            for q1, ids1, xs1, d1 in p1[m1]:
-                for q2, ids2, xs2, d2 in p2[m2]:
-                    k = den // (d1 * d2)
-                    out = acc.get(q1 + q2)
-                    if out is None:
-                        out = acc[q1 + q2] = {}
-                    for i1, x1 in zip(ids1, xs1):
-                        row = merged[i1]
-                        if row is None:
-                            row = merged[i1] = [None] * len(lams2)
-                        if k != 1:
-                            x1 *= k
-                        for i2, x2 in zip(ids2, xs2):
-                            o = row[i2]
-                            if o is None:
-                                o = -1
-                                if w1[i1] + w2[i2] <= cap:
-                                    nu = Partition.merge(lams1[i1], lams2[i2])
-                                    o = nus.get(nu)
-                                    if o is None:
-                                        o = nus[nu] = len(nu_list)
-                                        nu_list.append(nu)
-                                row[i2] = o
-                            if o >= 0:
-                                out[o] = out.get(o, 0) + x1 * x2
         c = zero.from_charge_rows(
-            {q: {nu_list[o]: unpack_row(s, n, B) for o, s in out.items()}
-             for q, out in acc.items()}, den)
+            {q: {nu_list[o]: unpack_row(x, n, B) for o, x in out.items()}
+             for q, out in acc.items()}, dens[m])
         if not c.is_zero():
             terms[m] = c
-    return LaurentChunk(terms, window, zero,
-                        bounds_add(a.support, b.support))
+    return LaurentChunk(terms, windows[-1], zero, support)
 
 
 def _fold(chunks, boxes, target: Window, degree_cap=None, keep=None):
     """chunks[0] * chunks[1] * ... on the target window, projected to
-    degree_cap (``mul_raw``), or None when the product vanishes there.
+    degree_cap, in one ``_product``, or None when the product vanishes
+    there.
 
     boxes[j] holds every exponent of chunks[j] that can land in the target.
     Each prefix product is kept on its own box minus what the remaining
     factors can still add, which is exact on the target; an empty prefix
-    window means no split reaches it.  keep (``mul_raw``) cuts the last
-    product only, so every prefix stays exact; a single chunk is returned
-    whole.
+    window means no split reaches it, found before any product runs.  keep
+    (``mul_raw``) cuts the last product only, so every prefix stays exact;
+    a single chunk is returned whole.
     """
-    acc = chunks[0]
+    windows = []
     for k in range(1, len(chunks)):
         req = []
         for v, (lo, hi) in enumerate(target.bounds):
@@ -464,9 +496,10 @@ def _fold(chunks, boxes, target: Window, degree_cap=None, keep=None):
             if lo > hi:
                 return None
             req.append((lo, hi))
-        acc = mul_raw(acc, chunks[k], Window(tuple(req)), degree_cap,
-                      keep if k == len(chunks) - 1 else None)
-    return acc
+        windows.append(Window(tuple(req)))
+    if not windows:
+        return chunks[0]
+    return _product(chunks, windows, degree_cap, keep)
 
 
 def _deficits(w, s):

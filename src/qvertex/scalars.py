@@ -22,10 +22,11 @@ dict of integer rows -- Z[t] numerators, lowest degree first -- over one
 common denominator.  ``canonical_rows`` brings such a dict to canonical
 form and ``add_row`` adds one row into it in place.
 
-The Laurent product ``laurent.mul_raw`` and the Jacobi convolutions of
-``verifier`` accumulate instead on rows packed into one int each, as
-signed digits of B bits (``pack_row``), so a row product is one integer
-multiply; ``unpack_row`` reads the balanced digits back once per result.
+The Laurent products of ``laurent``, the D steps of ``fock`` and the
+Jacobi convolutions of ``verifier`` accumulate instead on rows packed into
+one int each, as signed digits of B bits (``pack_row``), so a row product
+is one integer multiply; ``low_row`` reduces a packed row mod t^n, and
+``unpack_row`` reads the balanced digits back once per result.
 """
 
 from __future__ import annotations
@@ -387,20 +388,25 @@ def pack_row(row, B: int) -> int:
 @lru_cache(maxsize=None)
 def _digit_offset(n: int, B: int) -> tuple:
     """2^(B-1) in each of the lowest n B-bit digits, and the mask of those
-    digits."""
+    digits: the offset and mask of ``low_row`` and ``unpack_row``."""
     return (sum(1 << (j * B + B - 1) for j in range(n)),
             (1 << n * B) - 1)
 
 
+def low_row(x: int, n: int, B: int) -> int:
+    """The packed row d_0, ..., d_{n-1}, that is x mod t^n, of x = sum_j
+    d_j 2^(jB) with |d_j| < 2^(B-1) for j < n: adding 2^(B-1) to each of
+    those digits makes them nonnegative and below 2^B, so no carry crosses
+    a digit boundary below n, whatever the higher digits are."""
+    offset, low = _digit_offset(n, B)
+    return ((x + offset) & low) - offset
+
+
 def unpack_row(x: int, n: int, B: int) -> list:
     """The lowest n digits d_0, d_1, ... of x = sum_j d_j 2^(jB), where
-    every |d_j| < 2^(B-1), less any zero digits above the highest nonzero
-    one.
-
-    Adding 2^(B-1) to each of the lowest n digits makes them nonnegative
-    and below 2^B, so no carry crosses a digit boundary below n, whatever
-    the higher digits are.  A nonzero top digit d_k leaves |x| > 2^(kB-1),
-    so no digit above bit_length(x) // B is nonzero.
+    every |d_j| < 2^(B-1) (``low_row``), less any zero digits above the
+    highest nonzero one: a nonzero top digit d_k leaves |x| > 2^(kB-1), so
+    no digit above bit_length(x) // B is nonzero.
     """
     n = min(n, x.bit_length() // B + 1)
     offset, low = _digit_offset(n, B)

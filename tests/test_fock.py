@@ -285,13 +285,13 @@ def test_D_digit_width_on_big_numerators(T):
     # numerators a little below 2^80 of one sign put every digit of a
     # packed sum near the bound the width comes from: T = 0 makes the L1
     # bounds tight, and a partition with many distinct parts collects one
-    # entry from each of several rows; a width without the largest entry
-    # norm or without the sum over the rows reads wrong rows here
+    # entry from each of several rows; a width without the entry norms of
+    # the rows' tables reads wrong rows here
     rng = random.Random(3000 + T)
     cap = 8
     # p_{3,2,1} e^{3 alpha} collects 4x + 2x + 3x from p_{2,2,1}, p_{3,1,1}
-    # and p_{3,2}, whose largest entry is 4: at T = 0 with x just below
-    # 2^80, 9x needs more than the bits of 4x + 1
+    # and p_{3,2}: at T = 0 with x just below 2^80, 9x needs more than the
+    # bits of their summed L1 norms 3x plus two
     x = 2 ** 80 - 3
     tight = FockVector.pure(3, SymFuncP({Partition(lam): (x,) for lam in (
         (2, 2, 1), (3, 1, 1), (3, 2))}, 2 ** 61 - 1, T))
@@ -315,6 +315,26 @@ def test_D_digit_width_on_big_numerators(T):
                 for j in range(1, 4):
                     dw = _reference_D(dw, cap, c).scale(Rat(1, j))
                     assert ed.get(Monomial.var("g", j)) == dw
+    # e^{gD} keeps the rows packed over G = 3 steps at one width.  g^3
+    # gathers D^3 w_0 / 3!, D^2 w_1 / 2!, D w_2 and w_3, and w_0 over den 1
+    # against 2^61 - 1 and 3^30 gives its piece the largest factor
+    # D/(den k^3 3!) by far; at T = 0, one sign and c(0) > 0 its digits
+    # come near the bound.  A width that leaves out the growth of D^j w_0
+    # past the first step, or the factors D/(den k^j j!), reads wrong rows
+    ws = [FockVector.pure(3, SymFuncP({Partition(lam): (x,) * (T + 1)}, den,
+                                      T))
+          for lam, den in (((1,), 1), ((2,), 2 ** 61 - 1),
+                           ((1, 1, 1), 3 ** 30), ((2, 2), 2 ** 61 - 1))]
+    chain = LaurentChunk({Monomial.var("g", j): w for j, w in enumerate(ws)},
+                         Window.of(g=(0, 3)), FockVector.zero(T))
+    ed = exp_D_chunk(chain, "g", 3, cap, c)
+    pieces = [[w] for w in ws]
+    for j in range(4):
+        for piece in pieces[:j]:
+            piece.append(_reference_D(piece[-1], cap, c).scale(
+                Rat(1, len(piece))))
+        assert ed.get(Monomial.var("g", j)) == sum(
+            (piece[-1] for piece in pieces[:j + 1]), FockVector.zero(T))
 
 
 def test_exp_D_support_ends_at_cap():

@@ -7,8 +7,8 @@ from qvertex.errors import (NonExpandableFactor, OutsideWindow,
                             WindowUnderflow)
 from qvertex.fock import FockVector
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
-                             binom_expansion_terms, laurent_mul, lform,
-                             mul_raw, region)
+                             _fold, binom_expansion_terms, laurent_mul,
+                             lform, mul_raw, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import tp
 from qvertex.symfunc import Partition, SymFuncP, partitions_up_to, scalar
@@ -693,3 +693,123 @@ def test_mul_raw_full_keep_is_no_keep(T):
             prod = mul_raw(a, b, window, 4, every)
             assert prod.terms == full.terms
             assert prod.support == full.support
+
+
+# ---------------------------------------------------------------------------
+# the fold: every step on packed rows, decoded once per output
+
+
+FOLD_TARGET = Window(((-3, 5), (-4, 3), (0, 0), (0, 6)))
+
+
+def _chain(rng, n, T):
+    # alternating signs put a cancelling pair at g^3 in every other chunk;
+    # at most three FockVector chunks of charges 0..1 keep every charge
+    # within MAX_CHARGE = 3
+    kinds = [rng.choice(KINDS) for _ in range(n)]
+    if kinds.count("FockVector") == 4:
+        kinds[0] = "SymFuncP"
+    return [_random_operand(rng, kind, 4, T, [0, 1], (-1) ** i)
+            for i, kind in enumerate(kinds)]
+
+
+def _stepwise(chunks, target, cap):
+    """The per-pair product one step at a time, each step on the whole box
+    its operands reach and projected to the cap, the last on the target;
+    the last step's terms with the zeros kept."""
+    acc = chunks[0]
+    for i, c in enumerate(chunks[1:], 2):
+        window = (target if i == len(chunks) else Window(tuple(
+            (sum(ch.window.bounds[v][0] for ch in chunks[:i]),
+             sum(ch.window.bounds[v][1] for ch in chunks[:i]))
+            for v in range(4))))
+        terms = {m: _projected(x, cap)
+                 for m, x in _per_pair_product(acc, c, window).items()}
+        acc = LaurentChunk(terms, window, acc.zero * c.zero)
+    return acc, terms
+
+
+def _folded(chunks, cap, keep=None):
+    return _fold(chunks, [c.window.bounds for c in chunks], FOLD_TARGET,
+                 cap, keep)
+
+
+def _weight_drops(chunks, cap):
+    # the term pairs of the chunks whose top weights add up above the cap
+    return sum(_max_weight(c1) + _max_weight(c2) > cap
+               for a, b in zip(chunks, chunks[1:])
+               for c1 in a.terms.values() for c2 in b.terms.values())
+
+
+@pytest.mark.parametrize("T", [0, 1, 8, 24])
+def test_fold_matches_stepwise_per_pair_product(T):
+    rng = random.Random(1100 + T)
+    cap = 4
+    box = [Monomial(e0, e1, 0, e3) for e0 in range(-3, 6)
+           for e1 in range(-4, 4) for e3 in range(7)]
+    cancelled = dropped = cut = 0
+    for n in (3, 4):
+        for _ in range(4):
+            chunks = _chain(rng, n, T)
+            ref, last = _stepwise(chunks, FOLD_TARGET, cap)
+            prod = _folded(chunks, cap)
+            assert prod.terms == ref.terms
+            assert type(prod.zero) is type(ref.zero)
+            assert prod.zero.t_order == T
+            cancelled += sum(c.is_zero() for c in last.values())
+            dropped += _weight_drops(chunks, cap)
+            # keep cuts the last step only
+            keep = {m: rng.randint(1, T + 1)
+                    for m in rng.sample(box, len(box) // 2)}
+            short = _folded(chunks, cap, keep)
+            assert set(short.terms) <= set(keep)
+            for m, k in keep.items():
+                c, r = short.get(m), prod.get(m)
+                assert _rows_within(c, k)
+                assert c.t_truncate(k - 1) == r.t_truncate(k - 1)
+                cut += c != r
+    assert cancelled >= 30 and dropped >= 200 and (T == 0 or cut >= 100)
+
+
+def test_fold_edge_cases():
+    one = SymFuncP.one(1)
+    two = LaurentChunk({Monomial(): FockVector.pure(2, one)}, Window.of(),
+                       FockVector.zero(1))
+    lone = LaurentChunk({Monomial(z1=1): one}, Window.of(z1=(1, 1)),
+                        SymFuncP.zero(1))
+    point = ((0, 0),) * 4
+    # a single chunk comes back whole, even outside the target
+    assert _fold([lone], [lone.window.bounds], Window.of()) is lone
+    # an empty prefix window returns None before any product runs, so the
+    # charge-4 product of the first two chunks does not raise
+    assert _fold([two, two, lone], [point, point, lone.window.bounds],
+                 Window.of(z1=(3, 4))) is None
+    # an intermediate charge above MAX_CHARGE raises, also when every
+    # merge at that step is above the cap: p_4 p_4 at cap 4
+    with pytest.raises(UnsupportedCharge):
+        _fold([two, two, lone], [point, point, lone.window.bounds],
+              Window.of(z1=(1, 1)))
+    h = LaurentChunk({Monomial(): FockVector.pure(2, SymFuncP.p(4, 1))},
+                     Window.of(), FockVector.zero(1))
+    with pytest.raises(UnsupportedCharge):
+        _fold([h, h, lone], [point, point, lone.window.bounds],
+              Window.of(z1=(1, 1)), 4)
+
+
+@pytest.mark.parametrize("T", [1, 8, 24])
+def test_fold_digit_width_on_big_numerators(T):
+    # numerators near 2^80 over 2^61 - 1, 3^30 and 1 in a fold of three
+    # chunks: the one width covers the last step's digits only if it takes
+    # in the intermediate block's mass and the last step's k = D/(d1 d2),
+    # with the intermediate denominators left unreduced
+    rng = random.Random(1200 + T)
+    cancelled = 0
+    for kinds in (("SymFuncP",) * 3, ("FockVector", "SymFuncP", "FockVector"),
+                  ("SymFuncP", "FockVector", "FockVector")):
+        chunks = [_random_operand(rng, kind, 4, T, [0, 1], (-1) ** i,
+                                  _big_coeff((-1) ** i))
+                  for i, kind in enumerate(kinds)]
+        ref, last = _stepwise(chunks, FOLD_TARGET, 4)
+        assert _folded(chunks, 4).terms == ref.terms
+        cancelled += sum(c.is_zero() for c in last.values())
+    assert cancelled >= 20

@@ -626,6 +626,24 @@ def _jacobi_chunks(T, W, cap):
                      Window.of(z2=(-2 * W, 3 * W), z3=(0, W)), cap, T))
 
 
+JACOBI_GOLDEN = (DATA / "jacobi_evaluate_sha256.txt").read_text() \
+    .splitlines()
+
+
+def test_jacobi_evaluate_golden():
+    # the Jacobi check's three evaluate calls, each a fold of three chunks,
+    # at the wide-window parameters (T=1, W=6, cap 11): one line per
+    # monomial of each window, in the layout of the T=8 golden: region,
+    # charges, exponents of z1, z2 and z3, then the sha256 of str() of the
+    # coefficient
+    got = [f"{kind} 1,1,1 {m[0]},{m[1]},{m[2]} {_sha(str(ch.get(m)))}"
+           for kind, ch in zip(("REG12", "REG21", "REG23"),
+                               _jacobi_chunks(1, 6, 11))
+           for m in verifier._box(ch.window)]
+    assert len(got) == 140 + 160 + 217
+    assert got == JACOBI_GOLDEN
+
+
 def test_jacobi_one_unit_mismatch_reported_like_fockvectors(monkeypatch):
     # the three expansions times one big rational satisfy the identity;
     # one unit in the top digit of the highest-index partition that the
