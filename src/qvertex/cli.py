@@ -41,8 +41,8 @@ IGNORES_CHARGES = frozenset(("classical", "expansion", "hl-oracle",
                              "jacobi", "vacuum"))
 # every check, heaviest first by its time in a fresh process at the CLI
 # defaults (2 vCPU, Python 3.11, medians of 6, two sets): translation
-# 0.047 s, jacobi 0.034, expansion 0.023, hl-oracle 0.019,
-# braided-commutativity 0.015, classical 0.010, vacuum 0.002; the pool
+# 0.045 s, jacobi 0.034, expansion 0.022, hl-oracle 0.019,
+# braided-commutativity 0.013, classical 0.010, vacuum 0.002; the pool
 # starts them in this order
 BY_COST = ("translation", "jacobi", "expansion", "hl-oracle",
            "braided-commutativity", "classical", "vacuum")

@@ -40,7 +40,8 @@ from .errors import UnsupportedCharge
 from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
                       RegionOrder, VARS, VAR_INDEX, Window, _fold,
-                      bounds_add, laurent_mul, lform, mul_raw)
+                      bounds_add, check_splits, iv_intersect, lform,
+                      mul_raw)
 from .scalars import add_row, tp_mullow
 from .symfunc import Partition, SymFuncP, partitions_of
 
@@ -334,68 +335,47 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
     split of a window monomial across prefactor and E+ slots is covered;
     slot exponents above degree_cap die in the quotient.
     """
-    return _evaluate(cf, reg, window, degree_cap, t_order)
+    chunks, boxes, support = _cf_chain(cf, reg, window, degree_cap, t_order)
+    return _folded(cf, chunks, boxes, window, degree_cap, support)
 
 
 def evaluate_scaled(sc: LaurentChunk, cf: ClosedForm, reg: RegionOrder,
                     window: Window, target: Window, degree_cap: int,
                     t_order: int) -> LaurentChunk:
-    """laurent_mul(sc, evaluate(cf, reg, window, ...), target), with each
-    coefficient of the evaluated series formed only to the t-precision
-    that the scalar chunk sc carries into the target.
+    """laurent_mul(sc, evaluate(cf, reg, window, ...), target) as one fold.
 
-    sc[s] = t^v u contributes sc[s] X[m - s] to the target monomial m, and
-    that is exact mod t^{T+1} once X[m - s] is exact mod t^{T+1-v}; so X
-    at m' is formed mod t^{keep[m']} (``mul_raw``), with keep[m'] =
-    T+1 - min v(s) over the s with m' + s in the target, and not at all
-    where no such s exists.  The cut series never leaves this function,
-    every returned coefficient is exact, and laurent_mul's soundness guard
-    still runs on the series' window and support.
+    The scalar chunk sc is the last factor of the closed form's chain, with
+    the box of its stored terms, so the series stays packed into the
+    scalar step and only the target's coefficients are decoded; the fold
+    forms no series term that no term of sc carries into the target.  The
+    soundness guard of ``laurent_mul`` runs first on the series' window
+    and support (``laurent.check_splits``).
     """
-    keep = _scaled_keep(sc, window, target, t_order)
-    return laurent_mul(sc, _evaluate(cf, reg, window, degree_cap, t_order,
-                                     keep), target)
+    chunks, boxes, support = _cf_chain(cf, reg, window, degree_cap, t_order)
+    check_splits(sc.window, sc.support, window, support, target)
+    box = tuple(iv_intersect(w, s)
+                for w, s in zip(sc.window.bounds, sc.support))
+    return _folded(cf, chunks + [sc], boxes + [box], target, degree_cap,
+                   bounds_add(sc.support, support))
 
 
-def _scaled_keep(sc: LaurentChunk, window: Window, target: Window,
-                 t_order: int) -> dict:
-    """keep[m'] = T+1 - min v(s) over the s of sc with m' + s in the target,
-    for the m' of the window, with v the t-valuation of sc[s].
-
-    The box of such m' for one s is (target - s) within the window, so sc
-    is folded to the least valuation per distinct box (a variable in which
-    the window is one point, such as g for a series free of it, collapses
-    there), and the boxes are painted in rising valuation, each monomial
-    keeping the first, largest, count.
-    """
-    n = t_order + 1
-    least: dict = {}
-    for s, c in sc.terms.items():
-        box = []
-        for (wlo, whi), (tlo, thi), e in zip(window.bounds, target.bounds, s):
-            lo, hi = max(wlo, tlo - e), min(whi, thi - e)
-            if lo > hi:
-                break
-            box.append(range(lo, hi + 1))
-        else:
-            v = min(next(i for i, x in enumerate(row) if x)
-                    for row in c.num.values())
-            box = tuple(box)
-            if v < least.get(box, n):
-                least[box] = v
-    keep: dict = {}
-    for box, v in sorted(least.items(), key=lambda item: item[1]):
-        for m in itertools.product(*box):
-            if m not in keep:
-                keep[tuple.__new__(Monomial, m)] = n - v
-    return keep
+def _folded(cf: ClosedForm, chunks, boxes, window: Window, degree_cap: int,
+            support) -> LaurentChunk:
+    """The fold of a closed form's chain on the window, each coefficient
+    at the closed form's charge."""
+    zero = FockVector.zero(chunks[0].zero.t_order)
+    acc = _fold(chunks, boxes, window, degree_cap)
+    terms = {} if acc is None else {
+        m: FockVector.pure(cf.charge, c)
+        for m, c in acc.terms.items() if window.contains(m)}
+    return LaurentChunk(terms, window, zero, support)
 
 
-def _evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
-              degree_cap: int, t_order: int, keep=None) -> LaurentChunk:
-    """The body of ``evaluate``; keep (``mul_raw``) cuts the last product
-    of the fold."""
-    zero = FockVector.zero(t_order)
+def _cf_chain(cf: ClosedForm, reg: RegionOrder, window: Window,
+              degree_cap: int, t_order: int):
+    """The chain [prefactor, E+ per slot] of a closed form on the window,
+    the box of each chunk that can land there, and the support of their
+    product."""
     occ = [0] * NVARS
     for a, svars in cf.slots:
         for v in set(svars):
@@ -425,14 +405,7 @@ def _evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
                                 - pref_box[i][0]))
         chain.append(_eplus_multi_chunk(a, svars, his, degree_cap, t_order))
         boxes.append(tuple((0, his.get(VARS[i], 0)) for i in range(NVARS)))
-
-    support = _cf_support(pref, cf, degree_cap)
-    acc = _fold(chain, boxes, window, degree_cap, keep)
-    if acc is None:
-        return LaurentChunk({}, window, zero, support)
-    terms = {m: FockVector.pure(cf.charge, c)
-             for m, c in acc.terms.items() if window.contains(m)}
-    return LaurentChunk(terms, window, zero, support)
+    return chain, boxes, _cf_support(pref, cf, degree_cap)
 
 
 def _cf_support(pref: LaurentChunk, cf: ClosedForm, degree_cap: int):

@@ -6,8 +6,9 @@ inside an explicit per-variable exponent ``Window``, together with
 ``support`` metadata: per-variable intervals (None = unbounded) outside of
 which the full series is known to vanish.  ``laurent_mul`` multiplies on a
 requested window and raises WindowUnderflow when, in some variable, a
-support split landing in that window leaves a stored window, instead of
-returning silently wrong boundary coefficients.
+support split landing in that window leaves a stored window
+(``check_splits``), instead of returning silently wrong boundary
+coefficients.
 
 A ``FactorProduct`` is a symbolic product  c(t) * monomial * prod_i f_i^{e_i}
 with each f_i a linear form in z1, z2, z3, g with t-power coefficients.
@@ -21,8 +22,10 @@ requested window, t/g truncation budgets and homogeneity of the linear
 forms; the per-factor boxes are then provably sufficient for the requested
 window, so the internal folding can multiply without the generic soundness
 guard.  ``mul_raw`` and every such fold run on one kernel (``_product``)
-that keeps integer rows packed across its steps and decodes once per
-output.
+that keeps integer rows packed across its steps, forms no intermediate
+output that the next step does not read, and decodes once per output of
+the last step; ``engine.evaluate_scaled`` folds a series and the scalar
+it is multiplied by as one such chain.
 """
 
 from __future__ import annotations
@@ -301,26 +304,19 @@ class LaurentChunk:
 
 
 def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
-            degree_cap=None, keep=None) -> LaurentChunk:
+            degree_cap=None) -> LaurentChunk:
     """Product restricted to a window, with no soundness guard, projected
     to degree_cap (None keeps every weight): one step of ``_product``.
     Only for callers that have proved separately that every support split
-    landing in the window is covered by the operand windows.
-
-    keep, when given, maps each output monomial to the number of
-    t-coefficients to form, 1..T+1: the product there is reduced mod
-    t^{keep[m]} (x_i y_j lands at t^{i+j}), and a monomial absent from
-    keep is not formed.  Such a chunk is exact only in the quotients keep
-    names, so it is for a caller that multiplies it at once by a series
-    whose valuations need no more (``engine.evaluate_scaled``).
+    landing in the window is covered by the operand windows
+    (``check_splits``).
     """
-    return _product((a, b), (window,), degree_cap, keep)
+    return _product((a, b), (window,), degree_cap)
 
 
-def _product(chunks, windows, degree_cap=None, keep=None) -> LaurentChunk:
+def _product(chunks, windows, degree_cap=None) -> LaurentChunk:
     """chunks[0] * chunks[1] * ... * chunks[-1], the product by chunks[s]
-    kept on windows[s-1] and projected to degree_cap; keep (``mul_raw``)
-    cuts the last step only.
+    kept on windows[s-1] and projected to degree_cap.
 
     One kernel on packed integer rows serves both coefficient kinds,
     SymFuncP (a scalar is its weight-0 part) and FockVector, in any
@@ -333,19 +329,22 @@ def _product(chunks, windows, degree_cap=None, keep=None) -> LaurentChunk:
     adds k*P(x1)*P(x2), one integer multiply, where P writes x_0..x_T as
     the int sum_i x_i 2^(iB) of signed B-bit digits (``scalars.pack_row``).
 
-    Every step is planned before any product runs: its buckets, its D
-    (left unreduced: an intermediate block is an int per partition over
-    its output's D) and the L1 mass of each output block, the sum over its
-    block pairs of k*|block1|_1*|block2|_1 (sums of absolute numerators),
-    which bounds each digit of the block and its mass in the next step.
+    Every step is planned before any product runs.  The buckets of every
+    step come first; a backward pass then drops each intermediate output
+    that no pair of the next step reads, so a chain forms only what can
+    reach the last window.  Then each output's D (left unreduced: an
+    intermediate block is an int per partition over its output's D) and
+    the L1 mass of each output block, the sum over its block pairs of
+    k*|block1|_1*|block2|_1 (sums of absolute numerators), which bounds
+    each digit of the block and its mass in the next step.
     B = (the largest mass of any step).bit_length() + 2, so the lowest
     T+1 balanced digits of an accumulated int are its row mod t^{T+1}:
     carries only move upward.  An intermediate row stays packed, reduced
     by an offset and a mask (``scalars.low_row``); each output of the last
-    step is decoded once (``scalars.unpack_row``, to keep[m] digits) and
-    rebuilt (``from_charge_rows``).  The product of the operand zeros
-    gives the kind and t-order (TruncationMismatch on a mismatch), and a
-    planned charge the kind refuses raises UnsupportedCharge up front.
+    step is decoded once (``scalars.unpack_row``) and rebuilt
+    (``from_charge_rows``).  The product of the operand zeros gives the
+    kind and t-order (TruncationMismatch on a mismatch), and a planned
+    charge the kind refuses raises UnsupportedCharge up front.
     """
     zero, support = chunks[0].zero, chunks[0].support
     for c in chunks[1:]:
@@ -363,17 +362,13 @@ def _product(chunks, windows, degree_cap=None, keep=None) -> LaurentChunk:
     cap = (sum(max(w, default=0) for w in weights) if degree_cap is None
            else degree_cap)
     nus, nu_list, nu_w = pids[0], list(pids[0]), weights[0]
-    # the plan: per step its buckets and each output's den, and per output
-    # block (charge, -, -, den, mass) for the next step
-    plan, charges, bound, left = [], set(), 0, reads[0]
+    # the plan, step by step: the output monomial -> its term pairs
+    plan, left = [], reads[0]
     for s, window in enumerate(windows, 1):
-        right = reads[s]
         (l0, h0), (l1, h1), (l2, h2), (l3, h3) = window.bounds
-        # with keep, only its monomials get a bucket
-        grow = keep is None or s < len(windows)
-        buckets: dict = {} if grow else {m: [] for m in keep}
+        buckets: dict = {}
         for m1 in left:
-            for m2 in right:
+            for m2 in reads[s]:
                 e0 = m1[0] + m2[0]
                 if e0 < l0 or e0 > h0:
                     continue
@@ -388,35 +383,46 @@ def _product(chunks, windows, degree_cap=None, keep=None) -> LaurentChunk:
                     continue
                 m = tuple.__new__(Monomial, (e0, e1, e2, e3))
                 pairs = buckets.get(m)
-                if pairs is not None:
-                    pairs.append((m1, m2))
-                elif grow:
+                if pairs is None:
                     buckets[m] = [(m1, m2)]
-        dens, out = {}, {}
+                else:
+                    pairs.append((m1, m2))
+        plan.append(buckets)
+        left = buckets
+    for s in range(len(plan) - 1, 0, -1):
+        read = {m1 for pairs in plan[s].values() for m1, _ in pairs}
+        buckets = plan[s - 1]
+        for m in [m for m in buckets if m not in read]:
+            del buckets[m]
+    # per step each output's den, and per output block (charge, -, -, den,
+    # mass) for the next step
+    charges, bound, left = set(), 0, reads[0]
+    for s, buckets in enumerate(plan, 1):
+        right, dens, out = reads[s], {}, {}
         for m, pairs in buckets.items():
-            if pairs:
-                blocks = [(b1, b2) for m1, m2 in pairs
-                          for b1 in left[m1] for b2 in right[m2]]
-                den = dens[m] = lcm(*(b1[3] * b2[3] for b1, b2 in blocks))
-                mass: dict = {}
-                for (q1, _, _, d1, x1), (q2, _, _, d2, x2) in blocks:
-                    mass[q1 + q2] = (mass.get(q1 + q2, 0)
-                                     + den // (d1 * d2) * x1 * x2)
-                out[m] = [(q, None, None, den, x) for q, x in mass.items()]
-                charges.update(mass)
-                bound = max(bound, *mass.values())
-        plan.append((buckets, dens))
+            blocks = [(b1, b2) for m1, m2 in pairs
+                      for b1 in left[m1] for b2 in right[m2]]
+            den = dens[m] = lcm(*(b1[3] * b2[3] for b1, b2 in blocks))
+            mass: dict = {}
+            for (q1, _, _, d1, x1), (q2, _, _, d2, x2) in blocks:
+                mass[q1 + q2] = (mass.get(q1 + q2, 0)
+                                 + den // (d1 * d2) * x1 * x2)
+            out[m] = [(q, None, None, den, x) for q, x in mass.items()]
+            charges.update(mass)
+            bound = max(bound, *mass.values())
+        plan[s - 1] = (buckets, dens)
         left = out
     zero.from_charge_rows(dict.fromkeys(charges, {}), 1)  # bad charges raise
     B = bound.bit_length() + 2
     n = zero.t_order + 1
 
     def packed(s):  # the terms of chunk s in some pair, rows packed
-        buckets, dens = plan[max(s, 1) - 1]
+        buckets = plan[max(s, 1) - 1][0]
         return {m: tuple((q, ids, tuple([pack_row(x, B)
                                          for x in num.values()]), d)
                          for q, ids, num, d, _ in reads[s][m])
-                for m in {pr[min(s, 1)] for o in dens for pr in buckets[o]}}
+                for m in {pr[min(s, 1)] for pairs in buckets.values()
+                          for pr in pairs}}
 
     left = packed(0)
     for s, (buckets, dens) in enumerate(plan, 1):
@@ -462,8 +468,6 @@ def _product(chunks, windows, degree_cap=None, keep=None) -> LaurentChunk:
                     for m, acc in accs.items()}
     terms = {}
     for m, acc in accs.items():
-        if keep is not None:
-            n = keep[m]
         c = zero.from_charge_rows(
             {q: {nu_list[o]: unpack_row(x, n, B) for o, x in out.items()}
              for q, out in acc.items()}, dens[m])
@@ -472,7 +476,7 @@ def _product(chunks, windows, degree_cap=None, keep=None) -> LaurentChunk:
     return LaurentChunk(terms, windows[-1], zero, support)
 
 
-def _fold(chunks, boxes, target: Window, degree_cap=None, keep=None):
+def _fold(chunks, boxes, target: Window, degree_cap=None):
     """chunks[0] * chunks[1] * ... on the target window, projected to
     degree_cap, in one ``_product``, or None when the product vanishes
     there.
@@ -480,9 +484,8 @@ def _fold(chunks, boxes, target: Window, degree_cap=None, keep=None):
     boxes[j] holds every exponent of chunks[j] that can land in the target.
     Each prefix product is kept on its own box minus what the remaining
     factors can still add, which is exact on the target; an empty prefix
-    window means no split reaches it, found before any product runs.  keep
-    (``mul_raw``) cuts the last product only, so every prefix stays exact;
-    a single chunk is returned whole.
+    window means no split reaches it, found before any product runs.  A
+    single chunk is returned whole.
     """
     windows = []
     for k in range(1, len(chunks)):
@@ -499,7 +502,7 @@ def _fold(chunks, boxes, target: Window, degree_cap=None, keep=None):
         windows.append(Window(tuple(req)))
     if not windows:
         return chunks[0]
-    return _product(chunks, windows, degree_cap, keep)
+    return _product(chunks, windows, degree_cap)
 
 
 def _deficits(w, s):
@@ -512,6 +515,21 @@ def _deficits(w, s):
     return out
 
 
+def check_splits(wa: Window, sa, wb: Window, sb, window: Window):
+    """Raise WindowUnderflow when some exponent of the window has a split
+    x + y, with x in support sa and y in support sb, that leaves the
+    stored window wa of x or wb of y: the soundness guard of a product of
+    two chunks stored on wa and wb."""
+    for i in range(NVARS):
+        unsound = ([iv_add(d, sb[i]) for d in _deficits(wa.bounds[i], sa[i])]
+                   + [iv_add(d, sa[i])
+                      for d in _deficits(wb.bounds[i], sb[i])])
+        for u in unsound:
+            if iv_intersect(window.bounds[i], u) is not None:
+                raise WindowUnderflow(
+                    f"{VARS[i]}: requested {window.bounds[i]} needs {u}")
+
+
 def laurent_mul(a: LaurentChunk, b: LaurentChunk,
                 window: Window) -> LaurentChunk:
     """Sound product of two chunks on the given window, keeping every
@@ -519,17 +537,10 @@ def laurent_mul(a: LaurentChunk, b: LaurentChunk,
     chunks, which have weight 0.
 
     Raises WindowUnderflow when some requested exponent has a split x + y,
-    with x and y in the operand supports, that leaves a stored window.
+    with x and y in the operand supports, that leaves a stored window
+    (``check_splits``).
     """
-    for i in range(NVARS):
-        wa, sa = a.window.bounds[i], a.support[i]
-        wb, sb = b.window.bounds[i], b.support[i]
-        unsound = ([iv_add(d, sb) for d in _deficits(wa, sa)]
-                   + [iv_add(d, sa) for d in _deficits(wb, sb)])
-        for u in unsound:
-            if iv_intersect(window.bounds[i], u) is not None:
-                raise WindowUnderflow(
-                    f"{VARS[i]}: requested {window.bounds[i]} needs {u}")
+    check_splits(a.window, a.support, b.window, b.support, window)
     return mul_raw(a, b, window)
 
 

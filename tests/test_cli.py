@@ -292,6 +292,17 @@ def test_verify_expansion_at_t_order_24_matches_golden(capsys):
     assert without_elapsed(out) == golden.read_text().splitlines()
 
 
+def test_verify_braided_at_t_order_24_matches_golden(capsys):
+    # deep in t, where the series under the braiding scalar is longest
+    code, out, _ = run(capsys, "verify", "braided-commutativity",
+                       "--t-order", "24", "--window", "4", "--max-degree", "8",
+                       "--charges", "1,2")
+    assert code == 0
+    golden = (DATA / "verify_braided_t_order_24_window_4_max_degree_8"
+              "_charges_1_2.jsonl")
+    assert without_elapsed(out) == golden.read_text().splitlines()
+
+
 def test_verify_all_reports_the_first_error_in_order(capsys):
     code, out, err = run(capsys, "verify", "all", "--charges", "3,3")
     assert code == 2

@@ -673,7 +673,7 @@ def test_substituted_form_shape():
 
 
 # ---------------------------------------------------------------------------
-# series under a scalar, formed to the precision the scalar lets through
+# series under a scalar, folded with it in one chain
 
 
 def _scaled_cases(T):
@@ -709,3 +709,55 @@ def test_evaluate_scaled_is_the_product_with_evaluate(T):
         assert want.terms
         assert got.terms == want.terms
         assert (got.window, got.support) == (want.window, want.support)
+
+
+def _big_scalar(sc, rng, T):
+    """sc with each coefficient replaced by numerators near 2^80 over the
+    prime 2^61 - 1, 3^30 or 1, all of one sign in about half of them."""
+    terms = {}
+    for m in sc.terms:
+        negative = rng.random() < 0.5
+        row = [0] * (T + 1)
+        for i in rng.sample(range(T + 1), min(T + 1, 6)):
+            x = 2 ** 80 - rng.randrange(1 << 20)
+            row[i] = -x if negative or rng.random() < 0.5 else x
+        terms[m] = SymFuncP({Partition(): row},
+                            rng.choice((2 ** 61 - 1, 3 ** 30, 1)), T)
+    return LaurentChunk(terms, sc.window, sc.zero, sc.support)
+
+
+@pytest.mark.parametrize("T", [1, 8, 24])
+def test_evaluate_scaled_digit_width_on_big_scalar(T):
+    # the scalar step is the last step of the fold: its digits sit near
+    # the mass of a series block times numerators near 2^80, and most of
+    # its block pairs have k = D/(d1 d2) far from 1, so a width without
+    # that step's mass or its k reads wrong rows here
+    rng = random.Random(760 + T)
+    for sc, cf, target, window in _scaled_cases(T):
+        sc = _big_scalar(sc, rng, T)
+        cap = rng.randint(3, 6)
+        want = laurent_mul(sc, evaluate(cf, REG, window, cap, T), target)
+        got = evaluate_scaled(sc, cf, REG, window, target, cap, T)
+        assert want.terms
+        assert got.terms == want.terms
+
+
+def test_evaluate_scaled_guards_the_series_window():
+    # the series window one step too narrow at the top of z1 or z2 leaves
+    # out a split that lands in the target: laurent_mul's guard still runs
+    from qvertex.verifier import REG12, _scalar_chunk, _widened
+    T, W, cap = 3, 3, 6
+    target = Window.of(z1=(-W, W), z2=(-W, W))
+    for a, b in ((1, 1), (2, 1)):
+        sc = _scalar_chunk(s_tau(a, b, "z2", "z1"), REG12, ("z1", "z2"),
+                           (0, 0), T)
+        cf = x2_closed_form(b, a).substitute({"z1": ("z2",), "z2": ("z1",)})
+        window = _widened(target, sc, ("z1", "z2"))
+        assert evaluate_scaled(sc, cf, REG12, window, target, cap, T).terms
+        for v in ("z1", "z2"):
+            i = VAR_INDEX[v]
+            bounds = list(window.bounds)
+            bounds[i] = (bounds[i][0], bounds[i][1] - 1)
+            with pytest.raises(WindowUnderflow):
+                evaluate_scaled(sc, cf, REG12, Window(tuple(bounds)), target,
+                                cap, T)

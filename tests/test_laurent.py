@@ -10,7 +10,7 @@ from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
                              _fold, binom_expansion_terms, laurent_mul,
                              lform, mul_raw, region)
 from qvertex.rationals import Rat
-from qvertex.scalars import tp
+from qvertex.scalars import low_row, tp
 from qvertex.symfunc import Partition, SymFuncP, partitions_up_to, scalar
 
 Z12 = region("z1", "z2")
@@ -583,40 +583,6 @@ def test_mul_raw_charge_above_max_raises():
         mul_raw(h, h, Window.of(), 4)
 
 
-def _rows_within(c, n):
-    return all(len(row) <= n for _, num, _ in c.charge_rows()
-               for row in num.values())
-
-
-@pytest.mark.parametrize("T", [0, 1, 8, 24])
-def test_mul_raw_keep_is_the_product_mod_t_power(T):
-    # each kept monomial holds the full product mod t^keep[m], with no row
-    # longer; a monomial absent from keep is not formed
-    rng = random.Random(900 + T)
-    cap = 4
-    window = Window(((-3, 5), (-4, 3), (0, 0), (0, 6)))
-    box = [Monomial(e0, e1, 0, e3) for e0 in range(-3, 6)
-           for e1 in range(-4, 4) for e3 in range(7)]
-    cut = kept = 0
-    for k1 in KINDS:
-        for k2 in KINDS:
-            for _ in range(3):
-                a = _random_operand(rng, k1, cap, T, [0, 1, 2], 1)
-                b = _random_operand(rng, k2, cap, T, [0, 1], -1)
-                full = mul_raw(a, b, window, cap)
-                keep = {m: rng.randint(1, T + 1)
-                        for m in rng.sample(box, len(box) // 2)}
-                prod = mul_raw(a, b, window, cap, keep)
-                assert set(prod.terms) <= set(keep)
-                for m, n in keep.items():
-                    c, ref = prod.get(m), full.get(m)
-                    assert _rows_within(c, n)
-                    assert c.t_truncate(n - 1) == ref.t_truncate(n - 1)
-                    kept += not ref.is_zero()
-                    cut += c != ref
-    assert kept >= 60 and (T == 0 or cut >= 20)
-
-
 # numerators near 2^80 over the denominators of each side: the prime
 # 2^61 - 1 and 3^30 against 3^30 and 1, so most block pairs have
 # k = D/(d1 d2) far from 1
@@ -649,50 +615,22 @@ def _big_coeff(sign):
 def test_mul_raw_digit_width_on_big_numerators(T):
     # every digit of a packed product sits near the bound the width comes
     # from, so a width without k or without one side's L1 mass, or a decode
-    # that is not balanced, reads wrong rows here; keep cuts each output
+    # that is not balanced, reads wrong rows here
     rng = random.Random(1000 + T)
     cap = 4
     window = Window(((-3, 5), (-4, 3), (0, 0), (0, 6)))
-    box = [Monomial(e0, e1, 0, e3) for e0 in range(-3, 6)
-           for e1 in range(-4, 4) for e3 in range(7)]
-    cancelled = cut = 0
+    cancelled = 0
     for k1 in ("SymFuncP", "FockVector"):
         for k2 in ("SymFuncP", "FockVector"):
             a = _random_operand(rng, k1, cap, T, [0, 1, 2], 1, _big_coeff(1))
             b = _random_operand(rng, k2, cap, T, [0, 1], -1, _big_coeff(-1))
             ref = {m: _projected(c, cap) for m, c in
                    _per_pair_product(a, b, window).items()}
-            full = mul_raw(a, b, window, cap)
-            assert full.terms == {m: c for m, c in ref.items()
+            prod = mul_raw(a, b, window, cap)
+            assert prod.terms == {m: c for m, c in ref.items()
                                   if not c.is_zero()}
             cancelled += sum(c.is_zero() for c in ref.values())
-            keep = {m: rng.randint(1, T + 1)
-                    for m in rng.sample(box, len(box) // 2)}
-            prod = mul_raw(a, b, window, cap, keep)
-            assert set(prod.terms) <= set(keep)
-            for m, n in keep.items():
-                c, r = prod.get(m), full.get(m)
-                assert _rows_within(c, n)
-                assert c.t_truncate(n - 1) == r.t_truncate(n - 1)
-                cut += c != r
-    assert cancelled >= 4 and cut >= 20
-
-
-@pytest.mark.parametrize("T", [0, 3, 24])
-def test_mul_raw_full_keep_is_no_keep(T):
-    rng = random.Random(950 + T)
-    window = Window(((-3, 5), (-4, 3), (0, 0), (0, 6)))
-    every = {Monomial(e0, e1, 0, e3): T + 1 for e0 in range(-3, 6)
-             for e1 in range(-4, 4) for e3 in range(7)}
-    for k1 in KINDS:
-        for k2 in KINDS:
-            a = _random_operand(rng, k1, 4, T, [0, 1, 2], 1)
-            b = _random_operand(rng, k2, 4, T, [0, 1], -1)
-            full = mul_raw(a, b, window, 4)
-            assert full.terms
-            prod = mul_raw(a, b, window, 4, every)
-            assert prod.terms == full.terms
-            assert prod.support == full.support
+    assert cancelled >= 4
 
 
 # ---------------------------------------------------------------------------
@@ -729,9 +667,8 @@ def _stepwise(chunks, target, cap):
     return acc, terms
 
 
-def _folded(chunks, cap, keep=None):
-    return _fold(chunks, [c.window.bounds for c in chunks], FOLD_TARGET,
-                 cap, keep)
+def _folded(chunks, cap):
+    return _fold(chunks, [c.window.bounds for c in chunks], FOLD_TARGET, cap)
 
 
 def _weight_drops(chunks, cap):
@@ -745,11 +682,9 @@ def _weight_drops(chunks, cap):
 def test_fold_matches_stepwise_per_pair_product(T):
     rng = random.Random(1100 + T)
     cap = 4
-    box = [Monomial(e0, e1, 0, e3) for e0 in range(-3, 6)
-           for e1 in range(-4, 4) for e3 in range(7)]
-    cancelled = dropped = cut = 0
+    cancelled = dropped = 0
     for n in (3, 4):
-        for _ in range(4):
+        for _ in range(5):
             chunks = _chain(rng, n, T)
             ref, last = _stepwise(chunks, FOLD_TARGET, cap)
             prod = _folded(chunks, cap)
@@ -758,17 +693,66 @@ def test_fold_matches_stepwise_per_pair_product(T):
             assert prod.zero.t_order == T
             cancelled += sum(c.is_zero() for c in last.values())
             dropped += _weight_drops(chunks, cap)
-            # keep cuts the last step only
-            keep = {m: rng.randint(1, T + 1)
-                    for m in rng.sample(box, len(box) // 2)}
-            short = _folded(chunks, cap, keep)
-            assert set(short.terms) <= set(keep)
-            for m, k in keep.items():
-                c, r = short.get(m), prod.get(m)
-                assert _rows_within(c, k)
-                assert c.t_truncate(k - 1) == r.t_truncate(k - 1)
-                cut += c != r
-    assert cancelled >= 30 and dropped >= 200 and (T == 0 or cut >= 100)
+    assert cancelled >= 30 and dropped >= 200
+
+
+# a target narrow against the diagonal, so only a band of each
+# intermediate step's window reaches it
+BAND_TARGET = Window(((-1, 1), (-1, 1), (0, 0), (0, 6)))
+
+
+def _diagonal(rng, T):
+    # scalar terms at z1^j z2^-j, g^0, as the braiding scalar lies
+    terms = {Monomial(j, -j): _random_coeff(rng, "scalar", 4, T, [0])
+             for j in range(-3, 4)}
+    return LaurentChunk(terms, Window(((-3, 3), (-3, 3), (0, 0), (0, 0))),
+                        SymFuncP.zero(T))
+
+
+def _banded(chunks, cap):
+    return _fold(chunks, [c.window.bounds for c in chunks], BAND_TARGET, cap)
+
+
+@pytest.mark.parametrize("T", [0, 1, 8, 24])
+def test_fold_with_a_diagonal_last_chunk_matches_stepwise(T):
+    rng = random.Random(1150 + T)
+    for n in (2, 3):
+        for _ in range(4):
+            chunks = _chain(rng, n, T) + [_diagonal(rng, T)]
+            ref, _ = _stepwise(chunks, BAND_TARGET, 4)
+            assert _banded(chunks, 4).terms == ref.terms
+
+
+@pytest.mark.parametrize("T", [0, 1, 8])
+def test_fold_packs_only_the_intermediate_outputs_read(T, monkeypatch):
+    # with scalar chunks every output is one row, so low_row runs once per
+    # intermediate output formed: those that some term of the diagonal
+    # carries into the target, and not the rest of the step's window
+    import qvertex.laurent as laurent
+    calls = []
+
+    def counted(x, n, B):
+        calls.append(x)
+        return low_row(x, n, B)
+
+    monkeypatch.setattr(laurent, "low_row", counted)
+    rng = random.Random(1170 + T)
+    pruned = 0
+    for _ in range(4):
+        a, b = (_random_operand(rng, "scalar", 4, T, [0], sign)
+                for sign in (1, -1))
+        c = _diagonal(rng, T)
+        ref, _ = _stepwise([a, b, c], BAND_TARGET, 4)
+        calls.clear()
+        assert _banded([a, b, c], 4).terms == ref.terms
+        sums = {m1 * m2 for m1 in a.terms for m2 in b.terms}
+        read = {m for m in sums
+                if any(BAND_TARGET.contains(m * s) for s in c.terms)}
+        reach = Window(tuple((lo - chi, hi - clo) for (lo, hi), (clo, chi)
+                             in zip(BAND_TARGET.bounds, c.window.bounds)))
+        assert len(calls) == len(read)
+        pruned += len({m for m in sums if reach.contains(m)}) - len(read)
+    assert pruned >= 10
 
 
 def test_fold_edge_cases():

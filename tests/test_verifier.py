@@ -692,31 +692,45 @@ def _sha(text):
 
 
 def _scaled_product(kind, a, b):
-    """The braided right-hand side (T=24, W=4, cap 8) or the translation
-    product (T=16, G=3, W=3, cap 7) as the checks form them, with its
-    target."""
+    """A series under a scalar as the checks form it, with its target: the
+    braided right-hand side (T=24, W=4, cap 8, or cap 6 for
+    braided-cap6), the translation product (T=16, G=3, W=3, cap 7), or
+    expansion line 2's inverse braiding scalar times the region (z2, z1)
+    expansion at the CLI defaults (T=8, W=5, cap 9) or at the wide-window
+    parameters (T=1, W=7, cap 10)."""
     zv = ("z1", "z2")
-    if kind == "braided":
-        T, W, cap = 24, 4, 8
+    reg = verifier.REG12
+    if kind.startswith("braided"):
+        T, W, cap = 24, 4, 6 if kind == "braided-cap6" else 8
         target = Window.of(z1=(-W, W), z2=(-W, W))
-        sc = verifier._scalar_chunk(s_tau(a, b, "z2", "z1"), verifier.REG12,
-                                    zv, (0, 0), T)
+        sc = verifier._scalar_chunk(s_tau(a, b, "z2", "z1"), reg, zv,
+                                    (0, 0), T)
         cf = x2_closed_form(b, a).substitute({"z1": ("z2",), "z2": ("z1",)})
         window = verifier._widened(target, sc, zv)
-    else:
+    elif kind == "translation":
         T, G, W, cap = 16, 3, 3, 7
         target = Window.of(z1=(-W, W), z2=(-W, W), g=(0, G))
-        sc = verifier._scalar_chunk(s_gamma(a, b), verifier.REG12, zv,
-                                    (0, G), T)
+        sc = verifier._scalar_chunk(s_gamma(a, b), reg, zv, (0, G), T)
         cf = x2_closed_form(a, b)
         window = verifier._widened(Window.of(z1=(-W, W), z2=(-W, W)), sc, zv)
-    return (evaluate_scaled(sc, cf, verifier.REG12, window, target, cap, T),
-            target)
+    else:
+        T, W, cap = {"line2-defaults": (8, 5, 9),
+                     "line2-wide": (1, 7, 10)}[kind]
+        target = Window.of(z1=(-W, W), z2=(-W, W))
+        reg = verifier.REG21
+        sc = verifier._scalar_chunk(s_tau(1, 1, "z1", "z2"), reg, zv,
+                                    (0, 0), T)
+        cf = x120_closed_form(1, 1, 1)
+        window = verifier._widened(target, sc, zv)
+    return evaluate_scaled(sc, cf, reg, window, target, cap, T), target
 
 
-@pytest.mark.parametrize("kind", ["braided", "translation"])
-@pytest.mark.parametrize("pair", ["1,1", "1,2", "2,1"])
-def test_scaled_products_golden(kind, pair):
+@pytest.mark.parametrize("pair, kind", [
+    *((pair, kind) for pair in ("1,1", "1,2", "2,1")
+      for kind in ("braided", "translation")),
+    ("2,1", "braided-cap6"), ("1,1", "line2-defaults"),
+    ("1,1", "line2-wide")])
+def test_scaled_products_golden(pair, kind):
     # one line per target monomial: kind, charges, exponents of z1, z2 and
     # g, then the sha256 of str() of the coefficient
     want = {tuple(row.split()[2].split(",")): row.split()[3]
@@ -724,7 +738,8 @@ def test_scaled_products_golden(kind, pair):
     prod, target = _scaled_product(kind, *map(int, pair.split(",")))
     got = {(str(m[0]), str(m[1]), str(m[3])): _sha(str(prod.get(m)))
            for m in verifier._box(target)}
-    assert len(got) == {"braided": 81, "translation": 196}[kind]
+    assert len(got) == {"braided": 81, "braided-cap6": 81, "translation": 196,
+                        "line2-defaults": 121, "line2-wide": 225}[kind]
     for key in sorted(got, key=lambda k: tuple(map(int, k))):
         assert got[key] == want[key], key
     assert set(want) == set(got)
