@@ -24,6 +24,11 @@ braiding and translation scalars are ratios of r's:
     S_gamma = (1 - t z2/z1)/(1 - t (z2+g)/(z1+g))
             = r(z1+g, z2+g)/r(z1,z2)
 
+The region expansion of a closed form (``evaluate``), alone or times a
+scalar chunk (``evaluate_scaled``), is one chain: the prefactor's point
+and factor chunks, one E+ chunk per slot and the scalar, on boxes from
+one fixpoint (``laurent._chain``), folded once.
+
 Single-variable modes of the pure-Heisenberg field E+ E- generate the
 Hall-Littlewood Q-functions; that equality is validated against the
 classical symmetric-function oracle, never assumed.
@@ -39,9 +44,8 @@ from math import comb, factorial, prod
 from .errors import UnsupportedCharge
 from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
-                      RegionOrder, VARS, VAR_INDEX, Window, _fold,
-                      bounds_add, check_splits, iv_intersect, lform,
-                      mul_raw)
+                      RegionOrder, VARS, VAR_INDEX, Window, _chain, _fold,
+                      bounds_add, lform, mul_raw)
 from .scalars import add_row, tp_mullow
 from .symfunc import Partition, SymFuncP, partitions_of
 
@@ -214,9 +218,9 @@ def y_product(ops, v: FockVector, ranges: dict,
     p-weight, so a state cut at the cap would feed wrong terms back below
     it: each operator runs at the larger working cap (``working_caps``) of
     its input and output.  The support claims no bound in any operator
-    variable, the one bound that always holds, so a ``laurent_mul`` that
-    needs a term outside the window raises WindowUnderflow instead of
-    passing silently."""
+    variable, the one bound that always holds, so a product that needs a
+    term outside the window raises WindowUnderflow instead of passing
+    silently."""
     cap, T = degree_cap, v.t_order
     zero = FockVector.zero(T)
     caps = working_caps(ops, ranges, {m: f.max_weight() for m, f
@@ -331,91 +335,52 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
              degree_cap: int, t_order: int) -> LaurentChunk:
     """Region expansion of a closed form into a FockVector-valued chunk.
 
-    Sound on the whole window: operand windows are sized so that every
-    split of a window monomial across prefactor and E+ slots is covered;
-    slot exponents above degree_cap die in the quotient.
+    Sound on the whole window: every chunk of the chain is stored on a box
+    that holds each of its exponents in a split of a window monomial
+    (``_evaluated``); slot exponents above degree_cap die in the quotient.
     """
-    chunks, boxes, support = _cf_chain(cf, reg, window, degree_cap, t_order)
-    return _folded(cf, chunks, boxes, window, degree_cap, support)
+    return _evaluated(cf, reg, window, degree_cap, t_order, ())
 
 
 def evaluate_scaled(sc: LaurentChunk, cf: ClosedForm, reg: RegionOrder,
-                    window: Window, target: Window, degree_cap: int,
+                    target: Window, degree_cap: int,
                     t_order: int) -> LaurentChunk:
-    """laurent_mul(sc, evaluate(cf, reg, window, ...), target) as one fold.
+    """sc times the region expansion of cf, on the target, as one fold.
 
-    The scalar chunk sc is the last factor of the closed form's chain, with
-    the box of its stored terms, so the series stays packed into the
-    scalar step and only the target's coefficients are decoded; the fold
-    forms no series term that no term of sc carries into the target.  The
-    soundness guard of ``laurent_mul`` runs first on the series' window
-    and support (``laurent.check_splits``).
+    The scalar chunk sc is the last member of the closed form's chain, so
+    the series stays packed into the scalar step and only the target's
+    coefficients are decoded.  sc must store its box, every exponent of
+    its support that some split of a target monomial reaches, or
+    ``laurent._fold`` raises WindowUnderflow.
     """
-    chunks, boxes, support = _cf_chain(cf, reg, window, degree_cap, t_order)
-    check_splits(sc.window, sc.support, window, support, target)
-    box = tuple(iv_intersect(w, s)
-                for w, s in zip(sc.window.bounds, sc.support))
-    return _folded(cf, chunks + [sc], boxes + [box], target, degree_cap,
-                   bounds_add(sc.support, support))
+    return _evaluated(cf, reg, target, degree_cap, t_order, (sc,))
 
 
-def _folded(cf: ClosedForm, chunks, boxes, window: Window, degree_cap: int,
-            support) -> LaurentChunk:
-    """The fold of a closed form's chain on the window, each coefficient
-    at the closed form's charge."""
-    zero = FockVector.zero(chunks[0].zero.t_order)
-    acc = _fold(chunks, boxes, window, degree_cap)
-    terms = {} if acc is None else {
-        m: FockVector.pure(cf.charge, c)
-        for m, c in acc.terms.items() if window.contains(m)}
-    return LaurentChunk(terms, window, zero, support)
-
-
-def _cf_chain(cf: ClosedForm, reg: RegionOrder, window: Window,
-              degree_cap: int, t_order: int):
-    """The chain [prefactor, E+ per slot] of a closed form on the window,
-    the box of each chunk that can land there, and the support of their
-    product."""
-    occ = [0] * NVARS
-    for a, svars in cf.slots:
-        for v in set(svars):
-            occ[VAR_INDEX[v]] += 1
-    pw = []
-    for i in range(NVARS):
-        lo, hi = window.bounds[i]
-        plo = lo - occ[i] * degree_cap
-        if VARS[i] == "g":
-            plo = max(plo, 0)
-        pw.append((plo, hi))
-    pref = cf.prefactor.expand(reg, Window(tuple(pw)), t_order)
-
-    pref_box = []
-    for i in range(NVARS):
-        slo = pref.support[i][0]
-        plo = pw[i][0] if slo is None else max(pw[i][0], slo)
-        pref_box.append((plo, pw[i][1]))
-
-    chain = [pref]
-    boxes = [tuple(pref_box)]
-    for a, svars in cf.slots:
-        his = {}
-        for v in set(svars):
-            i = VAR_INDEX[v]
-            his[v] = max(0, min(degree_cap, window.bounds[i][1]
-                                - pref_box[i][0]))
-        chain.append(_eplus_multi_chunk(a, svars, his, degree_cap, t_order))
-        boxes.append(tuple((0, his.get(VARS[i], 0)) for i in range(NVARS)))
-    return chain, boxes, _cf_support(pref, cf, degree_cap)
-
-
-def _cf_support(pref: LaurentChunk, cf: ClosedForm, degree_cap: int):
-    support = pref.support
-    for a, svars in cf.slots:
-        box = [(0, 0)] * NVARS
-        for v in set(svars):
-            box[VAR_INDEX[v]] = (0, degree_cap)
-        support = bounds_add(support, tuple(box))
-    return support
+def _evaluated(cf: ClosedForm, reg: RegionOrder, window: Window,
+               degree_cap: int, t_order: int, scaled) -> LaurentChunk:
+    """The chain [prefactor's point and factors, E+ per slot, scaled] of a
+    closed form on the window, all boxes from one fixpoint
+    (``laurent._chain``), folded once; each coefficient at the closed
+    form's charge.  A slot's E+ has support [0, degree_cap] in each of its
+    variables and is built up to the top of its box."""
+    members = [tuple((0, degree_cap) if v in svars else (0, 0)
+                     for v in VARS) for _, svars in cf.slots]
+    members += [sc.support for sc in scaled]
+    chunks, boxes, support = _chain(cf.prefactor, reg, window, t_order,
+                                    members)
+    for s in members:
+        support = bounds_add(support, s)
+    terms = {}
+    if boxes is not None:
+        for (a, svars), box in zip(cf.slots, boxes[len(chunks):]):
+            chunks.append(_eplus_multi_chunk(
+                a, svars, {v: box[VAR_INDEX[v]][1] for v in set(svars)},
+                degree_cap, t_order))
+        acc = _fold(chunks + list(scaled), boxes, window, degree_cap)
+        if acc is not None:
+            terms = {m: FockVector.pure(cf.charge, c)
+                     for m, c in acc.terms.items()}
+    return LaurentChunk(terms, window, FockVector.zero(t_order), support)
 
 
 # ---------------------------------------------------------------------------

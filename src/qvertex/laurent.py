@@ -4,11 +4,7 @@ Fixed variable tuple: z1, z2, z3 and the translation parameter g.  A
 ``LaurentChunk`` stores finitely many coefficients of a Laurent series
 inside an explicit per-variable exponent ``Window``, together with
 ``support`` metadata: per-variable intervals (None = unbounded) outside of
-which the full series is known to vanish.  ``laurent_mul`` multiplies on a
-requested window and raises WindowUnderflow when, in some variable, a
-support split landing in that window leaves a stored window
-(``check_splits``), instead of returning silently wrong boundary
-coefficients.
+which the full series is known to vanish.
 
 A ``FactorProduct`` is a symbolic product  c(t) * monomial * prod_i f_i^{e_i}
 with each f_i a linear form in z1, z2, z3, g with t-power coefficients.
@@ -16,16 +12,22 @@ with each f_i a linear form in z1, z2, z3, g with t-power coefficients.
 f^e is expanded by one multinomial enumerator against the region-dominant
 term of lowest t-degree, with t kept adically smaller than every z variable
 and g kept a nonnegative power series: finite for e > 0, geometric for
-e < 0, where that term must have t-degree 0 and be free of g.  Exponent
-boxes for each factor are made finite by a fixpoint that combines the
-requested window, t/g truncation budgets and homogeneity of the linear
-forms; the per-factor boxes are then provably sufficient for the requested
-window, so the internal folding can multiply without the generic soundness
-guard.  ``mul_raw`` and every such fold run on one kernel (``_product``)
-that keeps integer rows packed across its steps, forms no intermediate
-output that the next step does not read, and decodes once per output of
-the last step; ``engine.evaluate_scaled`` folds a series and the scalar
-it is multiplied by as one such chain.
+e < 0, where that term must have t-degree 0 and be free of g.  A product
+is expanded as one chain (``_chain``): a point chunk with c(t) at the
+monomial, one chunk per factor, and any further members it is multiplied
+by (E+ chunks, a braiding or translation scalar, a translated series).
+One fixpoint (``_fixpoint_boxes``) over the members' supports, the
+window, the t/g truncation budgets and the homogeneity of the linear
+forms cuts every member to a finite box that holds each of its exponents
+in a split of a window monomial; the fold of the chain (``_fold``) is
+then exact on the window as long as each chunk stores its box, and raises
+WindowUnderflow when one does not, instead of returning silently wrong
+boundary coefficients.  ``mul_raw`` and every such fold run on one kernel
+(``_product``) that keeps integer rows packed across its steps, forms no
+intermediate output that the next step does not read, and decodes once
+per output of the last step.  ``laurent_mul``, the product of two chunks
+guarded by their stored windows and supports (``check_splits``), is kept
+as the tests' independent reference product.
 """
 
 from __future__ import annotations
@@ -131,20 +133,12 @@ def iv_hull(a, b):
     return (lo, hi)
 
 
-def iv_finite(a) -> bool:
-    return a[0] is not None and a[1] is not None
-
-
 def bounds_add(s1, s2):
     return tuple(iv_add(a, b) for a, b in zip(s1, s2))
 
 
 def bounds_hull(s1, s2):
     return tuple(iv_hull(a, b) for a, b in zip(s1, s2))
-
-
-def bounds_point(m) -> tuple:
-    return tuple((e, e) for e in m)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +179,6 @@ class Window:
                 return None
             out.append((lo, hi))
         return Window(tuple(out))
-
-    def shift(self, m) -> "Window":
-        return Window(tuple((lo + e, hi + e)
-                            for (lo, hi), e in zip(self.bounds, m)))
 
     def __str__(self):
         parts = [f"{v}:[{lo},{hi}]" for v, (lo, hi) in zip(VARS, self.bounds)
@@ -290,11 +280,6 @@ class LaurentChunk:
     def map_coefficients(self, fn) -> "LaurentChunk":
         return LaurentChunk({m: fn(c) for m, c in self.terms.items()},
                             self.window, self.zero, self.support)
-
-    def shift(self, m: Monomial) -> "LaurentChunk":
-        return LaurentChunk({mm * m: c for mm, c in self.terms.items()},
-                            self.window.shift(m), self.zero,
-                            bounds_add(self.support, bounds_point(m)))
 
     def __str__(self):
         if not self.terms:
@@ -481,12 +466,19 @@ def _fold(chunks, boxes, target: Window, degree_cap=None):
     degree_cap, in one ``_product``, or None when the product vanishes
     there.
 
-    boxes[j] holds every exponent of chunks[j] that can land in the target.
-    Each prefix product is kept on its own box minus what the remaining
-    factors can still add, which is exact on the target; an empty prefix
-    window means no split reaches it, found before any product runs.  A
-    single chunk is returned whole.
+    boxes[j] holds every exponent of chunks[j] that can land in the target
+    (``_fixpoint_boxes``), and chunks[j] must store it: a box that leaves
+    its chunk's window raises WindowUnderflow, the one soundness rule of a
+    chain.  Each prefix product is kept on its own box minus what the
+    remaining factors can still add, which is exact on the target; an
+    empty prefix window means no split reaches it, found before any
+    product runs.  A single chunk is returned whole.
     """
+    for j, (ch, box) in enumerate(zip(chunks, boxes)):
+        if any(lo < wlo or hi > whi for (lo, hi), (wlo, whi)
+               in zip(box, ch.window.bounds)):
+            raise WindowUnderflow(f"chunk {j} stored on {ch.window} "
+                                  f"leaves out its box {Window(box)}")
     windows = []
     for k in range(1, len(chunks)):
         req = []
@@ -533,8 +525,8 @@ def check_splits(wa: Window, sa, wb: Window, sb, window: Window):
 def laurent_mul(a: LaurentChunk, b: LaurentChunk,
                 window: Window) -> LaurentChunk:
     """Sound product of two chunks on the given window, keeping every
-    weight (``mul_raw`` with no cap): its callers multiply by scalar
-    chunks, which have weight 0.
+    weight (``mul_raw`` with no cap): the tests' reference product, built
+    apart from the chains of ``_fold``.
 
     Raises WindowUnderflow when some requested exponent has a split x + y,
     with x and y in the operand supports, that leaves a stored window
@@ -879,63 +871,78 @@ class _FactorInfo:
         return acc, den
 
 
-def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
-            t_order: int) -> LaurentChunk:
-    zero = SymFuncP.zero(t_order)
-    glo = window.range("g")[0]
+def _chain(fp: FactorProduct, reg: RegionOrder, window: Window,
+           t_order: int, supports):
+    """fp expanded in reg as a chain for the window, ahead of further
+    members with the given supports.
+
+    Returns the chain's chunks: the point chunk of fp's coefficient at its
+    monomial, then one chunk per factor, each stored on its box; the boxes
+    of those chunks and of the members (``_fixpoint_boxes``), or None when
+    the product vanishes on the window; and fp's support.
+    """
+    glo, g_cap = window.range("g")
     if glo < 0:
         raise NonExpandableFactor("g admits no negative exponents")
-    g_cap = window.range("g")[1]
     if fp.is_zero():
-        return LaurentChunk({}, window, zero)
-
+        return [], None, ((0, 0),) * NVARS
     infos = [_FactorInfo(form, e, reg, t_order, g_cap)
              for form, e in fp.factors if e]
-    m_pref = fp.monomial
-    pref_scalar = scalar(fp.coeff, t_order)
-    if pref_scalar.is_zero():
-        return LaurentChunk({}, window, zero)
-
-    full_support = bounds_point(m_pref)
+    coeff = scalar(fp.coeff, t_order)
+    if coeff.is_zero():
+        return [], None, ((0, 0),) * NVARS
+    point = tuple((e, e) for e in fp.monomial)
+    support = point
     for info in infos:
-        full_support = bounds_add(full_support, info.support)
-    if not infos:
-        terms = ({m_pref: pref_scalar} if window.contains(m_pref) else {})
-        return LaurentChunk(terms, window, zero, full_support)
-
-    boxes = _fixpoint_boxes(infos, m_pref, window)
+        support = bounds_add(support, info.support)
+    boxes = _fixpoint_boxes(
+        [point] + [info.support for info in infos] + list(supports),
+        [None] + [info.homog for info in infos] + [None] * len(supports),
+        window)
     if boxes is None:
-        return LaurentChunk({}, window, zero, full_support)
-    for info, box in zip(infos, boxes):
+        return [], None, support
+    chunks = [LaurentChunk({fp.monomial: coeff}, Window(point),
+                           SymFuncP.zero(t_order))]
+    for info, box in zip(infos, boxes[1:]):
         info.box = box
         info.tighten_jmax()
-    acc = _fold([info.chunk(t_order) for info in infos], boxes,
-                window.shift(m_pref ** -1))
-    if acc is None:
-        return LaurentChunk({}, window, zero, full_support)
-
-    acc = acc.shift(m_pref)
-    if pref_scalar != SymFuncP.one(t_order):
-        acc = acc.scale(pref_scalar)
-    terms = {m: c for m, c in acc.terms.items() if window.contains(m)}
-    return LaurentChunk(terms, window, zero, full_support)
+        chunks.append(info.chunk(t_order))
+    return chunks, boxes, support
 
 
-def _fixpoint_boxes(infos, m_pref, window, max_rounds=64):
-    """Shrink per-factor supports to finite boxes sufficient for the window.
+def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
+            t_order: int, chunks=()) -> LaurentChunk:
+    """fp expanded in reg on the window, times the given chunks (every
+    weight kept): fp's chain (``_chain``) and the chunks in one ``_fold``,
+    each chunk on its box."""
+    links, boxes, support = _chain(fp, reg, window, t_order,
+                                   [c.support for c in chunks])
+    zero = SymFuncP.zero(t_order)
+    for c in chunks:
+        zero, support = zero * c.zero, bounds_add(support, c.support)
+    acc = None if boxes is None else _fold(links + list(chunks), boxes,
+                                           window)
+    return LaurentChunk({} if acc is None else acc.terms, window, zero,
+                        support)
 
-    Every split of a window monomial over the factor supports stays inside
-    the boxes (induction over the rounds), so folding over these boxes is
-    exact on the window.  Returns None when some factor has no admissible
+
+def _fixpoint_boxes(supports, homogs, window, max_rounds=64):
+    """Shrink the supports of a chain's members to finite boxes sufficient
+    for the window.
+
+    homogs[i] is the total degree of every exponent of member i, or None.
+    Every split of a window monomial over the supports stays inside the
+    boxes (induction over the rounds), so folding over these boxes is
+    exact on the window.  Returns None when some member has no admissible
     exponents, i.e. the product vanishes on the window.
     """
-    boxes = [list(info.support) for info in infos]
+    boxes = [list(s) for s in supports]
     target = window.bounds
     for _ in range(max_rounds):
         changed = False
-        for i, info in enumerate(infos):
+        for i, homog in enumerate(homogs):
             for v in range(NVARS):
-                olo, ohi = m_pref[v], m_pref[v]
+                olo = ohi = 0
                 for j, bx in enumerate(boxes):
                     if j == i:
                         continue
@@ -951,12 +958,12 @@ def _fixpoint_boxes(infos, m_pref, window, max_rounds=64):
                 if cut != tuple(boxes[i][v]):
                     boxes[i][v] = cut
                     changed = True
-            if info.homog is not None:
+            if homog is not None:
                 box = boxes[i]
                 if all(b[0] is not None for b in box):
                     slo = sum(b[0] for b in box)
                     for v in range(NVARS):
-                        cap = info.homog - (slo - box[v][0])
+                        cap = homog - (slo - box[v][0])
                         if box[v][1] is None or cap < box[v][1]:
                             box[v] = (box[v][0], cap)
                             if box[v][0] > cap:
@@ -965,7 +972,7 @@ def _fixpoint_boxes(infos, m_pref, window, max_rounds=64):
                 if all(b[1] is not None for b in box):
                     shi = sum(b[1] for b in box)
                     for v in range(NVARS):
-                        flo = info.homog - (shi - box[v][1])
+                        flo = homog - (shi - box[v][1])
                         if box[v][0] is None or flo > box[v][0]:
                             box[v] = (flo, box[v][1])
                             if flo > box[v][1]:
@@ -975,7 +982,7 @@ def _fixpoint_boxes(infos, m_pref, window, max_rounds=64):
             break
     for i, box in enumerate(boxes):
         for v in range(NVARS):
-            if not iv_finite(box[v]):
+            if None in box[v]:
                 raise WindowUnderflow(
-                    f"cannot bound factor {i} on {VARS[v]} for {window}")
+                    f"cannot bound member {i} on {VARS[v]} for {window}")
     return [tuple(tuple(b) for b in box) for box in boxes]

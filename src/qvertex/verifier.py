@@ -23,9 +23,9 @@ from .engine import (evaluate, evaluate_scaled, jing_Q, s_gamma, s_tau,
                      x2_closed_form, x120_closed_form, y_apply, y_product)
 from .errors import EmptyComparison, TruncationMismatch, WindowUnderflow
 from .fock import FockVector, apply_D, exp_D, exp_D_chunk
-from .laurent import (LaurentChunk, Monomial, VAR_INDEX, Window,
-                      binom_expansion_terms, iv_intersect, laurent_mul, lform,
-                      region, FactorProduct)
+from .laurent import (LaurentChunk, Monomial, VAR_INDEX, Window, _expand,
+                      binom_expansion_terms, iv_intersect, lform, region,
+                      FactorProduct)
 from .rationals import Rat
 from .scalars import pack_row, unpack_row
 from .symfunc import (SymFuncP, hl_q_dominant, orbit_sum, p_to_x_dominant,
@@ -126,21 +126,6 @@ def _scalar_chunk(fp: FactorProduct, reg, zvars, g_bounds,
     return on(M)
 
 
-def _widened(target: Window, scalar_chunk: LaurentChunk,
-             zvars) -> Window:
-    """Window for the series factor so that scalar * series is sound on the
-    target: per variable, target minus the scalar support."""
-    bounds = list(target.bounds)
-    for v in zvars:
-        i = VAR_INDEX[v]
-        slo, shi = scalar_chunk.support[i]
-        if slo is None or shi is None:
-            raise WindowUnderflow(f"scalar support unbounded in {v}")
-        lo, hi = target.bounds[i]
-        bounds[i] = (lo - shi, hi - slo)
-    return Window(tuple(bounds))
-
-
 # ---------------------------------------------------------------------------
 # vacuum and translation dictionary
 
@@ -199,8 +184,7 @@ def check_braided_commutativity(a: int = 1, b: int = 1, t_order: int = 4,
 
     swapped = x2_closed_form(b, a).substitute(
         {"z1": ("z2",), "z2": ("z1",)})
-    rhs = evaluate_scaled(sc, swapped, REG12,
-                          _widened(target, sc, ("z1", "z2")), target, cap, T)
+    rhs = evaluate_scaled(sc, swapped, REG12, target, cap, T)
 
     cmp_ = _Comparator()
     cmp_.chunks(lhs, rhs, target)
@@ -226,9 +210,7 @@ def check_translation_covariance(a: int = 1, b: int = 1, t_order: int = 3,
 
     form = x2_closed_form(a, b)
     sc = _scalar_chunk(s_gamma(a, b), REG12, ("z1", "z2"), (0, G), T)
-    prod = evaluate_scaled(sc, form, REG12,
-                           _widened(Window.of(z1=(-W, W), z2=(-W, W)), sc,
-                                    ("z1", "z2")), target, cap, T)
+    prod = evaluate_scaled(sc, form, REG12, target, cap, T)
     lhs = exp_D_chunk(prod, "g", G, cap, d_charge_coeff)
 
     shifted = form.substitute({"z1": ("z1", "g"), "z2": ("z2", "g")})
@@ -257,8 +239,9 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
     (z3, 0; gamma = z2) times e^{z2 D} Y(z3)e^a.  In region (z2, z3) that
     scalar and its inverse are both geometric in z3/z2 with a ratio free
     of t, so their support is unbounded in z2 and z3 and neither fits
-    ``_scalar_chunk``; the scalar is expanded on the window that the
-    series needs and multiplied by ``laurent_mul``.
+    ``_scalar_chunk``; the scalar's chain and the e^{z2 D} chunk are one
+    fold (``laurent._expand``), whose fixpoint bounds the scalar's factors
+    by the chunk's finite support.
     """
     t0 = time.perf_counter()
     W, cap, T = window, degree_cap, t_order
@@ -275,8 +258,7 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
 
     inv = _scalar_chunk(s_tau(1, 1, "z1", "z2"), REG21, ("z1", "z2"),
                         (0, 0), T)
-    xp2 = evaluate_scaled(inv, form, REG21,
-                          _widened(target, inv, ("z1", "z2")), target, cap, T)
+    xp2 = evaluate_scaled(inv, form, REG21, target, cap, T)
     op2 = y_product(((1, "z2"), (1, "z1")), ea,
                     {"z1": (-W, W), "z2": (-W, W)}, cap)
     cmp_.chunks(xp2, op2, target, tag="line2 ")
@@ -286,9 +268,7 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
     lhs3 = evaluate(sub, REG23, target3, cap, T)
     ych = y_apply(1, "z3", ea, (1, W), cap)
     ed = exp_D_chunk(ych, "z2", cap, cap)
-    scg = s_gamma(1, 1, "z3", None, "z2").expand(
-        REG23, _widened(target3, ed, ("z2", "z3")), T)
-    rhs3 = laurent_mul(scg, ed, target3)
+    rhs3 = _expand(s_gamma(1, 1, "z3", None, "z2"), REG23, target3, T, (ed,))
     cmp_.chunks(lhs3, rhs3, target3, tag="line3 ")
 
     return cmp_.report("expansion", params, t0)

@@ -292,6 +292,16 @@ def test_verify_expansion_at_t_order_24_matches_golden(capsys):
     assert without_elapsed(out) == golden.read_text().splitlines()
 
 
+def test_verify_expansion_at_the_wide_window_matches_golden(capsys):
+    # t-order 1 on the widest window, where line 3's translation scalar
+    # reaches furthest into the series it multiplies
+    code, out, _ = run(capsys, "verify", "expansion", "--t-order", "1",
+                       "--window", "7", "--max-degree", "10")
+    assert code == 0
+    golden = (DATA / "verify_expansion_t_order_1_window_7_max_degree_10.jsonl")
+    assert without_elapsed(out) == golden.read_text().splitlines()
+
+
 def test_verify_braided_at_t_order_24_matches_golden(capsys):
     # deep in t, where the series under the braiding scalar is longest
     code, out, _ = run(capsys, "verify", "braided-commutativity",

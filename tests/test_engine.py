@@ -14,7 +14,7 @@ from qvertex.engine import (ClosedForm, eminus_states, eplus_coeff, evaluate,
                             y_product)
 from qvertex.errors import UnsupportedCharge, WindowUnderflow
 from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
-from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial,
+from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, VARS,
                              VAR_INDEX, Window, laurent_mul, lform, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import tp
@@ -679,10 +679,19 @@ def test_substituted_form_shape():
 def _scaled_cases(T):
     """(scalar, closed form, target, series window) for the braiding
     scalar, its sign mutation and the translation scalar at every charge
-    pair, with seeded windows, caps and g-orders."""
-    from qvertex.verifier import REG12, _scalar_chunk, _widened
+    pair, with seeded windows, caps and g-orders.  The series window is
+    the reference's: per z variable, the (z1, z2) plane minus the scalar's
+    support, so laurent_mul of the scalar and the series is sound on the
+    target."""
+    from qvertex.verifier import REG12, _scalar_chunk
     rng = random.Random(700 + T)
     zv = ("z1", "z2")
+
+    def widened(plane, sc):
+        return Window(tuple((lo - s[1], hi - s[0]) if VARS[i] in zv
+                            else (lo, hi) for i, ((lo, hi), s)
+                            in enumerate(zip(plane.bounds, sc.support))))
+
     for a, b in ((1, 1), (1, 2), (2, 1)):
         W = rng.randint(2, 5)
         plane = Window.of(z1=(-W, W), z2=(-W, W))
@@ -691,12 +700,12 @@ def _scaled_cases(T):
         for sign in (1, -1):
             fp = s_tau(a, b, "z2", "z1").mul(FactorProduct.of(coeff=(sign,)))
             sc = _scalar_chunk(fp, REG12, zv, (0, 0), T)
-            yield sc, swapped, plane, _widened(plane, sc, zv)
+            yield sc, swapped, plane, widened(plane, sc)
         G = rng.randint(1, 3)
         sc = _scalar_chunk(s_gamma(a, b), REG12, zv, (0, G), T)
         yield (sc, x2_closed_form(a, b), Window.of(z1=(-W, W), z2=(-W, W),
                                                    g=(0, G)),
-               _widened(plane, sc, zv))
+               widened(plane, sc))
 
 
 @pytest.mark.parametrize("T", [0, 1, 3, 8, 24])
@@ -705,7 +714,7 @@ def test_evaluate_scaled_is_the_product_with_evaluate(T):
     for sc, cf, target, window in _scaled_cases(T):
         cap = rng.randint(3, 8)
         want = laurent_mul(sc, evaluate(cf, REG, window, cap, T), target)
-        got = evaluate_scaled(sc, cf, REG, window, target, cap, T)
+        got = evaluate_scaled(sc, cf, REG, target, cap, T)
         assert want.terms
         assert got.terms == want.terms
         assert (got.window, got.support) == (want.window, want.support)
@@ -737,27 +746,39 @@ def test_evaluate_scaled_digit_width_on_big_scalar(T):
         sc = _big_scalar(sc, rng, T)
         cap = rng.randint(3, 6)
         want = laurent_mul(sc, evaluate(cf, REG, window, cap, T), target)
-        got = evaluate_scaled(sc, cf, REG, window, target, cap, T)
+        got = evaluate_scaled(sc, cf, REG, target, cap, T)
         assert want.terms
         assert got.terms == want.terms
 
 
 def test_evaluate_scaled_guards_the_series_window():
-    # the series window one step too narrow at the top of z1 or z2 leaves
-    # out a split that lands in the target: laurent_mul's guard still runs
-    from qvertex.verifier import REG12, _scalar_chunk, _widened
+    # the scalar chunk stored one step short on one side of z1 or z2: the
+    # fold raises exactly where the stored edge is the support edge, since
+    # there the scalar's box reaches a term that is no longer stored; a
+    # side stored wider than the support loses nothing
+    from qvertex.verifier import REG12, _scalar_chunk
     T, W, cap = 3, 3, 6
     target = Window.of(z1=(-W, W), z2=(-W, W))
     for a, b in ((1, 1), (2, 1)):
         sc = _scalar_chunk(s_tau(a, b, "z2", "z1"), REG12, ("z1", "z2"),
                            (0, 0), T)
         cf = x2_closed_form(b, a).substitute({"z1": ("z2",), "z2": ("z1",)})
-        window = _widened(target, sc, ("z1", "z2"))
-        assert evaluate_scaled(sc, cf, REG12, window, target, cap, T).terms
-        for v in ("z1", "z2"):
+        want = evaluate_scaled(sc, cf, REG12, target, cap, T)
+        assert want.terms
+        raised = []
+        for v, side in itertools.product(("z1", "z2"), (0, 1)):
             i = VAR_INDEX[v]
-            bounds = list(window.bounds)
-            bounds[i] = (bounds[i][0], bounds[i][1] - 1)
-            with pytest.raises(WindowUnderflow):
-                evaluate_scaled(sc, cf, REG12, Window(tuple(bounds)), target,
-                                cap, T)
+            bounds = [list(b) for b in sc.window.bounds]
+            bounds[i][side] += 1 if side == 0 else -1
+            narrow = Window(tuple(map(tuple, bounds)))
+            short = LaurentChunk({m: c for m, c in sc.terms.items()
+                                  if narrow.contains(m)}, narrow, sc.zero,
+                                 sc.support)
+            if sc.window.bounds[i][side] == sc.support[i][side]:
+                raised.append((v, side))
+                with pytest.raises(WindowUnderflow):
+                    evaluate_scaled(short, cf, REG12, target, cap, T)
+            else:
+                got = evaluate_scaled(short, cf, REG12, target, cap, T)
+                assert got.terms == want.terms
+        assert raised == [("z1", 0), ("z2", 1)]

@@ -7,8 +7,8 @@ from qvertex.errors import (NonExpandableFactor, OutsideWindow,
                             WindowUnderflow)
 from qvertex.fock import FockVector
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
-                             _fold, binom_expansion_terms, laurent_mul,
-                             lform, mul_raw, region)
+                             _expand, _fold, binom_expansion_terms,
+                             laurent_mul, lform, mul_raw, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import low_row, tp
 from qvertex.symfunc import Partition, SymFuncP, partitions_up_to, scalar
@@ -227,6 +227,48 @@ def test_expand_is_multiplicative():
         joint = f1.mul(f2).expand(reg, target, 2)
         prod = laurent_mul(c1, c2, target)
         assert prod.terms == joint.terms
+
+
+def test_expand_with_chunks_is_exact_or_raises():
+    # _expand(fp, ..., (chunk,)) folds fp's chain and the chunk on boxes
+    # from one fixpoint.  The chunk is stored on a random sub-window of its
+    # own half of the time.  Wherever the fold returns, it is the exact
+    # product (mul_raw of fp's whole expansion and the whole chunk); where
+    # the guard of laurent_mul passes on the stored chunk, the fold passes
+    # too.  The fold may pass where the guard raises: its box of the chunk
+    # is cut by the whole chain, not by one support.  The outcome counts
+    # are pinned, so the rule can be neither weakened nor tightened
+    # unnoticed
+    rng = random.Random(405)
+    reg = region("z1", "z2", "z3")
+    target = Window(((-4, 4), (-4, 4), (-4, 4), (0, 0)))
+    big = Window(((-14, 14), (-14, 14), (-14, 14), (0, 0)))
+    outcomes = {"both pass": 0, "both raise": 0, "the guard raises": 0}
+    for _ in range(200):
+        fp = _random_tsafe_fp(rng)
+        T = rng.randrange(0, 3)
+        whole = fp.expand(reg, big, T)
+        assert all(lo <= s[0] and s[1] <= hi for (lo, hi), s
+                   in zip(big.bounds, whole.support))
+        full = _random_finite_chunk(rng, T)
+        ch = _truncated(full, rng)
+        exact = mul_raw(whole, full, target)
+        try:
+            laurent_mul(whole, ch, target)
+            guarded = True
+        except WindowUnderflow:
+            guarded = False
+        try:
+            got = _expand(fp, reg, target, T, (ch,))
+        except WindowUnderflow:
+            assert not guarded
+            outcomes["both raise"] += 1
+            continue
+        assert got.terms == exact.terms
+        assert (got.window, got.support) == (target, exact.support)
+        outcomes["both pass" if guarded else "the guard raises"] += 1
+    assert outcomes == {"both pass": 136, "both raise": 29,
+                        "the guard raises": 35}
 
 
 def test_monotone_in_t_order():
@@ -778,6 +820,33 @@ def test_fold_edge_cases():
     with pytest.raises(UnsupportedCharge):
         _fold([h, h, lone], [point, point, lone.window.bounds],
               Window.of(z1=(1, 1)), 4)
+
+
+def test_fold_raises_when_a_chunk_is_stored_short_of_its_box():
+    # the one soundness rule of a chain: each chunk stores its box.  Each
+    # chunk in turn, stored one step short of its box on one side of one
+    # variable, raises before any product runs; stored on its box it folds
+    rng = random.Random(1250)
+    chunks = _chain(rng, 3, 1)
+    boxes = [c.window.bounds for c in chunks]
+    ref = _fold(chunks, boxes, FOLD_TARGET, 4)
+    assert ref.terms
+    short = 0
+    for j, c in enumerate(chunks):
+        for v, (lo, hi) in enumerate(c.window.bounds):
+            for cut in ((lo + 1, hi), (lo, hi - 1)):
+                if cut[0] > cut[1]:
+                    continue
+                w = Window(tuple(cut if i == v else b
+                                 for i, b in enumerate(c.window.bounds)))
+                stored = LaurentChunk({m: x for m, x in c.terms.items()
+                                       if w.contains(m)}, w, c.zero,
+                                      c.support)
+                with pytest.raises(WindowUnderflow):
+                    _fold(chunks[:j] + [stored] + chunks[j + 1:], boxes,
+                          FOLD_TARGET, 4)
+                short += 1
+    assert short >= 12
 
 
 @pytest.mark.parametrize("T", [1, 8, 24])

@@ -19,7 +19,7 @@ from qvertex.errors import (EmptyComparison, TruncationMismatch,
                             WindowUnderflow)
 from qvertex.fock import FockVector, exp_D_chunk
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
-                             laurent_mul)
+                             _expand, laurent_mul)
 from qvertex.rationals import Rat
 from qvertex.scalars import tp
 from qvertex.symfunc import Partition, SymFuncP, partitions_up_to
@@ -706,13 +706,11 @@ def _scaled_product(kind, a, b):
         sc = verifier._scalar_chunk(s_tau(a, b, "z2", "z1"), reg, zv,
                                     (0, 0), T)
         cf = x2_closed_form(b, a).substitute({"z1": ("z2",), "z2": ("z1",)})
-        window = verifier._widened(target, sc, zv)
     elif kind == "translation":
         T, G, W, cap = 16, 3, 3, 7
         target = Window.of(z1=(-W, W), z2=(-W, W), g=(0, G))
         sc = verifier._scalar_chunk(s_gamma(a, b), reg, zv, (0, G), T)
         cf = x2_closed_form(a, b)
-        window = verifier._widened(Window.of(z1=(-W, W), z2=(-W, W)), sc, zv)
     else:
         T, W, cap = {"line2-defaults": (8, 5, 9),
                      "line2-wide": (1, 7, 10)}[kind]
@@ -721,8 +719,7 @@ def _scaled_product(kind, a, b):
         sc = verifier._scalar_chunk(s_tau(1, 1, "z1", "z2"), reg, zv,
                                     (0, 0), T)
         cf = x120_closed_form(1, 1, 1)
-        window = verifier._widened(target, sc, zv)
-    return evaluate_scaled(sc, cf, reg, window, target, cap, T), target
+    return evaluate_scaled(sc, cf, reg, target, cap, T), target
 
 
 @pytest.mark.parametrize("pair, kind", [
@@ -776,6 +773,31 @@ def test_exp_D_chunk_golden(kind, pair):
     assert got == want
 
 
+LINE3_GOLDEN = (DATA / "line3_products_sha256.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("params", ["8,5,9", "1,7,10", "24,4,8"])
+def test_expansion_line3_product_golden(params):
+    # expansion line 3's right-hand side, the translation scalar
+    # S_gamma(z3, 0; gamma = z2) in region (z2, z3) times e^{z2 D} Y(z3)e^a,
+    # at the CLI defaults, the wide-window parameters and T=24: one line
+    # per monomial of the target z2 in [-W, W], z3 in [0, W]: T, W and the
+    # cap, exponents of z2 and z3, then the sha256 of str() of the
+    # coefficient.  Recorded when the scalar was expanded on its own and
+    # multiplied by laurent_mul
+    T, W, cap = map(int, params.split(","))
+    target = Window.of(z2=(-W, W), z3=(0, W))
+    ych = y_apply(1, "z3", FockVector.exponential(1, T), (1, W), cap)
+    ed = exp_D_chunk(ych, "z2", cap, cap)
+    rhs3 = _expand(s_gamma(1, 1, "z3", None, "z2"), verifier.REG23, target,
+                   T, (ed,))
+    got = [f"{params} {m[1]},{m[2]} {_sha(str(rhs3.get(m)))}"
+           for m in verifier._box(target)]
+    assert len(got) == (2 * W + 1) * (W + 1)
+    assert got == [row for row in LINE3_GOLDEN
+                   if row.startswith(f"{params} ")]
+
+
 @pytest.mark.parametrize("pair", ["1,1", "1,2", "2,1"])
 def test_translation_charge_term_mutation_golden(pair):
     # the d_charge_coeff = tp(1) witness at the deep-t translation
@@ -809,10 +831,8 @@ def _t8_product(kind, a, b):
         return prod, target
     target = Window.of(z1=(-W, W), z2=(-W, W), g=(0, G))
     sc = verifier._scalar_chunk(s_gamma(a, b), verifier.REG12, zv, (0, G), T)
-    prod = evaluate_scaled(sc, x2_closed_form(a, b), verifier.REG12,
-                           verifier._widened(Window.of(z1=(-W, W),
-                                                       z2=(-W, W)), sc, zv),
-                           target, cap, T)
+    prod = evaluate_scaled(sc, x2_closed_form(a, b), verifier.REG12, target,
+                           cap, T)
     return exp_D_chunk(prod, "g", G, cap), target
 
 
