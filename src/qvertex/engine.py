@@ -27,7 +27,9 @@ braiding and translation scalars are ratios of r's:
 The region expansion of a closed form (``evaluate``), alone or times a
 scalar chunk (``evaluate_scaled``), is one chain: the prefactor's point
 and factor chunks, one E+ chunk per slot and the scalar, on boxes from
-one fixpoint (``laurent._chain``), folded once.
+one fixpoint (``laurent._chain``), folded once with the point first and
+the rest fewest partitions first, so the one-partition factors and
+scalar come before the E+ chunks.
 
 Single-variable modes of the pure-Heisenberg field E+ E- generate the
 Hall-Littlewood Q-functions; that equality is validated against the
@@ -347,11 +349,11 @@ def evaluate_scaled(sc: LaurentChunk, cf: ClosedForm, reg: RegionOrder,
                     t_order: int) -> LaurentChunk:
     """sc times the region expansion of cf, on the target, as one fold.
 
-    The scalar chunk sc is the last member of the closed form's chain, so
-    the series stays packed into the scalar step and only the target's
-    coefficients are decoded.  sc must store its box, every exponent of
-    its support that some split of a target monomial reaches, or
-    ``laurent._fold`` raises WindowUnderflow.
+    The scalar chunk sc is a member of the closed form's chain; having
+    one partition, it is folded before the E+ chunks, and only the
+    target's coefficients are decoded.  sc must store its box, every
+    exponent of its support that some split of a target monomial reaches,
+    or ``laurent._fold`` raises WindowUnderflow.
     """
     return _evaluated(cf, reg, target, degree_cap, t_order, (sc,))
 
@@ -360,7 +362,8 @@ def _evaluated(cf: ClosedForm, reg: RegionOrder, window: Window,
                degree_cap: int, t_order: int, scaled) -> LaurentChunk:
     """The chain [prefactor's point and factors, E+ per slot, scaled] of a
     closed form on the window, all boxes from one fixpoint
-    (``laurent._chain``), folded once; each coefficient at the closed
+    (``laurent._chain``), folded once in ``laurent._fold``'s order (the
+    point, then fewest partitions first); each coefficient at the closed
     form's charge.  A slot's E+ has support [0, degree_cap] in each of its
     variables and is built up to the top of its box."""
     members = [tuple((0, degree_cap) if v in svars else (0, 0)

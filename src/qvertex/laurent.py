@@ -19,10 +19,11 @@ by (E+ chunks, a braiding or translation scalar, a translated series).
 One fixpoint (``_fixpoint_boxes``) over the members' supports, the
 window, the t/g truncation budgets and the homogeneity of the linear
 forms cuts every member to a finite box that holds each of its exponents
-in a split of a window monomial; the fold of the chain (``_fold``) is
-then exact on the window as long as each chunk stores its box, and raises
-WindowUnderflow when one does not, instead of returning silently wrong
-boundary coefficients.  ``mul_raw`` and every such fold run on one kernel
+in a split of a window monomial; the fold of the chain (``_fold``), the
+point first and the rest fewest partitions first, is then exact on the
+window as long as each chunk stores its box, and raises WindowUnderflow
+when one does not, instead of returning silently wrong boundary
+coefficients.  ``mul_raw`` and every such fold run on one kernel
 (``_product``) that keeps integer rows packed across its steps, forms no
 intermediate output that the next step does not read, and decodes once
 per output of the last step.  ``laurent_mul``, the product of two chunks
@@ -469,16 +470,26 @@ def _fold(chunks, boxes, target: Window, degree_cap=None):
     boxes[j] holds every exponent of chunks[j] that can land in the target
     (``_fixpoint_boxes``), and chunks[j] must store it: a box that leaves
     its chunk's window raises WindowUnderflow, the one soundness rule of a
-    chain.  Each prefix product is kept on its own box minus what the
-    remaining factors can still add, which is exact on the target; an
-    empty prefix window means no split reaches it, found before any
-    product runs.  A single chunk is returned whole.
+    chain.  Chunk 0 comes first and the others follow fewest distinct
+    partitions first (a stable sort), so a one-partition scalar or factor
+    spreads the prefix before a many-partition E+ chunk multiplies every
+    monomial it reaches.  The product commutes, weights only add, so a
+    merge dropped above the cap in one order is above it in any, and the
+    windows below come from the boxes in the order folded.  Each prefix
+    product is kept on its own box minus what the remaining factors can
+    still add, which is exact on the target; an empty prefix window means
+    no split reaches it, found before any product runs.  A single chunk
+    is returned whole.
     """
     for j, (ch, box) in enumerate(zip(chunks, boxes)):
         if any(lo < wlo or hi > whi for (lo, hi), (wlo, whi)
                in zip(box, ch.window.bounds)):
             raise WindowUnderflow(f"chunk {j} stored on {ch.window} "
                                   f"leaves out its box {Window(box)}")
+    order = [0] + sorted(range(1, len(chunks)), key=lambda j: len(
+        {lam for c in chunks[j].terms.values()
+         for _, num, _ in c.charge_rows() for lam in num}))
+    chunks, boxes = [chunks[j] for j in order], [boxes[j] for j in order]
     windows = []
     for k in range(1, len(chunks)):
         req = []

@@ -313,6 +313,25 @@ def test_verify_braided_at_t_order_24_matches_golden(capsys):
     assert without_elapsed(out) == golden.read_text().splitlines()
 
 
+@pytest.mark.parametrize("check, t_order, window, cap, pair", [
+    ("braided-commutativity", 24, 4, 8, "1,1"),
+    ("braided-commutativity", 24, 4, 6, "2,1"),
+    ("translation", 16, 3, 7, "1,1"),
+    ("translation", 16, 3, 7, "2,1")])
+def test_verify_deep_t_calls_match_their_goldens(capsys, check, t_order,
+                                                 window, cap, pair):
+    # the deep-t benchmark calls that no other golden pins, each a chain
+    # of the prefactor, E+ and the braiding or translation scalar
+    code, out, _ = run(capsys, "verify", check, "--t-order", str(t_order),
+                       "--window", str(window), "--max-degree", str(cap),
+                       "--charges", pair)
+    assert code == 0
+    golden = (DATA / f"verify_{check.split('-')[0]}_t_order_{t_order}"
+              f"_window_{window}_max_degree_{cap}"
+              f"_charges_{pair.replace(',', '_')}.jsonl")
+    assert without_elapsed(out) == golden.read_text().splitlines()
+
+
 def test_verify_all_reports_the_first_error_in_order(capsys):
     code, out, err = run(capsys, "verify", "all", "--charges", "3,3")
     assert code == 2

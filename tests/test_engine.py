@@ -737,10 +737,11 @@ def _big_scalar(sc, rng, T):
 
 @pytest.mark.parametrize("T", [1, 8, 24])
 def test_evaluate_scaled_digit_width_on_big_scalar(T):
-    # the scalar step is the last step of the fold: its digits sit near
-    # the mass of a series block times numerators near 2^80, and most of
-    # its block pairs have k = D/(d1 d2) far from 1, so a width without
-    # that step's mass or its k reads wrong rows here
+    # the scalar has one partition, so the fold takes it before the E+
+    # chunks: its numerators near 2^80 enter early and feed the mass of
+    # every later step, and most block pairs have k = D/(d1 d2) far from
+    # 1, so a width without the last step's mass, or without k, reads
+    # wrong rows here
     rng = random.Random(760 + T)
     for sc, cf, target, window in _scaled_cases(T):
         sc = _big_scalar(sc, rng, T)

@@ -765,6 +765,32 @@ def test_fold_with_a_diagonal_last_chunk_matches_stepwise(T):
             assert _banded(chunks, 4).terms == ref.terms
 
 
+def _partitions(chunk):
+    return len({lam for c in chunk.terms.values()
+                for _, num, _ in c.charge_rows() for lam in num})
+
+
+@pytest.mark.parametrize("T", [0, 1, 8, 24])
+def test_fold_of_members_in_descending_partition_order_matches_stepwise(T):
+    # the fold takes the members after chunk 0 fewest partitions first;
+    # handed them most partitions first, the diagonal scalar last, it
+    # reorders the chain and still equals the per-pair product taken step
+    # by step in the order given, merges above the cap dropped
+    rng = random.Random(1160 + T)
+    reordered = dropped = 0
+    for n in (3, 4):
+        for _ in range(4):
+            head, *rest = _chain(rng, n, T) + [_diagonal(rng, T)]
+            chunks = [head] + sorted(rest, key=_partitions, reverse=True)
+            counts = [_partitions(c) for c in chunks[1:]]
+            reordered += counts != sorted(counts)
+            ref, _ = _stepwise(chunks, BAND_TARGET, 4)
+            assert _banded(chunks, 4).terms == ref.terms
+            dropped += sum(_max_weight(c) > 4 for c
+                           in _banded(chunks, None).terms.values())
+    assert reordered >= 6 and dropped >= 100
+
+
 @pytest.mark.parametrize("T", [0, 1, 8])
 def test_fold_packs_only_the_intermediate_outputs_read(T, monkeypatch):
     # with scalar chunks every output is one row, so low_row runs once per

@@ -683,6 +683,28 @@ def test_jacobi_one_unit_mismatch_reported_like_fockvectors(monkeypatch):
 # the series under a braiding or translation scalar, at deep t
 
 
+def test_deep_t_braided_chains_fold_fewest_partitions_first(monkeypatch):
+    # every product of the T=24 braided check folds its members after the
+    # point chunk in nondecreasing partition count: the one-partition
+    # braiding scalar and prefactor factors before the E+ chunks
+    import qvertex.laurent as laurent
+    product, counts = laurent._product, []
+
+    def recorded(chunks, windows, degree_cap=None):
+        counts.append([len({lam for c in ch.terms.values()
+                            for _, num, _ in c.charge_rows() for lam in num})
+                       for ch in chunks])
+        return product(chunks, windows, degree_cap)
+
+    monkeypatch.setattr(laurent, "_product", recorded)
+    assert check_braided_commutativity(a=1, b=1, t_order=24, window=4,
+                                       degree_cap=8).passed
+    assert max(map(len, counts)) >= 5
+    assert any(1 in c[1:] and max(c) > 1 for c in counts)
+    for c in counts:
+        assert c[1:] == sorted(c[1:]), c
+
+
 SCALED_GOLDEN = (DATA / "scaled_products_sha256.txt").read_text() \
     .splitlines()
 
