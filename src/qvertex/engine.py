@@ -25,11 +25,12 @@ braiding and translation scalars are ratios of r's:
             = r(z1+g, z2+g)/r(z1,z2)
 
 The region expansion of a closed form (``evaluate``), alone or times a
-scalar chunk (``evaluate_scaled``), is one chain: the prefactor's point
-and factor chunks, one E+ chunk per slot and the scalar, on boxes from
-one fixpoint (``laurent._chain``), folded once with the point first and
-the rest fewest partitions first, so the one-partition factors and
-scalar come before the E+ chunks.
+braiding or translation scalar, is one chain: one point chunk for both
+coefficients and monomials, one chunk per factor of the prefactor and of
+the scalar, never merged, and one E+ chunk per slot, on boxes from one
+fixpoint (``laurent._chain``), folded once with the point first and the
+rest fewest partitions first, so the one-partition factors come before
+the E+ chunks.
 
 Single-variable modes of the pure-Heisenberg field E+ E- generate the
 Hall-Littlewood Q-functions; that equality is validated against the
@@ -48,7 +49,7 @@ from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
                       RegionOrder, VARS, VAR_INDEX, Window, _chain, _fold,
                       bounds_add, lform, mul_raw)
-from .scalars import add_row, tp_mullow
+from .scalars import add_row, tp_mul, tp_mullow
 from .symfunc import Partition, SymFuncP, partitions_of
 
 
@@ -334,43 +335,27 @@ def _eplus_multi_chunk(a: int, svars: tuple, his: dict, degree_cap: int,
 
 
 def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
-             degree_cap: int, t_order: int) -> LaurentChunk:
-    """Region expansion of a closed form into a FockVector-valued chunk.
+             degree_cap: int, t_order: int,
+             scalar: FactorProduct = FactorProduct()) -> LaurentChunk:
+    """The region expansion of scalar times a closed form, a
+    FockVector-valued chunk on the window, each coefficient at the closed
+    form's charge.
 
-    Sound on the whole window: every chunk of the chain is stored on a box
-    that holds each of its exponents in a split of a window monomial
-    (``_evaluated``); slot exponents above degree_cap die in the quotient.
+    One chain (``laurent._chain``): the point chunk of the prefactor's and
+    the scalar's coefficients at their monomials, one chunk per factor of
+    either, each its own member (the factor tuples are concatenated, never
+    merged, so a braiding scalar's form is not cancelled against the
+    prefactor's), and one E+ chunk per slot, built up to the top of its
+    box.  All boxes come from one fixpoint and the chain is folded once
+    (``laurent._fold``), so only the window's coefficients are decoded;
+    slot exponents above degree_cap die in the quotient.
     """
-    return _evaluated(cf, reg, window, degree_cap, t_order, ())
-
-
-def evaluate_scaled(sc: LaurentChunk, cf: ClosedForm, reg: RegionOrder,
-                    target: Window, degree_cap: int,
-                    t_order: int) -> LaurentChunk:
-    """sc times the region expansion of cf, on the target, as one fold.
-
-    The scalar chunk sc is a member of the closed form's chain; having
-    one partition, it is folded before the E+ chunks, and only the
-    target's coefficients are decoded.  sc must store its box, every
-    exponent of its support that some split of a target monomial reaches,
-    or ``laurent._fold`` raises WindowUnderflow.
-    """
-    return _evaluated(cf, reg, target, degree_cap, t_order, (sc,))
-
-
-def _evaluated(cf: ClosedForm, reg: RegionOrder, window: Window,
-               degree_cap: int, t_order: int, scaled) -> LaurentChunk:
-    """The chain [prefactor's point and factors, E+ per slot, scaled] of a
-    closed form on the window, all boxes from one fixpoint
-    (``laurent._chain``), folded once in ``laurent._fold``'s order (the
-    point, then fewest partitions first); each coefficient at the closed
-    form's charge.  A slot's E+ has support [0, degree_cap] in each of its
-    variables and is built up to the top of its box."""
+    fp = FactorProduct(tp_mul(cf.prefactor.coeff, scalar.coeff),
+                       cf.prefactor.monomial * scalar.monomial,
+                       cf.prefactor.factors + scalar.factors)
     members = [tuple((0, degree_cap) if v in svars else (0, 0)
                      for v in VARS) for _, svars in cf.slots]
-    members += [sc.support for sc in scaled]
-    chunks, boxes, support = _chain(cf.prefactor, reg, window, t_order,
-                                    members)
+    chunks, boxes, support = _chain(fp, reg, window, t_order, members)
     for s in members:
         support = bounds_add(support, s)
     terms = {}
@@ -379,7 +364,7 @@ def _evaluated(cf: ClosedForm, reg: RegionOrder, window: Window,
             chunks.append(_eplus_multi_chunk(
                 a, svars, {v: box[VAR_INDEX[v]][1] for v in set(svars)},
                 degree_cap, t_order))
-        acc = _fold(chunks + list(scaled), boxes, window, degree_cap)
+        acc = _fold(chunks, boxes, window, degree_cap)
         if acc is not None:
             terms = {m: FockVector.pure(cf.charge, c)
                      for m, c in acc.terms.items()}

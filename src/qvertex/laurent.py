@@ -15,20 +15,20 @@ and g kept a nonnegative power series: finite for e > 0, geometric for
 e < 0, where that term must have t-degree 0 and be free of g.  A product
 is expanded as one chain (``_chain``): a point chunk with c(t) at the
 monomial, one chunk per factor, and any further members it is multiplied
-by (E+ chunks, a braiding or translation scalar, a translated series).
-One fixpoint (``_fixpoint_boxes``) over the members' supports, the
-window, the t/g truncation budgets and the homogeneity of the linear
-forms cuts every member to a finite box that holds each of its exponents
-in a split of a window monomial; the fold of the chain (``_fold``), the
-point first and the rest fewest partitions first, is then exact on the
-window as long as each chunk stores its box, and raises WindowUnderflow
-when one does not, instead of returning silently wrong boundary
-coefficients.  ``mul_raw`` and every such fold run on one kernel
-(``_product``) that keeps integer rows packed across its steps, forms no
-intermediate output that the next step does not read, and decodes once
-per output of the last step.  ``laurent_mul``, the product of two chunks
-guarded by their stored windows and supports (``check_splits``), is kept
-as the tests' independent reference product.
+by (E+ chunks, a translated series); a braiding or translation scalar
+enters as factors of the product itself, each its own member.  One
+fixpoint (``_fixpoint_boxes``) over the members' supports, the window
+and the t/g truncation budgets cuts every member to a finite box that
+holds each of its exponents in a split of a window monomial; the fold of
+the chain (``_fold``), the point first and the rest fewest partitions
+first, is then exact on the window as long as each chunk stores its box,
+and raises WindowUnderflow when one does not, instead of returning
+silently wrong boundary coefficients.  ``mul_raw`` and every such fold
+run on one kernel (``_product``) that keeps integer rows packed across
+its steps, forms no intermediate output that the next step does not
+read, and decodes once per output of the last step.  ``laurent_mul``,
+the product of two chunks guarded by their stored windows and supports
+(``check_splits``), is kept as the tests' independent reference product.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ class Monomial(tuple):
 
     def exp(self, var: str) -> int:
         return self[VAR_INDEX[var]]
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self)
 
     def __str__(self):
         parts = [f"{v}^{d}" for v, d in zip(VARS, self) if d]
@@ -712,13 +708,11 @@ class _FactorInfo:
     """
 
     __slots__ = ("form", "exp", "base_c", "base_m", "base_k", "uterms",
-                 "homog", "support", "box")
+                 "support", "box")
 
     def __init__(self, form, e, reg, t_order, g_cap):
         self.form = form
         self.exp = e
-        degs = {m.total_degree for m, _, _ in form}
-        self.homog = e * degs.pop() if len(degs) == 1 else None
         for m, _, _ in form:
             live = [v for v, d in zip(VARS, m) if d]
             if not reg.covers(live):
@@ -907,9 +901,7 @@ def _chain(fp: FactorProduct, reg: RegionOrder, window: Window,
     for info in infos:
         support = bounds_add(support, info.support)
     boxes = _fixpoint_boxes(
-        [point] + [info.support for info in infos] + list(supports),
-        [None] + [info.homog for info in infos] + [None] * len(supports),
-        window)
+        [point] + [info.support for info in infos] + list(supports), window)
     if boxes is None:
         return [], None, support
     chunks = [LaurentChunk({fp.monomial: coeff}, Window(point),
@@ -937,11 +929,10 @@ def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
                         support)
 
 
-def _fixpoint_boxes(supports, homogs, window, max_rounds=64):
+def _fixpoint_boxes(supports, window, max_rounds=64):
     """Shrink the supports of a chain's members to finite boxes sufficient
     for the window.
 
-    homogs[i] is the total degree of every exponent of member i, or None.
     Every split of a window monomial over the supports stays inside the
     boxes (induction over the rounds), so folding over these boxes is
     exact on the window.  Returns None when some member has no admissible
@@ -951,7 +942,7 @@ def _fixpoint_boxes(supports, homogs, window, max_rounds=64):
     target = window.bounds
     for _ in range(max_rounds):
         changed = False
-        for i, homog in enumerate(homogs):
+        for i in range(len(boxes)):
             for v in range(NVARS):
                 olo = ohi = 0
                 for j, bx in enumerate(boxes):
@@ -969,26 +960,6 @@ def _fixpoint_boxes(supports, homogs, window, max_rounds=64):
                 if cut != tuple(boxes[i][v]):
                     boxes[i][v] = cut
                     changed = True
-            if homog is not None:
-                box = boxes[i]
-                if all(b[0] is not None for b in box):
-                    slo = sum(b[0] for b in box)
-                    for v in range(NVARS):
-                        cap = homog - (slo - box[v][0])
-                        if box[v][1] is None or cap < box[v][1]:
-                            box[v] = (box[v][0], cap)
-                            if box[v][0] > cap:
-                                return None
-                            changed = True
-                if all(b[1] is not None for b in box):
-                    shi = sum(b[1] for b in box)
-                    for v in range(NVARS):
-                        flo = homog - (shi - box[v][1])
-                        if box[v][0] is None or flo > box[v][0]:
-                            box[v] = (flo, box[v][1])
-                            if flo > box[v][1]:
-                                return None
-                            changed = True
         if not changed:
             break
     for i, box in enumerate(boxes):

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from itertools import chain, product
 from math import lcm
 
-from .engine import (evaluate, evaluate_scaled, jing_Q, s_gamma, s_tau,
-                     x2_closed_form, x120_closed_form, y_apply, y_product)
+from .engine import (evaluate, jing_Q, s_gamma, s_tau, x2_closed_form,
+                     x120_closed_form, y_apply, y_product)
 from .errors import EmptyComparison, TruncationMismatch, WindowUnderflow
 from .fock import FockVector, apply_D, exp_D, exp_D_chunk
-from .laurent import (LaurentChunk, Monomial, VAR_INDEX, Window, _expand,
+from .laurent import (LaurentChunk, Monomial, Window, _expand,
                       binom_expansion_terms, iv_intersect, lform, region,
                       FactorProduct)
 from .rationals import Rat
@@ -101,31 +101,6 @@ def _box(window: Window):
                                            for lo, hi in window.bounds)))
 
 
-def _scalar_chunk(fp: FactorProduct, reg, zvars, g_bounds,
-                  t_order: int) -> LaurentChunk:
-    """Expand a braiding/translation scalar on a symmetric z-window that
-    contains its own support, so products against it need no deficit
-    analysis on the scalar side.
-
-    The support of an expansion comes from the factor supports, the
-    t-order and the g-window, never from the z-window, so one expansion on
-    the point z-window reads it off.
-    """
-    def on(M):
-        bounds = {v: (-M, M) for v in zvars}
-        bounds["g"] = g_bounds
-        return fp.expand(reg, Window.of(**bounds), t_order)
-
-    support = on(0).support
-    M = 0
-    for v in zvars:
-        lo, hi = support[VAR_INDEX[v]]
-        if lo is None or hi is None:
-            raise WindowUnderflow(f"scalar support unbounded in {v}")
-        M = max(M, -lo, hi)
-    return on(M)
-
-
 # ---------------------------------------------------------------------------
 # vacuum and translation dictionary
 
@@ -180,11 +155,10 @@ def check_braided_commutativity(a: int = 1, b: int = 1, t_order: int = 4,
     sc_fp = s_tau(a, b, "z2", "z1")
     if mutate_sign:
         sc_fp = sc_fp.mul(FactorProduct.of(coeff=(Rat(-1),)))
-    sc = _scalar_chunk(sc_fp, REG12, ("z1", "z2"), (0, 0), T)
 
     swapped = x2_closed_form(b, a).substitute(
         {"z1": ("z2",), "z2": ("z1",)})
-    rhs = evaluate_scaled(sc, swapped, REG12, target, cap, T)
+    rhs = evaluate(swapped, REG12, target, cap, T, sc_fp)
 
     cmp_ = _Comparator()
     cmp_.chunks(lhs, rhs, target)
@@ -209,8 +183,7 @@ def check_translation_covariance(a: int = 1, b: int = 1, t_order: int = 3,
     target = Window.of(z1=(-W, W), z2=(-W, W), g=(0, G))
 
     form = x2_closed_form(a, b)
-    sc = _scalar_chunk(s_gamma(a, b), REG12, ("z1", "z2"), (0, G), T)
-    prod = evaluate_scaled(sc, form, REG12, target, cap, T)
+    prod = evaluate(form, REG12, target, cap, T, s_gamma(a, b))
     lhs = exp_D_chunk(prod, "g", G, cap, d_charge_coeff)
 
     shifted = form.substitute({"z1": ("z1", "g"), "z2": ("z2", "g")})
@@ -233,15 +206,15 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
     Line 2: the inverse braiding scalar times the region (z2, z1)
     expansion equals the swapped product Y(z2)Y(z1)e^a.  S_tau is a unit,
     S_tau(z1, z2) S_tau(z2, z1) = 1, so the scalar may sit on either side;
-    on the closed-form side it is ``evaluate_scaled``, and the operator
-    product runs on the target alone, as on line 1.
+    on the closed-form side its factors join the closed form's chain
+    (``evaluate``'s scalar), and the operator product runs on the target
+    alone, as on line 1.
     Line 3 (c = 1): X at (z2+z3, z2) equals the translation scalar at
     (z3, 0; gamma = z2) times e^{z2 D} Y(z3)e^a.  In region (z2, z3) that
     scalar and its inverse are both geometric in z3/z2 with a ratio free
-    of t, so their support is unbounded in z2 and z3 and neither fits
-    ``_scalar_chunk``; the scalar's chain and the e^{z2 D} chunk are one
-    fold (``laurent._expand``), whose fixpoint bounds the scalar's factors
-    by the chunk's finite support.
+    of t, so their support is unbounded in z2 and z3; the scalar's chain
+    and the e^{z2 D} chunk are one fold (``laurent._expand``), whose
+    fixpoint bounds the scalar's factors by the chunk's finite support.
     """
     t0 = time.perf_counter()
     W, cap, T = window, degree_cap, t_order
@@ -256,9 +229,7 @@ def check_expansion_consistency(t_order: int = 3, window: int = 5,
                     {"z1": (-W, W), "z2": (-W, W)}, cap)
     cmp_.chunks(xp1, op1, target, tag="line1 ")
 
-    inv = _scalar_chunk(s_tau(1, 1, "z1", "z2"), REG21, ("z1", "z2"),
-                        (0, 0), T)
-    xp2 = evaluate_scaled(inv, form, REG21, target, cap, T)
+    xp2 = evaluate(form, REG21, target, cap, T, s_tau(1, 1, "z1", "z2"))
     op2 = y_product(((1, "z2"), (1, "z1")), ea,
                     {"z1": (-W, W), "z2": (-W, W)}, cap)
     cmp_.chunks(xp2, op2, target, tag="line2 ")

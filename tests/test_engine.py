@@ -8,10 +8,9 @@ from math import gcd, lcm
 import pytest
 
 from qvertex.engine import (ClosedForm, eminus_states, eplus_coeff, evaluate,
-                            evaluate_scaled, heis_mode, jing_Q, r_factor,
-                            s_gamma, s_tau, working_caps, x2_closed_form,
-                            x3_closed_form, x120_closed_form, y_apply,
-                            y_product)
+                            heis_mode, jing_Q, r_factor, s_gamma, s_tau,
+                            working_caps, x2_closed_form, x3_closed_form,
+                            x120_closed_form, y_apply, y_product)
 from qvertex.errors import UnsupportedCharge, WindowUnderflow
 from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, VARS,
@@ -676,22 +675,23 @@ def test_substituted_form_shape():
 # series under a scalar, folded with it in one chain
 
 
+def _scalar_expansion(fp, G, T):
+    """fp expanded in REG on a z-box that holds its whole support, read off
+    an expansion on the point z-window (a support comes from the factors,
+    the t-order and the g-window, never from the z-window): the
+    reference's scalar chunk, apart from any closed form's chain."""
+    g = Window.of(g=(0, G))
+    support = fp.expand(REG, g, T).support
+    box = Window(tuple(s if VARS[i] in ("z1", "z2") else b for i, (s, b)
+                       in enumerate(zip(support, g.bounds))))
+    return fp.expand(REG, box, T)
+
+
 def _scaled_cases(T):
-    """(scalar, closed form, target, series window) for the braiding
-    scalar, its sign mutation and the translation scalar at every charge
-    pair, with seeded windows, caps and g-orders.  The series window is
-    the reference's: per z variable, the (z1, z2) plane minus the scalar's
-    support, so laurent_mul of the scalar and the series is sound on the
-    target."""
-    from qvertex.verifier import REG12, _scalar_chunk
+    """(scalar, G, closed form, target, plane) for the braiding scalar, its
+    sign mutation and the translation scalar at every charge pair, with
+    seeded windows and g-orders; plane is the target's (z1, z2) square."""
     rng = random.Random(700 + T)
-    zv = ("z1", "z2")
-
-    def widened(plane, sc):
-        return Window(tuple((lo - s[1], hi - s[0]) if VARS[i] in zv
-                            else (lo, hi) for i, ((lo, hi), s)
-                            in enumerate(zip(plane.bounds, sc.support))))
-
     for a, b in ((1, 1), (1, 2), (2, 1)):
         W = rng.randint(2, 5)
         plane = Window.of(z1=(-W, W), z2=(-W, W))
@@ -699,87 +699,71 @@ def _scaled_cases(T):
             {"z1": ("z2",), "z2": ("z1",)})
         for sign in (1, -1):
             fp = s_tau(a, b, "z2", "z1").mul(FactorProduct.of(coeff=(sign,)))
-            sc = _scalar_chunk(fp, REG12, zv, (0, 0), T)
-            yield sc, swapped, plane, widened(plane, sc)
+            yield fp, 0, swapped, plane, plane
         G = rng.randint(1, 3)
-        sc = _scalar_chunk(s_gamma(a, b), REG12, zv, (0, G), T)
-        yield (sc, x2_closed_form(a, b), Window.of(z1=(-W, W), z2=(-W, W),
-                                                   g=(0, G)),
-               widened(plane, sc))
+        yield (s_gamma(a, b), G, x2_closed_form(a, b),
+               Window.of(z1=(-W, W), z2=(-W, W), g=(0, G)), plane)
+
+
+def _scaled_reference(fp, G, cf, target, plane, cap, T):
+    """laurent_mul of the scalar's own expansion and the closed form's,
+    the latter on the plane minus the scalar's support, so the product is
+    sound on the target."""
+    sc = _scalar_expansion(fp, G, T)
+    window = Window(tuple((lo - s[1], hi - s[0]) if VARS[i] in ("z1", "z2")
+                          else (lo, hi) for i, ((lo, hi), s)
+                          in enumerate(zip(plane.bounds, sc.support))))
+    return laurent_mul(sc, evaluate(cf, REG, window, cap, T), target)
 
 
 @pytest.mark.parametrize("T", [0, 1, 3, 8, 24])
 def test_evaluate_scaled_is_the_product_with_evaluate(T):
     rng = random.Random(750 + T)
-    for sc, cf, target, window in _scaled_cases(T):
+    for fp, G, cf, target, plane in _scaled_cases(T):
         cap = rng.randint(3, 8)
-        want = laurent_mul(sc, evaluate(cf, REG, window, cap, T), target)
-        got = evaluate_scaled(sc, cf, REG, target, cap, T)
+        want = _scaled_reference(fp, G, cf, target, plane, cap, T)
+        got = evaluate(cf, REG, target, cap, T, fp)
         assert want.terms
         assert got.terms == want.terms
         assert (got.window, got.support) == (want.window, want.support)
 
 
-def _big_scalar(sc, rng, T):
-    """sc with each coefficient replaced by numerators near 2^80 over the
-    prime 2^61 - 1, 3^30 or 1, all of one sign in about half of them."""
-    terms = {}
-    for m in sc.terms:
-        negative = rng.random() < 0.5
-        row = [0] * (T + 1)
-        for i in rng.sample(range(T + 1), min(T + 1, 6)):
-            x = 2 ** 80 - rng.randrange(1 << 20)
-            row[i] = -x if negative or rng.random() < 0.5 else x
-        terms[m] = SymFuncP({Partition(): row},
-                            rng.choice((2 ** 61 - 1, 3 ** 30, 1)), T)
-    return LaurentChunk(terms, sc.window, sc.zero, sc.support)
+def _big_scalar(fp, rng, T):
+    """fp with numerators near 2^80, over the prime 2^61 - 1 and over 3^30
+    in turn, as its point coefficient (six t-powers) and as factors of the
+    coefficients of its first form of positive exponent; all of one sign
+    in about half of the scalars."""
+    negative = rng.random() < 0.5
+
+    def big(j):
+        x = 2 ** 80 - rng.randrange(1 << 20)
+        return Rat(-x if negative or rng.random() < 0.5 else x,
+                   (2 ** 61 - 1, 3 ** 30)[j % 2])
+
+    coeff = [0] * (T + 1)
+    for j, i in enumerate(rng.sample(range(T + 1), min(T + 1, 6))):
+        coeff[i] = big(j)
+    factors = list(fp.factors)
+    i = next(i for i, (_, e) in enumerate(factors) if e > 0)
+    form, e = factors[i]
+    factors[i] = (tuple((m, k, c * big(j))
+                        for j, (m, k, c) in enumerate(form)), e)
+    return FactorProduct.of(coeff, fp.monomial, factors)
 
 
 @pytest.mark.parametrize("T", [1, 8, 24])
 def test_evaluate_scaled_digit_width_on_big_scalar(T):
-    # the scalar has one partition, so the fold takes it before the E+
-    # chunks: its numerators near 2^80 enter early and feed the mass of
-    # every later step, and most block pairs have k = D/(d1 d2) far from
-    # 1, so a width without the last step's mass, or without k, reads
-    # wrong rows here
+    # the scalar's point coefficient joins the point chunk, which the fold
+    # takes first, and its factors have one partition each, so they come
+    # before the E+ chunks: numerators near 2^80 enter early and feed the
+    # mass of every later step, and most block pairs have k = D/(d1 d2)
+    # far from 1, so a width without the last step's mass, or without k,
+    # reads wrong rows here
     rng = random.Random(760 + T)
-    for sc, cf, target, window in _scaled_cases(T):
-        sc = _big_scalar(sc, rng, T)
+    for fp, G, cf, target, plane in _scaled_cases(T):
+        fp = _big_scalar(fp, rng, T)
         cap = rng.randint(3, 6)
-        want = laurent_mul(sc, evaluate(cf, REG, window, cap, T), target)
-        got = evaluate_scaled(sc, cf, REG, target, cap, T)
+        want = _scaled_reference(fp, G, cf, target, plane, cap, T)
+        got = evaluate(cf, REG, target, cap, T, fp)
         assert want.terms
         assert got.terms == want.terms
-
-
-def test_evaluate_scaled_guards_the_series_window():
-    # the scalar chunk stored one step short on one side of z1 or z2: the
-    # fold raises exactly where the stored edge is the support edge, since
-    # there the scalar's box reaches a term that is no longer stored; a
-    # side stored wider than the support loses nothing
-    from qvertex.verifier import REG12, _scalar_chunk
-    T, W, cap = 3, 3, 6
-    target = Window.of(z1=(-W, W), z2=(-W, W))
-    for a, b in ((1, 1), (2, 1)):
-        sc = _scalar_chunk(s_tau(a, b, "z2", "z1"), REG12, ("z1", "z2"),
-                           (0, 0), T)
-        cf = x2_closed_form(b, a).substitute({"z1": ("z2",), "z2": ("z1",)})
-        want = evaluate_scaled(sc, cf, REG12, target, cap, T)
-        assert want.terms
-        raised = []
-        for v, side in itertools.product(("z1", "z2"), (0, 1)):
-            i = VAR_INDEX[v]
-            bounds = [list(b) for b in sc.window.bounds]
-            bounds[i][side] += 1 if side == 0 else -1
-            narrow = Window(tuple(map(tuple, bounds)))
-            short = LaurentChunk({m: c for m, c in sc.terms.items()
-                                  if narrow.contains(m)}, narrow, sc.zero,
-                                 sc.support)
-            if sc.window.bounds[i][side] == sc.support[i][side]:
-                raised.append((v, side))
-                with pytest.raises(WindowUnderflow):
-                    evaluate_scaled(short, cf, REG12, target, cap, T)
-            else:
-                got = evaluate_scaled(short, cf, REG12, target, cap, T)
-                assert got.terms == want.terms
-        assert raised == [("z1", 0), ("z2", 1)]

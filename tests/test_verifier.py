@@ -12,14 +12,14 @@ from pathlib import Path
 import pytest
 
 from qvertex import verifier
-from qvertex.engine import (evaluate, evaluate_scaled, jing_Q, s_gamma,
-                            s_tau, x2_closed_form, x120_closed_form,
-                            y_apply, y_product)
+from qvertex.engine import (evaluate, jing_Q, s_gamma, s_tau,
+                            x2_closed_form, x120_closed_form, y_apply,
+                            y_product)
 from qvertex.errors import (EmptyComparison, TruncationMismatch,
                             WindowUnderflow)
 from qvertex.fock import FockVector, exp_D_chunk
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
-                             _expand, laurent_mul)
+                             _expand, laurent_mul, lform)
 from qvertex.rationals import Rat
 from qvertex.scalars import tp
 from qvertex.symfunc import Partition, SymFuncP, partitions_up_to
@@ -111,11 +111,15 @@ def test_expansion_passes_at_caps_below_the_window(W, cap, T):
 @pytest.mark.parametrize("T", [0, 3, 8, 24])
 def test_braiding_scalar_times_its_inverse_is_one(T):
     # expansion line 2 moves S_tau to the closed-form side as its inverse;
-    # the two region-(z2, z1) expansions multiply to exactly 1
-    zv = ("z1", "z2")
-    s, inv = (verifier._scalar_chunk(s_tau(1, 1, *vs), verifier.REG21, zv,
-                                     (0, 0), T)
+    # the two region-(z2, z1) expansions multiply to exactly 1.  Each is
+    # expanded on a box that holds its whole support, so laurent_mul's
+    # guard passes on any target
+    box = Window.of(z1=(-T - 2, T + 2), z2=(-T - 2, T + 2))
+    s, inv = (s_tau(1, 1, *vs).expand(verifier.REG21, box, T)
               for vs in (("z2", "z1"), ("z1", "z2")))
+    for sc in (s, inv):
+        assert all(b[0] <= lo and hi <= b[1] for (lo, hi), b
+                   in zip(sc.support, box.bounds))
     target = Window.of(z1=(-4, 4), z2=(-4, 4))
     one = laurent_mul(s, inv, target)
     assert list(one.terms) == [Monomial()]
@@ -194,6 +198,27 @@ def test_mutated_braiding_sign_fails():
     m, lhs, rhs = r.first_mismatch
     assert lhs != rhs
     assert r.params["mutation"] == "s-tau-sign"
+
+
+def test_braiding_scalar_factors_stay_members_of_their_own(monkeypatch):
+    # the braided right-hand side is one chain whose prefactor carries
+    # both (z2 - t z1)^{-1} of the swapped closed form and (z2 - t z1)^{+1}
+    # of S_tau: merged, they would cancel and the check would compare a
+    # series with itself
+    import qvertex.engine as engine
+    import qvertex.laurent as laurent
+    chain, seen = laurent._chain, []
+
+    def recorded(fp, *args):
+        seen.append(fp.factors)
+        return chain(fp, *args)
+
+    monkeypatch.setattr(engine, "_chain", recorded)
+    monkeypatch.setattr(laurent, "_chain", recorded)
+    assert check_braided_commutativity(a=1, b=1, t_order=3, window=3,
+                                       degree_cap=6).passed
+    form = lform((1, "z2"), (-1, "z1", 1))
+    assert any((form, 1) in fs and (form, -1) in fs for fs in seen)
 
 
 def test_mutated_jacobi_without_translation_scalar_fails():
@@ -720,28 +745,25 @@ def _scaled_product(kind, a, b):
     expansion line 2's inverse braiding scalar times the region (z2, z1)
     expansion at the CLI defaults (T=8, W=5, cap 9) or at the wide-window
     parameters (T=1, W=7, cap 10)."""
-    zv = ("z1", "z2")
     reg = verifier.REG12
     if kind.startswith("braided"):
         T, W, cap = 24, 4, 6 if kind == "braided-cap6" else 8
         target = Window.of(z1=(-W, W), z2=(-W, W))
-        sc = verifier._scalar_chunk(s_tau(a, b, "z2", "z1"), reg, zv,
-                                    (0, 0), T)
+        sc = s_tau(a, b, "z2", "z1")
         cf = x2_closed_form(b, a).substitute({"z1": ("z2",), "z2": ("z1",)})
     elif kind == "translation":
         T, G, W, cap = 16, 3, 3, 7
         target = Window.of(z1=(-W, W), z2=(-W, W), g=(0, G))
-        sc = verifier._scalar_chunk(s_gamma(a, b), reg, zv, (0, G), T)
+        sc = s_gamma(a, b)
         cf = x2_closed_form(a, b)
     else:
         T, W, cap = {"line2-defaults": (8, 5, 9),
                      "line2-wide": (1, 7, 10)}[kind]
         target = Window.of(z1=(-W, W), z2=(-W, W))
         reg = verifier.REG21
-        sc = verifier._scalar_chunk(s_tau(1, 1, "z1", "z2"), reg, zv,
-                                    (0, 0), T)
+        sc = s_tau(1, 1, "z1", "z2")
         cf = x120_closed_form(1, 1, 1)
-    return evaluate_scaled(sc, cf, reg, target, cap, T), target
+    return evaluate(cf, reg, target, cap, T, sc), target
 
 
 @pytest.mark.parametrize("pair, kind", [
@@ -845,16 +867,14 @@ def _t8_product(kind, a, b):
     scaled series, at the CLI defaults (T=8, G=3, W=5, cap 9), with its
     target."""
     T, G, W, cap = 8, 3, 5, 9
-    zv = ("z1", "z2")
     if kind == "y-product":
         target = Window.of(z1=(-W, W), z2=(-W, W))
         prod = y_product(((a, "z1"), (b, "z2")), FockVector.exponential(1, T),
                          {"z1": (-W, W), "z2": (-W, W)}, cap)
         return prod, target
     target = Window.of(z1=(-W, W), z2=(-W, W), g=(0, G))
-    sc = verifier._scalar_chunk(s_gamma(a, b), verifier.REG12, zv, (0, G), T)
-    prod = evaluate_scaled(sc, x2_closed_form(a, b), verifier.REG12, target,
-                           cap, T)
+    prod = evaluate(x2_closed_form(a, b), verifier.REG12, target, cap, T,
+                    s_gamma(a, b))
     return exp_D_chunk(prod, "g", G, cap), target
 
 
