@@ -7,15 +7,16 @@ elapsed fields.
 
 ``verify`` runs the selected checks side by side, in up to one forked
 worker process per usable CPU, and prints their reports in check order.
-The pool starts the heaviest check first (``BY_COST``), so the longest one
-does not start last while a worker sits idle.  Only the checks outside the
-cheap tail of ``BY_COST`` (hl-oracle, braided-commutativity, classical,
-vacuum: each 0.02 s or less, about what starting a pool costs) size the
-pool; with one usable CPU, or at most one selected check outside that
-tail, every check runs in this process.  Each elapsed field is that
-check's own time, so their sum can exceed the wall time.  If a check
-raises, the first such check in check order prints its error, nothing
-else is printed and the exit code is 2.
+The workers take the checks from one task pipe, heaviest first
+(``BY_COST``), so the longest one does not start last while a worker sits
+idle.  Only the checks outside the cheap tail of ``BY_COST`` (hl-oracle,
+braided-commutativity, classical, vacuum: each 0.02 s or less) size the
+pool of workers; with one usable CPU, or at most one selected check
+outside that tail, every check runs in this process.  Each elapsed field
+is that check's own time, so their sum can exceed the wall time.  If a
+check raises, the first such check in check order prints its error,
+nothing else is printed and the exit code is 2; an exception that is not
+a QVertexError, or a worker that ends without its reports, propagates.
 """
 
 from __future__ import annotations
@@ -42,12 +43,15 @@ IGNORES_CHARGES = frozenset(("classical", "expansion", "hl-oracle",
 # every check, heaviest first by its time in a fresh process at the CLI
 # defaults (2 vCPU, Python 3.11, medians of 6, two sets): translation
 # 0.045 s, jacobi 0.034, expansion 0.022, hl-oracle 0.019,
-# braided-commutativity 0.013, classical 0.010, vacuum 0.002; the pool
-# starts them in this order
+# braided-commutativity 0.013, classical 0.010, vacuum 0.002; the
+# workers take them in this order
 BY_COST = ("translation", "jacobi", "expansion", "hl-oracle",
            "braided-commutativity", "classical", "vacuum")
-# the tail of BY_COST: each takes 0.02 s or less, about what starting a
-# pool costs (14 ms on the same machine), so these checks never size one
+# the tail of BY_COST: each takes 0.02 s or less, so these checks never
+# size the pool.  On the same machine, forking two workers that find no
+# task and reaping them takes 5.5 ms in a fresh process (3.3 ms on a
+# second call; medians of 9), and the checks of `verify vacuum classical`
+# take 16-19 ms in one process but 26-42 ms on two workers (medians of 7)
 CHEAP = frozenset(BY_COST[3:])
 
 
@@ -139,7 +143,7 @@ def _run_checks(cids, cfg: RunConfig):
     error of the first check that raises.  The checks are independent, so
     they run side by side in up to one forked worker per usable CPU and per
     selected check outside CHEAP, heaviest first; with at most one such
-    worker they run in this process, which saves starting a pool."""
+    worker they run in this process, which saves forking."""
     kwargs = dict(t_order=cfg.t_order, g_order=cfg.gamma_order,
                   degree_cap=cfg.degree_cap, window=cfg.window,
                   charges=cfg.charges)
@@ -149,17 +153,80 @@ def _run_checks(cids, cfg: RunConfig):
     if workers <= 1:
         return _collect(cids, [partial(run_check, cid, **kwargs)
                                for cid in cids])
-    # imported here: at module level they add to every command's start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"))
+    results = _forked(sorted(cids, key=BY_COST.index), workers, kwargs)
+    return _collect(cids, [partial(_unpack, *results[cid]) for cid in cids])
+
+
+def _forked(cids, workers, kwargs):
+    """{cid: (report, exception)} for every check of cids.  That many
+    forked workers take the checks, in the order of cids, from one task
+    pipe holding one byte (the CHECK_IDS index) per check.  This process
+    runs no check and reaps every worker, whatever happens; a worker that
+    ends without sending its reports raises RuntimeError naming the
+    checks left without one."""
+    import pickle  # here: at module level it adds to every start-up
+    tasks, end = os.pipe()
+    os.write(end, bytes(CHECK_IDS.index(cid) for cid in cids))
+    os.close(end)  # so that a worker reads EOF once the pipe is empty
+    pids, pipes = [], []
     try:
-        futures = {cid: pool.submit(run_check, cid, **kwargs)
-                   for cid in sorted(cids, key=BY_COST.index)}
-        return _collect(cids, [futures[cid].result for cid in cids])
+        for _ in range(workers):
+            pipe, out = os.pipe()
+            pipes.append(pipe)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(tasks, out, kwargs)  # never returns
+                pids.append(pid)
+            finally:
+                os.close(out)
+        results = {}
+        for pipe in pipes:
+            with os.fdopen(pipe, "rb", closefd=False) as fh:
+                data = fh.read()
+            if data:  # empty when the worker ended without its reports
+                results.update(pickle.loads(data))
     finally:
-        pool.shutdown(cancel_futures=True)
+        # closing the result pipes first stops a worker still writing,
+        # so the waits below cannot hang on this process
+        for fd in (tasks, *pipes):
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    lost = [cid for cid in cids if cid not in results]
+    if lost:
+        codes = ", ".join(str(os.waitstatus_to_exitcode(status))
+                          for status in statuses)
+        raise RuntimeError(f"no report for {', '.join(lost)}; the workers "
+                           f"ended with exit codes {codes}")
+    return results
+
+
+def _work(tasks, out, kwargs):
+    """A forked worker: run the checks named on the task pipe until it is
+    empty, send their reports and exceptions down out as one pickle and
+    end with os._exit, which runs no atexit hook and flushes no stream
+    that this process shares with its parent."""
+    import pickle
+    code = 1
+    try:
+        results = {}
+        while task := os.read(tasks, 1):
+            cid = CHECK_IDS[task[0]]
+            try:
+                results[cid] = (run_check(cid, **kwargs), None)
+            except Exception as exc:  # re-raised in the parent
+                results[cid] = (None, exc)
+        with os.fdopen(out, "wb") as fh:
+            fh.write(pickle.dumps(results))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _unpack(report, exc):
+    if exc is not None:
+        raise exc
+    return report
 
 
 def _collect(cids, results):

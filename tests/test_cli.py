@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qvertex import cli
 from qvertex.cli import BY_COST, CHEAP, main
 from qvertex.symfunc import partitions_up_to
 from qvertex.verifier import CHECK_IDS
@@ -353,49 +354,119 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_cost_order_covers_every_check():
-    # a check missing from BY_COST would never be submitted to the pool
+    # the task pipe is written in BY_COST order, which must name every check
     assert sorted(BY_COST) == sorted(CHECK_IDS)
     assert len(BY_COST) == len(CHECK_IDS)
     assert CHEAP < set(BY_COST)
 
 
-def test_cheap_selection_starts_no_pool():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import os, sys; sys.path.insert(0, sys.argv[1]);"
-            " os.sched_getaffinity = lambda pid: {0, 1};"
-            " from qvertex.cli import main;"
-            " code = main(['verify', 'vacuum', 'classical']);"
-            " print(code, 'concurrent.futures' in sys.modules)")
-    done = subprocess.run([sys.executable, "-I", "-c", code, src],
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SMALL = ("--t-order", "1", "--window", "1", "--max-degree", "2")
+
+
+def test_cheap_selection_starts_no_pool(capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for cheap checks only")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    two_cpus(monkeypatch)
+    code, out, _ = run(capsys, "verify", "vacuum", "classical")
+    assert code == 0
+    assert [p["check_id"] for p in payloads(out)] == ["classical", "vacuum"]
 
 
 def test_pool_starts_the_heaviest_check_first(capsys, monkeypatch):
-    import concurrent.futures as cf
-    submitted = []
+    # the workers take the checks from the task pipe in the order written
+    pipes, writes = [], []
+    real_pipe, real_write = os.pipe, os.write
 
-    class Recorder:
-        # runs each check at submission, in this process
-        def __init__(self, workers, mp_context=None):
-            pass
+    def pipe():
+        fds = real_pipe()
+        pipes.append(fds)
+        return fds
 
-        def submit(self, fn, cid, **kwargs):
-            submitted.append(cid)
-            future = cf.Future()
-            future.set_result(fn(cid, **kwargs))
-            return future
+    def write(fd, data):
+        writes.append((fd, bytes(data)))
+        return real_write(fd, data)
 
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(cf, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "write", write)
+    two_cpus(monkeypatch)
     code, out, _ = run(capsys, "verify", "vacuum", "jacobi", "translation",
-                       "--t-order", "1", "--window", "1",
-                       "--max-degree", "2")
+                       *SMALL)
     assert code == 0
-    assert submitted == ["translation", "jacobi", "vacuum"]
+    task_end = pipes[0][1]
+    assert [data for fd, data in writes if fd == task_end] == [
+        bytes(CHECK_IDS.index(c) for c in ("translation", "jacobi", "vacuum"))]
     assert [p["check_id"] for p in payloads(out)] \
         == ["jacobi", "translation", "vacuum"]
+    assert_no_child_left()
+
+
+FORKED_VERIFY_ALL = """\
+import os, sys
+sys.path.insert(0, sys.argv[1])
+os.sched_getaffinity = lambda pid: {0, 1}
+from qvertex.cli import main
+code = main(["verify", "all"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(code, sorted({"multiprocessing", "concurrent.futures"}
+                   & set(sys.modules)), left)
+"""
+
+
+def test_forked_verify_all_loads_no_process_pool_and_leaves_no_child():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-I", "-c", FORKED_VERIFY_ALL, src],
+                          capture_output=True, text=True, check=True)
+    *reports, last = done.stdout.splitlines()
+    assert last == "0 [] False"
+    golden = (DATA / "verify_all_default.jsonl").read_text().splitlines()
+    assert without_elapsed("\n".join(reports)) == golden
+
+
+def test_a_worker_that_dies_names_its_check(capsys, monkeypatch):
+    real = cli.run_check
+
+    def dying(cid, **kwargs):
+        if cid == "vacuum":
+            os._exit(3)
+        return real(cid, **kwargs)
+
+    monkeypatch.setattr(cli, "run_check", dying)
+    two_cpus(monkeypatch)
+    with pytest.raises(RuntimeError,
+                       match="no report for .*vacuum.* exit codes .*3"):
+        main(["verify", "vacuum", "jacobi", "translation", *SMALL])
+    assert capsys.readouterr().out == ""
+    assert_no_child_left()
+
+
+def test_a_worker_passes_on_other_exceptions_with_their_type(capsys,
+                                                             monkeypatch):
+    real = cli.run_check
+
+    def failing(cid, **kwargs):
+        if cid == "jacobi":
+            raise ZeroDivisionError("in jacobi")
+        return real(cid, **kwargs)
+
+    monkeypatch.setattr(cli, "run_check", failing)
+    two_cpus(monkeypatch)
+    with pytest.raises(ZeroDivisionError, match="in jacobi"):
+        main(["verify", "vacuum", "jacobi", "translation", *SMALL])
+    assert capsys.readouterr().out == ""
+    assert_no_child_left()
