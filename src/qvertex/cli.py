@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .engine import jing_Q
@@ -55,14 +55,15 @@ BY_COST = ("translation", "jacobi", "expansion", "hl-oracle",
 CHEAP = frozenset(BY_COST[3:])
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    t_order: int = 8
-    gamma_order: int = 3
-    degree_cap: int = 9
-    window: int = 5
-    charges: tuple = (1, 1)
-    fmt: str = "json"
+class RunConfig(namedtuple("RunConfig", "t_order gamma_order degree_cap "
+                           "window charges fmt",
+                           defaults=(8, 3, 9, 5, (1, 1), "json"))):
+    __slots__ = ()
+
+
+# the defaults, read from an instance: on the class the names are the
+# fields' descriptors
+DEFAULTS = RunConfig()
 
 
 def _parse_partition(text: str):
@@ -255,7 +256,7 @@ def run_verify(selection, cfg: RunConfig) -> int:
         print(f"notice: hl-oracle runs at t-order {HL_MIN_T_ORDER}",
               file=sys.stderr)
     ignoring = sorted(ids & IGNORES_CHARGES)
-    if ignoring and cfg.charges != RunConfig.charges:
+    if ignoring and cfg.charges != DEFAULTS.charges:
         print(f"notice: --charges does not apply to {', '.join(ignoring)}",
               file=sys.stderr)
     reports = _run_checks(sorted(ids), cfg)
@@ -297,13 +298,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"{', '.join(CHECK_IDS)}, or all")
 
     for p in (hl, vf):
-        p.add_argument("--t-order", type=int, default=RunConfig.t_order)
+        p.add_argument("--t-order", type=int, default=DEFAULTS.t_order)
         p.add_argument("--format", choices=("json", "text"),
-                       default=RunConfig.fmt, dest="fmt")
-    vf.add_argument("--gamma-order", type=int, default=RunConfig.gamma_order)
-    vf.add_argument("--max-degree", type=int, default=RunConfig.degree_cap)
-    vf.add_argument("--window", type=int, default=RunConfig.window)
-    vf.add_argument("--charges", type=_charges, default=RunConfig.charges)
+                       default=DEFAULTS.fmt, dest="fmt")
+    vf.add_argument("--gamma-order", type=int, default=DEFAULTS.gamma_order)
+    vf.add_argument("--max-degree", type=int, default=DEFAULTS.degree_cap)
+    vf.add_argument("--window", type=int, default=DEFAULTS.window)
+    vf.add_argument("--charges", type=_charges, default=DEFAULTS.charges)
     return parser
 
 

@@ -40,7 +40,7 @@ classical symmetric-function oracle, never assumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -130,10 +130,17 @@ def jing_Q(lam: Partition, t_order: int) -> SymFuncP:
     Expected to equal the Hall-Littlewood Q_lambda in power sums; the
     verifier compares against the classical oracle rather than assuming it.
     """
-    f = SymFuncP.one(t_order)
-    for part in reversed(Partition(lam)):
-        f = heis_mode(part, f)
-    return f
+    return _jing_Q(Partition(lam), t_order)
+
+
+@lru_cache(maxsize=None)
+def _jing_Q(parts: tuple, t_order: int) -> SymFuncP:
+    """jing_Q of weakly decreasing parts, B_{l1} applied to the value of
+    the suffix (l2, ...), which is kept too: the partitions up to a weight
+    take one mode per distinct suffix."""
+    if not parts:
+        return SymFuncP.one(t_order)
+    return heis_mode(parts[0], _jing_Q(parts[1:], t_order))
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +260,14 @@ def r_factor(v1: str, v2: str, e: int = 1) -> FactorProduct:
     return base.pow(e)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(namedtuple("ClosedForm", "prefactor slots charge")):
     """prefactor(z, g, t) * prod_i E+_{a_i}(sum of slot vars) * e^{charge}.
 
     Slots hold (charge, vars) with the E+ argument the sum of the vars, so
     variable shifts stay inside the class.
     """
 
-    prefactor: FactorProduct
-    slots: tuple
-    charge: int
+    __slots__ = ()
 
     def substitute(self, mapping: dict) -> "ClosedForm":
         slots = []

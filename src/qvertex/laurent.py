@@ -33,7 +33,7 @@ the product of two chunks guarded by their stored windows and supports
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from math import factorial, lcm
@@ -142,18 +142,18 @@ def bounds_hull(s1, s2):
 # windows
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(namedtuple("Window", "bounds")):
     """Finite inclusive exponent box, one (lo, hi) pair per variable."""
 
-    bounds: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.bounds) != NVARS:
+    def __new__(cls, bounds):
+        if len(bounds) != NVARS:
             raise ValueError("window needs one range per variable")
-        for lo, hi in self.bounds:
+        for lo, hi in bounds:
             if lo > hi:
                 raise ValueError(f"empty window range ({lo}, {hi})")
+        return super().__new__(cls, bounds)
 
     @classmethod
     def of(cls, z1=(0, 0), z2=(0, 0), z3=(0, 0), g=(0, 0)) -> "Window":
@@ -187,21 +187,21 @@ class Window:
 # expansion regions
 
 
-@dataclass(frozen=True)
-class RegionOrder:
+class RegionOrder(namedtuple("RegionOrder", "order")):
     """Variable ordering, largest first; t is always adically smallest and g,
     when present, must come last (it is expanded as a nonnegative series)."""
 
-    order: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.order)) != len(self.order):
+    def __new__(cls, order):
+        if len(set(order)) != len(order):
             raise ValueError("region variables must be distinct")
-        for v in self.order:
+        for v in order:
             if v not in VAR_INDEX:
                 raise ValueError(f"unknown variable {v!r}")
-        if "g" in self.order and self.order[-1] != "g":
+        if "g" in order and order[-1] != "g":
             raise ValueError("g must be the innermost region variable")
+        return super().__new__(cls, order)
 
     def covers(self, names) -> bool:
         return all(v in self.order for v in names)
@@ -592,13 +592,11 @@ def _form_str(form) -> str:
     return " + ".join(bits).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class FactorProduct:
+class FactorProduct(namedtuple("FactorProduct", "coeff monomial factors",
+                               defaults=(TP_ONE, MONO_ONE, ()))):
     """coeff(t) * monomial * prod_i form_i^{exp_i}, all exact."""
 
-    coeff: tuple = TP_ONE
-    monomial: Monomial = MONO_ONE
-    factors: tuple = ()
+    __slots__ = ()
 
     @classmethod
     def of(cls, coeff=TP_ONE, monomial: Monomial = MONO_ONE,

@@ -15,7 +15,7 @@ ingredient.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, product
 from math import lcm
 
@@ -36,20 +36,15 @@ REG21 = region("z2", "z1", "g")
 REG23 = region("z2", "z3", "g")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "check_id params compared passed "
+                             "first_mismatch elapsed")):
     """Outcome of one identity check.
 
     first_mismatch is None on success, else (monomial, lhs, rhs) as strings;
     compared counts coefficient comparisons actually performed.
     """
 
-    check_id: str
-    params: dict
-    compared: int
-    passed: bool
-    first_mismatch: tuple | None
-    elapsed: float
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         fm = None

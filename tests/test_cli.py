@@ -353,6 +353,26 @@ def test_importing_the_cli_loads_no_process_pool():
     assert done.stdout == "[]\n"
 
 
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # in a fresh interpreter: this one has loaded both already; the script
+    # names the module that imported each one it finds
+    script = Path(__file__).resolve().parent / "import_graph.py"
+    done = subprocess.run([sys.executable, "-I", str(script)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_run_config_defaults_are_the_option_defaults():
+    # the parser reads the defaults from an instance: on the class the
+    # field names are descriptors
+    args = cli._build_parser().parse_args(["verify", "all"])
+    cfg = cli.RunConfig()
+    assert (args.t_order, args.gamma_order, args.max_degree, args.window,
+            args.charges, args.fmt) == cfg
+    with pytest.raises(AttributeError):
+        cfg.window = 2
+
+
 def test_cost_order_covers_every_check():
     # the task pipe is written in BY_COST order, which must name every check
     assert sorted(BY_COST) == sorted(CHECK_IDS)

@@ -190,6 +190,25 @@ def test_heis_mode_is_homogeneous():
     assert all(lam.weight == 3 for lam in f.terms)
 
 
+def test_jing_Q_equals_the_modes_applied_in_turn():
+    # jing_Q keeps the value of each suffix and builds on it; the plain
+    # iteration applies every mode afresh
+    for lam in partitions_up_to(6):
+        f = SymFuncP.one(24)
+        for part in reversed(lam):
+            f = heis_mode(part, f)
+        assert jing_Q(lam, 24) == f, lam
+        assert jing_Q(tuple(lam), 24) == f, lam
+
+
+def test_closed_form_is_immutable():
+    cf = x2_closed_form(1, 1)
+    with pytest.raises(AttributeError):
+        cf.charge = 3
+    assert cf == x2_closed_form(1, 1)
+    assert hash(cf) == hash(x2_closed_form(1, 1))
+
+
 # ---------------------------------------------------------------------------
 # lattice vertex operators
 

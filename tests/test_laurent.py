@@ -6,9 +6,10 @@ from qvertex.errors import (NonExpandableFactor, OutsideWindow,
                             TruncationMismatch, UnsupportedCharge,
                             WindowUnderflow)
 from qvertex.fock import FockVector
-from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, Window,
-                             _expand, _fold, binom_expansion_terms,
-                             laurent_mul, lform, mul_raw, region)
+from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial,
+                             RegionOrder, Window, _expand, _fold,
+                             binom_expansion_terms, laurent_mul, lform,
+                             mul_raw, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import low_row, tp
 from qvertex.symfunc import Partition, SymFuncP, partitions_up_to, scalar
@@ -37,6 +38,40 @@ def t_power(k, t_order):
 def one_chunk(window, t_order):
     return LaurentChunk({Monomial(): SymFuncP.one(t_order)}, window,
                         SymFuncP.zero(t_order))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Window(((0, 0),) * 3), "window needs one range per variable"),
+    (lambda: Window.of(z2=(2, 1)), "empty window range (2, 1)"),
+    (lambda: region("z1", "z2", "z1"), "region variables must be distinct"),
+    (lambda: region("z1", "w"), "unknown variable 'w'"),
+    (lambda: RegionOrder(("g", "z1")),
+     "g must be the innermost region variable"),
+])
+def test_window_and_region_reject_bad_fields(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, name", [
+    (Window.of(), "bounds"), (Z12, "order"), (FactorProduct(), "coeff")])
+def test_values_are_immutable(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_factor_product_defaults_are_one():
+    assert FactorProduct() == FactorProduct.one() == FactorProduct.of()
+    assert hash(FactorProduct()) == hash(FactorProduct.one())
+
+
+def test_window_repr_names_its_field():
+    assert repr(Window.of()) == \
+        "Window(bounds=((0, 0), (0, 0), (0, 0), (0, 0)))"
+    assert repr(Z12) == "RegionOrder(order=('z1', 'z2'))"
 
 
 def test_expand_geometric_z1_dominant():

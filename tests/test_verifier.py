@@ -3,6 +3,7 @@ and report deterministically."""
 
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qvertex import verifier
+from qvertex import engine, verifier
 from qvertex.engine import (evaluate, jing_Q, s_gamma, s_tau,
                             x2_closed_form, x120_closed_form, y_apply,
                             y_product)
@@ -187,6 +188,24 @@ def test_hl_oracle_needs_deep_truncation():
         check_hl_against_oracle(max_weight=3, t_order=8)
 
 
+def test_hl_oracle_applies_one_mode_per_distinct_suffix(monkeypatch):
+    # Q_lambda is B_{l1} applied to the kept Q of (l2, ...), so each
+    # distinct nonempty suffix costs one mode; the suffixes of the
+    # partitions of weight <= 6 are those partitions: 29 modes, where
+    # applying every part of every partition takes 77
+    modes = []
+    real = engine.heis_mode
+
+    def counted(power, f):
+        modes.append(power)
+        return real(power, f)
+
+    monkeypatch.setattr(engine, "heis_mode", counted)
+    engine._jing_Q.cache_clear()
+    assert check_hl_against_oracle().passed
+    assert len(modes) == sum(1 for lam in partitions_up_to(6) if lam) == 29
+
+
 # ---------------------------------------------------------------------------
 # mutation sensitivity
 
@@ -340,6 +359,22 @@ def test_mutation_report_golden(name):
 
 # ---------------------------------------------------------------------------
 # report contract
+
+
+def test_report_survives_pickling():
+    # a forked worker sends its reports to the command's process pickled
+    for report in (run_check("vacuum", t_order=1, window=1, degree_cap=2),
+                   CheckReport("jacobi", {"T": 1}, 3, False,
+                               ("z1", "1", "2"), 0.5)):
+        back = pickle.loads(pickle.dumps(report))
+        assert type(back) is CheckReport
+        assert back == report
+        assert list(back.as_dict()) == ["check_id", "params", "compared",
+                                        "passed", "first_mismatch",
+                                        "elapsed"]
+        assert back.as_dict() == report.as_dict()
+    with pytest.raises(AttributeError):
+        report.passed = True
 
 
 def test_reports_are_deterministic():
