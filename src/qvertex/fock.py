@@ -16,10 +16,10 @@ demonstrate that the covariance checks catch it.
 D acts on the Z[t] rows of a state, one charge block at a time, packed
 into one int each.  What it does to p_lambda e^{m alpha} is a cached
 table (``_d_table``); one D step (``_d_step``) is one integer multiply
-per table entry.  ``apply_D`` is one step; ``exp_D_chunk`` iterates it
-with the rows packed throughout and decodes each output once.  e^{gD}
-stays iterated rather than closed-form, because the vacuum and classical
-checks test D itself.
+per table entry.  ``exp_D_chunk`` iterates it with the rows packed
+throughout and decodes each output once; ``apply_D`` is the z^1
+coefficient of ``exp_D``.  e^{gD} stays iterated rather than
+closed-form, because the vacuum and classical checks test D itself.
 """
 
 from __future__ import annotations
@@ -245,25 +245,13 @@ def _d_step(rows: dict, q: int, degree_cap: int, t_order: int, k: int,
 def apply_D(v: FockVector, degree_cap: int,
             charge_coeff=None) -> FockVector:
     """One application of the deformed translation generator, dropping the
-    terms it would raise above degree_cap.
+    terms it would raise above degree_cap: the z1 coefficient of
+    exp(z1 D) v (``exp_D``).
 
     charge_coeff is the exact t-polynomial multiplying m p_1 on charge m;
-    the default (1-t) is the Jing-gauge value.  Both parts of D add into
-    one set of rows per charge, over den times the lcm k of charge_coeff's
-    denominators (``_d_step``).
+    the default (1-t) is the Jing-gauge value.
     """
-    T = v.t_order
-    k, crow = _charge_row(charge_coeff, T)
-    out = {}
-    for q, num, den in v.charge_rows():
-        B = sum(sum(map(abs, row)) * _d_mass(lam, q, T, k, crow,
-                                             degree_cap, 1)
-                for lam, row in num.items()).bit_length() + 2
-        rows = _d_step({lam: pack_row(row, B) for lam, row in num.items()},
-                       q, degree_cap, T, k, crow, B, {})
-        out[q] = SymFuncP({nu: unpack_row(x, T + 1, B)
-                           for nu, x in rows.items()}, den * k, T)
-    return FockVector(out, T)
+    return exp_D(v, "z1", 1, degree_cap, charge_coeff).get(Monomial.var("z1"))
 
 
 def exp_D(v: FockVector, var: str, order: int, degree_cap: int,

@@ -26,9 +26,7 @@ and raises WindowUnderflow when one does not, instead of returning
 silently wrong boundary coefficients.  ``mul_raw`` and every such fold
 run on one kernel (``_product``) that keeps integer rows packed across
 its steps, forms no intermediate output that the next step does not
-read, and decodes once per output of the last step.  ``laurent_mul``,
-the product of two chunks guarded by their stored windows and supports
-(``check_splits``), is kept as the tests' independent reference product.
+read, and decodes once per output of the last step.
 """
 
 from __future__ import annotations
@@ -124,18 +122,8 @@ def iv_intersect(a, b):
     return (lo, hi)
 
 
-def iv_hull(a, b):
-    lo = None if a[0] is None or b[0] is None else min(a[0], b[0])
-    hi = None if a[1] is None or b[1] is None else max(a[1], b[1])
-    return (lo, hi)
-
-
 def bounds_add(s1, s2):
     return tuple(iv_add(a, b) for a, b in zip(s1, s2))
-
-
-def bounds_hull(s1, s2):
-    return tuple(iv_hull(a, b) for a, b in zip(s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +155,6 @@ class Window(namedtuple("Window", "bounds")):
             if e < lo or e > hi:
                 return False
         return True
-
-    def intersect(self, other: "Window"):
-        out = []
-        for a, b in zip(self.bounds, other.bounds):
-            lo, hi = max(a[0], b[0]), min(a[1], b[1])
-            if lo > hi:
-                return None
-            out.append((lo, hi))
-        return Window(tuple(out))
 
     def __str__(self):
         parts = [f"{v}:[{lo},{hi}]" for v, (lo, hi) in zip(VARS, self.bounds)
@@ -258,26 +237,6 @@ class LaurentChunk:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add(self, other: "LaurentChunk") -> "LaurentChunk":
-        w = self.window.intersect(other.window)
-        if w is None:
-            raise WindowUnderflow("sum of chunks with disjoint windows")
-        terms = {}
-        for src in (self.terms, other.terms):
-            for m, c in src.items():
-                if w.contains(m):
-                    terms[m] = terms[m] + c if m in terms else c
-        return LaurentChunk(terms, w, self.zero,
-                            bounds_hull(self.support, other.support))
-
-    def scale(self, c) -> "LaurentChunk":
-        return LaurentChunk({m: c * x for m, x in self.terms.items()},
-                            self.window, self.zero, self.support)
-
-    def map_coefficients(self, fn) -> "LaurentChunk":
-        return LaurentChunk({m: fn(c) for m, c in self.terms.items()},
-                            self.window, self.zero, self.support)
-
     def __str__(self):
         if not self.terms:
             return f"0 on {self.window}"
@@ -290,8 +249,7 @@ def mul_raw(a: LaurentChunk, b: LaurentChunk, window: Window,
     """Product restricted to a window, with no soundness guard, projected
     to degree_cap (None keeps every weight): one step of ``_product``.
     Only for callers that have proved separately that every support split
-    landing in the window is covered by the operand windows
-    (``check_splits``).
+    landing in the window is covered by the operand windows.
     """
     return _product((a, b), (window,), degree_cap)
 
@@ -502,45 +460,6 @@ def _fold(chunks, boxes, target: Window, degree_cap=None):
     if not windows:
         return chunks[0]
     return _product(chunks, windows, degree_cap)
-
-
-def _deficits(w, s):
-    """Parts of support s strictly outside the finite window w."""
-    out = []
-    if s[0] is None or s[0] < w[0]:
-        out.append((s[0], w[0] - 1))
-    if s[1] is None or s[1] > w[1]:
-        out.append((w[1] + 1, s[1]))
-    return out
-
-
-def check_splits(wa: Window, sa, wb: Window, sb, window: Window):
-    """Raise WindowUnderflow when some exponent of the window has a split
-    x + y, with x in support sa and y in support sb, that leaves the
-    stored window wa of x or wb of y: the soundness guard of a product of
-    two chunks stored on wa and wb."""
-    for i in range(NVARS):
-        unsound = ([iv_add(d, sb[i]) for d in _deficits(wa.bounds[i], sa[i])]
-                   + [iv_add(d, sa[i])
-                      for d in _deficits(wb.bounds[i], sb[i])])
-        for u in unsound:
-            if iv_intersect(window.bounds[i], u) is not None:
-                raise WindowUnderflow(
-                    f"{VARS[i]}: requested {window.bounds[i]} needs {u}")
-
-
-def laurent_mul(a: LaurentChunk, b: LaurentChunk,
-                window: Window) -> LaurentChunk:
-    """Sound product of two chunks on the given window, keeping every
-    weight (``mul_raw`` with no cap): the tests' reference product, built
-    apart from the chains of ``_fold``.
-
-    Raises WindowUnderflow when some requested exponent has a split x + y,
-    with x and y in the operand supports, that leaves a stored window
-    (``check_splits``).
-    """
-    check_splits(a.window, a.support, b.window, b.support, window)
-    return mul_raw(a, b, window)
 
 
 @lru_cache(maxsize=None, typed=True)

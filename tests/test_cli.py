@@ -333,6 +333,18 @@ def test_verify_deep_t_calls_match_their_goldens(capsys, check, t_order,
     assert without_elapsed(out) == golden.read_text().splitlines()
 
 
+@pytest.mark.parametrize("golden, argv", [
+    # the classical check's coefficient comparisons and the D its
+    # translation lines iterate, at a window and cap no verify-all pins
+    ("verify_classical_vacuum_window_7_max_degree_12.jsonl",
+     ("classical", "vacuum", "--window", "7", "--max-degree", "12")),
+])
+def test_verify_matches_its_golden(capsys, golden, argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert without_elapsed(out) == (DATA / golden).read_text().splitlines()
+
+
 def test_verify_all_reports_the_first_error_in_order(capsys):
     code, out, err = run(capsys, "verify", "all", "--charges", "3,3")
     assert code == 2

@@ -14,11 +14,12 @@ from qvertex.engine import (ClosedForm, eminus_states, eplus_coeff, evaluate,
 from qvertex.errors import UnsupportedCharge, WindowUnderflow
 from qvertex.fock import FockVector, apply_D, exp_D, exp_D_chunk
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial, VARS,
-                             VAR_INDEX, Window, laurent_mul, lform, region)
+                             VAR_INDEX, Window, lform, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import tp
 from qvertex.symfunc import (Partition, SymFuncP, hl_q_oracle, p_to_x,
                              partitions_up_to)
+from reference import laurent_mul
 
 CAP, T = 8, 4
 REG = region("z1", "z2", "g")
