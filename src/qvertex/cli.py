@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import sys
 from collections import namedtuple
@@ -30,9 +31,9 @@ from functools import partial
 
 from .engine import jing_Q
 from .errors import QVertexError
-from .rationals import Rat
+from .rationals import rational
 from .symfunc import Partition, p_to_x_dominant, xpoly_monomial_coeffs
-from .verifier import CHECK_IDS, run_check
+from .verifier import CHECK_IDS, CheckReport, run_check
 
 HL_MIN_T_ORDER = 24
 HL_MAX_WEIGHT = 8
@@ -116,7 +117,7 @@ def run_hl(lambdas, cfg: RunConfig, nvars=None, basis: str = "p") -> int:
         payload = {"lambda": list(lam), "basis": basis}
         if basis == "p":
             # rows are trimmed Z[t] numerators over f.den
-            rows = [(list(mu), [str(Rat(x, f.den)) for x in row])
+            rows = [(list(mu), [str(rational(x, f.den)) for x in row])
                     for mu, row in sorted(f.num.items())]
         else:
             n = nvars if nvars is not None else max(lam.weight, 1)
@@ -164,8 +165,8 @@ def _forked(cids, workers, kwargs):
     pipe holding one byte (the CHECK_IDS index) per check.  This process
     runs no check and reaps every worker, whatever happens; a worker that
     ends without sending its reports raises RuntimeError naming the
-    checks left without one."""
-    import pickle  # here: at module level it adds to every start-up
+    checks left without one.  Reports come back as marshalled fields
+    (``_work``), so pickle is imported only when some check raised."""
     tasks, end = os.pipe()
     os.write(end, bytes(CHECK_IDS.index(cid) for cid in cids))
     os.close(end)  # so that a worker reads EOF once the pipe is empty
@@ -185,8 +186,13 @@ def _forked(cids, workers, kwargs):
         for pipe in pipes:
             with os.fdopen(pipe, "rb", closefd=False) as fh:
                 data = fh.read()
-            if data:  # empty when the worker ended without its reports
-                results.update(pickle.loads(data))
+            if data[:1] == b"m":
+                results.update(
+                    (cid, (CheckReport(*fields), None))
+                    for cid, fields in marshal.loads(data[1:]).items())
+            elif data:  # empty when the worker ended without its reports
+                import pickle
+                results.update(pickle.loads(data[1:]))
     finally:
         # closing the result pipes first stops a worker still writing,
         # so the waits below cannot hang on this process
@@ -204,21 +210,29 @@ def _forked(cids, workers, kwargs):
 
 def _work(tasks, out, kwargs):
     """A forked worker: run the checks named on the task pipe until it is
-    empty, send their reports and exceptions down out as one pickle and
-    end with os._exit, which runs no atexit hook and flushes no stream
-    that this process shares with its parent."""
-    import pickle
+    empty, send what they gave down out and end with os._exit, which runs
+    no atexit hook and flushes no stream that this process shares with
+    its parent.  When every check returned, that is b"m" and the marshal
+    of {cid: the report's fields}: marshal is built in, and a report holds
+    only str, int, float, bool, None, lists, tuples and dicts.  Otherwise
+    it is b"p" and the pickle of {cid: (report, exception)}."""
     code = 1
     try:
-        results = {}
+        results, raised = {}, False
         while task := os.read(tasks, 1):
             cid = CHECK_IDS[task[0]]
             try:
                 results[cid] = (run_check(cid, **kwargs), None)
             except Exception as exc:  # re-raised in the parent
-                results[cid] = (None, exc)
+                results[cid], raised = (None, exc), True
+        if raised:
+            import pickle
+            data = b"p" + pickle.dumps(results)
+        else:
+            data = b"m" + marshal.dumps(
+                {cid: tuple(report) for cid, (report, _) in results.items()})
         with os.fdopen(out, "wb") as fh:
-            fh.write(pickle.dumps(results))
+            fh.write(data)
         code = 0
     finally:
         os._exit(code)

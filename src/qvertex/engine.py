@@ -49,7 +49,7 @@ from .fock import MAX_CHARGE, FockVector
 from .laurent import (FactorProduct, LaurentChunk, Monomial, NVARS,
                       RegionOrder, VARS, VAR_INDEX, Window, _chain, _fold,
                       bounds_add, lform, mul_raw)
-from .scalars import add_row, tp_mul, tp_mullow
+from .scalars import add_row, tp_mul
 from .symfunc import Partition, SymFuncP, partitions_of
 
 
@@ -74,14 +74,15 @@ def eplus_coeff(a: int, k: int, t_order: int) -> SymFuncP:
     integer.  c_k is homogeneous of weight k, so one value per (a, k, T)
     serves every cap.
     """
-    n = t_order + 1
     num = {}
     for lam in partitions_of(k):
-        row = (a ** len(lam) * factorial(k)
-               // prod(i ** m * factorial(m)
-                       for i, m in lam.multiplicities().items()),)
-        for part in lam:
-            row = tp_mullow(row, (1,) + (0,) * (part - 1) + (-1,), n)
+        row = [0] * (t_order + 1)
+        row[0] = (a ** len(lam) * factorial(k)
+                  // prod(i ** m * factorial(m)
+                          for i, m in lam.multiplicities().items()))
+        for part in lam:  # times 1 - t^part, in place; 1 mod t^{T+1} above T
+            for i in range(t_order, part - 1, -1):
+                row[i] -= row[i - part]
         num[lam] = row
     return SymFuncP(num, factorial(k), t_order)
 

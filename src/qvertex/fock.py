@@ -29,7 +29,7 @@ from math import factorial, lcm
 
 from .errors import TruncationMismatch, UnsupportedCharge
 from .laurent import LaurentChunk, Monomial, VAR_INDEX, Window
-from .rationals import Rat
+from .rationals import is_rational, rational
 from .scalars import low_row, pack_row, tp, tp_mullow, unpack_row
 from .symfunc import Partition, SymFuncP
 
@@ -127,7 +127,7 @@ class FockVector:
                     m = m1 + m2
                     comps[m] = comps[m] + f if m in comps else f
             return FockVector(comps, self.t_order)
-        if isinstance(other, (SymFuncP, int, Rat)):
+        if isinstance(other, SymFuncP) or is_rational(other):
             return self.scale(other)
         return NotImplemented
 
@@ -187,8 +187,10 @@ def _charge_row(charge_coeff, t_order: int) -> tuple:
     1-t) and crow the integer row k * charge_coeff, cut at t^T."""
     if charge_coeff is None:
         charge_coeff = D_CHARGE_COEFF
-    k = lcm(*(Rat(c).denominator for c in charge_coeff))
-    return k, tuple(int(Rat(c) * k) for c in charge_coeff[: t_order + 1])
+    cs = tuple(map(rational, charge_coeff))
+    k = lcm(*(c.denominator for c in cs))
+    return k, tuple(c.numerator * (k // c.denominator)
+                    for c in cs[: t_order + 1])
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +280,9 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int, degree_cap: int,
     once and kept packed to its output.  Each output monomial gathers its
     pieces (k D)^j w / (k^j j!) over the lcm D of their den * k^j * j!,
     and each of its rows is decoded once (``scalars.unpack_row``) and
-    canonicalized once (``from_charge_rows``).  One B serves every step:
+    canonicalized once (``from_charge_rows``).  An output that no D step
+    reaches has one piece, j = 0, which is its input coefficient: that is
+    returned as it is, never packed or decoded.  One B serves every step:
     the ``_d_mass`` bound of (k D)^j of a block bounds its digits, so the
     sum over an output's pieces of D/(den * k^j * j!) times that bound
     bounds the output's digits and every step's; B = the largest such
@@ -291,10 +295,12 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int, degree_cap: int,
             f"chunk window {chunk.window} incompatible with order {order}")
     T = chunk.zero.t_order
     k, crow = _charge_row(charge_coeff, T)
-    # per block: charge, rows and its pieces (output monomial, den, bound)
-    plan, dens = [], {}
+    # per block: charge, rows and its pieces (output monomial, den, bound);
+    # cut holds each input coefficient projected to degree_cap
+    plan, cut = [], {}
     for m, w in chunk.terms.items():
-        for q, num, d in w.weight_truncate(degree_cap).charge_rows():
+        cut[m] = w = w.weight_truncate(degree_cap)
+        for q, num, d in w.charge_rows():
             norms = [(lam, sum(map(abs, row))) for lam, row in num.items()]
             pieces = []
             for j in range(order - m[iv] + 1):
@@ -302,28 +308,37 @@ def exp_D_chunk(chunk: LaurentChunk, var: str, order: int, degree_cap: int,
                             for lam, x in norms)
                 if not bound:
                     break
-                key = m * Monomial.var(var, j)
-                pieces.append((key, d * k ** j * factorial(j), bound))
-                dens[key] = lcm(dens.get(key, 1), pieces[-1][1])
+                pieces.append((m * Monomial.var(var, j),
+                               d * k ** j * factorial(j), bound))
             plan.append((q, num, pieces))
-    sums: dict = {}
-    for _, _, pieces in plan:
-        for key, d, bound in pieces:
-            sums[key] = sums.get(key, 0) + dens[key] // d * bound
+    # an output that no D step reaches is its input coefficient
+    stepped = {key for _, _, pieces in plan for key, _, _ in pieces[1:]}
+    terms = {m: w for m, w in cut.items() if m not in stepped}
+    live = [piece for _, _, pieces in plan for piece in pieces
+            if piece[0] in stepped]
+    dens, sums = {}, {}
+    for key, d, _ in live:
+        dens[key] = lcm(dens.get(key, 1), d)
+    for key, d, bound in live:
+        sums[key] = sums.get(key, 0) + dens[key] // d * bound
     B = max(sums.values(), default=0).bit_length() + 2
     packed, accs = {}, {}
     for q, num, pieces in plan:
+        if len(pieces) < 2 and pieces[0][0] not in stepped:
+            continue
         rows = {lam: pack_row(row, B) for lam, row in num.items()}
         for j, (key, d, _) in enumerate(pieces):
             if j:
                 rows = _d_step(rows, q, degree_cap, T, k, crow, B, packed)
+            elif key not in stepped:
+                continue
             f = dens[key] // d
             out = accs.setdefault(key, {}).setdefault(q, {})
             for lam, x in rows.items():
                 out[lam] = out.get(lam, 0) + f * x
-    terms = {key: chunk.zero.from_charge_rows(
+    terms.update((key, chunk.zero.from_charge_rows(
         {q: {lam: unpack_row(x, T + 1, B) for lam, x in out.items()}
-         for q, out in acc.items()}, dens[key]) for key, acc in accs.items()}
+         for q, out in acc.items()}, dens[key])) for key, acc in accs.items())
     window = Window(tuple((0, order) if i == iv else b
                           for i, b in enumerate(chunk.window.bounds)))
     s_hi = chunk.support[iv][1]

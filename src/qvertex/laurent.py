@@ -37,9 +37,9 @@ from itertools import chain
 from math import factorial, lcm
 
 from .errors import (NonExpandableFactor, OutsideWindow, WindowUnderflow)
-from .rationals import RAT_ONE, RAT_ZERO, Rat
-from .scalars import (TP_ONE, low_row, pack_row, tp_mul, tp_pow, tp_str,
-                      tp_trim, unpack_row)
+from .rationals import rational
+from .scalars import (TP_ONE, low_row, pack_row, tp, tp_mul, tp_pow,
+                      tp_str, unpack_row)
 from .symfunc import Partition, SymFuncP, scalar
 
 VARS = ("z1", "z2", "z3", "g")
@@ -59,6 +59,11 @@ class Monomial(tuple):
 
     def __new__(cls, z1=0, z2=0, z3=0, g=0):
         return tuple.__new__(cls, (z1, z2, z3, g))
+
+    def __getnewargs__(self):
+        # pickle and copy call __new__ with these: the four exponents, not
+        # tuple's one tuple of them
+        return tuple(self)
 
     @classmethod
     def of(cls, **exps) -> "Monomial":
@@ -469,7 +474,8 @@ def binom_expansion_terms(e: int, s, kmax: int) -> tuple:
     Returns ((k, C(e, k) * s^k), ...) for x^{e-k} y^k, k = 0..kmax; e may be
     negative (generalized binomial coefficients).  C(e, k) is an integer,
     so each step c*(e-k)//(k+1) divides exactly and an int s gives int
-    values.  Rows are cached per (e, s, kmax), an int and a Rat s apart.
+    values.  Rows are cached per (e, s, kmax), an int and a Fraction s
+    apart.
     """
     if e >= 0:
         kmax = min(kmax, e)
@@ -497,7 +503,7 @@ def lform(*terms) -> tuple:
         c, v = entry[0], entry[1]
         k = entry[2] if len(entry) > 2 else 0
         key = (Monomial.var(v), k)
-        acc[key] = acc.get(key, RAT_ZERO) + Rat(c)
+        acc[key] = acc.get(key, 0) + rational(c)
     return tuple(sorted((m, k, c) for (m, k), c in acc.items() if c))
 
 
@@ -521,7 +527,7 @@ class FactorProduct(namedtuple("FactorProduct", "coeff monomial factors",
     def of(cls, coeff=TP_ONE, monomial: Monomial = MONO_ONE,
            factors=()) -> "FactorProduct":
         fs = tuple((tuple(form), int(e)) for form, e in factors if e)
-        return cls(tp_trim(tuple(Rat(c) for c in coeff)), monomial, fs)
+        return cls(tp(*coeff), monomial, fs)
 
     @classmethod
     def one(cls) -> "FactorProduct":
@@ -551,7 +557,7 @@ class FactorProduct(namedtuple("FactorProduct", "coeff monomial factors",
             k, c = nz[0]
             if k * n < 0:
                 raise NonExpandableFactor("negative t-power in prefactor")
-            coeff = (RAT_ZERO,) * (k * n) + (c ** n,)
+            coeff = (0,) * (k * n) + (rational(1, c ** -n),)
         fs = tuple((f, e * n) for f, e in self.factors)
         return FactorProduct(coeff, self.monomial ** n, fs)
 
@@ -570,7 +576,7 @@ class FactorProduct(namedtuple("FactorProduct", "coeff monomial factors",
                 repl = mapping.get(v, (v,))
                 for w in repl:
                     key = (Monomial.var(w), k)
-                    acc[key] = acc.get(key, RAT_ZERO) + c
+                    acc[key] = acc.get(key, 0) + c
             nf = tuple(sorted((m, k, c) for (m, k), c in acc.items() if c))
             if not nf:
                 if e > 0:
@@ -589,7 +595,7 @@ class FactorProduct(namedtuple("FactorProduct", "coeff monomial factors",
                     return FactorProduct(())
                 raise NonExpandableFactor("negative power of zero")
             else:
-                form = tuple(sorted((Monomial.var(w), 0, RAT_ONE)
+                form = tuple(sorted((Monomial.var(w), 0, 1)
                                     for w in repl))
                 new_factors.append((form, d))
         out = FactorProduct(self.coeff, Monomial(*mono), ())
@@ -658,7 +664,7 @@ class _FactorInfo:
             if ratio[G_INDEX] > 0:
                 jmaxs.append(g_cap // ratio[G_INDEX])
             jmax = min(jmaxs) if jmaxs else None
-            uterms.append([ratio, k - kmin, c / c_d, jmax])
+            uterms.append([ratio, k - kmin, rational(c, c_d), jmax])
         self.uterms = uterms
         self.support = (self._poly_support() if e > 0
                         else self._neg_support())
@@ -746,7 +752,8 @@ class _FactorInfo:
         uterms = self.uterms
         r = len(uterms)
         base_m = tuple(a * e for a in self.base_m)
-        base_c = self.base_c ** e
+        base_c = (self.base_c ** e if e > 0
+                  else rational(1, self.base_c ** -e))
         den = base_c.denominator
         pows = []
         for _, _, c, jmax in uterms:

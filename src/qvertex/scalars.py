@@ -3,11 +3,12 @@
 Two representations live here:
 
 * ``TPoly`` -- an exact polynomial in t with no truncation, stored as a
-  plain tuple of coefficients with trailing zeros trimmed.  Closed-form
-  data (factor prefactors) is kept as rationals so the same object can be
-  re-truncated at any order.  The ``tp_*`` helpers keep ints as ints, so
-  the Hall-Littlewood oracle in ``symfunc`` uses them on integer
-  t-polynomials.
+  plain tuple of coefficients with trailing zeros trimmed, so the same
+  object can be re-truncated at any order.  Each coefficient is an int,
+  or a Fraction where it is a true fraction (``rationals.rational``); the
+  closed-form data (factor prefactors) of every check is integral.  The
+  ``tp_*`` helpers keep ints as ints, so the Hall-Littlewood oracle in
+  ``symfunc`` uses them on integer t-polynomials.
 
 * ``TScalar`` -- a t-adic series in Q[t]/(t^{T+1}), stored as T+1
   integer numerators over one common denominator; degrees above T are
@@ -36,20 +37,22 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, floordiv, mul, sub
 
+from . import rationals
 from .errors import TruncationMismatch, ZeroConstantTerm
-from .rationals import RAT_ONE, RAT_ZERO, Rat
+from .rationals import is_rational, rational
 
 # ---------------------------------------------------------------------------
 # exact t-polynomials
 
 
 TP_ZERO: tuple = ()
-TP_ONE = (RAT_ONE,)
+TP_ONE = (1,)
 
 
 def tp(*coeffs) -> tuple:
-    """Build an exact t-polynomial from low-degree-first coefficients."""
-    return tp_trim(tuple(Rat(c) for c in coeffs))
+    """Build an exact t-polynomial from low-degree-first coefficients,
+    each anything ``rationals.rational`` reads."""
+    return tp_trim(tuple(map(rational, coeffs)))
 
 
 def tp_trim(p: tuple) -> tuple:
@@ -95,9 +98,10 @@ def tp_mullow(a: tuple, b: tuple, n: int) -> tuple:
     return tuple(out)
 
 
-def tp_eval(a: tuple, x) -> "Rat":
-    x = Rat(x)
-    acc = RAT_ZERO
+def tp_eval(a: tuple, x):
+    """a(x) as a Fraction, for a rational x."""
+    Rat = rationals.Rat
+    x, acc = Rat(x), Rat(0)
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -167,14 +171,14 @@ class TScalar:
 
     @classmethod
     def from_rat(cls, c, t_order: int) -> "TScalar":
-        c = Rat(c)
+        c = rationals.Rat(c)
         return _ts((c.numerator,) + (0,) * t_order, c.denominator)
 
     @classmethod
     def from_tpoly(cls, p: tuple, t_order: int) -> "TScalar":
         n = t_order + 1
-        q = tuple(Rat(c) for c in p[:n])
-        return cls(q + (RAT_ZERO,) * (n - len(q)))
+        q = tuple(map(rationals.Rat, p[:n]))
+        return cls(q + (0,) * (n - len(q)))
 
     @classmethod
     def t_power(cls, k: int, t_order: int) -> "TScalar":
@@ -187,7 +191,7 @@ class TScalar:
 
     @property
     def coeffs(self) -> tuple:
-        den = self.den
+        Rat, den = rationals.Rat, self.den
         return tuple(Rat(x, den) for x in self.num)
 
     @property
@@ -198,7 +202,7 @@ class TScalar:
         return not any(self.num)
 
     def constant_term(self):
-        return Rat(self.num[0], self.den)
+        return rationals.Rat(self.num[0], self.den)
 
     def truncate(self, t_order: int) -> "TScalar":
         """Prefix at a lower order; raising the order is not recoverable."""
@@ -244,14 +248,14 @@ class TScalar:
             self._check(other)
             return _reduced(tp_mullow(self.num, other.num, len(self.num)),
                             self.den * other.den)
-        if isinstance(other, (int, Rat)):
+        if is_rational(other):
             return _scaled(self, other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "TScalar":
-        return _scaled(self, c if isinstance(c, (int, Rat)) else Rat(c))
+        return _scaled(self, c if isinstance(c, int) else rationals.Rat(c))
 
     def __eq__(self, other):
         other = _coerce(other, len(self.num))
@@ -298,7 +302,7 @@ def _combine(a: TScalar, b: TScalar, op) -> TScalar:
 
 
 def _scaled(s: TScalar, c) -> TScalar:
-    """s times an int or Rat."""
+    """s times an int or a Fraction."""
     p = c.numerator
     num = s.num if p == 1 else tuple(map(mul, s.num, repeat(p)))
     return _reduced(num, s.den * c.denominator)
@@ -307,7 +311,7 @@ def _scaled(s: TScalar, c) -> TScalar:
 def _coerce(x, n: int):
     if isinstance(x, TScalar):
         return x
-    if isinstance(x, (int, Rat)):
+    if is_rational(x):
         return _ts((x.numerator,) + (0,) * (n - 1), x.denominator)
     return None
 
@@ -322,10 +326,11 @@ def ts_invert(s: TScalar) -> TScalar:
     if not a[0]:
         raise ZeroConstantTerm("ts_invert: constant term is zero")
     n = len(a)
-    b = [RAT_ZERO] * n
-    b[0] = RAT_ONE / a[0]
+    Rat = rationals.Rat
+    b = [Rat(0)] * n
+    b[0] = 1 / a[0]
     for k in range(1, n):
-        acc = RAT_ZERO
+        acc = Rat(0)
         for i in range(1, k + 1):
             if a[i]:
                 acc += a[i] * b[k - i]

@@ -46,8 +46,9 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import lcm
 
+from . import rationals
 from .errors import TooFewVariables, TruncationMismatch
-from .rationals import Rat
+from .rationals import is_rational, rational
 from .scalars import (add_row, canonical_rows, tp_add, tp_eval, tp_mul,
                       tp_mullow, tp_phi, tp_str)
 
@@ -112,16 +113,18 @@ class Partition(tuple):
 _EMPTY = Partition()
 
 
-def partitions_of(n: int, max_part=None):
-    """Partitions of n, parts bounded by max_part, lex-descending order."""
+@lru_cache(maxsize=None)
+def partitions_of(n: int, max_part=None) -> tuple:
+    """Partitions of n, parts bounded by max_part, lex-descending order,
+    each (n, max_part) enumerated once; a part put in front of a partition
+    with no larger part is one, so it is not revalidated."""
     if max_part is None:
         max_part = n
     if n == 0:
-        yield Partition()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield Partition((first,) + tuple(rest))
+        return (_EMPTY,)
+    return tuple(tuple.__new__(Partition, (first,) + rest)
+                 for first in range(min(n, max_part), 0, -1)
+                 for rest in partitions_of(n - first, first))
 
 
 def partitions_up_to(n: int):
@@ -173,7 +176,7 @@ class _Rows:
     def __str__(self):
         bits = []
         for key, name in self._names():
-            row = tuple(Rat(x, self.den) for x in self.num[key])
+            row = tuple(rational(x, self.den) for x in self.num[key])
             bits.append(f"({tp_str(row)})*{name}")
         return " + ".join(bits) if bits else "0"
 
@@ -304,7 +307,7 @@ class SymFuncP(_Rows):
                     add_row(acc, Partition.merge(lam, mu),
                             tp_mullow(c, d, n))
             return self._rows(acc, self.den * other.den)
-        if isinstance(other, (int, Rat)):
+        if is_rational(other):
             return self.scale(other)
         return NotImplemented
 
@@ -312,8 +315,8 @@ class SymFuncP(_Rows):
 
     def scale(self, c) -> "SymFuncP":
         """Times an int or a rational."""
-        if not isinstance(c, (int, Rat)):
-            c = Rat(c)
+        if not isinstance(c, int):
+            c = rationals.Rat(c)
         k = c.numerator
         return self._rows({lam: row if k == 1 else tuple(k * x for x in row)
                            for lam, row in self.num.items()},
@@ -364,7 +367,7 @@ class XPoly(_Rows):
 
     def __init__(self, nvars: int, terms=None):
         """From {exponents: tuple of rationals, lowest degree first}."""
-        rats = {tuple(e): tuple(map(Rat, c))
+        rats = {tuple(e): tuple(map(rational, c))
                 for e, c in (terms or {}).items()}
         den = lcm(*(x.denominator for c in rats.values() for x in c))
         self.nvars = nvars
@@ -374,7 +377,7 @@ class XPoly(_Rows):
 
     @property
     def terms(self) -> dict:
-        den = self.den
+        Rat, den = rationals.Rat, self.den
         return {e: tuple(Rat(x, den) for x in c)
                 for e, c in self.num.items()}
 
@@ -405,7 +408,7 @@ def xpoly_monomial_coeffs(p: XPoly) -> dict:
     """Monomial-basis coefficients of a symmetric XPoly or of its dominant
     part, keyed by partition (read off the dominant representative of each
     orbit)."""
-    out = {}
+    out, Rat = {}, rationals.Rat
     for exps, c in p.num.items():
         s = tuple(sorted(exps, reverse=True))
         if s == exps:

@@ -26,7 +26,6 @@ from .fock import FockVector, apply_D, exp_D, exp_D_chunk
 from .laurent import (LaurentChunk, Monomial, Window, _expand,
                       binom_expansion_terms, iv_intersect, lform, region,
                       FactorProduct)
-from .rationals import Rat
 from .scalars import pack_row, unpack_row
 from .symfunc import (SymFuncP, hl_q_dominant, orbit_sum, p_to_x_dominant,
                       partitions_up_to)
@@ -149,7 +148,7 @@ def check_braided_commutativity(a: int = 1, b: int = 1, t_order: int = 4,
 
     sc_fp = s_tau(a, b, "z2", "z1")
     if mutate_sign:
-        sc_fp = sc_fp.mul(FactorProduct.of(coeff=(Rat(-1),)))
+        sc_fp = sc_fp.mul(FactorProduct.of(coeff=(-1,)))
 
     swapped = x2_closed_form(b, a).substitute(
         {"z1": ("z2",), "z2": ("z1",)})
@@ -417,7 +416,7 @@ def check_classical_limit(window: int = 5,
         for k in range(-W - 1, W + 1):
             m = Monomial.var("z1", k)
             comm = dy.get(m * g) - ydv.get(m)
-            deriv = ych.get(Monomial.var("z1", k + 1)).scale(Rat(k + 1))
+            deriv = ych.get(Monomial.var("z1", k + 1)).scale(k + 1)
             cmp_.take(f"[D,Y]{name} {m}", comm.weight_truncate(cap),
                       deriv.weight_truncate(cap))
 
@@ -433,7 +432,7 @@ def check_classical_limit(window: int = 5,
     for k in range(W + 1):
         m = Monomial.var("z1", k)
         cmp_.take(f"translate {m}", edD.get(m),
-                  ed.get(Monomial.var("z1", k + 1)).scale(Rat(k + 1)))
+                  ed.get(Monomial.var("z1", k + 1)).scale(k + 1))
 
     return cmp_.report("classical", params, t0)
 

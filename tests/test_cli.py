@@ -366,8 +366,9 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # in a fresh interpreter: this one has loaded both already; the script
-    # names the module that imported each one it finds
+    # in a fresh interpreter: this one has loaded them already; the script
+    # also runs passing checks, which must load neither fractions nor
+    # pickle, and names the module that imported each one it finds
     script = Path(__file__).resolve().parent / "import_graph.py"
     done = subprocess.run([sys.executable, "-I", str(script)],
                           capture_output=True, text=True)
@@ -455,8 +456,8 @@ try:
     left = True
 except ChildProcessError:
     left = False
-print(code, sorted({"multiprocessing", "concurrent.futures"}
-                   & set(sys.modules)), left)
+print(code, sorted({"multiprocessing", "concurrent.futures", "pickle",
+                    "fractions"} & set(sys.modules)), left)
 """
 
 

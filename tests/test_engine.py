@@ -1,7 +1,9 @@
 """Vertex-operator engine: exponential halves, lattice operators, closed
 forms, braiding/translation scalars, and their cross-validations."""
 
+import copy
 import itertools
+import pickle
 import random
 from math import gcd, lcm
 
@@ -787,3 +789,25 @@ def test_evaluate_scaled_digit_width_on_big_scalar(T):
         got = evaluate(cf, REG, target, cap, T, fp)
         assert want.terms
         assert got.terms == want.terms
+
+
+def test_monomial_and_evaluate_chunk_survive_pickling_and_copying():
+    # pickle and copy rebuild a Monomial from __getnewargs__; tuple's own
+    # passed its one tuple as z1, so a copy read Monomial((1, 2, 3, 4), 0,
+    # 0, 0) and an unpickled chunk answered 0 at its own monomials
+    m = Monomial(1, 2, 3, 4)
+    target = Window.of(z1=(-3, 3), z2=(-3, 3))
+    ch = evaluate(x2_closed_form(1, 1), REG, target, CAP, T)
+    assert len(ch.terms) > 10
+    copies = [(p, pickle.loads(pickle.dumps((m, ch), p))) for p in range(2, 6)]
+    copies.append(("deepcopy", copy.deepcopy((m, ch))))
+    for how, (m2, ch2) in copies:
+        assert type(m2) is Monomial and m2 == m, how
+        assert ch2.terms == ch.terms, how
+        for e in itertools.product(range(-3, 4), repeat=2):
+            mono = Monomial(*e)
+            assert ch2.get(mono) == ch.get(mono), (how, mono)
+    for p in (0, 1):  # slotted classes, as before
+        assert pickle.loads(pickle.dumps(m, p)) == m
+        with pytest.raises(TypeError, match="__slots__"):
+            pickle.dumps(ch, p)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +92,24 @@ def test_expand_geometric_z2_dominant():
     ch = fp_power(FORM_Z1_MINUS_Z2, -1).expand(Z21, w, 0)
     for k in range(5):
         assert ch.get(Monomial(z1=k, z2=-1 - k)) == const(-1, 0)
+
+
+def test_expansion_with_true_fractions_stays_exact():
+    # the prefactor 1/2 and the expansions of 1/(2 z1 - z2) and
+    # 1/(z1 - z2/2) in region z1 >> z2: sum_k 2^(-1-k) z1^(-1-k) z2^k and
+    # sum_k 2^(-k) z1^(-1-k) z2^k
+    half = FactorProduct.of(coeff=(2,)).pow(-1)
+    assert half.coeff == (Fraction(1, 2),) and type(half.coeff[0]) is Fraction
+    assert FactorProduct.of(coeff=(0, -1)).pow(2).coeff == (0, 0, 1)
+    w = Window.of(z1=(-5, 0), z2=(0, 4))
+    for form, first in ((lform((2, "z1"), (-1, "z2")), Fraction(1, 2)),
+                        (lform((1, "z1"), ("-1/2", "z2")), 1)):
+        ch = fp_power(form, -1).expand(Z12, w, 1)
+        assert ch.terms == {Monomial(z1=-1 - k, z2=k):
+                            const(first / 2 ** k, 1) for k in range(5)}
+        ch = half.mul(fp_power(form, -1)).expand(Z12, w, 1)
+        assert ch.terms == {Monomial(z1=-1 - k, z2=k):
+                            const(first / 2 ** (k + 1), 1) for k in range(5)}
 
 
 def test_expand_t_adic_inverse():

@@ -3,11 +3,12 @@ import os
 import random
 
 import pytest
+from fractions import Fraction
 
 from qvertex.engine import evaluate, x2_closed_form
 from qvertex.errors import TruncationMismatch, ZeroConstantTerm
 from qvertex.laurent import Window, region
-from qvertex.rationals import Rat
+from qvertex.rationals import Rat, is_rational, rational
 from qvertex.scalars import (TScalar, tp, tp_add, tp_eval, tp_mul, tp_phi,
                              tp_pow, tp_str, tp_trim, ts_invert)
 from qvertex.symfunc import Partition
@@ -102,6 +103,25 @@ def test_phi_and_bracket_factorial():
     # phi_2 = (1-t)(1-t^2)
     assert tp_phi(2) == tp(1, -1, -1, 1)
     assert tp_eval(tp_phi(3), 1) == 0
+
+
+def test_rational_is_an_int_unless_a_true_fraction():
+    # closed-form coefficients stay ints; a quotient that is not integral
+    # is the Fraction the Fraction-valued coefficients gave
+    for a, b, want in ((6, 3, 2), (-6, 4, Fraction(-3, 2)), (1, -2,
+                       Fraction(-1, 2)), (Fraction(3, 2), Fraction(1, 2), 3),
+                       ("4/2", 1, 2), ("-1/2", 1, Fraction(-1, 2)),
+                       (Fraction(1, 3), 3, Fraction(1, 9))):
+        got = rational(a, b)
+        assert got == want and type(got) is type(want), (a, b)
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
+    assert tp("1/2") == (Fraction(1, 2),) and type(tp("1/2")[0]) is Fraction
+    assert tp(2, "4/2", Fraction(4, 2), 0) == (2, 2, 2)
+    assert all(type(c) is int for c in tp(2, "4/2", Fraction(4, 2)))
+    assert Rat is Fraction
+    assert is_rational(2) and is_rational(Fraction(1, 2))
+    assert not is_rational("1/2") and not is_rational(0.5)
 
 
 def test_str_rendering():
