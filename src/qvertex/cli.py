@@ -33,9 +33,8 @@ from .engine import jing_Q
 from .errors import QVertexError
 from .rationals import rational
 from .symfunc import Partition, p_to_x_dominant, xpoly_monomial_coeffs
-from .verifier import CHECK_IDS, CheckReport, run_check
+from .verifier import CHECK_IDS, HL_MIN_T_ORDER, CheckReport, run_check
 
-HL_MIN_T_ORDER = 24
 HL_MAX_WEIGHT = 8
 # checks that take no --charges: their charges are part of the identity,
 # or (hl-oracle) they have none

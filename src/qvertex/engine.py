@@ -25,10 +25,11 @@ braiding and translation scalars are ratios of r's:
             = r(z1+g, z2+g)/r(z1,z2)
 
 The region expansion of a closed form (``evaluate``), alone or times a
-braiding or translation scalar, is one chain: one point chunk for both
-coefficients and monomials, one chunk per factor of the prefactor and of
-the scalar, never merged, and one E+ chunk per slot, on boxes from one
-fixpoint (``laurent._chain``), folded once with the point first and the
+braiding or translation scalar, is one chain of members
+(``laurent._chain``): one point chunk for both coefficients and
+monomials, one chunk per factor of the prefactor and of the scalar,
+never merged, and one E+ chunk per slot.  ``laurent._fold`` builds each
+on its box from one fixpoint and folds once, the point first and the
 rest fewest partitions first, so the one-partition factors come before
 the E+ chunks.
 
@@ -350,29 +351,24 @@ def evaluate(cf: ClosedForm, reg: RegionOrder, window: Window,
     the scalar's coefficients at their monomials, one chunk per factor of
     either, each its own member (the factor tuples are concatenated, never
     merged, so a braiding scalar's form is not cancelled against the
-    prefactor's), and one E+ chunk per slot, built up to the top of its
-    box.  All boxes come from one fixpoint and the chain is folded once
-    (``laurent._fold``), so only the window's coefficients are decoded;
-    slot exponents above degree_cap die in the quotient.
+    prefactor's), and one E+ member per slot, built up to the top of its
+    box.  ``laurent._fold`` takes every box from one fixpoint and folds
+    the chain once, so only the window's coefficients are decoded; slot
+    exponents above degree_cap die in the quotient.
     """
     fp = FactorProduct(tp_mul(cf.prefactor.coeff, scalar.coeff),
                        cf.prefactor.monomial * scalar.monomial,
                        cf.prefactor.factors + scalar.factors)
-    members = [tuple((0, degree_cap) if v in svars else (0, 0)
-                     for v in VARS) for _, svars in cf.slots]
-    chunks, boxes, support = _chain(fp, reg, window, t_order, members)
-    for s in members:
+    members, support = _chain(fp, reg, window, t_order)
+    for a, svars in cf.slots:
+        s = tuple((0, degree_cap) if v in svars else (0, 0) for v in VARS)
         support = bounds_add(support, s)
-    terms = {}
-    if boxes is not None:
-        for (a, svars), box in zip(cf.slots, boxes[len(chunks):]):
-            chunks.append(_eplus_multi_chunk(
-                a, svars, {v: box[VAR_INDEX[v]][1] for v in set(svars)},
-                degree_cap, t_order))
-        acc = _fold(chunks, boxes, window, degree_cap)
-        if acc is not None:
-            terms = {m: FockVector.pure(cf.charge, c)
-                     for m, c in acc.terms.items()}
+        members.append((s, lambda box, a=a, svars=svars: _eplus_multi_chunk(
+            a, svars, {v: box[VAR_INDEX[v]][1] for v in set(svars)},
+            degree_cap, t_order)))
+    acc = _fold(members, window, degree_cap)
+    terms = {} if acc is None else {m: FockVector.pure(cf.charge, c)
+                                    for m, c in acc.terms.items()}
     return LaurentChunk(terms, window, FockVector.zero(t_order), support)
 
 

@@ -13,20 +13,22 @@ f^e is expanded by one multinomial enumerator against the region-dominant
 term of lowest t-degree, with t kept adically smaller than every z variable
 and g kept a nonnegative power series: finite for e > 0, geometric for
 e < 0, where that term must have t-degree 0 and be free of g.  A product
-is expanded as one chain (``_chain``): a point chunk with c(t) at the
-monomial, one chunk per factor, and any further members it is multiplied
-by (E+ chunks, a translated series); a braiding or translation scalar
-enters as factors of the product itself, each its own member.  One
-fixpoint (``_fixpoint_boxes``) over the members' supports, the window
-and the t/g truncation budgets cuts every member to a finite box that
-holds each of its exponents in a split of a window monomial; the fold of
-the chain (``_fold``), the point first and the rest fewest partitions
-first, is then exact on the window as long as each chunk stores its box,
-and raises WindowUnderflow when one does not, instead of returning
-silently wrong boundary coefficients.  ``mul_raw`` and every such fold
-run on one kernel (``_product``) that keeps integer rows packed across
-its steps, forms no intermediate output that the next step does not
-read, and decodes once per output of the last step.
+is expanded as one chain (``_chain``) of members, each a support and a
+build of its chunk on a box: a point chunk with c(t) at the monomial,
+one chunk per factor, and any further members it is multiplied by (E+
+chunks, a translated series); a braiding or translation scalar enters as
+factors of the product itself, each its own member.  The fold of the
+chain (``_fold``) runs one fixpoint (``_fixpoint_boxes``) over the
+members' supports and the window, which cuts every member to a finite
+box that holds each of its exponents in a split of a window monomial,
+builds each member on its box (a linear form's geometric tail ends there
+in closed form) and folds, the point first and the rest fewest
+partitions first.  It is exact on the window as long as each chunk
+stores its box, and raises WindowUnderflow when one does not, instead of
+returning silently wrong boundary coefficients.  ``mul_raw`` and every
+such fold run on one kernel (``_product``) that keeps integer rows packed
+across its steps, forms no intermediate output that the next step does
+not read, and decodes once per output of the last step.
 """
 
 from __future__ import annotations
@@ -421,25 +423,31 @@ def _product(chunks, windows, degree_cap=None) -> LaurentChunk:
     return LaurentChunk(terms, windows[-1], zero, support)
 
 
-def _fold(chunks, boxes, target: Window, degree_cap=None):
-    """chunks[0] * chunks[1] * ... on the target window, projected to
-    degree_cap, in one ``_product``, or None when the product vanishes
-    there.
+def _fold(members, target: Window, degree_cap=None):
+    """The product of a chain's members on the target window, projected to
+    degree_cap, in one ``_product``, or None when it vanishes there.
 
-    boxes[j] holds every exponent of chunks[j] that can land in the target
-    (``_fixpoint_boxes``), and chunks[j] must store it: a box that leaves
-    its chunk's window raises WindowUnderflow, the one soundness rule of a
-    chain.  Chunk 0 comes first and the others follow fewest distinct
-    partitions first (a stable sort), so a one-partition scalar or factor
-    spreads the prefix before a many-partition E+ chunk multiplies every
-    monomial it reaches.  The product commutes, weights only add, so a
-    merge dropped above the cap in one order is above it in any, and the
-    windows below come from the boxes in the order folded.  Each prefix
-    product is kept on its own box minus what the remaining factors can
-    still add, which is exact on the target; an empty prefix window means
-    no split reaches it, found before any product runs.  A single chunk
+    A member is a pair (support, build): the support bounds where it can be
+    nonzero, and build(box) returns its chunk for a box inside that
+    support.  One fixpoint (``_fixpoint_boxes``) cuts every support to the
+    box of the exponents that can land in the target, each member is built
+    on its box, and each chunk must store its box: one that leaves it out
+    raises WindowUnderflow, the one soundness rule of a chain.  Member 0
+    comes first and the others follow fewest distinct partitions first (a
+    stable sort), so a one-partition scalar or factor spreads the prefix
+    before a many-partition E+ chunk multiplies every monomial it reaches.
+    The product commutes, weights only add, so a merge dropped above the
+    cap in one order is above it in any, and the windows below come from
+    the boxes in the order folded.  Each prefix product is kept on its own
+    box minus what the remaining members can still add, which is exact on
+    the target and never empty at the fixpoint; an empty box means no
+    split reaches it, found before any member is built.  A single member
     is returned whole.
     """
+    boxes = _fixpoint_boxes([support for support, _ in members], target)
+    if boxes is None:
+        return None
+    chunks = [build(box) for (_, build), box in zip(members, boxes)]
     for j, (ch, box) in enumerate(zip(chunks, boxes)):
         if any(lo < wlo or hi > whi for (lo, hi), (wlo, whi)
                in zip(box, ch.window.bounds)):
@@ -458,8 +466,6 @@ def _fold(chunks, boxes, target: Window, degree_cap=None):
                 hi -= box[v][0]
             lo = max(lo, sum(box[v][0] for box in boxes[:k + 1]))
             hi = min(hi, sum(box[v][1] for box in boxes[:k + 1]))
-            if lo > hi:
-                return None
             req.append((lo, hi))
         windows.append(Window(tuple(req)))
     if not windows:
@@ -621,7 +627,8 @@ class FactorProduct(namedtuple("FactorProduct", "coeff monomial factors",
 
 
 class _FactorInfo:
-    """One factor form^e, expanded as base^e (1 + sum_i u_i)^e.
+    """One factor form^e of a linear form, expanded as base^e (1 + sum_i
+    u_i)^e; a non-linear term raises NonExpandableFactor.
 
     The base is the region-dominant term among the terms of lowest t-degree
     and the u_i are the other terms divided by it.  For e > 0 the sum is
@@ -631,14 +638,16 @@ class _FactorInfo:
     """
 
     __slots__ = ("form", "exp", "base_c", "base_m", "base_k", "uterms",
-                 "support", "box")
+                 "support")
 
     def __init__(self, form, e, reg, t_order, g_cap):
         self.form = form
         self.exp = e
-        for m, _, _ in form:
-            live = [v for v, d in zip(VARS, m) if d]
-            if not reg.covers(live):
+        for m, _, _ in form:  # each term one variable to the first power
+            if sorted(m) != [0, 0, 0, 1]:
+                raise NonExpandableFactor(
+                    f"non-linear term in ({_form_str(form)})")
+            if not reg.covers([VARS[m.index(1)]]):
                 raise NonExpandableFactor(
                     f"variable outside region {reg}: {_form_str(form)}")
         kmin = min(k for _, k, _ in form)
@@ -693,48 +702,22 @@ class _FactorInfo:
             sup.append((lo, hi))
         return tuple(sup)
 
-    def tighten_jmax(self, max_rounds=32):
-        """Bound geometric tails using the finite box: a u-term that lowers
-        some variable can repeat only until it exits the box."""
-        for _ in range(max_rounds):
-            changed = False
-            for i, (ratio, _, _, jmax) in enumerate(self.uterms):
-                best = jmax
-                for v in range(NVARS):
-                    if ratio[v] >= 0:
-                        continue
-                    slack = self.exp * self.base_m[v] - self.box[v][0]
-                    ok = True
-                    for j2, (r2, _, _, jm2) in enumerate(self.uterms):
-                        if j2 == i or r2[v] <= 0:
-                            continue
-                        if jm2 is None:
-                            ok = False
-                            break
-                        slack += jm2 * r2[v]
-                    if not ok:
-                        continue
-                    cap = max(slack // (-ratio[v]), 0) if slack >= 0 else 0
-                    if best is None or cap < best:
-                        best = cap
-                if best is not None and best != jmax:
-                    self.uterms[i][3] = best
-                    changed = True
-            if not changed:
-                break
-        for ratio, _, _, jmax in self.uterms:
-            if jmax is None:
-                raise WindowUnderflow(
-                    f"unbounded expansion tail for ({_form_str(self.form)})"
-                    f"^{self.exp}")
+    def chunk(self, box, t_order) -> LaurentChunk:
+        """The expansion stored on a box inside its support.
 
-    def chunk(self, t_order) -> LaurentChunk:
-        lo = tuple(b[0] for b in self.box)
-        hi = tuple(b[1] for b in self.box)
-        acc, den = self._enum(lo, hi, t_order)
+        The form is linear, so a u-term t^k c v/v_d lowers only the
+        dominant variable v_d, by exactly one, and no u-term raises it:
+        base^e sits at v_d^e, and a u-term repeats at most e - lo(v_d)
+        times inside the box, which ends every geometric tail.
+        """
+        d = self.base_m.index(1)
+        for u in self.uterms:
+            if u[0][d] and (u[3] is None or u[3] > self.exp - box[d][0]):
+                u[3] = self.exp - box[d][0]
+        acc, den = self._enum(*zip(*box), t_order)
         terms = {m: SymFuncP({Partition(): tuple(row)}, den, t_order)
                  for m, row in acc.items()}
-        return LaurentChunk(terms, Window(tuple(self.box)),
+        return LaurentChunk(terms, Window(tuple(box)),
                             SymFuncP.zero(t_order), self.support)
 
     def _enum(self, lo, hi, t_order):
@@ -801,59 +784,52 @@ class _FactorInfo:
 
 
 def _chain(fp: FactorProduct, reg: RegionOrder, window: Window,
-           t_order: int, supports):
-    """fp expanded in reg as a chain for the window, ahead of further
-    members with the given supports.
+           t_order: int):
+    """fp expanded in reg as members of a chain for the window (``_fold``).
 
-    Returns the chain's chunks: the point chunk of fp's coefficient at its
-    monomial, then one chunk per factor, each stored on its box; the boxes
-    of those chunks and of the members (``_fixpoint_boxes``), or None when
-    the product vanishes on the window; and fp's support.
+    Returns the members, (support, build) pairs: the point chunk of fp's
+    coefficient at its monomial, then one per factor, each built on its
+    box; and fp's support.  A vanishing fp is one member with an empty
+    support, (1, 0) on every variable, so any chain holding it folds to
+    None.
     """
     glo, g_cap = window.range("g")
     if glo < 0:
         raise NonExpandableFactor("g admits no negative exponents")
+    vanished = [(((1, 0),) * NVARS, None)], ((0, 0),) * NVARS
     if fp.is_zero():
-        return [], None, ((0, 0),) * NVARS
+        return vanished
     infos = [_FactorInfo(form, e, reg, t_order, g_cap)
              for form, e in fp.factors if e]
     coeff = scalar(fp.coeff, t_order)
     if coeff.is_zero():
-        return [], None, ((0, 0),) * NVARS
-    point = tuple((e, e) for e in fp.monomial)
-    support = point
+        return vanished
+    point = support = tuple((e, e) for e in fp.monomial)
+    members = [(point, lambda box: LaurentChunk(
+        {fp.monomial: coeff}, Window(box), SymFuncP.zero(t_order)))]
     for info in infos:
         support = bounds_add(support, info.support)
-    boxes = _fixpoint_boxes(
-        [point] + [info.support for info in infos] + list(supports), window)
-    if boxes is None:
-        return [], None, support
-    chunks = [LaurentChunk({fp.monomial: coeff}, Window(point),
-                           SymFuncP.zero(t_order))]
-    for info, box in zip(infos, boxes[1:]):
-        info.box = box
-        info.tighten_jmax()
-        chunks.append(info.chunk(t_order))
-    return chunks, boxes, support
+        members.append((info.support,
+                        lambda box, info=info: info.chunk(box, t_order)))
+    return members, support
 
 
 def _expand(fp: FactorProduct, reg: RegionOrder, window: Window,
             t_order: int, chunks=()) -> LaurentChunk:
     """fp expanded in reg on the window, times the given chunks (every
     weight kept): fp's chain (``_chain``) and the chunks in one ``_fold``,
-    each chunk on its box."""
-    links, boxes, support = _chain(fp, reg, window, t_order,
-                                   [c.support for c in chunks])
+    each chunk a member whose build returns it."""
+    members, support = _chain(fp, reg, window, t_order)
     zero = SymFuncP.zero(t_order)
     for c in chunks:
         zero, support = zero * c.zero, bounds_add(support, c.support)
-    acc = None if boxes is None else _fold(links + list(chunks), boxes,
-                                           window)
+        members.append((c.support, lambda box, c=c: c))
+    acc = _fold(members, window)
     return LaurentChunk({} if acc is None else acc.terms, window, zero,
                         support)
 
 
-def _fixpoint_boxes(supports, window, max_rounds=64):
+def _fixpoint_boxes(supports, window):
     """Shrink the supports of a chain's members to finite boxes sufficient
     for the window.
 
@@ -861,10 +837,20 @@ def _fixpoint_boxes(supports, window, max_rounds=64):
     boxes (induction over the rounds), so folding over these boxes is
     exact on the window.  Returns None when some member has no admissible
     exponents, i.e. the product vanishes on the window.
+
+    The rounds run until no box changes, and they end.  Per variable the
+    members' exponents must sum into the window's range, and a side only
+    moves inward: a finite interval can do so finitely often and an open
+    side is bounded once.  A box open above moves only when every other
+    box is bounded above, so at most one does, and likewise below; while
+    the finite intervals stay put each of those two moves at most once,
+    as the bound that one's move gives the other, once met, gives the
+    first nothing new.
     """
     boxes = [list(s) for s in supports]
     target = window.bounds
-    for _ in range(max_rounds):
+    changed = True
+    while changed:
         changed = False
         for i in range(len(boxes)):
             for v in range(NVARS):
@@ -884,8 +870,6 @@ def _fixpoint_boxes(supports, window, max_rounds=64):
                 if cut != tuple(boxes[i][v]):
                     boxes[i][v] = cut
                     changed = True
-        if not changed:
-            break
     for i, box in enumerate(boxes):
         for v in range(NVARS):
             if None in box[v]:

@@ -33,6 +33,7 @@ from .symfunc import (SymFuncP, hl_q_dominant, orbit_sum, p_to_x_dominant,
 REG12 = region("z1", "z2", "g")
 REG21 = region("z2", "z1", "g")
 REG23 = region("z2", "z3", "g")
+HL_MIN_T_ORDER = 24  # the hl-oracle's t-order floor
 
 
 class CheckReport(namedtuple("CheckReport", "check_id params compared passed "
@@ -442,7 +443,7 @@ def check_classical_limit(window: int = 5,
 
 
 def check_hl_against_oracle(max_weight: int = 6,
-                            t_order: int = 24) -> CheckReport:
+                            t_order: int = HL_MIN_T_ORDER) -> CheckReport:
     """Vertex-operator Q_lambda against the tableau-formula oracle
     (``symfunc.hl_q_dominant``), in n = |lambda| variables.
 
@@ -451,9 +452,9 @@ def check_hl_against_oracle(max_weight: int = 6,
     mismatch is reported as the two full polynomials, the orbit sums of
     the dominant parts."""
     t0 = time.perf_counter()
-    if t_order < 24:
-        raise TruncationMismatch(
-            f"oracle comparison needs t-order >= 24, got {t_order}")
+    if t_order < HL_MIN_T_ORDER:
+        raise TruncationMismatch(f"oracle comparison needs t-order >= "
+                                 f"{HL_MIN_T_ORDER}, got {t_order}")
     params = {"T": t_order, "max_weight": max_weight}
     cmp_ = _Comparator()
     for lam in sorted(partitions_up_to(max_weight),
@@ -499,5 +500,5 @@ def run_check(check_id: str, t_order: int = 8, g_order: int = 3,
     if check_id == "classical":
         return check_classical_limit(window=window, degree_cap=degree_cap)
     if check_id == "hl-oracle":
-        return check_hl_against_oracle(t_order=max(t_order, 24))
+        return check_hl_against_oracle(t_order=max(t_order, HL_MIN_T_ORDER))
     raise ValueError(f"unknown check id: {check_id}")

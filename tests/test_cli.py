@@ -338,6 +338,15 @@ def test_verify_deep_t_calls_match_their_goldens(capsys, check, t_order,
     # translation lines iterate, at a window and cap no verify-all pins
     ("verify_classical_vacuum_window_7_max_degree_12.jsonl",
      ("classical", "vacuum", "--window", "7", "--max-degree", "12")),
+    # the translation scalar's g tails, up to g^6
+    ("verify_translation_gamma_order_6_window_4_max_degree_10_t_order_4"
+     ".jsonl",
+     ("translation", "--gamma-order", "6", "--window", "4",
+      "--max-degree", "10", "--t-order", "4")),
+    # boxes wider than any other golden's
+    ("verify_jacobi_braided_window_7_max_degree_12_t_order_3.jsonl",
+     ("jacobi", "braided-commutativity", "--window", "7", "--max-degree",
+      "12", "--t-order", "3")),
 ])
 def test_verify_matches_its_golden(capsys, golden, argv):
     code, out, _ = run(capsys, "verify", *argv)

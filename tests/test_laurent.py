@@ -9,12 +9,13 @@ from qvertex.errors import (NonExpandableFactor, OutsideWindow,
                             WindowUnderflow)
 from qvertex.fock import FockVector
 from qvertex.laurent import (FactorProduct, LaurentChunk, Monomial,
-                             RegionOrder, Window, _expand, _fold,
-                             binom_expansion_terms, lform, mul_raw, region)
+                             RegionOrder, Window, _expand, _FactorInfo,
+                             _fixpoint_boxes, _fold, binom_expansion_terms,
+                             lform, mul_raw, region)
 from qvertex.rationals import Rat
 from qvertex.scalars import low_row, tp
 from qvertex.symfunc import Partition, SymFuncP, partitions_up_to, scalar
-from reference import laurent_mul
+from reference import laurent_mul, tail_bounds
 
 Z12 = region("z1", "z2")
 Z21 = region("z2", "z1")
@@ -154,6 +155,18 @@ def test_expand_no_t0_term_rejected():
     form = lform((1, "z1", 1), (-1, "z2", 1))
     with pytest.raises(NonExpandableFactor):
         fp_power(form, -1).expand(Z12, Window.of(z1=(-2, 0), z2=(0, 2)), 2)
+
+
+@pytest.mark.parametrize("e", [-1, 2])
+@pytest.mark.parametrize("term", [Monomial(z1=2), Monomial(z1=1, z2=1),
+                                  Monomial()])
+def test_expand_non_linear_term_rejected(term, e):
+    # every closed form is built from linear forms, and the closed-form
+    # bound on geometric tails holds for them only: z1^2, z1 z2 or a
+    # constant beside z2 is refused, whatever the sign of the power
+    form = tuple(sorted([(term, 0, 1), (Monomial(z2=1), 0, -1)]))
+    with pytest.raises(NonExpandableFactor, match="non-linear"):
+        fp_power(form, e).expand(Z12, Window.of(z1=(-4, 4), z2=(-4, 4)), 2)
 
 
 def test_mul_identity():
@@ -774,8 +787,13 @@ def _stepwise(chunks, target, cap):
     return acc, terms
 
 
+def _members(chunks):
+    # each chunk a member on its stored window, whose build returns it
+    return [(c.window.bounds, lambda box, c=c: c) for c in chunks]
+
+
 def _folded(chunks, cap):
-    return _fold(chunks, [c.window.bounds for c in chunks], FOLD_TARGET, cap)
+    return _fold(_members(chunks), FOLD_TARGET, cap)
 
 
 def _weight_drops(chunks, cap):
@@ -817,7 +835,7 @@ def _diagonal(rng, T):
 
 
 def _banded(chunks, cap):
-    return _fold(chunks, [c.window.bounds for c in chunks], BAND_TARGET, cap)
+    return _fold(_members(chunks), BAND_TARGET, cap)
 
 
 @pytest.mark.parametrize("T", [0, 1, 8, 24])
@@ -894,50 +912,92 @@ def test_fold_edge_cases():
                        FockVector.zero(1))
     lone = LaurentChunk({Monomial(z1=1): one}, Window.of(z1=(1, 1)),
                         SymFuncP.zero(1))
-    point = ((0, 0),) * 4
-    # a single chunk comes back whole, even outside the target
-    assert _fold([lone], [lone.window.bounds], Window.of()) is lone
-    # an empty prefix window returns None before any product runs, so the
+    # a single member comes back whole inside the target; outside it, its
+    # box is empty and it folds to None
+    assert _fold(_members([lone]), Window.of(z1=(1, 1))) is lone
+    assert _fold(_members([lone]), Window.of()) is None
+    # an empty box returns None before any member is built, so the
     # charge-4 product of the first two chunks does not raise
-    assert _fold([two, two, lone], [point, point, lone.window.bounds],
-                 Window.of(z1=(3, 4))) is None
+    assert _fold(_members([two, two, lone]), Window.of(z1=(3, 4))) is None
     # an intermediate charge above MAX_CHARGE raises, also when every
     # merge at that step is above the cap: p_4 p_4 at cap 4
     with pytest.raises(UnsupportedCharge):
-        _fold([two, two, lone], [point, point, lone.window.bounds],
-              Window.of(z1=(1, 1)))
+        _fold(_members([two, two, lone]), Window.of(z1=(1, 1)))
     h = LaurentChunk({Monomial(): FockVector.pure(2, SymFuncP.p(4, 1))},
                      Window.of(), FockVector.zero(1))
     with pytest.raises(UnsupportedCharge):
-        _fold([h, h, lone], [point, point, lone.window.bounds],
-              Window.of(z1=(1, 1)), 4)
+        _fold(_members([h, h, lone]), Window.of(z1=(1, 1)), 4)
 
 
 def test_fold_raises_when_a_chunk_is_stored_short_of_its_box():
     # the one soundness rule of a chain: each chunk stores its box.  Each
-    # chunk in turn, stored one step short of its box on one side of one
-    # variable, raises before any product runs; stored on its box it folds
+    # member in turn, built one step short of its fixpoint box on one side
+    # of one variable, raises before any product runs; built on its box
+    # it folds
     rng = random.Random(1250)
     chunks = _chain(rng, 3, 1)
-    boxes = [c.window.bounds for c in chunks]
-    ref = _fold(chunks, boxes, FOLD_TARGET, 4)
+    boxes = _fixpoint_boxes([c.window.bounds for c in chunks], FOLD_TARGET)
+    ref = _fold(_members(chunks), FOLD_TARGET, 4)
     assert ref.terms
     short = 0
-    for j, c in enumerate(chunks):
-        for v, (lo, hi) in enumerate(c.window.bounds):
+    for j, (c, box) in enumerate(zip(chunks, boxes)):
+        for v, (lo, hi) in enumerate(box):
             for cut in ((lo + 1, hi), (lo, hi - 1)):
                 if cut[0] > cut[1]:
                     continue
                 w = Window(tuple(cut if i == v else b
-                                 for i, b in enumerate(c.window.bounds)))
+                                 for i, b in enumerate(box)))
                 stored = LaurentChunk({m: x for m, x in c.terms.items()
                                        if w.contains(m)}, w, c.zero,
                                       c.support)
+                members = _members(chunks)
+                members[j] = (c.window.bounds, lambda box, s=stored: s)
                 with pytest.raises(WindowUnderflow):
-                    _fold(chunks[:j] + [stored] + chunks[j + 1:], boxes,
-                          FOLD_TARGET, 4)
+                    _fold(members, FOLD_TARGET, 4)
                 short += 1
     assert short >= 12
+
+
+def _recorded(members, seen):
+    # the members with each build recording the box it is handed
+    return [(support, lambda box, build=build: seen.append(box) or
+             build(box)) for support, build in members]
+
+
+def test_fold_builds_each_member_on_its_fixpoint_box():
+    # _fold computes the boxes itself: each build is handed the box that
+    # _fixpoint_boxes gives its support, and one more round over those
+    # boxes leaves every one as it is.  The chains are random chunks on
+    # their windows, with a target whose top power of g cuts their boxes,
+    # and factor products whose geometric tails leave supports open on one
+    # side
+    import qvertex.laurent as laurent
+    rng = random.Random(1260)
+    box3 = Window.of(z1=(-3, 3), z2=(-3, 3), z3=(-2, 2))
+    chains = [(_members(_chain(rng, n, 1) + [_diagonal(rng, 1)]),
+               Window(((-1, 1), (-1, 1), (0, 0), (3 * n - 1, 3 * n))))
+              for n in (1, 2, 3) for _ in range(4)]
+    for _ in range(12):
+        fp = _random_tsafe_fp(rng).mul(fp_power(FORM_Z1_MINUS_Z2,
+                                          -rng.randrange(1, 3)))
+        chains.append((laurent._chain(fp, region("z1", "z2", "z3"), box3,
+                                      2)[0], box3))
+    cut = open_sides = 0
+    for members, target in chains:
+        seen = []
+        folded = _fold(_recorded(members, seen), target, 4)
+        supports = [support for support, _ in members]
+        boxes = _fixpoint_boxes(supports, target)
+        if boxes is None:  # the chain vanishes there: nothing is built
+            assert folded is None and seen == []
+            continue
+        assert seen == boxes
+        assert _fixpoint_boxes(boxes, target) == boxes
+        if any(None in iv for s in supports for iv in s):
+            open_sides += 1
+        else:
+            cut += boxes != supports
+    assert cut >= 12 and open_sides >= 10
 
 
 @pytest.mark.parametrize("T", [1, 8, 24])
@@ -957,3 +1017,58 @@ def test_fold_digit_width_on_big_numerators(T):
         assert _folded(chunks, 4).terms == ref.terms
         cancelled += sum(c.is_zero() for c in last.values())
     assert cancelled >= 20
+
+
+# ---------------------------------------------------------------------------
+# geometric tails: one closed-form bound per u-term
+
+
+def _random_linear_form(rng, reg, with_g):
+    names = [v for v in reg.order if with_g or v != "g"]
+    picks = rng.sample([(v, k) for v in names for k in range(3)],
+                       rng.randrange(2, 5))
+    return lform(*[(rng.choice([1, -1, 2, -3]), v, k) for v, k in picks])
+
+
+def test_tail_bound_matches_the_iterative_rule():
+    # a linear form's u-term lowers only the dominant variable, by one, so
+    # the bound e - lo(v_d) on the box equals what the iterative rule of
+    # tests/reference.py reaches.  The boxes come from _fixpoint_boxes over
+    # the factor, a point and an E+-like member, in several regions, with
+    # and without g
+    rng = random.Random(1300)
+    regions = [region("z1", "z2", "g"), region("z2", "z1", "g"),
+               region("z1", "z2", "z3"), region("z3", "z1", "z2", "g")]
+    compared = bounded = opened = 0
+    for _ in range(600):
+        reg = rng.choice(regions)
+        with_g = "g" in reg.order and rng.random() < 0.6
+        form = _random_linear_form(rng, reg, with_g)
+        e = rng.choice([-3, -2, -1, 1, 2, 3])
+        T = rng.randrange(0, 3)
+        G = rng.randrange(0, 4) if with_g else 0
+        zs = [v for v in reg.order if v != "g"]
+        lows = [rng.randrange(-4, 3) for _ in zs]
+        target = Window.of(g=(0, G), **{v: (lo, lo + rng.randrange(2, 9))
+                                         for v, lo in zip(zs, lows)})
+        try:
+            info = _FactorInfo(form, e, reg, T, G)
+        except NonExpandableFactor:
+            continue
+        point = tuple((x, x) for x in Monomial.of(
+            **{v: rng.randrange(-2, 3) for v in zs}))
+        eplus = Window.of(**{rng.choice(zs): (0, 5)}).bounds
+        try:
+            boxes = _fixpoint_boxes([point, info.support, eplus], target)
+        except WindowUnderflow:
+            continue
+        if boxes is None:
+            continue
+        start = [u[3] for u in info.uterms]
+        ref = tail_bounds(info, boxes[1])
+        info.chunk(boxes[1], T)
+        assert [u[3] for u in info.uterms] == ref, (form, e, reg, boxes[1])
+        compared += 1
+        bounded += ref != start
+        opened += None in start
+    assert compared >= 250 and bounded >= 50 and opened >= 25
