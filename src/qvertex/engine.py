@@ -290,16 +290,6 @@ def x2_closed_form(a: int, b: int) -> ClosedForm:
     return ClosedForm(r_factor("z1", "z2", a * b), slots, a + b)
 
 
-def x3_closed_form(a: int = 1, b: int = 1, c: int = 1) -> ClosedForm:
-    for ch in (a, b, c, a + b + c):
-        _check_charge(ch)
-    pref = r_factor("z1", "z2", a * b).mul(
-        r_factor("z1", "z3", a * c)).mul(r_factor("z2", "z3", b * c))
-    slots = tuple((ch, (v,)) for ch, v in
-                  ((a, "z1"), (b, "z2"), (c, "z3")) if ch)
-    return ClosedForm(pref, slots, a + b + c)
-
-
 def x120_closed_form(a: int = 1, b: int = 1, c: int = 1) -> ClosedForm:
     """X with the third variable evaluated at zero: r(v,0) = v, E+(0) = 1."""
     for ch in (a, b, c, a + b + c):

@@ -7,8 +7,9 @@ Two representations live here:
   object can be re-truncated at any order.  Each coefficient is an int,
   or a Fraction where it is a true fraction (``rationals.rational``); the
   closed-form data (factor prefactors) of every check is integral.  The
-  ``tp_*`` helpers keep ints as ints, so the Hall-Littlewood oracle in
-  ``symfunc`` uses them on integer t-polynomials.
+  ``tp_*`` helpers keep ints as ints, so the strip recursion of the
+  Hall-Littlewood oracle in ``symfunc`` multiplies its Z[t] strip weights
+  with them.
 
 * ``TScalar`` -- a t-adic series in Q[t]/(t^{T+1}), stored as T+1
   integer numerators over one common denominator; degrees above T are
@@ -98,15 +99,6 @@ def tp_mullow(a: tuple, b: tuple, n: int) -> tuple:
     return tuple(out)
 
 
-def tp_eval(a: tuple, x):
-    """a(x) as a Fraction, for a rational x."""
-    Rat = rationals.Rat
-    x, acc = Rat(x), Rat(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def tp_str(a: tuple) -> str:
     if not a:
         return "0"
@@ -127,14 +119,6 @@ def tp_str(a: tuple) -> str:
     out = parts[0]
     for s in parts[1:]:
         out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-    return out
-
-
-def tp_phi(r: int) -> tuple:
-    """phi_r(t) = prod_{j=1}^{r} (1 - t^j), with int coefficients."""
-    out = (1,)
-    for j in range(1, r + 1):
-        out = tp_mul(out, (1,) + (0,) * (j - 1) + (-1,))
     return out
 
 

@@ -17,26 +17,24 @@ common denominator, canonicalized and accumulated by the row helpers of
 built only on read.
 
 The Hall-Littlewood oracle runs entirely in Z[t], from the tableau
-formulas (Macdonald, Symmetric Functions and Hall Polynomials, III (5.11),
-(5.11'))
+formula (Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'))
 
-    Q_lambda = sum_T phi_T(t) x^T,    P_lambda = sum_T psi_T(t) x^T
+    Q_lambda = sum_T phi_T(t) x^T
 
-over the semistandard tableaux T of shape lambda, phi_T and psi_T the
-products of the weights of the horizontal strips that T's entries fill.
-One cached recursion over horizontal strips (``_hl_terms``) builds either
-sum, with no division, and its t^0 row is the Schur polynomial
-(Q_lambda(x; 0) = s_lambda).  Everything here is independent of the
-vertex-operator engine so it can serve as its oracle.
+over the semistandard tableaux T of shape lambda, phi_T the product of
+the weights of the horizontal strips that T's entries fill.  One cached
+recursion over horizontal strips (``_hl_terms``) builds the sum, with no
+division.  Everything here is independent of the vertex-operator engine
+so it can serve as its oracle.
 
 A symmetric polynomial is fixed by its dominant part, the terms x^e with
 e weakly decreasing: their coefficients are its monomial-basis
 coefficients.  Both realizations are built on their dominant parts only
 (``p_to_x_dominant`` and ``hl_q_dominant``: 11 exponent vectors of the
 462 in 6 variables at weight 6), and that is what the verifier compares.
-Where the full XPoly is needed (``p_to_x``, ``hl_p_oracle``,
-``hl_q_oracle``, ``schur_x``) it is the orbit sum of the dominant part,
-each row placed at every distinct permutation of its exponent vector.
+Where the full XPoly is needed, to print a mismatch, it is the orbit sum
+of the dominant part (``orbit_sum``), each row placed at every distinct
+permutation of its exponent vector.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ from math import lcm
 from . import rationals
 from .errors import TooFewVariables, TruncationMismatch
 from .rationals import is_rational, rational
-from .scalars import (add_row, canonical_rows, tp_add, tp_eval, tp_mul,
-                      tp_mullow, tp_phi, tp_str)
+from .scalars import (add_row, canonical_rows, tp_add, tp_mul, tp_mullow,
+                      tp_str)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -132,19 +130,6 @@ def partitions_up_to(n: int):
         yield from partitions_of(k)
 
 
-def dominance_leq(mu: Partition, lam: Partition) -> bool:
-    """mu <= lam in dominance order; requires equal weights."""
-    if mu.weight != lam.weight:
-        raise ValueError("dominance needs equal weights")
-    s_mu = s_lam = 0
-    for i in range(max(len(mu), len(lam))):
-        s_mu += mu[i] if i < len(mu) else 0
-        s_lam += lam[i] if i < len(lam) else 0
-        if s_mu > s_lam:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # power-sum representation
 #
@@ -162,16 +147,6 @@ class _Rows:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def eval_t(self, t_value) -> dict:
-        """Every coefficient at a rational t; for a SymFuncP exact only
-        when the true coefficients have degree <= t_order."""
-        out = {}
-        for key, row in self.num.items():
-            v = tp_eval(row, t_value)
-            if v:
-                out[key] = v / self.den
-        return out
 
     def __str__(self):
         bits = []
@@ -359,32 +334,20 @@ def scalar(coeffs, t_order: int) -> SymFuncP:
 
 class XPoly(_Rows):
     """Polynomial in x_1..x_nvars with exact t-polynomial coefficients:
-    ``num`` maps each exponent tuple to a Z[t] row over ``den``.  ``terms``
-    rebuilds the exact rational t-polynomials for readers.
+    ``num`` maps each exponent tuple to a Z[t] row over ``den``.
     """
 
     __slots__ = ("nvars",)
 
-    def __init__(self, nvars: int, terms=None):
-        """From {exponents: tuple of rationals, lowest degree first}."""
-        rats = {tuple(e): tuple(map(rational, c))
-                for e, c in (terms or {}).items()}
-        den = lcm(*(x.denominator for c in rats.values() for x in c))
+    def __init__(self, nvars: int, num: dict, den: int):
+        """From integer rows {exponents: Z[t] row} over den > 0."""
         self.nvars = nvars
-        self.num, self.den = canonical_rows(
-            {e: tuple(x.numerator * (den // x.denominator) for x in c)
-             for e, c in rats.items()}, den)
-
-    @property
-    def terms(self) -> dict:
-        Rat, den = rationals.Rat, self.den
-        return {e: tuple(Rat(x, den) for x in c)
-                for e, c in self.num.items()}
+        self.num, self.den = canonical_rows(num, den)
 
     def t_truncate(self, t_order: int) -> "XPoly":
-        return _xpoly(self.nvars,
-                      {e: c[: t_order + 1] for e, c in self.num.items()},
-                      self.den)
+        return XPoly(self.nvars,
+                     {e: c[: t_order + 1] for e, c in self.num.items()},
+                     self.den)
 
     def __eq__(self, other):
         return (isinstance(other, XPoly) and self.nvars == other.nvars
@@ -394,14 +357,6 @@ class XPoly(_Rows):
         for e in sorted(self.num, reverse=True):
             mono = " ".join(f"x{i+1}^{d}" for i, d in enumerate(e) if d)
             yield e, mono or "1"
-
-
-def _xpoly(nvars: int, num: dict, den: int) -> XPoly:
-    """An XPoly from integer t-polynomials over den > 0."""
-    p = object.__new__(XPoly)
-    p.nvars = nvars
-    p.num, p.den = canonical_rows(num, den)
-    return p
 
 
 def xpoly_monomial_coeffs(p: XPoly) -> dict:
@@ -434,8 +389,8 @@ def _orbit(e: tuple) -> tuple:
 def orbit_sum(p: XPoly) -> XPoly:
     """The symmetric polynomial whose dominant part is p: the row of each
     weakly decreasing e of p at every distinct permutation of e."""
-    return _xpoly(p.nvars, {f: row for e, row in p.num.items()
-                            for f in _orbit(e)}, p.den)
+    return XPoly(p.nvars, {f: row for e, row in p.num.items()
+                           for f in _orbit(e)}, p.den)
 
 
 @lru_cache(maxsize=1024)
@@ -472,109 +427,38 @@ def p_to_x_dominant(f: SymFuncP, nvars: int) -> XPoly:
     for lam, row in f.num.items():
         for e, k in _p_realization(tuple(lam), nvars):
             add_row(acc, e, row, k)
-    return _xpoly(nvars, acc, f.den)
-
-
-def p_to_x(f: SymFuncP, nvars: int) -> XPoly:
-    """Realize a power-sum expression in nvars variables: the orbit sum of
-    its dominant part."""
-    return orbit_sum(p_to_x_dominant(f, nvars))
-
-
-# ---------------------------------------------------------------------------
-# Schur polynomials by the bialternant formula
-
-
-def xp_div_linear(p: XPoly, i: int, j: int) -> XPoly:
-    """Exact division by (x_i - x_j), 0-based i < j, lex leading term x_i."""
-    rem = dict(p.num)
-    quot: dict = {}
-    while rem:
-        e = max(rem)
-        c = rem.pop(e)
-        if e[i] < 1:
-            raise ValueError(f"not divisible by x{i+1} - x{j+1}")
-        q = tuple(d - 1 if k == i else d for k, d in enumerate(e))
-        quot[q] = tp_add(quot[q], c) if q in quot else c
-        # subtract q * (x_i - x_j); the x_i part cancels e exactly
-        e2 = tuple(d + 1 if k == j else d for k, d in enumerate(q))
-        c2 = tp_add(rem.get(e2, ()), c)
-        if c2:
-            rem[e2] = c2
-        elif e2 in rem:
-            del rem[e2]
-    return _xpoly(p.nvars, quot, p.den)
-
-
-def schur_bialternant(lam, n: int) -> XPoly:
-    """Schur polynomial as a_{lam+delta}/a_delta by exact division.
-
-    Independent of both the strip recursion and the engine; intended
-    for small n (the alternant has n! terms).
-    """
-    lam = Partition(lam)
-    if n < len(lam):
-        raise TooFewVariables(f"{n} variables for {lam}")
-    if n > 7:
-        raise ValueError("bialternant oracle limited to n <= 7")
-    staircase = tuple(lam[i] if i < len(lam) else 0 for i in range(n))
-    staircase = tuple(staircase[i] + n - 1 - i for i in range(n))
-    terms: dict = {}
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for a in range(n) for b in range(a + 1, n)
-                  if perm[a] > perm[b])
-        exps = tuple(staircase[perm[k]] for k in range(n))
-        add_row(terms, exps, (1,), -1 if inv % 2 else 1)
-    num = _xpoly(n, terms, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num = xp_div_linear(num, i, j)
-    return num
+    return XPoly(nvars, acc, f.den)
 
 
 # ---------------------------------------------------------------------------
 # Hall-Littlewood polynomials by horizontal strips, in Z[t]
 
 
-def b_lambda(lam) -> tuple:
-    """b_lambda(t) = prod_{i>=1} phi_{m_i(lambda)}(t) in Z[t]."""
-    out = (1,)
-    for m in Partition(lam).multiplicities().values():
-        out = tp_mul(out, tp_phi(m))
-    return out
-
-
-def _strip_weight(lam: tuple, mu: tuple, q: bool) -> tuple:
+def _strip_weight(lam: tuple, mu: tuple) -> tuple:
     """The Z[t] weight of the horizontal strip lam/mu (mu padded to the
     length of lam): phi_{lam/mu}(t) = prod (1 - t^{m_j(lam)}) over the
-    columns j that hold a strip box and have none in column j+1 when q,
-    else psi_{lam/mu}(t) = prod (1 - t^{m_j(mu)}) over the columns j >= 1
-    that hold none and have one in column j+1 (Macdonald III (5.8),
-    (5.8'))."""
+    columns j that hold a strip box and have none in column j+1
+    (Macdonald III (5.8'))."""
     boxes = {j for a, b in zip(lam, mu) for j in range(b + 1, a + 1)}
-    if q:
-        parts, cols = lam, (j for j in boxes if j + 1 not in boxes)
-    else:
-        parts, cols = mu, (j - 1 for j in boxes
-                           if j > 1 and j - 1 not in boxes)
     w = (1,)
-    for j in cols:
-        w = tp_mul(w, (1,) + (0,) * (parts.count(j) - 1) + (-1,))
+    for j in boxes:
+        if j + 1 not in boxes:
+            w = tp_mul(w, (1,) + (0,) * (lam.count(j) - 1) + (-1,))
     return w
 
 
 @lru_cache(maxsize=None)
-def _hl_terms(lam: tuple, n: int, q: bool) -> tuple:
-    """The dominant part of Q_lam(x_1..x_n; t) when q, else of
-    P_lam(x_1..x_n; t), as ((exponents, Z[t] row), ...).
+def _hl_terms(lam: tuple, n: int) -> tuple:
+    """The dominant part of Q_lam(x_1..x_n; t) as ((exponents, Z[t] row),
+    ...).
 
-    Macdonald III (5.11'), (5.11): Q_lam is the sum over semistandard
-    tableaux of shape lam of the product of the phi weights of their
-    horizontal strips times x^T, P_lam the same with psi.  The entries n
-    fill a horizontal strip lam/mu, so Q_lam(x_1..x_n) is the sum over the
-    mu interlacing lam of phi_{lam/mu} Q_mu(x_1..x_{n-1}) x_n^{|lam/mu|};
-    an exponent vector (e, k) is weakly decreasing when e is and its last
-    entry is at least k."""
+    Macdonald III (5.11'): Q_lam is the sum over semistandard tableaux of
+    shape lam of the product of the phi weights of their horizontal strips
+    times x^T.  The entries n fill a horizontal strip lam/mu, so
+    Q_lam(x_1..x_n) is the sum over the mu interlacing lam of
+    phi_{lam/mu} Q_mu(x_1..x_{n-1}) x_n^{|lam/mu|}; an exponent vector
+    (e, k) is weakly decreasing when e is and its last entry is at least
+    k."""
     if n == 0:
         return (((), (1,)),) if not lam else ()
     if len(lam) > n:
@@ -583,46 +467,18 @@ def _hl_terms(lam: tuple, n: int, q: bool) -> tuple:
     ranges = [range(lam[i + 1] if i + 1 < len(lam) else 0, lam[i] + 1)
               for i in range(len(lam))]
     for mu in itertools.product(*ranges):
-        w = _strip_weight(lam, mu, q)
+        w = _strip_weight(lam, mu)
         k = sum(lam) - sum(mu)
-        for e, row in _hl_terms(tuple(x for x in mu if x), n - 1, q):
+        for e, row in _hl_terms(tuple(x for x in mu if x), n - 1):
             if not e or e[-1] >= k:
                 add_row(out, e + (k,), tp_mul(row, w))
     return tuple(canonical_rows(out, 1)[0].items())
 
 
-def _hl_dominant(lam, n: int, q: bool) -> XPoly:
-    lam = Partition(lam)
-    if n < len(lam):
-        raise TooFewVariables(f"{n} variables for {lam}")
-    return _xpoly(n, dict(_hl_terms(tuple(lam), n, q)), 1)
-
-
-def hl_p_dominant(lam, n: int) -> XPoly:
-    """The dominant part of the Hall-Littlewood P_lambda(x_1..x_n; t), the
-    psi sum of the strip recursion; exact in t."""
-    return _hl_dominant(lam, n, False)
-
-
 def hl_q_dominant(lam, n: int) -> XPoly:
     """The dominant part of Q_lambda(x_1..x_n; t), the phi sum of the strip
     recursion; exact in t."""
-    return _hl_dominant(lam, n, True)
-
-
-def hl_p_oracle(lam, n: int) -> XPoly:
-    """Hall-Littlewood P_lambda(x_1..x_n; t), the orbit sum of its dominant
-    part."""
-    return orbit_sum(hl_p_dominant(lam, n))
-
-
-def hl_q_oracle(lam, n: int) -> XPoly:
-    """Q_lambda(x_1..x_n; t), the orbit sum of its dominant part."""
-    return orbit_sum(hl_q_dominant(lam, n))
-
-
-def schur_x(nu, n: int) -> XPoly:
-    """Schur polynomial s_nu(x_1..x_n) = Q_nu(x_1..x_n; 0), the t^0 row of
-    the strip recursion (engine-independent)."""
-    return orbit_sum(_xpoly(n, {e: row[:1] for e, row
-                                in _hl_terms(tuple(nu), n, True)}, 1))
+    lam = Partition(lam)
+    if n < len(lam):
+        raise TooFewVariables(f"{n} variables for {lam}")
+    return XPoly(n, dict(_hl_terms(tuple(lam), n)), 1)

@@ -1,10 +1,13 @@
 """Dead-code guard: every public module-level function and class and every
 public method of the package is used somewhere besides its own definition,
-every exception class of the package is raised by it, and the package's
-``__all__`` resolves."""
+every public module-level function and class is run by some command
+(``reachability.py``), every exception class of the package is raised by
+it, and the package's ``__all__`` resolves."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qvertex
@@ -69,6 +72,16 @@ def test_public_methods_are_referenced():
     unused = _unreferenced(_public_methods(),
                            r"(?<!self)\.{}\b(?!\s*=[^=])")
     assert not unused, f"public methods with no .name reference: {unused}"
+
+
+def test_every_public_name_is_run_by_a_command():
+    # in a fresh interpreter, so that calls made while importing the
+    # package count; the script names each function or class no command
+    # runs
+    done = subprocess.run(
+        [sys.executable, "-I", str(ROOT / "tests" / "reachability.py")],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_every_exception_is_raised():

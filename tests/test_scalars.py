@@ -9,9 +9,10 @@ from qvertex.engine import evaluate, x2_closed_form
 from qvertex.errors import TruncationMismatch, ZeroConstantTerm
 from qvertex.laurent import Window, region
 from qvertex.rationals import Rat, is_rational, rational
-from qvertex.scalars import (TScalar, tp, tp_add, tp_eval, tp_mul, tp_phi,
-                             tp_pow, tp_str, tp_trim, ts_invert)
+from qvertex.scalars import (TScalar, tp, tp_add, tp_mul, tp_pow, tp_str,
+                             tp_trim, ts_invert)
 from qvertex.symfunc import Partition
+from reference import tp_eval, tp_phi
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
